@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 
 from .cdf import NodeGrid
 from .inputs import TruncatedLognormal, build_equal_width_strata
-from .models import MeshHierarchy, ModelSpec, model_by_name
+from .models import MeshHierarchy, ModelSpec, burgers_max_speed, model_by_name
 
 KNOWN_METHODS = ("mc", "mlmc", "mlmc_giles", "mlmc_kde", "smlmc", "smlmc_kde")
 
@@ -78,6 +78,14 @@ class ExperimentConfig:
             raise ValueError("n_real must be at least 1")
         if any(r < 1 for r in self.strata_counts):
             raise ValueError("strata counts must be positive")
+        if self.model == "burgers":
+            spec = self.model_spec()
+            bound = burgers_max_speed(spec.inflow, spec.outflow)
+            if max(abs(self.w_lo), abs(self.w_hi)) > bound:
+                raise ValueError(
+                    f"Burgers plateau support [{self.w_lo}, {self.w_hi}] exceeds the "
+                    f"wave-speed bound {bound} of the boundary states"
+                )
 
     # -- derived objects ---------------------------------------------------
 

@@ -92,7 +92,6 @@ class LevelState:
         self.pair_work = pair_work          # deterministic work units per pair sample
         self.elapsed = np.zeros(n_strata)   # wallclock seconds spent in solves
         self.delta: Optional[float] = None
-        self.warm_fine: list = []           # warmup fine QoIs (bandwidth calibration)
         self.kept_fine: list = []           # all fine QoIs (MC reuse; plain runs only)
         self.history: list = []             # total sample count after each sizing pass
 
@@ -383,7 +382,7 @@ class _Engine:
         lv.sumsq_g[stratum] += (g * g).sum(axis=0)
         lv.n[stratum] += fine.shape[0]
 
-    def _add_samples(self, level: int, stratum: int, m: int, warm: bool = False):
+    def _add_samples(self, level: int, stratum: int, m: int):
         lv = self.levels[level]
         while m > 0:
             batch = min(m, self.cfg.batch_size)
@@ -391,8 +390,6 @@ class _Engine:
             t0 = time.perf_counter()
             fine, coarse = self._solve_pairs(level, w)
             lv.elapsed[stratum] += time.perf_counter() - t0
-            if warm:
-                lv.warm_fine.append(fine)
             if self.keep_fine:
                 lv.kept_fine.append(fine)
             self._accumulate(lv, stratum, fine, coarse)
@@ -441,7 +438,7 @@ class _Engine:
         counts = self._warmup_counts()
         if self.smoother is None:
             for i in range(self.strat.r):
-                self._add_samples(level, i, int(counts[i]), warm=True)
+                self._add_samples(level, i, int(counts[i]))
         else:
             # bandwidth first: draw all warmup pairs, calibrate on the pooled
             # fine values, then fold the warmups into the statistics
@@ -452,7 +449,6 @@ class _Engine:
                 fine, coarse = self._solve_pairs(level, w)
                 lv.elapsed[i] += time.perf_counter() - t0
                 drawn.append((i, fine, coarse))
-                lv.warm_fine.append(fine)
             pooled = np.concatenate([f for _, f, _ in drawn])
             lv.delta = calibrate_bandwidth(
                 self.smoother, pooled, self.nodes, self.cfg.eps,

@@ -3,21 +3,23 @@
 Two models ship:
 
 * linear diffusion on (0, 4) with a random diffusion coefficient, solved by
-  central differences in space and Crank-Nicolson in time (tridiagonal systems
-  via the Thomas algorithm), QoI = 10 * integral of u^2 at t = 0.2;
+  central differences in space and Crank-Nicolson in time (the whole march
+  evaluated exactly in the sine basis that diagonalises it, by DST-I), QoI =
+  10 * integral of u^2 at t = 0.2;
 * inviscid Burgers on (0, 2) with a random initial plateau, solved by the
   first-order Godunov finite-volume scheme, QoI = 10 * integral of u^2 at
   t = 0.5.
 
 Both solvers are vectorized over a batch of input values: a level solve for a
-batch of Monte Carlo samples runs the spatial loop once, with numpy arrays of
-shape (space, batch).
+batch of Monte Carlo samples works on numpy arrays of shape (space, batch).
+A sample's field and QoI do not depend on the other samples of its batch.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.fft import dst, idst
 
 DIFFUSION_IC_WIDTH = 0.05
 
@@ -56,6 +58,9 @@ class LevelPair:
 
 def thomas_solve(lower, diag, upper, rhs):
     """Solve a tridiagonal system by the Thomas algorithm.
+
+    The engine does not call it; the tests march Crank-Nicolson step by step
+    with it as the oracle of solve_diffusion_batch.
 
     Parameters
     ----------
@@ -116,51 +121,55 @@ def solve_diffusion_batch(
 
     Returns an array of node values of shape (cells + 1, B).  Nodes are
     x_j = j * dx including the boundary nodes; the interior unknowns advance by
-    Crank-Nicolson with the tridiagonal system solved by thomas_solve.  Walls
-    are held at u(0) = -1 and u(length) = +1; the initial transition layer is
-    tanh((x - 2) / 0.05).
+    Crank-Nicolson.  Walls are held at u(0) = -1 and u(length) = +1; the
+    initial transition layer is tanh((x - 2) / 0.05).
+
+    The march is evaluated in closed form.  With the wall ramp
+    r(x) = -1 + 2x / length subtracted, each step multiplies the interior data
+    by (I + lam A)^-1 (I - lam A), with lam = d dt / (2 dx^2) per sample and A
+    the Dirichlet second-difference matrix.  The orthonormal DST-I
+    diagonalises this step for any lam (Strang, SIAM Review 41, 1999): mode k
+    is scaled by g_k = (1 - lam mu_k) / (1 + lam mu_k), with
+    mu_k = 4 sin^2(k pi / (2 cells)).  So n steps are one DST-I of the initial
+    data (shared by the batch), a multiply by g_k^n and one inverse DST-I over
+    the batch.  The step count and the work model are those of the stepwise
+    march.
     """
     d = np.atleast_1d(np.asarray(d_coeffs, dtype=float))
     if np.any(d <= 0):
         raise ValueError("diffusion coefficient must be positive")
     if cells < 2:
         raise ValueError("need at least two cells")
-    B = d.shape[0]
     dx = length / cells
     n_steps = diffusion_steps(cells, final_time, length, dt_over_dx)
     dt = final_time / n_steps
     x = np.linspace(0.0, length, cells + 1)
-    u = np.repeat(np.tanh((x - 2.0) / DIFFUSION_IC_WIDTH)[:, None], B, axis=1)
-    u[0, :] = -1.0
-    u[-1, :] = 1.0
-    lam = d * dt / (2.0 * dx * dx)  # (B,)
-    m = cells - 1
-    # the Crank-Nicolson matrix (diag 1 + 2 lam, off-diag -lam) is constant in
-    # time, so the Thomas forward-elimination coefficients are precomputed once
-    cp = np.empty((m - 1, B))
-    inv_piv = np.empty((m, B))
-    piv = np.full(B, 1.0) + 2.0 * lam
-    inv_piv[0] = 1.0 / piv
-    for i in range(1, m):
-        cp[i - 1] = -lam * inv_piv[i - 1]
-        piv = (1.0 + 2.0 * lam) + lam * cp[i - 1]
-        inv_piv[i] = 1.0 / piv
-    low_scaled = lam * inv_piv[1:]  # multiplies dp[i-1] in the forward sweep
-    dp = np.empty((m, B))
-    for _ in range(n_steps):
-        interior = u[1:-1, :]
-        rhs = (1.0 - 2.0 * lam) * interior
-        rhs[1:, :] += lam * interior[:-1, :]
-        rhs[:-1, :] += lam * interior[1:, :]
-        rhs[0, :] -= 2.0 * lam   # left wall value -1, same at old and new time
-        rhs[-1, :] += 2.0 * lam  # right wall value +1
-        dp[0] = rhs[0] * inv_piv[0]
-        for i in range(1, m):
-            dp[i] = rhs[i] * inv_piv[i] + low_scaled[i - 1] * dp[i - 1]
-        x = u[1:-1, :]
-        x[m - 1] = dp[m - 1]
-        for i in range(m - 2, -1, -1):
-            x[i] = dp[i] - cp[i] * x[i + 1]
+    ramp = -1.0 + 2.0 * x[1:-1] / length
+    coeffs = dst(np.tanh((x[1:-1] - 2.0) / DIFFUSION_IC_WIDTH) - ramp, type=1, norm="ortho")
+    k = np.arange(1, cells)
+    mu = 4.0 * np.sin(k * np.pi / (2.0 * cells)) ** 2
+    lam = d * dt / (2.0 * dx * dx)
+    # g^n as sign * exp(n log|g|): a float power costs an order of magnitude
+    # more, and the batch takes (cells - 1) x B of them
+    g = np.multiply(mu[:, None], lam)
+    negative = g > 1.0
+    denom = g + 1.0
+    np.subtract(1.0, g, out=g)
+    g /= denom
+    del denom
+    np.abs(g, out=g)
+    with np.errstate(divide="ignore"):  # g = 0 when lam mu = 1 exactly
+        np.log(g, out=g)
+    g *= n_steps
+    np.exp(g, out=g)
+    if n_steps % 2:
+        np.negative(g, out=g, where=negative)
+    g *= coeffs[:, None]
+    u = np.empty((cells + 1, d.shape[0]))
+    u[0] = -1.0
+    u[-1] = 1.0
+    u[1:-1] = idst(g, type=1, norm="ortho", axis=0, overwrite_x=True)
+    u[1:-1] += ramp[:, None]
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("diffusion solve produced non-finite values")
     return u
@@ -190,6 +199,16 @@ def godunov_flux(u_left, u_right):
     return out
 
 
+def burgers_max_speed(inflow: float, outflow: float) -> float:
+    """Wave-speed bound of the Burgers march: the larger boundary state.
+
+    Inputs are held to it (the plateau height may not exceed it), so by the
+    max principle it bounds every speed of the solution, and the time step it
+    fixes is the same for every sample and for the work model.
+    """
+    return max(abs(inflow), abs(outflow))
+
+
 def burgers_steps(cells: int, final_time: float = 0.5, length: float = 2.0,
                   max_speed: float = 2.0, cfl: float = 0.9) -> int:
     """Step count of the CFL-limited march (final step clipped onto final_time)."""
@@ -212,17 +231,19 @@ def solve_burgers_batch(
     Returns cell averages of shape (cells, B) at final_time.  Initial data is
     u1 on (0, 1] and 0 on (1, length); ghost cells carry the Dirichlet values
     (inflow on the left, outflow on the right).  The time step is CFL-limited
-    by the largest wave speed of the batch, which the max principle bounds by
-    max(|initial data|, inflow); the last step is clipped to land on final_time.
+    by burgers_max_speed(inflow, outflow), which every |u1| must not exceed;
+    the last step is clipped to land on final_time.
     """
     u1 = np.atleast_1d(np.asarray(u1_values, dtype=float))
     if cells < 2:
         raise ValueError("need at least two cells")
+    max_speed = burgers_max_speed(inflow, outflow)
+    if np.any(np.abs(u1) > max_speed):
+        raise ValueError(f"plateau heights must lie within the boundary speed bound {max_speed}")
     B = u1.shape[0]
     dx = length / cells
     centers = (np.arange(cells) + 0.5) * dx
     u = np.where(centers[:, None] <= 1.0, u1[None, :], 0.0)
-    max_speed = max(abs(inflow), abs(outflow), float(np.abs(u).max()), 1e-12)
     dt_cfl = cfl * dx / max_speed
     ghost_l = np.full((1, B), float(inflow))
     ghost_r = np.full((1, B), float(outflow))
@@ -243,16 +264,26 @@ def solve_burgers(u1: float, cells: int, **kwargs):
     return solve_burgers_batch([u1], cells, **kwargs)[:, 0]
 
 
+def _squares_by_sample(field):
+    """field^2 as (batch, space) with each sample's values contiguous.
+
+    numpy sums the last axis of this layout pairwise for every row whatever
+    the batch size, so a sample's QoI does not depend on its batch-mates.
+    Summing axis 0 of the (space, batch) layout goes row by row for B > 1 but
+    pairwise for B = 1, which moved a lone sample's QoI by up to 7e-14.
+    """
+    return np.square(np.asarray(field, dtype=float).T, order="C")
+
+
 def qoi_trapezoid(field, dx: float, scale: float = 10.0):
     """scale * trapezoid quadrature of field^2 on a node grid (boundary nodes included)."""
-    f2 = np.asarray(field, dtype=float) ** 2
-    return scale * dx * (0.5 * f2[0] + f2[1:-1].sum(axis=0) + 0.5 * f2[-1])
+    f2 = _squares_by_sample(field)
+    return scale * dx * (0.5 * f2[..., 0] + f2[..., 1:-1].sum(axis=-1) + 0.5 * f2[..., -1])
 
 
 def qoi_midpoint(field, dx: float, scale: float = 10.0):
     """scale * midpoint quadrature of field^2 on a cell-average grid."""
-    f2 = np.asarray(field, dtype=float) ** 2
-    return scale * dx * f2.sum(axis=0)
+    return scale * dx * _squares_by_sample(field).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -300,7 +331,7 @@ class ModelSpec:
             return diffusion_steps(cells, self.final_time, self.domain_length)
         return burgers_steps(
             cells, self.final_time, self.domain_length,
-            max(abs(self.inflow), abs(self.outflow), 2.0), self.cfl,
+            burgers_max_speed(self.inflow, self.outflow), self.cfl,
         )
 
     def work_units(self, cells: int) -> float:

@@ -111,3 +111,16 @@ work_model = gpu
 """)
         with pytest.raises(ValueError, match="work model"):
             load_config(path)
+
+    def test_burgers_support_beyond_speed_bound(self, tmp_path):
+        # the Burgers time step is fixed by the boundary states (inflow 2);
+        # a wider plateau support would break the CFL condition
+        path = self._write(tmp_path, """
+[experiment]
+model = burgers
+
+[distribution]
+w_hi = 2.5
+""")
+        with pytest.raises(ValueError, match="wave-speed bound"):
+            load_config(path)

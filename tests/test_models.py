@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smlmc.models import (
     BURGERS,
@@ -13,6 +15,7 @@ from smlmc.models import (
     sample_pair,
     sample_pair_batch,
     solve_burgers,
+    solve_burgers_batch,
     solve_diffusion,
     solve_diffusion_batch,
     thomas_solve,
@@ -126,6 +129,80 @@ class TestDiffusion:
             assert np.array_equal(batch[:, i], solve_diffusion(wi, 64))
 
 
+def cn_march(d, cells, final_time=0.2, length=4.0, dt_over_dx=1.0):
+    """Step-by-step Crank-Nicolson march of the diffusion testbed, one
+    tridiagonal solve per step by thomas_solve: the oracle of the closed-form
+    kernel.  d is a batch of coefficients; returns node values (cells + 1, B)."""
+    d = np.asarray(d, dtype=float)
+    dx = length / cells
+    n_steps = diffusion_steps(cells, final_time, length, dt_over_dx)
+    lam = np.broadcast_to(d * (final_time / n_steps) / (2.0 * dx * dx), (cells - 1, d.size))
+    x = np.linspace(0.0, length, cells + 1)
+    u = np.repeat(np.tanh((x - 2.0) / 0.05)[:, None], d.size, axis=1)
+    u[0], u[-1] = -1.0, 1.0
+    for _ in range(n_steps):
+        # walls -1 and +1 enter the right-hand side at the old and new time
+        rhs = (1.0 - 2.0 * lam) * u[1:-1] + lam * (u[:-2] + u[2:])
+        rhs[0] -= lam[0]
+        rhs[-1] += lam[-1]
+        u[1:-1] = thomas_solve(-lam[1:], 1.0 + 2.0 * lam, -lam[1:], rhs)
+    return u
+
+
+class TestSpectralKernelAgainstMarch:
+    D = np.array([1.0, 1.37, 2.5, 4.0])
+
+    @pytest.mark.parametrize("dt_over_dx", [1.0, 4.0])
+    @pytest.mark.parametrize("cells", [16, 37, 128, 1024])
+    def test_matches_dense_march(self, cells, dt_over_dx):
+        oracle = cn_march(self.D, cells, dt_over_dx=dt_over_dx)
+        u = solve_diffusion_batch(self.D, cells, dt_over_dx=dt_over_dx)
+        assert u.shape == (cells + 1, self.D.size)
+        assert np.abs(u - oracle).max() <= 1e-10
+        dx = 4.0 / cells
+        assert np.abs(qoi_trapezoid(u, dx) - qoi_trapezoid(oracle, dx)).max() <= 1e-9
+
+    def test_odd_and_even_step_counts(self):
+        # g_k < 0 for the stiff modes once lam mu_k > 1: an odd step count
+        # must keep their sign, an even one drop it
+        for final_time in (0.2, 0.2 + 4.0 / 64):
+            oracle = cn_march(self.D, 64, final_time=final_time, dt_over_dx=4.0)
+            u = solve_diffusion_batch(self.D, 64, final_time=final_time, dt_over_dx=4.0)
+            assert np.abs(u - oracle).max() <= 1e-10
+
+
+class TestBatchInvariance:
+    """A sample's QoI is bit for bit the same whatever batch it is solved in."""
+
+    @staticmethod
+    def _check(model, w, cells, split, order):
+        w = np.asarray(w)
+        whole = model.qoi_batch(w, cells)
+        alone = np.array([model.qoi_batch(w[i : i + 1], cells)[0] for i in range(w.size)])
+        parts = np.concatenate([model.qoi_batch(w[:split], cells),
+                                model.qoi_batch(w[split:], cells)])
+        permuted = model.qoi_batch(w[order], cells)
+        assert np.array_equal(whole, alone)
+        assert np.array_equal(whole, parts)
+        assert np.array_equal(whole[order], permuted)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), cells=st.sampled_from([2, 16, 17, 64, 100, 256]))
+    def test_diffusion(self, data, cells):
+        w = data.draw(st.lists(st.floats(1.0, 4.0), min_size=2, max_size=24))
+        split = data.draw(st.integers(1, len(w) - 1))
+        order = np.array(data.draw(st.permutations(range(len(w)))))
+        self._check(DIFFUSION, w, cells, split, order)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), cells=st.sampled_from([2, 16, 17, 64, 100, 256]))
+    def test_burgers(self, data, cells):
+        w = data.draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=24))
+        split = data.draw(st.integers(1, len(w) - 1))
+        order = np.array(data.draw(st.permutations(range(len(w)))))
+        self._check(BURGERS, w, cells, split, order)
+
+
 class TestGodunovFlux:
     def test_consistency(self):
         for u in (-1.5, 0.0, 0.7, 2.0):
@@ -204,6 +281,14 @@ class TestBurgers:
             q = BURGERS.qoi_batch(w, cells)
             assert np.all(q >= 15.0) and np.all(q <= 65.0)
 
+    def test_plateau_beyond_speed_bound_rejected(self):
+        # the time step is fixed by the boundary states; a faster plateau
+        # would break the CFL condition
+        with pytest.raises(ValueError, match="speed bound"):
+            solve_burgers_batch([1.0, 2.5], 64)
+        with pytest.raises(ValueError, match="speed bound"):
+            solve_burgers(-0.5, 64, inflow=0.25)
+
 
 class TestQoi:
     def test_zero_field(self):
@@ -241,12 +326,10 @@ class TestSamplePair:
         assert gaps[2] < gaps[0]
 
     def test_batch_matches_scalar(self):
-        # summation order inside the quadrature depends on the batch width,
-        # so agreement is to rounding, not bitwise
         fine, coarse = sample_pair_batch(DIFFUSION, self.HIER, [1.5, 3.0], 2)
         p = sample_pair(DIFFUSION, self.HIER, 1.5, 2)
-        assert fine[0] == pytest.approx(p.fine, rel=1e-12)
-        assert coarse[0] == pytest.approx(p.coarse, rel=1e-12)
+        assert fine[0] == p.fine
+        assert coarse[0] == p.coarse
 
 
 class TestWorkModel:
