@@ -32,7 +32,6 @@ from .models import (
     MeshHierarchy,
     ModelSpec,
     godunov_flux,
-    sample_pair,
     solve_burgers,
     solve_diffusion,
     thomas_solve,

@@ -1,19 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smlmc.config import preset
+from smlmc.estimators import RunConfig, _Engine
+from smlmc.inputs import build_equal_width_strata
 from smlmc.models import (
+    _TILE_ELEMS,
     BURGERS,
     DIFFUSION,
     MeshHierarchy,
+    ModelSpec,
+    burgers_max_speed,
     burgers_steps,
+    burgers_time_steps,
     diffusion_steps,
     godunov_flux,
     qoi_midpoint,
     qoi_trapezoid,
-    sample_pair,
-    sample_pair_batch,
     solve_burgers,
     solve_burgers_batch,
     solve_diffusion,
@@ -171,6 +178,9 @@ class TestSpectralKernelAgainstMarch:
             assert np.abs(u - oracle).max() <= 1e-10
 
 
+BURGERS_SHORT = ModelSpec(name="burgers", final_time=0.02, domain_length=2.0)
+
+
 class TestBatchInvariance:
     """A sample's QoI is bit for bit the same whatever batch it is solved in."""
 
@@ -194,13 +204,19 @@ class TestBatchInvariance:
         order = np.array(data.draw(st.permutations(range(len(w)))))
         self._check(DIFFUSION, w, cells, split, order)
 
+    # at 4096 cells a tile holds 15 samples, so batches of 16 to 40 span
+    # tiles and a split can cut one; a short horizon keeps it to 46 steps
     @settings(max_examples=25, deadline=None)
-    @given(data=st.data(), cells=st.sampled_from([2, 16, 17, 64, 100, 256]))
-    def test_burgers(self, data, cells):
-        w = data.draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=24))
+    @given(data=st.data(), case=st.sampled_from(
+        [(BURGERS, c) for c in (2, 16, 17, 64, 100, 256)] + [(BURGERS_SHORT, 4096)]))
+    def test_burgers(self, data, case):
+        model, cells = case
+        tile = _TILE_ELEMS // (cells + 2)
+        min_size = 2 if tile >= 24 else tile + 1
+        w = data.draw(st.lists(st.floats(0.0, 2.0), min_size=min_size, max_size=min_size + 24))
         split = data.draw(st.integers(1, len(w) - 1))
         order = np.array(data.draw(st.permutations(range(len(w)))))
-        self._check(BURGERS, w, cells, split, order)
+        self._check(model, w, cells, split, order)
 
 
 class TestGodunovFlux:
@@ -232,6 +248,128 @@ def exact_burgers_qoi(u1, t=0.5, scale=10.0):
     x1 = (2.0 + u1) * t / 2.0
     x2 = 1.0 + u1 * t / 2.0
     return scale * (4.0 * x1 + u1**2 * (x2 - x1))
+
+
+def loop_time_steps(dt_cfl, final_time):
+    """Step sizes of a march that accumulates t and stops within 1e-14 of
+    final_time, as the Burgers kernel once did."""
+    steps, t = [], 0.0
+    while t < final_time - 1e-14:
+        steps.append(min(dt_cfl, final_time - t))
+        t += steps[-1]
+    return steps
+
+
+def godunov_march(u1, cells, final_time=0.5, length=2.0, inflow=2.0, outflow=0.0, cfl=0.9,
+                  steps=None):
+    """Stepwise Godunov march of the Burgers testbed on the whole batch at
+    once: ghost cells by concatenation, godunov_flux at every interface and
+    the conservative update, over the given time steps (by default
+    loop_time_steps).  The oracle of the tiled in-place kernel; returns cell
+    averages (cells, B)."""
+    u1 = np.asarray(u1, dtype=float)
+    dx = length / cells
+    centers = (np.arange(cells) + 0.5) * dx
+    u = np.where(centers[:, None] <= 1.0, u1[None, :], 0.0)
+    ghost_l = np.full((1, u1.size), float(inflow))
+    ghost_r = np.full((1, u1.size), float(outflow))
+    if steps is None:
+        steps = loop_time_steps(cfl * dx / burgers_max_speed(inflow, outflow), final_time)
+    for dt in steps:
+        ext = np.concatenate([ghost_l, u, ghost_r], axis=0)
+        flux = godunov_flux(ext[:-1, :], ext[1:, :])
+        u = u - (dt / dx) * (flux[1:, :] - flux[:-1, :])
+    return u
+
+
+class TestTiledKernelAgainstMarch:
+    """solve_burgers_batch is bit for bit the stepwise march, whatever its tiling."""
+
+    # a tile holds _TILE_ELEMS // (cells + 2) samples: 16384 at 2 cells, 31 at 2048
+    @pytest.mark.parametrize("cells, final_time", [(2, 0.5), (17, 0.5), (128, 0.5), (2048, 0.05)])
+    def test_bit_identical_across_tile_boundaries(self, cells, final_time):
+        tile = _TILE_ELEMS // (cells + 2)
+        rng = np.random.default_rng(cells)
+        for B in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
+            w = rng.uniform(0.0, 2.0, B)
+            u = solve_burgers_batch(w, cells, final_time)
+            assert u.shape == (cells, B)
+            assert np.array_equal(u, godunov_march(w, cells, final_time))
+
+    def test_bit_identical_with_left_moving_states(self):
+        # a negative outflow and plateau exercise the min(ur, 0) side of the flux
+        kw = dict(final_time=0.31, inflow=1.5, outflow=-1.0, cfl=0.5)
+        w = np.random.default_rng(7).uniform(-1.5, 1.5, 3 * (_TILE_ELEMS // 102) + 5)
+        assert np.array_equal(solve_burgers_batch(w, 100, **kw), godunov_march(w, 100, **kw))
+
+
+class TestBurgersTimeSteps:
+    def test_preset_meshes_keep_the_loop_steps(self):
+        # on the preset meshes 32 * 2^l the accumulating loop already took
+        # burgers_steps steps, so fields and cost units do not move
+        for cells in (32 * 2**l for l in range(10)):
+            steps = burgers_time_steps(cells)
+            assert steps == loop_time_steps(0.9 * (2.0 / cells) / 2.0, 0.5)
+            assert len(steps) == BURGERS.steps(cells)
+
+    def test_no_sliver_step_beyond_the_work_model(self):
+        # t accumulated over 400 steps of 0.0025 falls 1.1e-14 short of 1.0:
+        # the loop took a 401st step of dt/dx = 1.9e-12 that the model did not charge
+        spec = ModelSpec(name="burgers", final_time=1.0, domain_length=2.0)
+        steps = burgers_time_steps(360, final_time=1.0)
+        assert len(loop_time_steps(0.9 * (2.0 / 360) / 2.0, 1.0)) == 401
+        assert len(steps) == burgers_steps(360, final_time=1.0) == 400
+        assert spec.work_units(360) == 360 * len(steps)
+        # and the solver takes exactly these 400 steps
+        w = np.array([0.3, 1.1, 2.0])
+        u = solve_burgers_batch(w, 360, final_time=1.0)
+        assert np.array_equal(u, godunov_march(w, 360, final_time=1.0, steps=steps))
+        assert not np.array_equal(u, godunov_march(w, 360, final_time=1.0))
+
+    def test_no_rounding_sized_last_step(self):
+        # final_time / dt is 20120 up to rounding; an absolute 1e-12 tolerance
+        # counted 20121 steps, the last of them 0.0
+        steps = burgers_time_steps(1006, final_time=2.0, cfl=0.1)
+        assert len(steps) == burgers_steps(1006, final_time=2.0, cfl=0.1) == 20120
+        assert min(steps) > 0.0
+
+    # round values put final_time / dt on an integer up to rounding
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.integers(2, 5000),
+           final_time=st.floats(0.01, 2.0) | st.sampled_from([0.1, 0.5, 1.0, 2.0]),
+           cfl=st.floats(0.05, 1.0) | st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    def test_steps_match_work_model_and_sum_to_final_time(self, cells, final_time, cfl):
+        steps = burgers_time_steps(cells, final_time, cfl=cfl)
+        dt_cfl = cfl * (2.0 / cells) / 2.0
+        assert len(steps) == burgers_steps(cells, final_time, cfl=cfl)
+        t = 0.0
+        for dt in steps:
+            # the clipped last step also absorbs the rounding of the accumulated t
+            assert 0.0 < dt <= dt_cfl * (1.0 + 1e-12) + len(steps) * np.spacing(final_time)
+            t += dt
+        assert t == final_time
+
+    def test_rejects_nonpositive_final_time(self):
+        with pytest.raises(ValueError):
+            burgers_time_steps(64, final_time=0.0)
+
+
+class TestBurgersMemory:
+    def test_solver_memory_does_not_grow_with_batch(self):
+        # numpy reports its buffers to tracemalloc; beyond its output the
+        # solver holds one tile's buffers (1.5 MB at 1024 cells), whatever B
+        extra = []
+        for B in (512, 4096):
+            w = np.linspace(0.0, 2.0, B)
+            tracemalloc.start()
+            try:
+                u = solve_burgers_batch(w, 1024, final_time=0.01)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - u.nbytes)
+        assert max(extra) < 3 * 2**20
+        assert extra[1] - extra[0] < 2**17
 
 
 class TestBurgers:
@@ -307,29 +445,43 @@ class TestQoi:
 
 
 class TestSamplePair:
+    """Coupled (fine, coarse) QoI pairs as the engine solves them."""
+
     HIER = MeshHierarchy(m0=16, factor=2, l_star=7)
 
+    @classmethod
+    def engine(cls):
+        exp = preset("diffusion")
+        dist = exp.distribution()
+        return _Engine(DIFFUSION, dist, build_equal_width_strata(dist, 1),
+                       exp.node_grid(), cls.HIER, RunConfig(eps=0.01))
+
     def test_level_zero_has_no_coarse(self):
-        p = sample_pair(DIFFUSION, self.HIER, 2.0, 0)
-        assert p.coarse is None and p.level == 0
+        fine, coarse = self.engine()._solve_pairs(0, np.array([2.0]))
+        assert coarse is None and fine.shape == (1,)
 
     def test_coupling_reproducible_from_input(self):
-        p = sample_pair(DIFFUSION, self.HIER, 2.7, 3)
-        again = sample_pair(DIFFUSION, self.HIER, p.input_w, 3)
-        assert p.fine == again.fine and p.coarse == again.coarse
+        engine = self.engine()
+        fine, coarse = engine._solve_pairs(3, np.array([2.7]))
+        again = self.engine()._solve_pairs(3, np.array([2.7]))
+        assert np.array_equal(fine, again[0]) and np.array_equal(coarse, again[1])
+        assert np.array_equal(fine, DIFFUSION.qoi_batch([2.7], self.HIER.cells(3)))
+        assert np.array_equal(coarse, DIFFUSION.qoi_batch([2.7], self.HIER.cells(2)))
 
     def test_fine_coarse_gap_shrinks(self):
+        engine = self.engine()
         gaps = []
         for level in (1, 3, 5):
-            p = sample_pair(DIFFUSION, self.HIER, 2.0, level)
-            gaps.append(abs(p.fine - p.coarse))
+            fine, coarse = engine._solve_pairs(level, np.array([2.0]))
+            gaps.append(abs(fine[0] - coarse[0]))
         assert gaps[2] < gaps[0]
 
     def test_batch_matches_scalar(self):
-        fine, coarse = sample_pair_batch(DIFFUSION, self.HIER, [1.5, 3.0], 2)
-        p = sample_pair(DIFFUSION, self.HIER, 1.5, 2)
-        assert fine[0] == p.fine
-        assert coarse[0] == p.coarse
+        engine = self.engine()
+        fine, coarse = engine._solve_pairs(2, np.array([1.5, 3.0]))
+        fine1, coarse1 = engine._solve_pairs(2, np.array([1.5]))
+        assert fine[0] == fine1[0]
+        assert coarse[0] == coarse1[0]
 
 
 class TestWorkModel:
