@@ -18,17 +18,13 @@ from .estimators import (
 )
 from .inputs import (
     Stratification,
-    StratumStats,
     TruncatedLognormal,
     build_equal_width_strata,
-    optimal_allocation,
     proportional_allocation,
-    sample_stratum,
 )
 from .models import (
     BURGERS,
     DIFFUSION,
-    LevelPair,
     MeshHierarchy,
     ModelSpec,
     godunov_flux,
@@ -37,14 +33,10 @@ from .models import (
     thomas_solve,
 )
 from .smoothing import (
-    Bandwidth,
     GaussianKernelCdf,
     GilesPolynomial,
     build_giles_polynomial,
     calibrate_bandwidth,
-    eval_gaussian_cdf,
-    eval_giles,
-    smoothed_term,
 )
 
 __version__ = "0.1.0"

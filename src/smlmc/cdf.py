@@ -136,7 +136,11 @@ class CdfEstimate:
 
 def sup_distance(a: CdfEstimate, b: CdfEstimate, use_raw: bool = False,
                  dense_factor: int = 10) -> float:
-    """L-infinity distance on a dense evaluation grid (10x node density)."""
+    """L-infinity distance on a dense evaluation grid (10x node density).
+
+    The estimators do not call it: it is the error oracle by which the
+    acceptance tests and the benchmark judge an estimate against a reference.
+    """
     if abs(a.grid.a - b.grid.a) > 1e-12 or abs(a.grid.b - b.grid.b) > 1e-12:
         raise ValueError("sup_distance needs estimates on the same interval")
     q = a.grid.dense(dense_factor)

@@ -23,7 +23,7 @@ from .estimators import RunConfig, run_mc, run_mlmc, run_smlmc
 from .smoothing import build_giles_polynomial
 
 
-def _run_config(exp: ExperimentConfig, method: str, r: int, eps: float,
+def _run_config(exp: ExperimentConfig, method: str, eps: float,
                 run_idx: int) -> RunConfig:
     smoother = "none"
     if method.endswith("_giles"):
@@ -36,7 +36,6 @@ def _run_config(exp: ExperimentConfig, method: str, r: int, eps: float,
         warmup=exp.warmup_for(method),
         smoother=smoother,
         giles_degree=exp.giles_degree,
-        strata=r,
         seed=exp.seed + run_idx,
         work_model=exp.work_model,
         sampling_safety=exp.sampling_safety,
@@ -77,7 +76,7 @@ def cmd_run(args) -> int:
             mlmc_result = None
             for method, r in plan:
                 tag = _method_tag(method, r)
-                cfg = _run_config(exp, method, r, eps, k)
+                cfg = _run_config(exp, method, eps, k)
                 try:
                     if method == "mc":
                         if mlmc_result is None:

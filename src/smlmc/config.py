@@ -78,6 +78,20 @@ class ExperimentConfig:
             raise ValueError("n_real must be at least 1")
         if any(r < 1 for r in self.strata_counts):
             raise ValueError("strata counts must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if self.min_stratum_samples < 1:
+            raise ValueError("min_stratum_samples must be at least 1")
+        warmups = (self.warmup_plain, self.warmup_smoothed,
+                   self.warmup_strat_plain, self.warmup_strat_smoothed)
+        if min(warmups) < 2:
+            raise ValueError("need at least two warmup samples per level")
+        for method, r in self.run_plan():
+            if self.warmup_for(method) < r * self.min_stratum_samples:
+                raise ValueError(
+                    f"{method} warmup {self.warmup_for(method)} cannot give "
+                    f"{self.min_stratum_samples} sample(s) to each of {r} strata"
+                )
         if self.model == "burgers":
             spec = self.model_spec()
             bound = burgers_max_speed(spec.inflow, spec.outflow)
@@ -222,15 +236,11 @@ def load_config(path: str) -> ExperimentConfig:
         updates["methods"] = _parse_list(exp["methods"], str)
     if "strata" in exp:
         updates["strata_counts"] = _parse_list(exp["strata"], int)
-    if "n_real" in exp:
-        updates["n_real"] = int(exp["n_real"])
-    if "seed" in exp:
-        updates["seed"] = int(exp["seed"])
-    if "work_model" in exp:
-        updates["work_model"] = exp["work_model"]
-    if "out" in exp:
-        updates["out"] = exp["out"]
     scalar_map = [
+        ("experiment", "n_real", int, "n_real"),
+        ("experiment", "seed", int, "seed"),
+        ("experiment", "work_model", str, "work_model"),
+        ("experiment", "out", str, "out"),
         ("model", "m0", int, "m0"),
         ("model", "refinement", int, "refinement"),
         ("model", "l_star", int, "l_star"),

@@ -27,12 +27,6 @@ class CostLedger:
     def total(self) -> float:
         return float(sum(e["count"] * e["avg_work"] for e in self.entries))
 
-    def level_totals(self) -> dict:
-        out: dict = {}
-        for e in self.entries:
-            out[e["level"]] = out.get(e["level"], 0.0) + e["count"] * e["avg_work"]
-        return out
-
 
 def aggregate(ledgers: list) -> float:
     """Mean total cost over independent realizations of one method."""

@@ -16,12 +16,12 @@ statistic).  The default safety of 2.5 absorbs that inflation; setting it to
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cdf import CdfEstimate, NodeGrid
+from .cdf import CdfEstimate, NodeGrid, indicator
 from .cost import CostLedger
 from .inputs import (
     Stratification,
@@ -45,7 +45,6 @@ class RunConfig:
     warmup: int = 200                  # N_l^0 at every level for this run
     smoother: str = "none"             # none | giles | kde
     giles_degree: int = 3
-    strata: int = 1
     seed: int = 0
     work_model: str = "deterministic"  # deterministic | wallclock
     sampling_safety: float = 2.5
@@ -60,8 +59,13 @@ class RunConfig:
             raise ValueError(f"unknown smoother {self.smoother!r}")
         if self.work_model not in ("deterministic", "wallclock"):
             raise ValueError(f"unknown work model {self.work_model!r}")
-        if self.warmup < 2:
-            raise ValueError("need at least two warmup samples per level")
+        if self.min_stratum_samples < 1:
+            raise ValueError("min_stratum_samples must be at least 1")
+        if self.warmup < max(2, self.min_stratum_samples):
+            raise ValueError("need at least two warmup samples per level, "
+                             "and min_stratum_samples of them")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
 
     @property
     def budget_factor(self) -> float:
@@ -76,6 +80,12 @@ class RunConfig:
         if self.smoother == "giles":
             return build_giles_polynomial(self.giles_degree)
         return GAUSSIAN_CDF
+
+
+def _variance(sums, sumsq, n):
+    """Sample variance with the 1/n divisor, from running sums."""
+    m = sums / n
+    return np.maximum(sumsq / n - m * m, 0.0)
 
 
 class LevelState:
@@ -103,51 +113,46 @@ class LevelState:
         """Per-stratum average work per pair sample."""
         if work_model == "deterministic":
             return np.full(self.n.shape, self.pair_work)
-        with np.errstate(invalid="ignore"):
-            w = self.elapsed / np.maximum(self.n, 1)
-        return np.maximum(w, 1e-9)
+        return np.maximum(self.elapsed / np.maximum(self.n, 1), 1e-9)
 
-    def var_g(self, i: int) -> np.ndarray:
-        """Per-node sample variance of the (smoothed) level terms in stratum i,
-        with the 1/N divisor."""
-        n = max(int(self.n[i]), 1)
-        m = self.sum_g[i] / n
-        return np.maximum(self.sumsq_g[i] / n - m * m, 0.0)
+    @property
+    def _counts(self) -> np.ndarray:
+        """Per-stratum counts as an (r, 1) column, empty strata counted as 1."""
+        return np.maximum(self.n, 1)[:, None]
 
-    def var_idiff(self, i: int) -> np.ndarray:
-        n = max(int(self.n[i]), 1)
-        m = self.sum_idiff[i] / n
-        return np.maximum(self.sumsq_idiff[i] / n - m * m, 0.0)
+    def var_g(self) -> np.ndarray:
+        """Per-stratum, per-node variance of the (smoothed) level terms."""
+        return _variance(self.sum_g, self.sumsq_g, self._counts)
+
+    def var_idiff(self) -> np.ndarray:
+        """Per-stratum, per-node variance of the indicator differences."""
+        return _variance(self.sum_idiff, self.sumsq_idiff, self._counts)
 
     def var_idiff_pooled(self) -> np.ndarray:
-        n = max(self.n_total, 1)
-        m = self.sum_idiff.sum(axis=0) / n
-        return np.maximum(self.sumsq_idiff.sum(axis=0) / n - m * m, 0.0)
+        return _variance(self.sum_idiff.sum(axis=0), self.sumsq_idiff.sum(axis=0),
+                         max(self.n_total, 1))
 
     def var_ifine_pooled(self) -> np.ndarray:
         n = max(self.n_total, 1)
         pf = self.sum_ifine.sum(axis=0) / n
         return np.maximum(pf * (1.0 - pf), 0.0)
 
+    def _stratified_sum(self, weights, per_stratum) -> np.ndarray:
+        """sum_i w_i X_i / n_i, added up stratum by stratum (numpy reduces
+        axis 0 row by row when rows hold two nodes or more, as every grid's do)."""
+        return (np.asarray(weights)[:, None] * per_stratum / self._counts).sum(axis=0)
+
     def mean_g_stratified(self, probs) -> np.ndarray:
-        out = np.zeros(self.sum_g.shape[1])
-        for i, p in enumerate(probs):
-            out += p * self.sum_g[i] / max(int(self.n[i]), 1)
-        return out
+        return self._stratified_sum(probs, self.sum_g)
 
     def mean_idiff_stratified(self, probs) -> np.ndarray:
-        out = np.zeros(self.sum_idiff.shape[1])
-        for i, p in enumerate(probs):
-            out += p * self.sum_idiff[i] / max(int(self.n[i]), 1)
-        return out
+        return self._stratified_sum(probs, self.sum_idiff)
 
     def stratified_estimator_variance(self, probs) -> np.ndarray:
         """Per-node variance of the stratified level estimator,
         sum_i p_i^2 V_i / n_i."""
-        out = np.zeros(self.sum_idiff.shape[1])
-        for i, p in enumerate(probs):
-            out += p * p * self.var_idiff(i) / max(int(self.n[i]), 1)
-        return out
+        probs = np.asarray(probs)
+        return self._stratified_sum(probs * probs, self.var_idiff())
 
     def report(self, probs, work_model: str) -> dict:
         return {
@@ -162,9 +167,7 @@ class LevelState:
             "var_stratified_per_node": self.stratified_estimator_variance(probs).tolist(),
             "max_var_idiff": float(self.var_idiff_pooled().max()),
             "max_var_ifine": float(self.var_ifine_pooled().max()),
-            "max_var_g": float(
-                max(self.var_g(i).max() for i in range(self.n.size))
-            ),
+            "max_var_g": float(self.var_g().max()),
             "max_var_stratified": float(self.stratified_estimator_variance(probs).max()),
         }
 
@@ -175,6 +178,9 @@ def required_samples_mlmc(variances, works, eps: float, budget_factor: float):
 
     variances: one per-node array (or scalar) per level; works: one positive
     scalar per level.
+
+    The engine sizes every run with required_samples_smlmc; this plainer
+    single-stratum form is the test oracle of its r = 1 case.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -203,29 +209,22 @@ def required_samples_smlmc(variances, probs, works, eps: float, budget_factor: f
     if eps <= 0:
         raise ValueError("eps must be positive")
     probs = np.asarray(probs, dtype=float)
-    r = probs.size
     vs = [np.atleast_2d(np.asarray(v, dtype=float)) for v in variances]
-    ws = [np.atleast_1d(np.asarray(w, dtype=float)) for w in works]
+    ws = [np.atleast_1d(np.asarray(w, dtype=float))[:, None] for w in works]
     for v, w in zip(vs, ws):
-        if v.shape[0] != r or w.shape[0] != r:
+        if v.shape[0] != probs.size or w.shape[0] != probs.size:
             raise ValueError("need one variance row and one work entry per stratum")
         if np.any(w <= 0):
             raise ValueError("per-sample work must be positive")
         if np.any(v < 0):
             raise ValueError("variances must be nonnegative")
-    total = 0.0
-    for v, w in zip(vs, ws):
-        total = total + sum(
-            np.sqrt(v[i] * probs[i] ** 2 * w[i]) for i in range(r)
-        )
-    out = []
-    for v, w in zip(vs, ws):
-        counts = np.empty(r, dtype=int)
-        for i in range(r):
-            per_node = np.sqrt(v[i] * probs[i] ** 2 / w[i]) * total
-            counts[i] = int(np.ceil(budget_factor / eps**2 * per_node.max()))
-        out.append(counts)
-    return out
+    # p_i^2 by scalar pow, which numpy's array power does not round alike
+    p2 = np.array([p ** 2 for p in probs])[:, None]
+    total = sum(np.sqrt(v * p2 * w).sum(axis=0) for v, w in zip(vs, ws))
+    return [
+        np.ceil(budget_factor / eps**2 * (np.sqrt(v * p2 / w) * total).max(axis=1)).astype(int)
+        for v, w in zip(vs, ws)
+    ]
 
 
 def mc_sample_count(max_indicator_variance: float, eps: float,
@@ -265,15 +264,6 @@ class MultilevelResult:
     def l_max(self) -> int:
         return len(self.levels) - 1
 
-    def bandwidths(self):
-        """Calibrated per-level bandwidths, or None for a plain run."""
-        if self.config.smoother == "none":
-            return None
-        from .smoothing import Bandwidth
-
-        return Bandwidth(kind=self.config.smoother,
-                         per_level=tuple(lv.delta for lv in self.levels))
-
     def report(self) -> dict:
         return {
             "method": self.method,
@@ -311,7 +301,8 @@ class McResult:
 
 
 class _Engine:
-    """Shared machinery of the plain and stratified multilevel runs."""
+    """The multilevel engine.  Plain MLMC is its single-stratum case: the same
+    draws, statistics, sizing and estimate, with no separate path."""
 
     def __init__(self, model: ModelSpec, dist: TruncatedLognormal,
                  strat: Stratification, grid: NodeGrid,
@@ -339,9 +330,11 @@ class _Engine:
         return self._streams[key]
 
     def _draw_inputs(self, level: int, stratum: int, m: int) -> np.ndarray:
+        """m draws from the input law conditioned on the stratum: the inverse
+        CDF of a uniform on the stratum's CDF interval.  The interval of a
+        single stratum is exactly [0, 1], so its draws are the unconditional
+        ones."""
         u = self._stream(level, stratum).random(m)
-        if self.strat.r == 1:
-            return self.dist.inverse_cdf(u)
         lo = self._stratum_cdf[stratum]
         hi = self._stratum_cdf[stratum + 1]
         return self.dist.inverse_cdf(lo + u * (hi - lo))
@@ -360,29 +353,9 @@ class _Engine:
             coarse = self.model.qoi_batch(w, self.hierarchy.cells(level - 1))
         return fine, coarse
 
-    def _accumulate(self, lv: LevelState, stratum: int, fine, coarse):
-        nodes = self.nodes
-        i_fine = (fine[:, None] <= nodes[None, :]).astype(float)
-        if coarse is None:
-            i_diff = i_fine
-        else:
-            i_diff = i_fine - (coarse[:, None] <= nodes[None, :])
-        lv.sum_idiff[stratum] += i_diff.sum(axis=0)
-        lv.sumsq_idiff[stratum] += (i_diff * i_diff).sum(axis=0)
-        lv.sum_ifine[stratum] += i_fine.sum(axis=0)
-        if self.smoother is None:
-            g = i_diff
-        else:
-            g_fine = self.smoother.values(fine, nodes, lv.delta)
-            if coarse is None:
-                g = g_fine
-            else:
-                g = g_fine - self.smoother.values(coarse, nodes, lv.delta)
-        lv.sum_g[stratum] += g.sum(axis=0)
-        lv.sumsq_g[stratum] += (g * g).sum(axis=0)
-        lv.n[stratum] += fine.shape[0]
-
-    def _add_samples(self, level: int, stratum: int, m: int):
+    def _solve_batches(self, level: int, stratum: int, m: int):
+        """Draw and solve m pairs of a stratum, batch_size at a time, yielding
+        each batch's (fine, coarse) QoIs."""
         lv = self.levels[level]
         while m > 0:
             batch = min(m, self.cfg.batch_size)
@@ -390,75 +363,82 @@ class _Engine:
             t0 = time.perf_counter()
             fine, coarse = self._solve_pairs(level, w)
             lv.elapsed[stratum] += time.perf_counter() - t0
-            if self.keep_fine:
-                lv.kept_fine.append(fine)
-            self._accumulate(lv, stratum, fine, coarse)
+            yield fine, coarse
             m -= batch
+
+    def _accumulate(self, lv: LevelState, stratum: int, fine, coarse):
+        """Record one batch of solved pairs in the level's statistics."""
+        if self.keep_fine:
+            lv.kept_fine.append(fine)
+        nodes = self.nodes
+        i_fine = indicator(nodes[None, :], fine[:, None])
+        i_diff = i_fine
+        if coarse is not None:
+            i_diff = i_fine - indicator(nodes[None, :], coarse[:, None])
+        lv.sum_idiff[stratum] += i_diff.sum(axis=0)
+        lv.sumsq_idiff[stratum] += (i_diff * i_diff).sum(axis=0)
+        lv.sum_ifine[stratum] += i_fine.sum(axis=0)
+        g = i_diff
+        if self.smoother is not None:
+            g = self.smoother.values(fine, nodes, lv.delta)
+            if coarse is not None:
+                g -= self.smoother.values(coarse, nodes, lv.delta)
+        lv.sum_g[stratum] += g.sum(axis=0)
+        lv.sumsq_g[stratum] += (g * g).sum(axis=0)
+        lv.n[stratum] += fine.shape[0]
+
+    def _add_samples(self, level: int, stratum: int, m: int):
+        lv = self.levels[level]
+        for fine, coarse in self._solve_batches(level, stratum, m):
+            self._accumulate(lv, stratum, fine, coarse)
+
+    def _allocate(self, total: int) -> np.ndarray:
+        return proportional_allocation(total, self.strat, self.cfg.min_stratum_samples)
 
     # -- level sizing -----------------------------------------------------
 
-    def _warmup_counts(self) -> np.ndarray:
-        if self.strat.r == 1:
-            return np.array([self.cfg.warmup])
-        return proportional_allocation(
-            self.cfg.warmup, self.strat, self.cfg.min_stratum_samples
-        )
-
-    def _formula_counts(self, level: int):
-        variances = [
-            np.stack([lv.var_g(i) for i in range(self.strat.r)]) for lv in self.levels
-        ]
-        works = [lv.avg_work(self.cfg.work_model) for lv in self.levels]
-        per_level = required_samples_smlmc(
-            variances, self.strat.probs, works, self.cfg.eps, self.cfg.budget_factor
-        )
-        return per_level[level]
-
     def _topup(self, level: int):
+        """Grow the level to the size the sample-count formula asks for.
+
+        required_samples_smlmc gives per-stratum counts, but only their total
+        is used: it is split across the strata in proportion to their
+        probabilities.  At warmup sizes a stratum's variance estimate can be
+        falsely zero (every draw on the same side of every node), and the
+        per-stratum formula would then starve that stratum; the proportional
+        split cannot.  Samples are never discarded, so no stratum drops
+        below its current count.
+        """
         lv = self.levels[level]
-        counts = self._formula_counts(level)
-        if self.strat.r == 1:
-            targets = np.maximum(counts, lv.n)
-        else:
-            # proportional split of the formula total across strata: immune to
-            # falsely-zero per-stratum variance estimates at warmup sizes
-            total = max(int(counts.sum()), lv.n_total,
-                        self.strat.r * self.cfg.min_stratum_samples)
-            targets = np.maximum(
-                proportional_allocation(total, self.strat, self.cfg.min_stratum_samples),
-                lv.n,
-            )
+        variances = [state.var_g() for state in self.levels]
+        works = [state.avg_work(self.cfg.work_model) for state in self.levels]
+        counts = required_samples_smlmc(
+            variances, self.strat.probs, works, self.cfg.eps, self.cfg.budget_factor
+        )[level]
+        total = max(int(counts.sum()), lv.n_total)
+        targets = np.maximum(self._allocate(total), lv.n)
         for i in range(self.strat.r):
             self._add_samples(level, i, int(targets[i] - lv.n[i]))
         lv.history.append(lv.n_total)
 
     def _open_level(self, level: int):
+        """Open a level with a proportional warmup.  Every stratum's warmup is
+        solved first, so that a smoother's bandwidth can be calibrated on the
+        pooled fine values before the warmup is recorded."""
         lv = LevelState(level, self.strat.r, self.nodes.size, self._pair_work(level))
         self.levels.append(lv)
-        counts = self._warmup_counts()
-        if self.smoother is None:
-            for i in range(self.strat.r):
-                self._add_samples(level, i, int(counts[i]))
-        else:
-            # bandwidth first: draw all warmup pairs, calibrate on the pooled
-            # fine values, then fold the warmups into the statistics
-            drawn = []
-            for i in range(self.strat.r):
-                w = self._draw_inputs(level, i, int(counts[i]))
-                t0 = time.perf_counter()
-                fine, coarse = self._solve_pairs(level, w)
-                lv.elapsed[i] += time.perf_counter() - t0
-                drawn.append((i, fine, coarse))
-            pooled = np.concatenate([f for _, f, _ in drawn])
+        warm = [
+            (i, fine, coarse)
+            for i, m in enumerate(self._allocate(self.cfg.warmup))
+            for fine, coarse in self._solve_batches(level, i, int(m))
+        ]
+        if self.smoother is not None:
             lv.delta = calibrate_bandwidth(
-                self.smoother, pooled, self.nodes, self.cfg.eps,
-                bracket_top=self.grid.h,
+                self.smoother, np.concatenate([f for _, f, _ in warm]), self.nodes,
+                self.cfg.eps, bracket_top=self.grid.h,
                 target_fraction=self.cfg.calibration_fraction,
             )
-            for i, fine, coarse in drawn:
-                if self.keep_fine:
-                    lv.kept_fine.append(fine)
-                self._accumulate(lv, i, fine, coarse)
+        for i, fine, coarse in warm:
+            self._accumulate(lv, i, fine, coarse)
 
     # -- main loop --------------------------------------------------------
 
@@ -538,36 +518,33 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
     """Single-level MC on the finest level reached by a plain MLMC run,
     re-using that run's fine-level samples.
 
-    The sample count comes from the finest level's estimated indicator
-    variance; cost is charged for all N_MC samples at fine-solve work, since
-    the comparison treats the reused samples as MC samples too.
+    The sample count N_MC comes from the finest level's estimated indicator
+    variance.  The estimate averages exactly N_MC samples: the first N_MC
+    reused ones, topped up with fresh draws when the MLMC run kept fewer.
+    Cost is charged for all N_MC samples at fine-solve work, since the
+    comparison treats the reused samples as MC samples too.
     """
     levels = mlmc_result.levels
     top = levels[-1]
     l_max = top.level
     var_max = float(top.var_ifine_pooled().max())
-    n_mc = mc_sample_count(var_max, config.eps, 2.0 * config.sampling_safety)
-    reused = (
-        np.concatenate(top.kept_fine) if top.kept_fine else np.empty(0)
-    )
-    n_reused = min(reused.size, n_mc)
-    extra = max(n_mc - reused.size, 0)
+    # at least one sample, so that the estimate is an average
+    n_mc = max(mc_sample_count(var_max, config.eps, 2.0 * config.sampling_safety), 1)
+    reused = np.concatenate(top.kept_fine or [np.empty(0)])[:n_mc]
+    n_reused = reused.size
+    extra = n_mc - n_reused
     cells = hierarchy.cells(l_max)
     det_fine = model.work_units(cells)
     elapsed = 0.0
     samples = [reused]
-    if extra > 0:
-        rng = substream(config.seed, l_max, 0, 1)
-        remaining = extra
-        while remaining > 0:
-            batch = min(remaining, config.batch_size)
-            w = dist.inverse_cdf(rng.random(batch))
-            t0 = time.perf_counter()
-            samples.append(model.qoi_batch(w, cells))
-            elapsed += time.perf_counter() - t0
-            remaining -= batch
+    rng = substream(config.seed, l_max, 0, 1)
+    for start in range(0, extra, config.batch_size):
+        w = dist.inverse_cdf(rng.random(min(config.batch_size, extra - start)))
+        t0 = time.perf_counter()
+        samples.append(model.qoi_batch(w, cells))
+        elapsed += time.perf_counter() - t0
     qoi = np.concatenate(samples)
-    raw = (qoi[:, None] <= grid.nodes[None, :]).mean(axis=0)
+    raw = indicator(grid.nodes[None, :], qoi[:, None]).mean(axis=0)
     fine_work = det_fine
     if config.work_model == "wallclock":
         if extra > 0:

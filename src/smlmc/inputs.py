@@ -123,7 +123,12 @@ class TruncatedLognormal:
         return 0.5 * (lo + hi)
 
     def sample(self, rng: np.random.Generator, size: int):
-        """i.i.d. draws via the inverse-CDF transform of rng's uniform stream."""
+        """i.i.d. draws via the inverse-CDF transform of rng's uniform stream.
+
+        The engine draws through its per-stratum substreams instead; this is
+        the test oracle of the sampling law (acceptance criterion 7) and of
+        the engine's single-stratum draws.
+        """
         return self.inverse_cdf(rng.random(size))
 
 
@@ -153,54 +158,14 @@ class Stratification:
         return self.probs.size
 
 
-@dataclass
-class StratumStats:
-    """Within-stratum first and second moments of some quantity."""
-
-    mean: float
-    var: float
-    count: int
-
-    def __post_init__(self):
-        if self.count <= 1:
-            self.var = 0.0
-        if self.var < 0:
-            raise ValueError("variance must be nonnegative")
-
-
 def build_equal_width_strata(dist: TruncatedLognormal, r: int) -> Stratification:
     """Equal-width partition of the support with probabilities from CDF differences."""
     if r < 1:
         raise ValueError(f"need at least one stratum, got r={r}")
     b = np.linspace(dist.w_lo, dist.w_hi, r + 1)
     p = np.diff(dist.cdf(b))
-    if r == 1:
-        p = np.array([1.0])
-    else:
-        p = p / p.sum()  # remove float residue so probabilities sum to 1 exactly
+    p = p / p.sum()  # remove float residue so probabilities sum to 1 exactly
     return Stratification(boundaries=b, probs=p)
-
-
-def sample_stratum(
-    dist: TruncatedLognormal,
-    strat: Stratification,
-    i: int,
-    rng: np.random.Generator,
-    size: int,
-):
-    """Conditional draws from stratum i (1-based), law f_W restricted and renormalized.
-
-    Implemented as the inverse CDF of a uniform on [cdf(b_{i-1}), cdf(b_i)], so
-    with r = 1 the draws coincide bit for bit with unconditional sampling.
-    """
-    if not 1 <= i <= strat.r:
-        raise ValueError(f"stratum index {i} outside 1..{strat.r}")
-    u = rng.random(size)
-    c_lo = float(dist.cdf(strat.boundaries[i - 1]))
-    c_hi = float(dist.cdf(strat.boundaries[i]))
-    if strat.r == 1:
-        return dist.inverse_cdf(u)
-    return dist.inverse_cdf(c_lo + u * (c_hi - c_lo))
 
 
 def _round_counts(raw: np.ndarray, total: int, min_count: int) -> np.ndarray:
@@ -228,47 +193,3 @@ def proportional_allocation(N: int, strat: Stratification, min_count: int = 1) -
     if N < strat.r * min_count:
         raise ValueError(f"N={N} cannot give {min_count} sample(s) to each of {strat.r} strata")
     return _round_counts(N * strat.probs, N, min_count)
-
-
-def optimal_allocation(
-    N: int, strat: Stratification, sigmas, min_count: int = 1
-) -> np.ndarray:
-    """n_i proportional to sigma_i * p_i (minimum-variance allocation).
-
-    Falls back to proportional allocation when every sigma is zero.
-    """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.size != strat.r:
-        raise ValueError("need one sigma per stratum")
-    if np.any(sigmas < 0):
-        raise ValueError("sigmas must be nonnegative")
-    if N < strat.r * min_count:
-        raise ValueError(f"N={N} cannot give {min_count} sample(s) to each of {strat.r} strata")
-    weights = sigmas * strat.probs
-    if weights.sum() == 0.0:
-        return proportional_allocation(N, strat, min_count)
-    alpha = weights / weights.sum()
-    return _round_counts(N * alpha, N, min_count)
-
-
-def stratified_mean(stats: list[StratumStats], probs) -> float:
-    """Law-of-total-expectation combination of stratum means."""
-    probs = np.asarray(probs, dtype=float)
-    return float(sum(p * s.mean for p, s in zip(probs, stats)))
-
-
-def proportional_estimator_variance(stats: list[StratumStats], probs, N: int) -> float:
-    """Variance of the stratified estimator under proportional allocation,
-    (1/N) * sum_i sigma_i^2 p_i."""
-    probs = np.asarray(probs, dtype=float)
-    return float(sum(p * s.var for p, s in zip(probs, stats)) / N)
-
-
-def plain_mc_variance(stats: list[StratumStats], probs, N: int) -> float:
-    """Variance of the plain MC estimator reconstructed from stratum stats via
-    the law of total variance."""
-    probs = np.asarray(probs, dtype=float)
-    grand = stratified_mean(stats, probs)
-    total_var = sum(p * s.var for p, s in zip(probs, stats))
-    total_var += sum(p * (s.mean - grand) ** 2 for p, s in zip(probs, stats))
-    return float(total_var / N)

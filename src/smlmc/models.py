@@ -17,7 +17,6 @@ A sample's field and QoI do not depend on the other samples of its batch.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.fft import dst, idst
@@ -45,16 +44,6 @@ class MeshHierarchy:
         if not 0 <= level <= self.l_star:
             raise ValueError(f"level {level} outside 0..{self.l_star}")
         return self.m0 * self.factor**level
-
-
-@dataclass(frozen=True)
-class LevelPair:
-    """Coupled QoI sample: fine and coarse solves driven by the same input."""
-
-    fine: float
-    coarse: Optional[float]
-    level: int
-    input_w: float
 
 
 def thomas_solve(lower, diag, upper, rhs):

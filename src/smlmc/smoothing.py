@@ -104,40 +104,6 @@ def _check_conditions(poly: GilesPolynomial):
             raise ValueError(f"moment condition k={k} violated")
 
 
-def eval_giles(poly: GilesPolynomial, s):
-    return poly(s)
-
-
-def eval_gaussian_cdf(s):
-    return GAUSSIAN_CDF(s)
-
-
-def smoothed_term(smoother, delta: float, q_node: float, pair) -> float:
-    """Per-sample smoothed indicator contribution of one coupled pair.
-
-    Level 0 has no coarse half; the telescoping difference cancels exactly
-    when fine == coarse.
-    """
-    if delta <= 0:
-        raise ValueError("bandwidth must be positive")
-    fine = smoother.values(np.array([pair.fine]), np.array([q_node]), delta)[0, 0]
-    if pair.coarse is None:
-        return float(fine)
-    coarse = smoother.values(np.array([pair.coarse]), np.array([q_node]), delta)[0, 0]
-    return float(fine - coarse)
-
-
-@dataclass(frozen=True)
-class Bandwidth:
-    """Calibrated per-level bandwidths for one run."""
-
-    kind: str                 # "giles" | "kde"
-    per_level: tuple
-
-    def at(self, level: int) -> float:
-        return self.per_level[level]
-
-
 def _silverman(samples: np.ndarray) -> float:
     s = float(np.std(samples))
     q75, q25 = np.percentile(samples, [75, 25])

@@ -19,6 +19,7 @@ import pytest
 from smlmc.cdf import CdfEstimate, NodeGrid, sup_distance
 from smlmc.config import preset
 from smlmc.estimators import (
+    LevelState,
     RunConfig,
     mc_sample_count,
     required_samples_mlmc,
@@ -29,16 +30,13 @@ from smlmc.estimators import (
     stopping_check,
 )
 from smlmc.inputs import (
-    StratumStats,
     TruncatedLognormal,
     build_equal_width_strata,
-    plain_mc_variance,
     proportional_allocation,
-    proportional_estimator_variance,
     substream,
 )
 from smlmc.models import godunov_flux, solve_burgers, solve_diffusion, thomas_solve
-from smlmc.smoothing import build_giles_polynomial, eval_gaussian_cdf
+from smlmc.smoothing import GAUSSIAN_CDF, build_giles_polynomial
 
 DATA = Path(__file__).parent / "data"
 N_REAL = 10
@@ -89,7 +87,6 @@ def _battery(setup, eps, methods, n_real=N_REAL):
                 if not stratified else
                 exp.warmup_for("smlmc" if smoother == "none" else "smlmc_kde"),
                 smoother=smoother,
-                strata=8 if stratified else 1,
                 seed=exp.seed + seed,
                 work_model="deterministic",
             )
@@ -234,7 +231,7 @@ def test_criterion_5_exactness_suite(diffusion):
     ramp = build_giles_polynomial(1)
     s = np.linspace(-1, 1, 41)
     checks.append(("g_{d=1} = (1-s)/2", np.abs(ramp(s) - (1 - s) / 2).max() < 1e-14))
-    checks.append(("Phi(0) = 1/2", eval_gaussian_cdf(0.0) == 0.5))
+    checks.append(("Phi(0) = 1/2", GAUSSIAN_CDF(0.0) == 0.5))
 
     # tridiagonal solver residual
     rng = np.random.default_rng(0)
@@ -340,16 +337,24 @@ def test_criterion_7_statistical_soundness(diffusion):
     dist = diffusion["dist"]
     draws = dist.sample(substream(2024, 0, 0), 100_000)
     ks = float(kstest(draws, dist.cdf).statistic)
-    stats = [
-        StratumStats(mean=0.5, var=0.4, count=30),
-        StratumStats(mean=1.5, var=0.1, count=30),
-        StratumStats(mean=-0.5, var=0.7, count=30),
-    ]
-    probs = [0.25, 0.5, 0.25]
-    v_strat = proportional_estimator_variance(stats, probs, 60)
-    v_mc = plain_mc_variance(stats, probs, 60)
-    grand = sum(p * s.mean for p, s in zip(probs, stats))
-    between = sum(p * (s.mean - grand) ** 2 for p, s in zip(probs, stats)) / 60
+    # law of total variance on the engine's level statistics: three strata
+    # with probabilities (1/4, 1/2, 1/4) hold proportional counts of 60
+    # samples; the stratified estimator variance sum_i p_i^2 V_i / n_i and
+    # the plain MC variance V / N differ by the between-strata term
+    probs = np.array([0.25, 0.5, 0.25])
+    rng = np.random.default_rng(7)
+    lv = LevelState(0, 3, 1, 1.0)
+    for i, (n, mean, sd) in enumerate(zip((15, 30, 15), (0.5, 1.5, -0.5),
+                                          (0.63, 0.32, 0.84))):
+        x = rng.normal(mean, sd, (n, 1))
+        lv.sum_idiff[i] += x.sum(axis=0)
+        lv.sumsq_idiff[i] += (x * x).sum(axis=0)
+        lv.n[i] += n
+    v_strat = float(lv.stratified_estimator_variance(probs)[0])
+    v_mc = float(lv.var_idiff_pooled()[0]) / lv.n_total
+    means = lv.sum_idiff[:, 0] / lv.n
+    grand = float(probs @ means)
+    between = float(probs @ (means - grand) ** 2) / lv.n_total
     identity_gap = abs(v_mc - v_strat - between)
     ok = ks < 0.01 and v_strat <= v_mc and identity_gap < 1e-10
     _passline(

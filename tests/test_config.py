@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from smlmc.config import load_config, preset
@@ -124,3 +126,55 @@ w_hi = 2.5
 """)
         with pytest.raises(ValueError, match="wave-speed bound"):
             load_config(path)
+
+
+class TestSamplingValidation:
+    """Sampling settings that cannot run fail when the config is built, not
+    when a run first needs them."""
+
+    def _write(self, tmp_path, body):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nmodel = diffusion\n" + body)
+        return str(path)
+
+    @pytest.mark.parametrize("body,match", [
+        ("[sampling]\nbatch_size = 0\n", "batch_size"),
+        ("[sampling]\nmin_stratum_samples = 0\n", "min_stratum_samples"),
+        ("[warmup]\nplain = 1\n", "two warmup"),
+        ("[warmup]\nsmoothed = 1\n", "two warmup"),
+        ("[warmup]\nstratified_plain = 0\n", "two warmup"),
+        ("[warmup]\nstratified_smoothed = 1\n", "two warmup"),
+    ])
+    def test_rejected_at_load(self, tmp_path, body, match):
+        with pytest.raises(ValueError, match=match):
+            load_config(self._write(tmp_path, body))
+
+    def test_stratified_warmup_below_strata_floor(self, tmp_path):
+        # 16 strata x 2 samples need a warmup of 32; the preset runs 16 strata
+        path = self._write(tmp_path, "[warmup]\nstratified_smoothed = 31\n")
+        with pytest.raises(ValueError, match="smlmc_kde warmup 31"):
+            load_config(path)
+
+    def test_strata_floor_follows_min_stratum_samples(self, tmp_path):
+        # 8 strata x 7 samples need 56; the smoothed stratified warmup is 50
+        path = self._write(tmp_path, "strata = 8\n"
+                           "[sampling]\nmin_stratum_samples = 7\n")
+        with pytest.raises(ValueError, match="smlmc_kde warmup 50 cannot give 7"):
+            load_config(path)
+
+    def test_floor_only_for_methods_that_run(self):
+        exp = preset("diffusion")
+        with pytest.raises(ValueError, match="smlmc warmup"):
+            replace(exp, warmup_strat_plain=10)
+        ok = replace(exp, methods=("mlmc", "smlmc_kde"), warmup_strat_plain=10)
+        assert ok.warmup_strat_plain == 10
+
+    def test_plain_warmup_needs_min_stratum_samples(self):
+        with pytest.raises(ValueError, match="mlmc warmup 4"):
+            replace(preset("burgers"), warmup_plain=4, min_stratum_samples=5,
+                    warmup_strat_plain=80, warmup_strat_smoothed=80)
+
+    def test_floor_met_exactly(self):
+        exp = replace(preset("diffusion"), warmup_strat_plain=32,
+                      warmup_strat_smoothed=32)
+        assert exp.warmup_strat_smoothed == 32

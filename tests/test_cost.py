@@ -23,10 +23,6 @@ class TestLedger:
         lg = _ledger("mlmc", [(0, 0, 100, 2.0), (1, 0, 10, 16.0)])
         assert lg.total() == 100 * 2.0 + 10 * 16.0
 
-    def test_level_totals(self):
-        lg = _ledger("smlmc", [(0, 0, 10, 1.0), (0, 1, 20, 1.0), (1, 0, 5, 8.0)])
-        assert lg.level_totals() == {0: 30.0, 1: 40.0}
-
     def test_validation(self):
         lg = CostLedger(method="mc")
         with pytest.raises(ValueError):

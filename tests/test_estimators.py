@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smlmc.cdf import NodeGrid
 from smlmc.config import preset
 from smlmc.estimators import (
+    LevelState,
     RunConfig,
     mc_sample_count,
     required_samples_mlmc,
@@ -17,6 +20,7 @@ from smlmc.inputs import build_equal_width_strata
 from smlmc.models import MeshHierarchy
 
 EXP = preset("diffusion")
+BURGERS_EXP = preset("burgers")
 MODEL = EXP.model_spec()
 DIST = EXP.distribution()
 GRID = EXP.node_grid()
@@ -152,7 +156,7 @@ class TestRunMlmc:
         # nodes need not coincide)
         cfg = RunConfig(eps=0.02, seed=4, smoother=smoother, **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-        realized = sum(lv.var_g(0).max() / lv.n_total for lv in res.levels)
+        realized = sum(lv.var_g()[0].max() / lv.n_total for lv in res.levels)
         assert realized <= cfg.eps**2 / budget_split * 1.05
 
     def test_cap_produces_warning_when_bias_unmet(self):
@@ -175,24 +179,70 @@ class TestRunMlmc:
         assert res.ledger.total() > 0
 
 
+def _empirical_cdf(samples):
+    return (samples[:, None] <= GRID.nodes[None, :]).mean(axis=0)
+
+
+class TestLevelStateArrays:
+    @given(
+        r=st.integers(min_value=1, max_value=16),
+        nodes=st.integers(min_value=2, max_value=101),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_stratum_loops(self, r, nodes, seed):
+        # the (r, nodes) array forms add the strata in order, term by term as
+        # a loop over the strata does, so they agree bit for bit
+        rng = np.random.default_rng(seed)
+        lv = LevelState(0, r, nodes, 1.0)
+        lv.n[:] = rng.integers(0, 50, r)  # empty strata included
+        for sums, sumsq in ((lv.sum_g, lv.sumsq_g), (lv.sum_idiff, lv.sumsq_idiff)):
+            sums[:] = rng.normal(size=(r, nodes)) * lv.n[:, None]
+            sumsq[:] = sums**2 / np.maximum(lv.n, 1)[:, None] + rng.uniform(0, 3, (r, nodes))
+        probs = rng.dirichlet(np.ones(r))
+
+        def var(sums, sumsq, i):
+            n = max(int(lv.n[i]), 1)
+            m = sums[i] / n
+            return np.maximum(sumsq[i] / n - m * m, 0.0)
+
+        mean_g, mean_idiff, strat_var = (np.zeros(nodes) for _ in range(3))
+        for i, p in enumerate(probs):
+            n = max(int(lv.n[i]), 1)
+            mean_g += p * lv.sum_g[i] / n
+            mean_idiff += p * lv.sum_idiff[i] / n
+            strat_var += p * p * var(lv.sum_idiff, lv.sumsq_idiff, i) / n
+        var_g = np.stack([var(lv.sum_g, lv.sumsq_g, i) for i in range(r)])
+        assert np.array_equal(lv.mean_g_stratified(probs), mean_g)
+        assert np.array_equal(lv.mean_idiff_stratified(probs), mean_idiff)
+        assert np.array_equal(lv.stratified_estimator_variance(probs), strat_var)
+        assert np.array_equal(lv.var_g(), var_g)
+
+
 class TestTelescopingIdentity:
     def test_single_level_mlmc_equals_mc_bitwise(self):
-        # with the cap at level 0 and a tolerance loose enough that both
-        # sample counts sit at the warmup floor, the multilevel estimator and
-        # the comparison MC run consume the identical sample set and must
-        # agree exactly (the telescoping sum collapses to the plain average)
-        cfg = RunConfig(eps=0.3, seed=21, l_star=0, warmup=64, batch_size=4096)
+        # with the cap at level 0 the telescoping sum collapses to the
+        # empirical CDF of the kept samples.  The tolerance is chosen so that
+        # MC needs exactly the 64 warmup samples (N_MC = ceil(5 V / eps^2)
+        # with 5 V / eps^2 = 63.5), so it reuses the identical sample set and
+        # the two estimates agree exactly
+        base = dict(seed=21, l_star=0, warmup=64, batch_size=4096)
+        probe = run_mlmc(MODEL, DIST, GRID, HIER, RunConfig(eps=0.3, **base))
+        v = float(probe.levels[0].var_ifine_pooled().max())
+        cfg = RunConfig(eps=float(np.sqrt(5.0 * v / 63.5)), **base)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
+        kept = np.concatenate(mlmc_res.levels[0].kept_fine)
         assert mlmc_res.l_max == 0
-        assert mlmc_res.levels[0].n_total == 64
-        assert mc_res.n_samples <= 64  # fully covered by reuse
+        assert mlmc_res.levels[0].n_total == kept.size == 64
+        assert mc_res.n_samples == mc_res.n_reused == 64
         assert np.array_equal(mlmc_res.estimate.raw, mc_res.estimate.raw)
+        assert np.array_equal(mc_res.estimate.raw, _empirical_cdf(kept))
 
 
 class TestRunSmlmc:
     def test_r1_matches_mlmc_bit_for_bit(self):
-        cfg = RunConfig(eps=0.02, seed=13, strata=1, **FAST)
+        cfg = RunConfig(eps=0.02, seed=13, **FAST)
         plain = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         strat = build_equal_width_strata(DIST, 1)
         stratified = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
@@ -201,9 +251,32 @@ class TestRunSmlmc:
             lv.n_total for lv in stratified.levels
         ]
 
+    @given(
+        exp=st.sampled_from([EXP, BURGERS_EXP]),
+        smoother=st.sampled_from(["none", "giles", "kde"]),
+        seed=st.integers(min_value=0, max_value=10**6),
+        eps=st.floats(min_value=0.02, max_value=0.2),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_r1_property(self, exp, smoother, seed, eps):
+        # one stratum is plain MLMC: same draws, same statistics, same
+        # sizing, so the same estimate, sample counts, bandwidths and cost
+        cfg = RunConfig(eps=eps, seed=seed, smoother=smoother, l_star=2,
+                        warmup=16, batch_size=4096)
+        args = (exp.model_spec(), exp.distribution())
+        rest = (exp.node_grid(), exp.hierarchy(), cfg)
+        plain = run_mlmc(*args, *rest)
+        strat = run_smlmc(*args, build_equal_width_strata(exp.distribution(), 1), *rest)
+        assert np.array_equal(plain.estimate.raw, strat.estimate.raw)
+        assert [lv.n.tolist() for lv in plain.levels] == [
+            lv.n.tolist() for lv in strat.levels
+        ]
+        assert [lv.delta for lv in plain.levels] == [lv.delta for lv in strat.levels]
+        assert plain.ledger.total() == strat.ledger.total()
+
     def test_stratified_run_basics(self):
         strat = build_equal_width_strata(DIST, 4)
-        cfg = RunConfig(eps=0.02, seed=7, strata=4, **FAST)
+        cfg = RunConfig(eps=0.02, seed=7, **FAST)
         res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
         for lv in res.levels:
             assert np.all(lv.n >= cfg.min_stratum_samples)
@@ -216,7 +289,7 @@ class TestRunSmlmc:
         strat = build_equal_width_strata(DIST, 8)
         wins = total = 0
         for seed in range(3):
-            cfg = RunConfig(eps=0.02, seed=seed, strata=8, **FAST)
+            cfg = RunConfig(eps=0.02, seed=seed, **FAST)
             res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
             plain = run_mlmc(MODEL, DIST, GRID, HIER,
                              RunConfig(eps=0.02, seed=seed, **FAST))
@@ -229,7 +302,7 @@ class TestRunSmlmc:
 
     def test_report_shape(self):
         strat = build_equal_width_strata(DIST, 4)
-        cfg = RunConfig(eps=0.05, seed=1, strata=4, **FAST)
+        cfg = RunConfig(eps=0.05, seed=1, **FAST)
         res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
         rep = res.report()
         assert rep["method"] == "smlmc_r4"
@@ -240,15 +313,16 @@ class TestRunSmlmc:
             assert len(lv["var_idiff_per_node"]) == GRID.nodes.size
 
     def test_bandwidths_accessor(self):
+        # per-level bandwidths reach the report: positive for a smoothed
+        # run, absent for a plain one
         cfg = RunConfig(eps=0.05, seed=2, smoother="kde", **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-        bw = res.bandwidths()
-        assert bw.kind == "kde"
-        assert len(bw.per_level) == res.l_max + 1
-        assert all(d > 0 for d in bw.per_level)
-        assert bw.at(0) == res.levels[0].delta
+        deltas = [lv["delta"] for lv in res.report()["levels"]]
+        assert len(deltas) == res.l_max + 1
+        assert all(d > 0 for d in deltas)
+        assert deltas == [lv.delta for lv in res.levels]
         plain = run_mlmc(MODEL, DIST, GRID, HIER, RunConfig(eps=0.05, seed=2, **FAST))
-        assert plain.bandwidths() is None
+        assert all(lv["delta"] is None for lv in plain.report()["levels"])
 
 
 class TestRunMc:
@@ -269,6 +343,28 @@ class TestRunMc:
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
         assert mc_res.n_reused == min(mlmc_res.levels[-1].n_total, mc_res.n_samples)
+
+    def test_reuse_capped_at_n_mc(self):
+        # a loose tolerance keeps more fine samples than MC needs: the
+        # estimate averages exactly the N_MC samples the ledger charges for
+        cfg = RunConfig(eps=0.1, seed=3, l_star=1, warmup=200, batch_size=4096)
+        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
+        kept = np.concatenate(mlmc_res.levels[-1].kept_fine)
+        assert kept.size > mc_res.n_samples
+        assert mc_res.n_reused == mc_res.n_samples
+        assert np.array_equal(mc_res.estimate.raw,
+                              _empirical_cdf(kept[: mc_res.n_samples]))
+
+    def test_zero_variance_still_averages(self):
+        # a grid above every QoI leaves no indicator variance, so the formula
+        # asks for no MC samples; the run still averages one
+        grid = NodeGrid(100.0, 120.0, 4)
+        cfg = RunConfig(eps=0.05, seed=3, l_star=1, warmup=16, batch_size=4096)
+        mlmc_res = run_mlmc(MODEL, DIST, grid, HIER, cfg)
+        mc_res = run_mc(MODEL, DIST, grid, HIER, cfg, mlmc_res)
+        assert mc_res.n_samples == mc_res.n_reused == 1
+        assert np.array_equal(mc_res.estimate.raw, np.ones(5))
 
     def test_estimate_is_a_cdf(self):
         cfg = RunConfig(eps=0.02, seed=23, **FAST)
@@ -293,3 +389,20 @@ class TestRunConfig:
             RunConfig(eps=0.01, smoother="boxcar")
         with pytest.raises(ValueError):
             RunConfig(eps=0.01, work_model="cycles")
+
+    @pytest.mark.parametrize("bad", [
+        dict(batch_size=0),
+        dict(batch_size=-4),
+        dict(min_stratum_samples=0),
+        dict(warmup=1),
+        dict(warmup=0),
+        dict(warmup=3, min_stratum_samples=4),
+    ])
+    def test_invalid_sampling_rejected(self, bad):
+        # batch_size 0 used to spin forever in the top-up loop
+        with pytest.raises(ValueError):
+            RunConfig(eps=0.01, **bad)
+
+    def test_smallest_valid_sampling(self):
+        cfg = RunConfig(eps=0.01, warmup=2, batch_size=1, min_stratum_samples=2)
+        assert cfg.batch_size == 1

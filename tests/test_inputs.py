@@ -5,16 +5,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from smlmc.config import preset
+from smlmc.estimators import LevelState, RunConfig, _Engine
 from smlmc.inputs import (
     Stratification,
-    StratumStats,
     TruncatedLognormal,
     build_equal_width_strata,
-    optimal_allocation,
-    plain_mc_variance,
     proportional_allocation,
-    proportional_estimator_variance,
-    sample_stratum,
     substream,
 )
 
@@ -151,35 +148,39 @@ class TestStratification:
         assert np.abs(mix - DIFF.pdf(w)).max() < 1e-10
 
 
+def _engine(r, seed):
+    """A diffusion-preset engine over r equal-width strata of DIFF."""
+    exp = preset("diffusion")
+    return _Engine(exp.model_spec(), DIFF, build_equal_width_strata(DIFF, r),
+                   exp.node_grid(), exp.hierarchy(), RunConfig(eps=0.02, seed=seed))
+
+
 class TestSampleStratum:
+    """Conditional input draws of the engine, _Engine._draw_inputs (0-based
+    strata, one substream per (level, stratum))."""
+
     def test_degenerate_matches_plain_sampling(self):
-        s = build_equal_width_strata(DIFF, 1)
-        a = sample_stratum(DIFF, s, 1, substream(5, 0, 0), 100)
+        a = _engine(1, 5)._draw_inputs(0, 0, 100)
         b = DIFF.sample(substream(5, 0, 0), 100)
         assert np.array_equal(a, b)
 
     def test_draws_inside_stratum(self):
-        s = build_equal_width_strata(DIFF, 8)
-        for i in range(1, 9):
-            w = sample_stratum(DIFF, s, i, substream(9, 0, i), 500)
-            assert np.all(w >= s.boundaries[i - 1] - 1e-12)
-            assert np.all(w <= s.boundaries[i] + 1e-12)
+        engine = _engine(8, 9)
+        s = engine.strat
+        for i in range(8):
+            w = engine._draw_inputs(0, i, 500)
+            assert np.all(w >= s.boundaries[i] - 1e-12)
+            assert np.all(w <= s.boundaries[i + 1] + 1e-12)
 
     def test_conditional_law(self):
-        s = build_equal_width_strata(DIFF, 4)
-        for i in range(1, 5):
-            w = sample_stratum(DIFF, s, i, substream(11, 0, i), 10_000)
-            lo = float(DIFF.cdf(s.boundaries[i - 1]))
-            span = float(DIFF.cdf(s.boundaries[i])) - lo
+        engine = _engine(4, 11)
+        s = engine.strat
+        for i in range(4):
+            w = engine._draw_inputs(0, i, 10_000)
+            lo = float(DIFF.cdf(s.boundaries[i]))
+            span = float(DIFF.cdf(s.boundaries[i + 1])) - lo
             cond_cdf = lambda x: (DIFF.cdf(x) - lo) / span
             assert kstest(w, cond_cdf).statistic < 0.02
-
-    def test_bad_index(self):
-        s = build_equal_width_strata(DIFF, 4)
-        with pytest.raises(ValueError):
-            sample_stratum(DIFF, s, 0, substream(0, 0, 0), 1)
-        with pytest.raises(ValueError):
-            sample_stratum(DIFF, s, 5, substream(0, 0, 0), 1)
 
 
 def _strat(probs):
@@ -210,27 +211,6 @@ class TestAllocation:
         with pytest.raises(ValueError):
             proportional_allocation(3, _strat([0.25] * 4))
 
-    def test_optimal_equal_sigmas_is_proportional(self):
-        s = _strat([0.3, 0.2, 0.5])
-        assert np.array_equal(
-            optimal_allocation(50, s, [2.0, 2.0, 2.0]),
-            proportional_allocation(50, s),
-        )
-
-    def test_optimal_degenerate_sigma(self):
-        n = optimal_allocation(10, _strat([0.5, 0.5]), [1.0, 0.0])
-        assert n.tolist() == [9, 1]
-
-    def test_optimal_hand_case(self):
-        n = optimal_allocation(100, _strat([0.5, 0.5]), [2.0, 1.0])
-        assert n.tolist() == [67, 33]
-
-    def test_all_zero_sigmas_fall_back(self):
-        s = _strat([0.5, 0.5])
-        assert np.array_equal(
-            optimal_allocation(10, s, [0.0, 0.0]), proportional_allocation(10, s)
-        )
-
     @given(
         st.integers(min_value=2, max_value=6),
         st.integers(min_value=50, max_value=500),
@@ -247,44 +227,70 @@ class TestAllocation:
         assert abs(int(n.sum()) - total) <= r
 
 
+def _filled_level(counts, means, sds, seed=0, nodes=3):
+    """A LevelState holding counts[i] normal draws with the given mean and
+    spread in stratum i, recorded as the engine records indicator
+    differences, and its stratum probabilities p_i = n_i / N: proportional
+    counts."""
+    counts = np.asarray(counts)
+    rng = np.random.default_rng(seed)
+    lv = LevelState(0, counts.size, nodes, 1.0)
+    for i, m in enumerate(counts):
+        x = rng.normal(means[i], sds[i], (int(m), nodes))
+        lv.sum_idiff[i] += x.sum(axis=0)
+        lv.sumsq_idiff[i] += (x * x).sum(axis=0)
+        lv.n[i] += int(m)
+    return lv, counts / counts.sum()
+
+
+def _between(lv, probs):
+    """(1/N) sum_i p_i (mean_i - grand mean)^2, from the level's sums."""
+    probs = np.asarray(probs, dtype=float)[:, None]
+    means = lv.sum_idiff / lv.n[:, None]
+    grand = (probs * means).sum(axis=0)
+    return (probs * (means - grand) ** 2).sum(axis=0) / lv.n_total
+
+
 class TestVarianceReduction:
+    """Law of total variance on the engine's level statistics: under
+    proportional counts the stratified estimator variance sum_i p_i^2 V_i / n_i
+    equals the plain MC variance V / N less the between-strata term."""
+
     def test_identity_and_inequality(self):
-        stats = [
-            StratumStats(mean=1.0, var=0.5, count=10),
-            StratumStats(mean=3.0, var=0.2, count=20),
-            StratumStats(mean=-1.0, var=0.9, count=15),
-        ]
-        probs = [0.2, 0.5, 0.3]
-        n = 100
-        v_strat = proportional_estimator_variance(stats, probs, n)
-        v_mc = plain_mc_variance(stats, probs, n)
-        grand = sum(p * s.mean for p, s in zip(probs, stats))
-        between = sum(p * (s.mean - grand) ** 2 for p, s in zip(probs, stats)) / n
-        assert v_strat <= v_mc
-        assert abs(v_mc - v_strat - between) < 1e-10
+        lv, probs = _filled_level([20, 50, 30], [1.0, 3.0, -1.0], [0.7, 0.45, 0.95])
+        v_strat = lv.stratified_estimator_variance(probs)
+        v_mc = lv.var_idiff_pooled() / lv.n_total
+        assert np.all(v_strat <= v_mc)
+        assert np.abs(v_mc - v_strat - _between(lv, probs)).max() < 1e-10
 
     def test_equality_iff_equal_means(self):
-        stats = [StratumStats(mean=2.0, var=0.3, count=5)] * 4
+        # every stratum holds the same values: no between-strata variance
         probs = [0.25] * 4
-        assert proportional_estimator_variance(stats, probs, 10) == pytest.approx(
-            plain_mc_variance(stats, probs, 10), abs=1e-14
+        lv = LevelState(0, 4, 2, 1.0)
+        x = np.array([[0.3, -1.0], [2.0, 0.5], [1.1, 0.0]])
+        for i in range(4):
+            lv.sum_idiff[i] += x.sum(axis=0)
+            lv.sumsq_idiff[i] += (x * x).sum(axis=0)
+            lv.n[i] += x.shape[0]
+        assert lv.stratified_estimator_variance(probs) == pytest.approx(
+            lv.var_idiff_pooled() / lv.n_total, abs=1e-14
         )
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=50, deadline=None)
     def test_inequality_random_stats(self, seed):
         rng = np.random.default_rng(seed)
-        r = rng.integers(2, 6)
-        probs = rng.dirichlet(np.ones(r))
-        stats = [
-            StratumStats(mean=float(rng.normal()), var=float(rng.uniform(0, 2)),
-                         count=int(rng.integers(2, 50)))
-            for _ in range(r)
-        ]
-        n = 37
-        v_strat = proportional_estimator_variance(stats, probs, n)
-        v_mc = plain_mc_variance(stats, probs, n)
-        assert v_strat <= v_mc + 1e-12
+        r = int(rng.integers(2, 6))
+        lv, probs = _filled_level(rng.integers(2, 50, r), rng.normal(size=r),
+                                  rng.uniform(0.0, 1.5, r), seed)
+        v_strat = lv.stratified_estimator_variance(probs)
+        v_mc = lv.var_idiff_pooled() / lv.n_total
+        assert np.all(v_strat <= v_mc + 1e-12)
 
     def test_single_sample_variance_zeroed(self):
-        assert StratumStats(mean=1.0, var=2.0, count=1).var == 0.0
+        lv = LevelState(0, 2, 3, 1.0)
+        x = np.array([0.4, -2.0, 1.0])
+        lv.sum_idiff[1] += x
+        lv.sumsq_idiff[1] += x * x
+        lv.n[1] += 1
+        assert np.array_equal(lv.var_idiff(), np.zeros((2, 3)))

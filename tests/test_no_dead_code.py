@@ -1,0 +1,93 @@
+"""Dead-code guard: every top-level function and class of src/smlmc, and every
+public method, is used by the package itself, not only by the tests.
+
+A definition counts as used when some module other than __init__.py refers
+to its name as a Name or an Attribute node; a mention in a docstring or a
+comment does not count.  Test oracles are the exception: code the engine does
+not run, kept so that the tests can check the code it does run.  Each one
+says so in its docstring.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "smlmc"
+
+TEST_ORACLES = {
+    # the step-by-step Crank-Nicolson march the spectral diffusion kernel is
+    # checked against
+    "thomas_solve",
+    # the flux of the stepwise Godunov march the tiled Burgers kernel is
+    # checked against
+    "godunov_flux",
+    # the r = 1 case of required_samples_smlmc, with a plainer formula
+    "required_samples_mlmc",
+    # i.i.d. draws of the input law for the sampling-law criterion
+    "TruncatedLognormal.sample",
+    # the sup-norm error to a reference CDF, by which the acceptance tests
+    # and the benchmark judge every estimate
+    "sup_distance",
+}
+
+
+def _modules():
+    return {p.name: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(modules):
+    """(qualified name, bare name, docstring) of every top-level function or
+    class and every public method."""
+    out = []
+    for tree in modules.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((node.name, node.name, ast.get_docstring(node)))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        out.append((f"{node.name}.{item.name}", item.name,
+                                    ast.get_docstring(item)))
+    return out
+
+
+def _references(modules):
+    names = set()
+    for fname, tree in modules.items():
+        if fname == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_no_definition_is_used_only_by_tests():
+    modules = _modules()
+    used = _references(modules)
+    unused = [qual for qual, bare, _ in _definitions(modules)
+              if bare not in used and qual not in TEST_ORACLES]
+    assert not unused, f"defined in src/smlmc but never used there: {unused}"
+
+
+@pytest.mark.parametrize("name", sorted(TEST_ORACLES))
+def test_oracles_are_documented_and_unused(name):
+    modules = _modules()
+    docs = {qual: doc for qual, _, doc in _definitions(modules)}
+    assert name in docs, f"{name} is no longer defined; drop it from the list"
+    assert "oracle" in (docs[name] or ""), f"{name}'s docstring must call it an oracle"
+    # an oracle the package starts to use is no longer an exception
+    assert name.split(".")[-1] not in _references(modules)
+
+
+def test_guard_sees_names_not_docstrings():
+    # a name mentioned only in a docstring or a string stays unused
+    tree = ast.parse('def f():\n    """calls g"""\n    return "g"\n\n\ndef g():\n    pass\n')
+    used = _references({"m.py": tree})
+    assert "g" not in used
+    assert [q for q, b, _ in _definitions({"m.py": tree}) if b not in used] == ["f", "g"]

@@ -3,15 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smlmc.models import LevelPair
 from smlmc.smoothing import (
     GAUSSIAN_CDF,
     build_giles_polynomial,
     calibrate_bandwidth,
     calibration_discrepancy,
-    eval_gaussian_cdf,
-    eval_giles,
-    smoothed_term,
 )
 
 
@@ -51,7 +47,7 @@ class TestGilesPolynomial:
         assert np.array_equal(poly(np.array([-5.0, 5.0])), [1.0, 0.0])
 
     def test_midpoint_linear_case(self):
-        assert eval_giles(build_giles_polynomial(1), 0.0) == pytest.approx(0.5)
+        assert build_giles_polynomial(1)(0.0) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3])
     def test_covers_unit_interval(self, d):
@@ -72,61 +68,60 @@ class TestGilesPolynomial:
 
 class TestGaussianCdf:
     def test_center(self):
-        assert eval_gaussian_cdf(0.0) == 0.5
+        assert GAUSSIAN_CDF(0.0) == 0.5
 
     def test_limits(self):
-        assert eval_gaussian_cdf(40.0) == pytest.approx(1.0, abs=1e-15)
-        assert eval_gaussian_cdf(-40.0) == pytest.approx(0.0, abs=1e-15)
+        assert GAUSSIAN_CDF(40.0) == pytest.approx(1.0, abs=1e-15)
+        assert GAUSSIAN_CDF(-40.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_quantile_value(self):
-        assert eval_gaussian_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
+        assert GAUSSIAN_CDF(1.959964) == pytest.approx(0.975, abs=1e-6)
 
     @given(st.floats(min_value=-6, max_value=6))
     @settings(max_examples=200, deadline=None)
     def test_symmetry(self, s):
-        assert abs(eval_gaussian_cdf(-s) - (1.0 - eval_gaussian_cdf(s))) < 1e-14
+        assert abs(GAUSSIAN_CDF(-s) - (1.0 - GAUSSIAN_CDF(s))) < 1e-14
 
     def test_monotone(self):
         s = np.linspace(-9, 9, 500)
         assert np.all(np.diff(GAUSSIAN_CDF(s)) >= 0)
 
 
+def pair_term(smoother, delta, q_node, fine, coarse=None):
+    """One pair's smoothed level term at one node, through the kernel's
+    values matrix as the engine evaluates it."""
+    term = smoother.values(np.array([fine]), np.array([q_node]), delta)[0, 0]
+    if coarse is not None:
+        term -= smoother.values(np.array([coarse]), np.array([q_node]), delta)[0, 0]
+    return term
+
+
 class TestSmoothedTerm:
     def test_saturated_below_node(self):
-        pair = LevelPair(fine=-10.0, coarse=None, level=0, input_w=0.0)
         for smoother in (build_giles_polynomial(3), GAUSSIAN_CDF):
-            assert smoothed_term(smoother, 1.0, 0.0, pair) == pytest.approx(1.0, abs=1e-12)
+            assert pair_term(smoother, 1.0, 0.0, -10.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_telescoping_cancellation(self):
-        pair = LevelPair(fine=3.2, coarse=3.2, level=2, input_w=0.0)
         for smoother in (build_giles_polynomial(3), GAUSSIAN_CDF):
-            assert smoothed_term(smoother, 0.7, 3.0, pair) == 0.0
+            assert pair_term(smoother, 0.7, 3.0, 3.2, 3.2) == 0.0
 
     def test_linear_ramp_hand_value(self):
         # g(s) = (1 - s)/2: g(0.5) - g(-0.5) = 0.25 - 0.75
-        pair = LevelPair(fine=0.5, coarse=-0.5, level=1, input_w=0.0)
         poly = build_giles_polynomial(1)
-        assert smoothed_term(poly, 1.0, 0.0, pair) == pytest.approx(-0.5)
+        assert pair_term(poly, 1.0, 0.0, 0.5, -0.5) == pytest.approx(-0.5)
 
     def test_orientations_agree_on_sign(self):
         # both kernels approach the indicator 1{Q <= q}
-        pair = LevelPair(fine=1.0, coarse=None, level=0, input_w=0.0)
         for smoother in (build_giles_polynomial(3), GAUSSIAN_CDF):
-            near_one = smoothed_term(smoother, 0.05, 2.0, pair)
-            near_zero = smoothed_term(smoother, 0.05, 0.0, pair)
+            near_one = pair_term(smoother, 0.05, 2.0, 1.0)
+            near_zero = pair_term(smoother, 0.05, 0.0, 1.0)
             assert near_one > 0.99 and near_zero < 0.01
 
     def test_delta_to_zero_recovers_indicator(self):
-        pair = LevelPair(fine=1.3, coarse=0.7, level=1, input_w=0.0)
         q = 1.0  # fine above, coarse below: indicator difference is -1
         for smoother in (build_giles_polynomial(3), GAUSSIAN_CDF):
-            val = smoothed_term(smoother, 1e-6, q, pair)
+            val = pair_term(smoother, 1e-6, q, 1.3, 0.7)
             assert val == pytest.approx(-1.0, abs=1e-9)
-
-    def test_nonpositive_bandwidth_rejected(self):
-        pair = LevelPair(fine=1.0, coarse=None, level=0, input_w=0.0)
-        with pytest.raises(ValueError):
-            smoothed_term(GAUSSIAN_CDF, 0.0, 0.0, pair)
 
 
 class TestCalibration:
