@@ -78,6 +78,9 @@ class ExperimentConfig:
             raise ValueError("n_real must be at least 1")
         if any(r < 1 for r in self.strata_counts):
             raise ValueError("strata counts must be positive")
+        if self.grid_s < 3:
+            raise ValueError("[grid] s_count must be at least 3: the CDF spline "
+                             "needs four nodes")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.min_stratum_samples < 1:

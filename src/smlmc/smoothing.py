@@ -5,14 +5,28 @@ Both smoothers replace the indicator 1{Q <= q} by a sigmoid ramp of width
 delta.  The polynomial kernel evaluates g((Q - q) / delta) with g built from
 endpoint and moment conditions; the KDE kernel evaluates Phi((q - Q) / delta)
 (note the reversed argument), the standard normal CDF.
+
+Calibration measures each kernel's bias against a Gaussian-pilot-smoothed
+empirical CDF (bandwidth h).  For the KDE kernel the convolution is a normal
+CDF in closed form.  For the polynomial kernel the bias at r = delta / h <= 1
+is a Taylor series in r whose coefficients are kernel moments times Hermite
+moments of the pilot, both built once per calibration; above r = 1 a 48-point
+Gauss-Legendre quadrature of the ramp against the pilot density (GL-48) takes
+over, and it is the tests' reference for the series.
 """
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+# terms of the discrepancy series, and the largest r = delta / h it serves;
+# beyond it the series needs more terms and cancels, and GL-48 takes over
+_SERIES_TERMS = 40
+_SERIES_MAX_RATIO = 1.0
 
 
 @dataclass(frozen=True)
@@ -28,36 +42,55 @@ class GilesPolynomial:
     coeffs: np.ndarray  # ascending powers, length degree_d + 2
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        inner = np.polynomial.polynomial.polyval(np.clip(s, -1.0, 1.0), self.coeffs)
-        out = np.where(s < -1.0, 1.0, np.where(s > 1.0, 0.0, inner))
+        s = np.array(s, dtype=float)
+        out = self._ramp(s.reshape(-1)).reshape(s.shape)
         if out.ndim == 0:
             return float(out)
         return out
 
     def values(self, qoi, nodes, delta: float):
         """Smoothed indicator matrix g((Q_j - q_n) / delta), shape (len(qoi), len(nodes))."""
-        qoi = np.asarray(qoi, dtype=float)
-        nodes = np.asarray(nodes, dtype=float)
-        return self((qoi[:, None] - nodes[None, :]) / delta)
+        s = np.asarray(qoi, dtype=float)[:, None] - np.asarray(nodes, dtype=float)[None, :]
+        s /= delta
+        return self._ramp(s)
+
+    def _ramp(self, s):
+        """g over the float array s, which is overwritten: polyval's Horner
+        steps (multiply, then add) in place on the clipped argument, then the
+        constants outside [-1, 1]."""
+        below, above = s < -1.0, s > 1.0
+        x = np.clip(s, -1.0, 1.0, out=s)
+        out = x * 0.0
+        out += self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
+            out *= x
+            out += c
+        np.copyto(out, 1.0, where=below)
+        np.copyto(out, 0.0, where=above)
+        return out
 
 
 class GaussianKernelCdf:
     """Standard normal CDF acting as the smoothing sigmoid of a Gaussian KDE."""
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        # Phi saturates to 0/1 beyond |s| = 8 to below 1e-15; clip for speed
-        out = ndtr(np.clip(s, -8.0, 8.0))
+        out = self._ramp(np.array(s, dtype=float))
         if out.ndim == 0:
             return float(out)
         return out
 
     def values(self, qoi, nodes, delta: float):
         """Smoothed indicator matrix Phi((q_n - Q_j) / delta), shape (len(qoi), len(nodes))."""
-        qoi = np.asarray(qoi, dtype=float)
-        nodes = np.asarray(nodes, dtype=float)
-        return self((nodes[None, :] - qoi[:, None]) / delta)
+        s = np.asarray(nodes, dtype=float)[None, :] - np.asarray(qoi, dtype=float)[:, None]
+        s /= delta
+        return self._ramp(s)
+
+    @staticmethod
+    def _ramp(s):
+        """Phi over the float array s, in place."""
+        # Phi saturates to 0/1 beyond |s| = 8 to below 1e-15; clip for speed
+        np.clip(s, -8.0, 8.0, out=s)
+        return ndtr(s, out=s)
 
 
 GAUSSIAN_CDF = GaussianKernelCdf()
@@ -112,38 +145,124 @@ def _silverman(samples: np.ndarray) -> float:
     return max(0.9 * a * samples.size ** (-0.2), 1e-12)
 
 
-def calibration_discrepancy(smoother, samples, nodes, deltas, pilot_bandwidth=None):
-    """|bias| per node of smoothing at bandwidth delta, measured against a
-    Gaussian-pilot-smoothed empirical CDF of the samples.
+@dataclass(frozen=True)
+class _Pilot:
+    """The Gaussian pilot of one sample set at a set of nodes, built once per
+    calibration: its bandwidth h, and per node the pilot CDF (KDE kernel) or
+    the discrepancy series' coefficients, shape (nodes, _SERIES_TERMS)
+    (polynomial kernel)."""
 
-    Smoothing the empirical CDF before differencing removes the sampling noise
-    that otherwise swamps the per-sample discrepancy at warmup sizes; both
-    terms are convolved with the same pilot, so the comparison stays unbiased
-    at leading order.  deltas may be scalar or per-node.
-    """
-    samples = np.asarray(samples, dtype=float)
-    nodes = np.asarray(nodes, dtype=float)
-    if samples.size == 0:
-        raise ValueError("calibration needs at least one sample")
-    h = _silverman(samples) if pilot_bandwidth is None else float(pilot_bandwidth)
-    d = np.broadcast_to(np.asarray(deltas, dtype=float), nodes.shape)
-    pilot_cdf = ndtr((nodes[:, None] - samples[None, :]) / h).mean(axis=1)
+    h: float
+    cdf: Optional[np.ndarray] = None
+    series: Optional[np.ndarray] = None
+
+    def subset(self, idx):
+        """The pilot at nodes[idx]."""
+        return _Pilot(
+            self.h,
+            None if self.cdf is None else self.cdf[idx],
+            None if self.series is None else self.series[idx],
+        )
+
+
+def _build_pilot(smoother, samples, nodes) -> _Pilot:
+    h = _silverman(samples)
+    u = (nodes[:, None] - samples[None, :]) / h
     if isinstance(smoother, GaussianKernelCdf):
-        # Phi * Gaussian pilot convolves in closed form: bandwidth sqrt(delta^2 + h^2)
-        eff = np.sqrt(d * d + h * h)
-        smoothed = ndtr((nodes[:, None] - samples[None, :]) / eff[:, None]).mean(axis=1)
-        return np.abs(smoothed - pilot_cdf)
-    # polynomial kernel: tail mass below q - delta contributes 1, the ramp is
-    # integrated against the pilot by Gauss-Legendre on [-1, 1]
+        return _Pilot(h, cdf=ndtr(u).mean(axis=1))
+    return _Pilot(h, series=_hermite_moments(u) * _kernel_moments(smoother))
+
+
+def _kernel_moments(poly: GilesPolynomial) -> np.ndarray:
+    """(-1)^m mu_m / m! for m < _SERIES_TERMS, where
+    mu_m = int_{-1}^{1} (g(s) - 1{s < 0}) s^m ds (zero for m < d)."""
+    m = np.arange(_SERIES_TERMS)
+    power = m[:, None] + np.arange(poly.coeffs.size)[None, :]
+    monomial = np.where(power % 2 == 0, 2.0 / (power + 1), 0.0)  # int s^power
+    mu = (monomial * poly.coeffs).sum(axis=1) - (-1.0) ** m / (m + 1)
+    factorial = np.array([math.factorial(k) for k in m], dtype=float)
+    return (-1.0) ** m * mu / factorial
+
+
+def _hermite_moments(u: np.ndarray) -> np.ndarray:
+    """A[n, m] = mean_j He_m(u_nj) phi(u_nj) for m < _SERIES_TERMS.
+
+    Built by the phi-weighted recurrence P_{m+1} = u P_m - m P_{m-1} from
+    P_0 = phi(u), so a node far from every sample gives exactly 0 at every
+    order, where He_m(u) times an underflowed phi(u) could be inf times 0.
+    """
+    out = np.empty((u.shape[0], _SERIES_TERMS))
+    prev = np.zeros_like(u)
+    cur = np.exp(-0.5 * u * u)
+    cur /= np.sqrt(2.0 * np.pi)
+    scratch = np.empty_like(u)
+    for m in range(_SERIES_TERMS):
+        out[:, m] = cur.mean(axis=1)
+        prev *= -m
+        prev += np.multiply(u, cur, out=scratch)
+        prev, cur = cur, prev
+    return out
+
+
+def _quadrature_discrepancy(poly, samples, nodes, deltas, h):
+    """The polynomial kernel's discrepancy by GL-48: the tail mass below
+    q - delta contributes 1 and the ramp is integrated against the pilot
+    density by Gauss-Legendre on [-1, 1].  The fallback above r = 1, and the
+    tests' reference for the series."""
+    pilot_cdf = ndtr((nodes[:, None] - samples[None, :]) / h).mean(axis=1)
     out = np.empty(nodes.size)
-    g_at = smoother(_GL_NODES)
-    for j, (q, dd) in enumerate(zip(nodes, d)):
+    g_at = poly(_GL_NODES)
+    for j, (q, dd) in enumerate(zip(nodes, deltas)):
         tail = ndtr((q - dd - samples) / h).mean()
         x = q + dd * _GL_NODES[:, None]  # (quad, N)
         density = np.exp(-0.5 * ((x - samples[None, :]) / h) ** 2) / (np.sqrt(2 * np.pi) * h)
         ramp = (g_at[:, None] * density * _GL_WEIGHTS[:, None]).sum(axis=0).mean() * dd
         out[j] = tail + ramp
     return np.abs(out - pilot_cdf)
+
+
+def calibration_discrepancy(smoother, samples, nodes, deltas, pilot=None):
+    """|bias| per node of smoothing at bandwidth delta, measured against a
+    Gaussian-pilot-smoothed empirical CDF of the samples.
+
+    Smoothing the empirical CDF before differencing removes the sampling noise
+    that otherwise swamps the per-sample discrepancy at warmup sizes; both
+    terms are convolved with the same pilot, so the comparison stays unbiased
+    at leading order.  deltas may be scalar or per-node.  pilot is the
+    _build_pilot of (smoother, samples, nodes); a calibration passes its own,
+    built once, and without one it is built here (Silverman bandwidth h).
+
+    For the polynomial kernel, with r = delta / h, u_nj = (q_n - X_j) / h and
+    mu_m the kernel moments of _kernel_moments, the discrepancy is
+    |sum_{m < 40} r^(m+1) (-1)^m mu_m A_nm / m!| with the Hermite moments
+    A_nm = mean_j He_m(u_nj) phi(u_nj): the Taylor series of the pilot density
+    across the ramp.  It serves r <= 1; above, GL-48 quadrature
+    (_quadrature_discrepancy) takes over.
+    """
+    samples = np.asarray(samples, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    if samples.size == 0:
+        raise ValueError("calibration needs at least one sample")
+    if pilot is None:
+        pilot = _build_pilot(smoother, samples, nodes)
+    h = pilot.h
+    d = np.broadcast_to(np.asarray(deltas, dtype=float), nodes.shape)
+    if isinstance(smoother, GaussianKernelCdf):
+        # Phi * Gaussian pilot convolves in closed form: bandwidth sqrt(delta^2 + h^2)
+        eff = np.sqrt(d * d + h * h)
+        smoothed = ndtr((nodes[:, None] - samples[None, :]) / eff[:, None]).mean(axis=1)
+        return np.abs(smoothed - pilot.cdf)
+    r = d / h
+    near = r <= _SERIES_MAX_RATIO
+    out = np.empty(nodes.size)
+    # r^1 .. r^40 along each node's row, by running products; each row is
+    # summed on its own, so a node's value does not depend on the others
+    powers = np.cumprod(np.repeat(r[near, None], _SERIES_TERMS, axis=1), axis=1)
+    out[near] = np.abs((pilot.series[near] * powers).sum(axis=1))
+    if not near.all():
+        far = ~near
+        out[far] = _quadrature_discrepancy(smoother, samples, nodes[far], d[far], h)
+    return out
 
 
 def calibrate_bandwidth(
@@ -167,6 +286,11 @@ def calibrate_bandwidth(
     returned.  bracket_top caps the search (the node spacing in the engines;
     smoothing beyond the grid resolution trades unquantifiable bias for
     variance).
+
+    The scan stops at the first step where a node crosses, and only the
+    nodes that crossed there are bisected: their roots lie below that step's
+    scan point and any later crossing lies at or above it, so the smallest
+    root is among them.
     """
     samples = np.asarray(samples, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
@@ -182,27 +306,25 @@ def calibrate_bandwidth(
     if hi <= lo:
         return float(hi if hi > 0 else bracket_top)
     target = target_fraction * eps
-    h = _silverman(samples)
+    pilot = _build_pilot(smoother, samples, nodes)
     grid = np.exp(np.linspace(np.log(lo), np.log(hi), scan_points))
-    roots = np.full(nodes.size, np.inf)
-    found = np.zeros(nodes.size, dtype=bool)
-    prev = calibration_discrepancy(smoother, samples, nodes, grid[0], h)
-    for g in grid[1:]:
-        cur = calibration_discrepancy(smoother, samples, nodes, g, h)
-        newly = ~found & (prev < target) & (cur >= target)
-        if newly.any():
-            b_lo = np.where(newly, np.log(g / (grid[1] / grid[0])), 0.0)
-            b_hi = np.where(newly, np.log(g), 0.0)
-            while np.any((b_hi - b_lo)[newly] > rel_tol):
-                mid = 0.5 * (b_lo + b_hi)
-                disc = calibration_discrepancy(smoother, samples, nodes, np.exp(mid), h)
-                below = disc < target
-                b_lo = np.where(below, mid, b_lo)
-                b_hi = np.where(below, b_hi, mid)
-            # lower bracket end: the discrepancy there is still below target
-            roots = np.where(newly, np.exp(b_lo), roots)
-            found |= newly
+    prev = calibration_discrepancy(smoother, samples, nodes, grid[0], pilot)
+    for k in range(1, scan_points):
+        cur = calibration_discrepancy(smoother, samples, nodes, grid[k], pilot)
+        crossed = np.flatnonzero((prev < target) & (cur >= target))
+        if crossed.size:
+            break
         prev = cur
-    if not found.any():
+    else:
         return float(hi)
-    return float(roots[found].min())
+    nodes, pilot = nodes[crossed], pilot.subset(crossed)
+    b_lo = np.full(crossed.size, np.log(grid[k] / (grid[1] / grid[0])))
+    b_hi = np.full(crossed.size, np.log(grid[k]))
+    while np.any(b_hi - b_lo > rel_tol):
+        mid = 0.5 * (b_lo + b_hi)
+        disc = calibration_discrepancy(smoother, samples, nodes, np.exp(mid), pilot)
+        below = disc < target
+        b_lo = np.where(below, mid, b_lo)
+        b_hi = np.where(below, b_hi, mid)
+    # lower bracket end: the discrepancy there is still below target
+    return float(np.exp(b_lo).min())

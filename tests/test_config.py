@@ -114,6 +114,20 @@ work_model = gpu
         with pytest.raises(ValueError, match="work model"):
             load_config(path)
 
+    @pytest.mark.parametrize("s_count", [1, 2])
+    def test_too_few_grid_nodes_rejected(self, tmp_path, s_count):
+        # the CDF spline needs four nodes; a run would fail only after
+        # computing its whole estimate
+        path = self._write(tmp_path, "[experiment]\nmodel = diffusion\n"
+                           f"[grid]\ns_count = {s_count}\n")
+        with pytest.raises(ValueError, match="s_count"):
+            load_config(path)
+
+    def test_four_grid_nodes_accepted(self, tmp_path):
+        path = self._write(tmp_path, "[experiment]\nmodel = diffusion\n"
+                           "[grid]\ns_count = 3\n")
+        assert load_config(path).node_grid().nodes.size == 4
+
     def test_burgers_support_beyond_speed_bound(self, tmp_path):
         # the Burgers time step is fixed by the boundary states (inflow 2);
         # a wider plateau support would break the CFL condition

@@ -3,12 +3,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import ndtr
+
+from smlmc import smoothing
 from smlmc.smoothing import (
     GAUSSIAN_CDF,
+    GaussianKernelCdf,
+    _build_pilot,
+    _kernel_moments,
+    _quadrature_discrepancy,
+    _silverman,
     build_giles_polynomial,
     calibrate_bandwidth,
     calibration_discrepancy,
 )
+
+
+def gl48_discrepancy(smoother, samples, nodes, deltas):
+    """Oracle: the discrepancy with GL-48 quadrature at every bandwidth for
+    the polynomial kernel, and the KDE kernel's closed form with the pilot
+    CDF computed at each call."""
+    samples = np.asarray(samples, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    h = _silverman(samples)
+    d = np.broadcast_to(np.asarray(deltas, dtype=float), nodes.shape)
+    if isinstance(smoother, GaussianKernelCdf):
+        pilot_cdf = ndtr((nodes[:, None] - samples[None, :]) / h).mean(axis=1)
+        eff = np.sqrt(d * d + h * h)
+        smoothed = ndtr((nodes[:, None] - samples[None, :]) / eff[:, None]).mean(axis=1)
+        return np.abs(smoothed - pilot_cdf)
+    return _quadrature_discrepancy(smoother, samples, nodes, d, h)
+
+
+def full_scan_calibration(smoother, samples, nodes, eps, bracket_top=np.inf,
+                          target_fraction=0.25, scan_points=40, rel_tol=1e-3,
+                          discrepancy=gl48_discrepancy):
+    """Oracle: the bracketed root search that scans all scan_points
+    bandwidths, bisects every node that crosses at any step, evaluating all
+    nodes at each bisection point, and returns the smallest root."""
+    samples = np.asarray(samples, dtype=float)
+    nodes = np.asarray(nodes, dtype=float)
+    spread = float(samples.max() - samples.min())
+    if spread <= 0:
+        spread = max(abs(float(samples[0])), 1.0) * 1e-3
+    lo = 1e-6 * spread
+    hi = min(spread, float(bracket_top))
+    if hi <= lo:
+        return float(hi if hi > 0 else bracket_top)
+    target = target_fraction * eps
+    grid = np.exp(np.linspace(np.log(lo), np.log(hi), scan_points))
+    roots = np.full(nodes.size, np.inf)
+    found = np.zeros(nodes.size, dtype=bool)
+    prev = discrepancy(smoother, samples, nodes, grid[0])
+    for g in grid[1:]:
+        cur = discrepancy(smoother, samples, nodes, g)
+        newly = ~found & (prev < target) & (cur >= target)
+        if newly.any():
+            b_lo = np.where(newly, np.log(g / (grid[1] / grid[0])), 0.0)
+            b_hi = np.where(newly, np.log(g), 0.0)
+            while np.any((b_hi - b_lo)[newly] > rel_tol):
+                mid = 0.5 * (b_lo + b_hi)
+                below = discrepancy(smoother, samples, nodes, np.exp(mid)) < target
+                b_lo = np.where(below, mid, b_lo)
+                b_hi = np.where(below, b_hi, mid)
+            roots = np.where(newly, np.exp(b_lo), roots)
+            found |= newly
+        prev = cur
+    if not found.any():
+        return float(hi)
+    return float(roots[found].min())
 
 
 def poly_moment(coeffs, k):
@@ -201,3 +264,188 @@ class TestCalibration:
         d_tight = calibrate_bandwidth(GAUSSIAN_CDF, samples, nodes, eps=0.005,
                                       bracket_top=np.inf)
         assert d_tight < d_loose
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestKernelValues:
+    """values() works in place; it must give the bits of the plain
+    polyval / where and clip / ndtr expressions, signed zeros included."""
+
+    @given(st.integers(0, 6), st.integers(0, 2**32 - 1), st.integers(1, 60),
+           st.integers(1, 30), st.floats(1e-6, 10.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_plain_expressions(self, d, seed, n_qoi, n_nodes, delta):
+        rng = np.random.default_rng(seed)
+        qoi = np.r_[rng.normal(size=n_qoi) * 3.0, -1.0, 1.0, 0.0]
+        nodes = np.r_[np.linspace(-4.0, 4.0, n_nodes), 0.0]
+        kept = qoi.copy(), nodes.copy()
+        poly = build_giles_polynomial(d)
+        s = (qoi[:, None] - nodes[None, :]) / delta
+        inner = np.polynomial.polynomial.polyval(np.clip(s, -1.0, 1.0), poly.coeffs)
+        expected = np.where(s < -1.0, 1.0, np.where(s > 1.0, 0.0, inner))
+        assert np.array_equal(_bits(poly.values(qoi, nodes, delta)), _bits(expected))
+        assert np.array_equal(_bits(poly(s)), _bits(expected))
+        expected = ndtr(np.clip((nodes[None, :] - qoi[:, None]) / delta, -8.0, 8.0))
+        assert np.array_equal(_bits(GAUSSIAN_CDF.values(qoi, nodes, delta)),
+                              _bits(expected))
+        # the inputs are not overwritten
+        assert np.array_equal(qoi, kept[0]) and np.array_equal(nodes, kept[1])
+
+    def test_scalar_and_shape(self):
+        poly = build_giles_polynomial(3)
+        assert isinstance(poly(0.25), float) and isinstance(GAUSSIAN_CDF(0.25), float)
+        s = np.linspace(-2.0, 2.0, 12).reshape(3, 4)
+        assert poly(s).shape == (3, 4) and GAUSSIAN_CDF(s).shape == (3, 4)
+        assert np.array_equal(poly(s).ravel(), poly(s.ravel()))
+
+
+class TestDiscrepancySeries:
+    """The polynomial kernel's discrepancy series against GL-48."""
+
+    @staticmethod
+    def _case(seed, n, scale):
+        # GL-48 forms q + delta s at the magnitude of the nodes, so its own
+        # rounding grows with |q| / h (two close samples at 1 put it near
+        # 1000 and GL-48 off by 1e-14); samples centred on 0 keep |q| / h
+        # below about 20 and the reference near 1e-15
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=n) * scale
+        samples -= samples.mean()
+        h = _silverman(samples)
+        # nodes within a few pilot bandwidths of the data, plus one 1e6 h
+        # away from every sample
+        nodes = np.r_[rng.uniform(samples.min() - 3 * h, samples.max() + 3 * h, 6),
+                      samples.max() + 1e6 * h]
+        return rng, samples, nodes, h
+
+    @given(st.sampled_from([1, 2, 3, 5]), st.integers(0, 2**32 - 1),
+           st.integers(2, 200), st.floats(0.05, 5.0), st.floats(-7.0, 0.0))
+    @settings(max_examples=150, deadline=None)
+    def test_series_matches_quadrature(self, d, seed, n, scale, log_r):
+        rng, samples, nodes, h = self._case(seed, n, scale)
+        poly = build_giles_polynomial(d)
+        # per-node r in [1e-7, 1]; the last node takes the drawn value
+        r = np.r_[10.0 ** rng.uniform(-7.0, 0.0, nodes.size - 1), 10.0 ** log_r]
+        series = calibration_discrepancy(poly, samples, nodes, r * h)
+        assert np.all(np.isfinite(series))
+        quad = gl48_discrepancy(poly, samples, nodes, r * h)
+        assert np.abs(series - quad).max() <= 1e-14
+
+    def test_far_node_is_exactly_zero(self):
+        _, samples, nodes, h = self._case(3, 50, 1.0)
+        disc = calibration_discrepancy(build_giles_polynomial(3), samples,
+                                       nodes[-1:], 0.5 * h)
+        assert disc[0] == 0.0
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_switch_at_r_one(self, d):
+        _, samples, nodes, h = self._case(11, 80, 1.5)
+        poly = build_giles_polynomial(d)
+        below = calibration_discrepancy(poly, samples, nodes, (1.0 - 1e-12) * h)
+        above = calibration_discrepancy(poly, samples, nodes, (1.0 + 1e-12) * h)
+        quad_below = gl48_discrepancy(poly, samples, nodes, (1.0 - 1e-12) * h)
+        quad_above = gl48_discrepancy(poly, samples, nodes, (1.0 + 1e-12) * h)
+        assert np.abs(below - quad_below).max() <= 1e-14
+        # above r = 1 the quadrature itself runs
+        assert np.array_equal(above, quad_above)
+        assert np.abs(above - below).max() <= 1e-10
+
+    def test_mixed_nodes_match_single_node_calls(self):
+        # per-node bandwidths on both sides of r = 1: each node's value does
+        # not depend on the path the other nodes take
+        _, samples, nodes, h = self._case(5, 60, 2.0)
+        poly = build_giles_polynomial(3)
+        deltas = h * np.array([0.3, 1.7, 1.0, 2.5, 1e-5, 0.99, 0.5])
+        together = calibration_discrepancy(poly, samples, nodes, deltas)
+        alone = [calibration_discrepancy(poly, samples, nodes[i:i + 1], deltas[i])[0]
+                 for i in range(nodes.size)]
+        assert np.array_equal(together, alone)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
+    def test_kernel_moments_vanish_below_d(self, d):
+        weights = _kernel_moments(build_giles_polynomial(d))
+        assert np.all(np.abs(weights[:d]) < 1e-15)
+        # g(s) - 1{s < 0} is odd about 0, so only odd orders survive
+        assert np.abs(weights[0::2]).max() < 1e-15
+        assert np.abs(weights[d:d + 2]).max() > 1e-6
+
+
+class TestCalibrationSearch:
+    """calibrate_bandwidth against the full-scan oracle."""
+
+    @staticmethod
+    def _case(crossing):
+        rng = np.random.default_rng(1)
+        samples = np.sort(rng.normal(size=40)) * 2.0 + 0.3
+        nodes = np.linspace(-3.0, 3.0, 7)
+        # eps 0.02 at target fraction 0.5 crosses at every node; eps 2 never
+        return samples, nodes, (0.02 if crossing else 2.0)
+
+    def test_kde_pilot_built_once_same_bits(self):
+        # the calibration's pilot CDF, built once, gives the bits of the
+        # closed form that computes it at every call
+        samples, nodes, _ = self._case(True)
+        pilot = _build_pilot(GAUSSIAN_CDF, samples, nodes)
+        for delta in (1e-5, 0.3, 2.0, np.linspace(0.1, 1.0, nodes.size)):
+            assert np.array_equal(
+                calibration_discrepancy(GAUSSIAN_CDF, samples, nodes, delta, pilot),
+                gl48_discrepancy(GAUSSIAN_CDF, samples, nodes, delta))
+
+    @pytest.mark.parametrize("crossing", [True, False])
+    @pytest.mark.parametrize("kernel", ["giles", "kde"])
+    def test_equals_full_scan_oracle(self, crossing, kernel):
+        smoother = build_giles_polynomial(3) if kernel == "giles" else GAUSSIAN_CDF
+        samples, nodes, eps = self._case(crossing)
+        delta = calibrate_bandwidth(smoother, samples, nodes, eps, target_fraction=0.5)
+        expected = full_scan_calibration(smoother, samples, nodes, eps,
+                                         target_fraction=0.5)
+        assert delta == expected
+        spread = samples.max() - samples.min()
+        assert (delta < spread) == crossing
+
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 120), st.integers(4, 30),
+           st.floats(-3.0, -0.5), st.floats(0.1, 0.5),
+           st.sampled_from([np.inf, 0.3, 2.0]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_early_exit_same_bits_as_full_scan(self, seed, n, n_nodes, log_eps,
+                                                fraction, top, giles):
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(size=n) * rng.uniform(0.2, 3.0)
+        nodes = np.linspace(-4.0, 4.0, n_nodes)
+        smoother = build_giles_polynomial(3) if giles else GAUSSIAN_CDF
+        eps = 10.0 ** log_eps
+        delta = calibrate_bandwidth(smoother, samples, nodes, eps, top, fraction)
+        expected = full_scan_calibration(smoother, samples, nodes, eps, top, fraction,
+                                         discrepancy=calibration_discrepancy)
+        assert delta == expected
+
+    def test_bisects_only_crossed_nodes(self, monkeypatch):
+        # a burgers-like level: 101 nodes at spacing 0.5, capped there
+        rng = np.random.default_rng(4)
+        samples = rng.normal(30.0, 4.0, size=50)
+        nodes = np.linspace(15.0, 65.0, 101)
+        calls = []
+        inner = smoothing.calibration_discrepancy
+
+        def counting(smoother, samples, nodes, deltas, pilot=None):
+            calls.append(np.size(nodes))
+            return inner(smoother, samples, nodes, deltas, pilot)
+
+        def no_quadrature(*args):
+            raise AssertionError("GL-48 ran below r = 1")
+
+        monkeypatch.setattr(smoothing, "calibration_discrepancy", counting)
+        monkeypatch.setattr(smoothing, "_quadrature_discrepancy", no_quadrature)
+        poly = build_giles_polynomial(3)
+        # the presets' tolerances never cross below the node spacing; a
+        # ten-thousandth of them crosses halfway up the scan
+        delta = calibrate_bandwidth(poly, samples, nodes, 1e-6, bracket_top=0.5,
+                                    target_fraction=0.15)
+        assert delta < 0.5  # some node crossed
+        scans = [c for c in calls if c == nodes.size]
+        bisections = calls[len(scans):]
+        assert bisections and max(bisections) < nodes.size
+        assert len(scans) < 40  # the scan stopped at the first crossing
