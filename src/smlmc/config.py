@@ -78,6 +78,7 @@ class ExperimentConfig:
             raise ValueError("n_real must be at least 1")
         if any(r < 1 for r in self.strata_counts):
             raise ValueError("strata counts must be positive")
+        spec = self.model_spec()  # rejects [model] cfl outside (0, 1]
         if self.grid_s < 3:
             raise ValueError("[grid] s_count must be at least 3: the CDF spline "
                              "needs four nodes")
@@ -96,7 +97,6 @@ class ExperimentConfig:
                     f"{self.min_stratum_samples} sample(s) to each of {r} strata"
                 )
         if self.model == "burgers":
-            spec = self.model_spec()
             bound = burgers_max_speed(spec.inflow, spec.outflow)
             if max(abs(self.w_lo), abs(self.w_hi)) > bound:
                 raise ValueError(

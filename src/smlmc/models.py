@@ -6,10 +6,12 @@ Two models ship:
   central differences in space and Crank-Nicolson in time (the whole march
   evaluated exactly in the sine basis that diagonalises it, by DST-I), QoI =
   10 * integral of u^2 at t = 0.2;
-* inviscid Burgers on (0, 2) with a random initial plateau, solved by the
-  first-order Godunov finite-volume scheme (the batch marched in column tiles
-  that fit in cache, every step in place in preallocated buffers), QoI =
-  10 * integral of u^2 at t = 0.5.
+* inviscid Burgers on (0, 2) with a random nonnegative initial plateau,
+  solved by the first-order Godunov finite-volume scheme, which for the
+  nonnegative states of this testbed is the upwind scheme (the batch marched
+  in column tiles that fit in cache, every step in place in preallocated
+  buffers and over the cells the solution has reached), QoI = 10 * integral
+  of u^2 at t = 0.5.
 
 Both solvers are vectorized over a batch of input values: a level solve for a
 batch of Monte Carlo samples works on numpy arrays of shape (space, batch).
@@ -179,8 +181,10 @@ def godunov_flux(u_left, u_right):
     otherwise, with zero flux across a transonic fan.  Vectorizes; equivalent
     to max(f(max(u_left, 0)), f(min(u_right, 0))).
 
-    solve_burgers_batch does this arithmetic in place in its tile buffers; the
-    tests march with this function as the oracle of that kernel.
+    The engine does not call it: solve_burgers_batch only admits nonnegative
+    states, where this is the upwind flux f(u_left) bit for bit, and does that
+    arithmetic in place in its tile buffers.  The tests march with this
+    function as the oracle of that kernel.
     """
     ul = np.asarray(u_left, dtype=float)
     ur = np.asarray(u_right, dtype=float)
@@ -236,10 +240,10 @@ def burgers_time_steps(cells: int, final_time: float = 0.5, length: float = 2.0,
     return steps
 
 
-# Elements of one column tile of the Burgers march.  Its padded state and two
-# flux buffers (about 1.5 MB at 2^16) stay in a 4 MiB L2 cache while the tile
-# takes all its steps; the best tile measured 2^15 to 2^16 elements at 32 to
-# 512 cells.
+# Elements of one column tile of the Burgers march.  Its state, flux and
+# difference buffers (about 1.5 MB at 2^16) stay in a 4 MiB L2 cache while the
+# tile takes all its steps; the best tile measured 2^15 to 2^16 elements at 32
+# to 512 cells.
 _TILE_ELEMS = 1 << 16
 
 
@@ -252,59 +256,75 @@ def solve_burgers_batch(
     outflow: float = 0.0,
     cfl: float = 0.9,
 ):
-    """Burgers fields for a batch of initial plateau heights.
+    """Burgers fields for a batch of nonnegative initial plateau heights.
 
     Returns cell averages of shape (cells, B) at final_time.  Initial data is
-    u1 on (0, 1] and 0 on (1, length); ghost cells carry the Dirichlet values
-    (inflow on the left, outflow on the right).  The time step is CFL-limited
-    by burgers_max_speed(inflow, outflow), which every |u1| must not exceed;
-    the steps are those of burgers_time_steps.
+    u1 on (0, 1] and 0 on (1, length); the left ghost cell carries the inflow
+    state.  The time step is CFL-limited by burgers_max_speed(inflow, outflow),
+    which every u1 must not exceed; the steps are those of burgers_time_steps.
 
-    The batch is marched in column tiles of at most _TILE_ELEMS // (cells + 2)
-    samples, each taking every step while it sits in cache.  One ghost-padded
-    (cells + 2, T) state, whose ghost rows are written once, and two
-    (cells + 1, T) flux buffers are allocated per call; every step works in
-    place in them, and the non-finite check runs per tile, so the solver's
-    memory beyond its (cells, B) output does not grow with B.  A step does the
-    godunov_flux arithmetic and the conservative update in the same IEEE
-    operations and order as a step on the whole batch, so the result is
-    bit-identical to it.
+    Every state is nonnegative: the plateau heights and boundary states are
+    required to be, and with cfl <= 1 the monotone scheme keeps u in
+    [0, max_speed] (the top only up to rounding).  For the convex flux u^2 / 2 the Godunov flux of two
+    nonnegative states is then the upwind flux f(u_left) (LeVeque, Finite
+    Volume Methods for Hyperbolic Problems, 2002, sec. 12.2), and in IEEE
+    arithmetic godunov_flux's max(u, 0) = u, min(u_right, 0)^2 = 0 and
+    max(f, 0) = f, so a step gives the bits of the Godunov step.  The outflow
+    state only enters through the speed bound.  Negative plateau heights or
+    boundary states and cfl outside (0, 1] are rejected.
+
+    A step is five in-place passes: square the left states into the flux
+    buffer, halve it, difference it into the third buffer, scale that by
+    dt / dx and subtract it from u.  Upwinding moves information one cell per
+    step, so before step k every cell at index plateau + k or beyond still
+    holds exactly 0, and the step updates only the first plateau + k + 1 rows
+    (the rows it skips would compute 0 - 0 * dt / dx = +0).
+
+    The batch is marched in column tiles of at most _TILE_ELEMS // (cells + 1)
+    samples, each taking every step while it sits in cache.  One
+    (cells + 1, T) state with the inflow ghost row written once, one
+    (cells + 1, T) flux buffer and one (cells, T) difference buffer are
+    allocated per call, and the non-finite check runs per tile, so the
+    solver's memory beyond its (cells, B) output does not grow with B.
+    Columns never mix, so a sample's field does not depend on its batch.
     """
     u1 = np.atleast_1d(np.asarray(u1_values, dtype=float))
     if cells < 2:
         raise ValueError("need at least two cells")
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"cfl {cfl} must lie in (0, 1]: above 1 the scheme is not monotone")
+    if inflow < 0 or outflow < 0:
+        raise ValueError("Burgers boundary states must be nonnegative")
     max_speed = burgers_max_speed(inflow, outflow)
     if np.any(np.abs(u1) > max_speed):
         raise ValueError(f"plateau heights must lie within the boundary speed bound {max_speed}")
+    if np.any(u1 < 0):
+        raise ValueError("plateau heights must be nonnegative")
     B = u1.shape[0]
     dx = length / cells
     ratios = [dt / dx for dt in burgers_time_steps(cells, final_time, length, max_speed, cfl)]
     plateau = int(np.count_nonzero((np.arange(cells) + 0.5) * dx <= 1.0))
-    tile = max(1, min(B, _TILE_ELEMS // (cells + 2)))
-    padded = np.empty((cells + 2, tile))
-    flux_l = np.empty((cells + 1, tile))
-    flux_r = np.empty((cells + 1, tile))
-    padded[0] = inflow
-    padded[-1] = outflow
+    tile = max(1, min(B, _TILE_ELEMS // (cells + 1)))
+    state = np.empty((cells + 1, tile))
+    flux = np.empty((cells + 1, tile))
+    diff = np.empty((cells, tile))
+    state[0] = inflow
     out = np.empty((cells, B))
     for start in range(0, B, tile):
         width = min(tile, B - start)
-        x, fl, fr = padded[:, :width], flux_l[:, :width], flux_r[:, :width]
-        u = x[1:-1]
+        x, f, d = state[:, :width], flux[:, :width], diff[:, :width]
+        u = x[1:]
         u[:plateau] = u1[start : start + width]
         u[plateau:] = 0.0
-        diff = fr[:-1]
-        for ratio in ratios:
-            # godunov_flux: 0.5 * max(max(ul, 0)^2, min(ur, 0)^2)
-            np.maximum(x[:-1], 0.0, out=fl)
-            np.square(fl, out=fl)
-            np.minimum(x[1:], 0.0, out=fr)
-            np.square(fr, out=fr)
-            np.maximum(fl, fr, out=fl)
-            fl *= 0.5
-            np.subtract(fl[1:], fl[:-1], out=diff)
-            diff *= ratio
-            u -= diff
+        for k, ratio in enumerate(ratios):
+            # upwind flux 0.5 u_left^2 over the rows the solution has reached
+            n = min(cells, plateau + k + 1)
+            fk, dk = f[: n + 1], d[:n]
+            np.square(x[: n + 1], out=fk)
+            fk *= 0.5
+            np.subtract(fk[1:], fk[:-1], out=dk)
+            dk *= ratio
+            u[:n] -= dk
         if not np.all(np.isfinite(u)):
             raise FloatingPointError("Burgers solve produced non-finite values")
         out[:, start : start + width] = u
@@ -355,6 +375,11 @@ class ModelSpec:
             raise ValueError(f"unknown model {self.name!r}")
         if self.final_time <= 0:
             raise ValueError("final_time must be positive")
+        if not 0.0 < self.cfl <= 1.0:
+            raise ValueError(f"cfl {self.cfl} must lie in (0, 1]: above 1 the Burgers "
+                             "scheme is not monotone")
+        if self.inflow < 0 or self.outflow < 0:
+            raise ValueError("Burgers boundary states must be nonnegative")
 
     def qoi_batch(self, w, cells: int, dt_over_dx: float = 1.0):
         """QoI values for a batch of inputs at the given resolution."""

@@ -141,6 +141,22 @@ w_hi = 2.5
         with pytest.raises(ValueError, match="wave-speed bound"):
             load_config(path)
 
+    # above 1 the Burgers scheme is not monotone and its states can turn
+    # negative, which the upwind kernel does not admit
+    @pytest.mark.parametrize("model", ["burgers", "diffusion"])
+    @pytest.mark.parametrize("cfl", ["0", "-0.1", "1.0000001", "1.5"])
+    def test_cfl_outside_unit_interval_rejected(self, tmp_path, model, cfl):
+        path = self._write(tmp_path, f"[experiment]\nmodel = {model}\n"
+                           f"[model]\ncfl = {cfl}\n")
+        with pytest.raises(ValueError, match="cfl"):
+            load_config(path)
+
+    def test_cfl_one_accepted(self, tmp_path):
+        path = self._write(tmp_path, "[experiment]\nmodel = burgers\n"
+                           "[model]\ncfl = 1.0\n")
+        exp = load_config(path)
+        assert exp.cfl == 1.0 and exp.model_spec().cfl == 1.0
+
 
 class TestSamplingValidation:
     """Sampling settings that cannot run fail when the config is built, not

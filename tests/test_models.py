@@ -204,14 +204,15 @@ class TestBatchInvariance:
         order = np.array(data.draw(st.permutations(range(len(w)))))
         self._check(DIFFUSION, w, cells, split, order)
 
-    # at 4096 cells a tile holds 15 samples, so batches of 16 to 40 span
-    # tiles and a split can cut one; a short horizon keeps it to 46 steps
+    # at 4096 cells a tile holds _TILE_ELEMS // (cells + 1) = 15 samples, so
+    # batches of 16 to 40 span tiles and a split can cut one; a short horizon
+    # keeps it to 46 steps
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), case=st.sampled_from(
         [(BURGERS, c) for c in (2, 16, 17, 64, 100, 256)] + [(BURGERS_SHORT, 4096)]))
     def test_burgers(self, data, case):
         model, cells = case
-        tile = _TILE_ELEMS // (cells + 2)
+        tile = _TILE_ELEMS // (cells + 1)
         min_size = 2 if tile >= 24 else tile + 1
         w = data.draw(st.lists(st.floats(0.0, 2.0), min_size=min_size, max_size=min_size + 24))
         split = data.draw(st.integers(1, len(w) - 1))
@@ -264,9 +265,9 @@ def godunov_march(u1, cells, final_time=0.5, length=2.0, inflow=2.0, outflow=0.0
                   steps=None):
     """Stepwise Godunov march of the Burgers testbed on the whole batch at
     once: ghost cells by concatenation, godunov_flux at every interface and
-    the conservative update, over the given time steps (by default
-    loop_time_steps).  The oracle of the tiled in-place kernel; returns cell
-    averages (cells, B)."""
+    the conservative update over every cell, over the given time steps (by
+    default loop_time_steps).  The oracle of the tiled in-place upwind kernel;
+    returns cell averages (cells, B)."""
     u1 = np.asarray(u1, dtype=float)
     dx = length / cells
     centers = (np.arange(cells) + 0.5) * dx
@@ -282,13 +283,39 @@ def godunov_march(u1, cells, final_time=0.5, length=2.0, inflow=2.0, outflow=0.0
     return u
 
 
-class TestTiledKernelAgainstMarch:
-    """solve_burgers_batch is bit for bit the stepwise march, whatever its tiling."""
+# the property tests' marches are capped at this many steps, enough for the
+# zero front to cross the empty half of the domain at every mesh they draw
+MAX_PROPERTY_STEPS = 400
 
-    # a tile holds _TILE_ELEMS // (cells + 2) samples: 16384 at 2 cells, 31 at 2048
+
+@st.composite
+def burgers_cases(draw):
+    """(heights, cells, final_time, cfl) on the preset's boundary states, with
+    batches of 1, of a tile and one either side of it, and of two tiles and 3;
+    heights include 0.0 and the speed bound 2.0 exactly."""
+    cells = draw(st.integers(2, 600))
+    tile = _TILE_ELEMS // (cells + 1)
+    batch = draw(st.sampled_from([1, tile - 1, tile, tile + 1, 2 * tile + 3]))
+    # from 1e-3, not 0: final_time is capped in proportion to cfl, and near 0
+    # the time step would underflow
+    cfl = draw(st.floats(1e-3, 1.0) | st.just(1.0))
+    final_time = draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0))
+    final_time = min(final_time, MAX_PROPERTY_STEPS * cfl * (2.0 / cells) / 2.0)
+    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 2.0, batch)
+    w[0] = draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 2.0))
+    if batch > 1:
+        w[-2:] = 0.0, 2.0
+    return w, cells, final_time, cfl
+
+
+class TestTiledKernelAgainstMarch:
+    """solve_burgers_batch is bit for bit the stepwise Godunov march, whatever
+    its tiling, on every input it accepts."""
+
+    # a tile holds _TILE_ELEMS // (cells + 1) samples: 21845 at 2 cells, 31 at 2048
     @pytest.mark.parametrize("cells, final_time", [(2, 0.5), (17, 0.5), (128, 0.5), (2048, 0.05)])
     def test_bit_identical_across_tile_boundaries(self, cells, final_time):
-        tile = _TILE_ELEMS // (cells + 2)
+        tile = _TILE_ELEMS // (cells + 1)
         rng = np.random.default_rng(cells)
         for B in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
             w = rng.uniform(0.0, 2.0, B)
@@ -296,11 +323,48 @@ class TestTiledKernelAgainstMarch:
             assert u.shape == (cells, B)
             assert np.array_equal(u, godunov_march(w, cells, final_time))
 
-    def test_bit_identical_with_left_moving_states(self):
-        # a negative outflow and plateau exercise the min(ur, 0) side of the flux
-        kw = dict(final_time=0.31, inflow=1.5, outflow=-1.0, cfl=0.5)
-        w = np.random.default_rng(7).uniform(-1.5, 1.5, 3 * (_TILE_ELEMS // 102) + 5)
-        assert np.array_equal(solve_burgers_batch(w, 100, **kw), godunov_march(w, 100, **kw))
+    @pytest.mark.parametrize("w, kw", [
+        ([0.5, -0.1], {}),
+        ([-0.0, -1e-300], {}),
+        ([0.5], dict(inflow=-1.0)),
+        ([0.5], dict(inflow=1.5, outflow=-1.0)),
+    ])
+    def test_negative_states_rejected(self, w, kw):
+        # the upwind flux is the Godunov flux only for nonnegative states
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_burgers_batch(w, 64, **kw)
+
+    @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.0000001, 1.5])
+    def test_cfl_outside_unit_interval_rejected(self, cfl):
+        # above 1 the scheme is not monotone and states can turn negative
+        with pytest.raises(ValueError, match="cfl"):
+            solve_burgers_batch([0.5], 64, cfl=cfl)
+
+    def test_bit_identical_with_other_boundary_states(self):
+        # the outflow state only sets the speed bound: for nonnegative states
+        # godunov_flux never reads the right ghost cell
+        kw = dict(final_time=0.31, inflow=1.5, outflow=0.5, cfl=0.5)
+        steps = burgers_time_steps(100, 0.31, max_speed=1.5, cfl=0.5)
+        w = np.random.default_rng(7).uniform(0.0, 1.5, 3 * (_TILE_ELEMS // 101) + 5)
+        w[:2] = 0.0, 1.5
+        assert np.array_equal(solve_burgers_batch(w, 100, **kw),
+                              godunov_march(w, 100, steps=steps, **kw))
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=burgers_cases())
+    def test_bit_identical_to_march(self, case):
+        w, cells, final_time, cfl = case
+        steps = burgers_time_steps(cells, final_time, cfl=cfl)
+        assert np.array_equal(solve_burgers_batch(w, cells, final_time, cfl=cfl),
+                              godunov_march(w, cells, final_time, cfl=cfl, steps=steps))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=burgers_cases())
+    def test_fields_within_speed_bound(self, case):
+        # the monotone scheme keeps every state in [0, max_speed] for cfl <= 1
+        w, cells, final_time, cfl = case
+        u = solve_burgers_batch(w, cells, final_time, cfl=cfl)
+        assert u.min() >= 0.0 and u.max() <= 2.0
 
 
 class TestBurgersTimeSteps:
@@ -494,3 +558,19 @@ class TestWorkModel:
         h = MeshHierarchy(m0=16, factor=2, l_star=7)
         works = [DIFFUSION.work_units(h.cells(l)) for l in range(8)]
         assert all(b > a for a, b in zip(works, works[1:]))
+
+
+class TestModelSpecValidation:
+    @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.0000001, 1.5])
+    def test_cfl_outside_unit_interval_rejected(self, cfl):
+        with pytest.raises(ValueError, match="cfl"):
+            ModelSpec(name="burgers", final_time=0.5, domain_length=2.0, cfl=cfl)
+
+    def test_cfl_one_accepted(self):
+        spec = ModelSpec(name="burgers", final_time=0.5, domain_length=2.0, cfl=1.0)
+        assert spec.steps(32) == burgers_steps(32, cfl=1.0)
+
+    @pytest.mark.parametrize("kw", [dict(inflow=-2.0), dict(outflow=-0.5)])
+    def test_negative_boundary_states_rejected(self, kw):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ModelSpec(name="burgers", final_time=0.5, domain_length=2.0, **kw)

@@ -219,8 +219,11 @@ class TestCalibration:
             grid = np.exp(np.linspace(np.log(1e-6 * spread), np.log(spread), 4000))
             roots = []
             for q in nodes:
+                # the pilot does not depend on delta: build it once per node
+                node = np.array([q])
+                pilot = _build_pilot(smoother, samples, node)
                 disc = np.array([
-                    calibration_discrepancy(smoother, samples, np.array([q]), d)[0]
+                    calibration_discrepancy(smoother, samples, node, d, pilot)[0]
                     for d in grid
                 ])
                 crossing = np.nonzero(disc >= 0.5 * eps)[0]
