@@ -15,7 +15,8 @@ from .models import MeshHierarchy, ModelSpec
 
 @dataclass(frozen=True)
 class NodeGrid:
-    """S + 1 equidistant interpolation nodes q_n = a + n * h on [a, b]."""
+    """S + 1 equidistant interpolation nodes q_n = a + n * h on [a, b], at
+    least four of them (S >= 3) for the cubic spline."""
 
     a: float
     b: float
@@ -24,8 +25,9 @@ class NodeGrid:
     def __post_init__(self):
         if self.b <= self.a:
             raise ValueError("need a < b")
-        if self.s_count < 1:
-            raise ValueError("need at least two nodes")
+        if self.s_count < 3:
+            raise ValueError(f"s_count {self.s_count} must be at least 3: the cubic "
+                             "spline through the node values needs four nodes")
 
     @property
     def h(self) -> float:
@@ -51,10 +53,8 @@ def indicator(q_node, qoi):
 
 def build_spline(grid: NodeGrid, values):
     """Natural cubic spline through the node values, clamped to the endpoint
-    values outside [a, b].  Needs at least four nodes."""
+    values outside [a, b].  Every NodeGrid has the four nodes it needs."""
     values = np.asarray(values, dtype=float)
-    if grid.s_count < 3:
-        raise ValueError("cubic spline interpolation needs at least four nodes")
     if values.shape != (grid.s_count + 1,):
         raise ValueError("one value per node required")
     spline = CubicSpline(grid.nodes, values, bc_type="natural")

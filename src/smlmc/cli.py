@@ -17,38 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import cdf as cdf_mod
-from .config import ExperimentConfig, load_config, preset
+from .config import KEYS, METHODS, ExperimentConfig, load_config, preset, run_tag
 from .cost import aggregate, comparison_table, plot_data, plot_data_to_csv, table_to_csv
-from .estimators import RunConfig, run_mc, run_mlmc, run_smlmc
+from .estimators import run_mc, run_mlmc, run_smlmc
 from .smoothing import build_giles_polynomial
-
-
-def _run_config(exp: ExperimentConfig, method: str, eps: float,
-                run_idx: int) -> RunConfig:
-    smoother = "none"
-    if method.endswith("_giles"):
-        smoother = "giles"
-    elif method.endswith("_kde"):
-        smoother = "kde"
-    return RunConfig(
-        eps=eps,
-        l_star=exp.l_star,
-        warmup=exp.warmup_for(method),
-        smoother=smoother,
-        giles_degree=exp.giles_degree,
-        seed=exp.seed + run_idx,
-        work_model=exp.work_model,
-        sampling_safety=exp.sampling_safety,
-        calibration_fraction=exp.calibration_fraction,
-        min_stratum_samples=exp.min_stratum_samples,
-        batch_size=exp.batch_size,
-    )
-
-
-def _method_tag(method: str, r: int) -> str:
-    if method in ("smlmc", "smlmc_kde"):
-        return f"{method}_r{r}"
-    return method
 
 
 def cmd_run(args) -> int:
@@ -59,7 +31,7 @@ def cmd_run(args) -> int:
         print(f"model={exp.model} work_model={exp.work_model} seed={exp.seed}")
         for eps in exp.eps_values:
             for k in range(exp.n_real):
-                tags = ", ".join(_method_tag(m, r) for m, r in plan)
+                tags = ", ".join(run_tag(m, r) for m, r in plan)
                 print(f"eps={eps} run={k} seed={exp.seed + k}: {tags}")
         return 0
     out.mkdir(parents=True, exist_ok=True)
@@ -75,14 +47,14 @@ def cmd_run(args) -> int:
         for k in range(exp.n_real):
             mlmc_result = None
             for method, r in plan:
-                tag = _method_tag(method, r)
-                cfg = _run_config(exp, method, eps, k)
+                tag = run_tag(method, r)
+                cfg = exp.run_config(method, eps, k)
                 try:
                     if method == "mc":
                         if mlmc_result is None:
                             raise RuntimeError("mc requires the plain mlmc run")
                         res = run_mc(model, dist, grid, hierarchy, cfg, mlmc_result)
-                    elif method in ("smlmc", "smlmc_kde"):
+                    elif METHODS[method].stratified:
                         strat = exp.stratification(r)
                         res = run_smlmc(model, dist, strat, grid, hierarchy, cfg)
                     else:
@@ -123,13 +95,11 @@ def cmd_run(args) -> int:
 
 
 def _reference_cache_key(exp: ExperimentConfig) -> str:
-    payload = json.dumps([
-        exp.model, exp.m0, exp.refinement, exp.l_star, exp.final_time,
-        exp.domain_length, exp.qoi_scale, exp.cfl,
-        exp.mu, exp.sigma, exp.w_lo, exp.w_hi,
-        exp.grid_a, exp.grid_b, exp.grid_s,
-        exp.ref_mesh_refine, exp.ref_quad_cells, exp.ref_quad_points,
-        exp.ref_time_coarsen,
+    """Digest of the settings a reference CDF depends on: the model and every
+    [model], [distribution], [grid] and [reference] key, in table order."""
+    payload = json.dumps([exp.model] + [
+        getattr(exp, field) for section, _, field, _ in KEYS
+        if section in ("model", "distribution", "grid", "reference")
     ], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -204,20 +174,18 @@ def cmd_inspect(args) -> int:
 
 
 def _load_experiment(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        exp = load_config(args.config)
-    elif getattr(args, "preset", None):
-        exp = preset(args.preset)
-    else:
+    if not (args.config or args.preset):
         raise SystemExit("need --preset or --config")
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "work_model", None):
+    if args.work_model:
         overrides["work_model"] = args.work_model
-    if overrides:
-        exp = replace(exp, **overrides)
-    return exp
+    try:
+        exp = load_config(args.config) if args.config else preset(args.preset)
+        return replace(exp, **overrides)
+    except ValueError as exc:  # a setting that cannot run stops every run
+        raise SystemExit(f"smlmc: invalid config: {exc}") from exc
 
 
 def _add_common(sub):

@@ -1,27 +1,99 @@
-"""Experiment configuration: INI-style files, baked-in presets for the two
-testbed problems, and strict validation (unknown keys are rejected)."""
+"""Experiment configuration: the INI keys, the methods, the two presets of
+the testbed problems, and load-time validation.
+
+KEYS is the one table of INI keys.  Each row maps a (section, key) to an
+ExperimentConfig field and the converter of its text; loading, the rejection
+of unknown sections and keys, and the reference cache key all read it.
+METHODS is the one table of methods: each name maps to its smoother, whether
+it is stratified, and the field that holds its per-level warmup.
+
+A config checks itself by building every object a run will use: the model,
+the input law, the node grid, the mesh hierarchy and, for every planned run,
+its stratification, its RunConfig at every tolerance and that run's smoother.
+Each of them rejects the settings it cannot use, so a config that cannot run
+fails when it is loaded, not hours into a run.  Only the checks that no single
+object owns are made here.
+"""
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .cdf import NodeGrid
+from .estimators import RunConfig
 from .inputs import TruncatedLognormal, build_equal_width_strata
 from .models import MeshHierarchy, ModelSpec, burgers_max_speed, model_by_name
 
-KNOWN_METHODS = ("mc", "mlmc", "mlmc_giles", "mlmc_kde", "smlmc", "smlmc_kde")
 
-_SCHEMA = {
-    "experiment": {"model", "eps", "methods", "strata", "n_real", "seed",
-                   "work_model", "out"},
-    "model": {"m0", "refinement", "l_star", "final_time", "domain_length",
-              "qoi_scale", "cfl"},
-    "distribution": {"mu", "sigma", "w_lo", "w_hi"},
-    "grid": {"a", "b", "s_count"},
-    "warmup": {"plain", "smoothed", "stratified_plain", "stratified_smoothed"},
-    "smoothing": {"degree", "calibration_fraction"},
-    "sampling": {"safety", "batch_size", "min_stratum_samples"},
-    "reference": {"mesh_refine", "quad_cells", "quad_points", "time_coarsen"},
+def _list_of(conv):
+    """Converter of a comma-separated list key."""
+    return lambda raw: tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+
+# (section, key, ExperimentConfig field, converter), in the README's order
+KEYS = (
+    ("experiment", "model", "model", str),
+    ("experiment", "eps", "eps_values", _list_of(float)),
+    ("experiment", "methods", "methods", _list_of(str)),
+    ("experiment", "strata", "strata_counts", _list_of(int)),
+    ("experiment", "n_real", "n_real", int),
+    ("experiment", "seed", "seed", int),
+    ("experiment", "work_model", "work_model", str),
+    ("experiment", "out", "out", str),
+    ("model", "m0", "m0", int),
+    ("model", "refinement", "refinement", int),
+    ("model", "l_star", "l_star", int),
+    ("model", "final_time", "final_time", float),
+    ("model", "domain_length", "domain_length", float),
+    ("model", "qoi_scale", "qoi_scale", float),
+    ("model", "cfl", "cfl", float),
+    ("distribution", "mu", "mu", float),
+    ("distribution", "sigma", "sigma", float),
+    ("distribution", "w_lo", "w_lo", float),
+    ("distribution", "w_hi", "w_hi", float),
+    ("grid", "a", "grid_a", float),
+    ("grid", "b", "grid_b", float),
+    ("grid", "s_count", "grid_s", int),
+    ("warmup", "plain", "warmup_plain", int),
+    ("warmup", "smoothed", "warmup_smoothed", int),
+    ("warmup", "stratified_plain", "warmup_strat_plain", int),
+    ("warmup", "stratified_smoothed", "warmup_strat_smoothed", int),
+    ("smoothing", "degree", "giles_degree", int),
+    ("smoothing", "calibration_fraction", "calibration_fraction", float),
+    ("sampling", "safety", "sampling_safety", float),
+    ("sampling", "batch_size", "batch_size", int),
+    ("sampling", "min_stratum_samples", "min_stratum_samples", int),
+    ("reference", "mesh_refine", "ref_mesh_refine", int),
+    ("reference", "quad_cells", "ref_quad_cells", int),
+    ("reference", "quad_points", "ref_quad_points", int),
+    ("reference", "time_coarsen", "ref_time_coarsen", float),
+)
+
+_SCHEMA = {section: {k for s, k, _, _ in KEYS if s == section} for section, *_ in KEYS}
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    smoother: str     # none | giles | kde
+    stratified: bool  # runs once per configured stratum count
+    warmup: str       # the ExperimentConfig field of its per-level warmup
+
+
+# in protocol order; mc sizes itself from the mlmc run, so its warmup is unused
+METHODS = {
+    "mlmc": MethodSpec("none", False, "warmup_plain"),
+    "mc": MethodSpec("none", False, "warmup_plain"),
+    "mlmc_giles": MethodSpec("giles", False, "warmup_smoothed"),
+    "mlmc_kde": MethodSpec("kde", False, "warmup_smoothed"),
+    "smlmc": MethodSpec("none", True, "warmup_strat_plain"),
+    "smlmc_kde": MethodSpec("kde", True, "warmup_strat_smoothed"),
 }
+KNOWN_METHODS = tuple(METHODS)
+
+
+def run_tag(method: str, r: int) -> str:
+    """The name of a planned run in output files: stratified methods carry
+    their stratum count."""
+    return f"{method}_r{r}" if METHODS[method].stratified else method
 
 
 @dataclass(frozen=True)
@@ -63,34 +135,22 @@ class ExperimentConfig:
     ref_time_coarsen: float
 
     def __post_init__(self):
-        if self.model not in ("diffusion", "burgers"):
-            raise ValueError(f"unknown model preset {self.model!r}")
-        unknown = set(self.methods) - set(KNOWN_METHODS)
+        unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
         if "mc" in self.methods and "mlmc" not in self.methods:
             raise ValueError("the mc comparison reuses plain mlmc samples; add mlmc")
-        if self.work_model not in ("deterministic", "wallclock"):
-            raise ValueError(f"unknown work model {self.work_model!r}")
-        if any(e <= 0 for e in self.eps_values):
-            raise ValueError("tolerances must be positive")
         if self.n_real < 1:
             raise ValueError("n_real must be at least 1")
-        if any(r < 1 for r in self.strata_counts):
-            raise ValueError("strata counts must be positive")
-        spec = self.model_spec()  # rejects [model] cfl outside (0, 1]
-        if self.grid_s < 3:
-            raise ValueError("[grid] s_count must be at least 3: the CDF spline "
-                             "needs four nodes")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.min_stratum_samples < 1:
-            raise ValueError("min_stratum_samples must be at least 1")
-        warmups = (self.warmup_plain, self.warmup_smoothed,
-                   self.warmup_strat_plain, self.warmup_strat_smoothed)
-        if min(warmups) < 2:
-            raise ValueError("need at least two warmup samples per level")
+        # each object a run uses rejects the settings it cannot use
+        spec = self.model_spec()
+        self.distribution()
+        self.node_grid()
+        self.hierarchy()
         for method, r in self.run_plan():
+            self.stratification(r)
+            for eps in self.eps_values:
+                self.run_config(method, eps, 0).make_smoother()
             if self.warmup_for(method) < r * self.min_stratum_samples:
                 raise ValueError(
                     f"{method} warmup {self.warmup_for(method)} cannot give "
@@ -125,26 +185,28 @@ class ExperimentConfig:
         return build_equal_width_strata(self.distribution(), r)
 
     def warmup_for(self, method: str) -> int:
-        return {
-            "mc": self.warmup_plain,  # unused: mc sizes itself from the mlmc run
-            "mlmc": self.warmup_plain,
-            "mlmc_giles": self.warmup_smoothed,
-            "mlmc_kde": self.warmup_smoothed,
-            "smlmc": self.warmup_strat_plain,
-            "smlmc_kde": self.warmup_strat_smoothed,
-        }[method]
+        return getattr(self, METHODS[method].warmup)
+
+    def run_config(self, method: str, eps: float, run_idx: int) -> RunConfig:
+        """The settings of one run of a method: realization run_idx at eps."""
+        return RunConfig(
+            eps=eps,
+            l_star=self.l_star,
+            warmup=self.warmup_for(method),
+            smoother=METHODS[method].smoother,
+            giles_degree=self.giles_degree,
+            seed=self.seed + run_idx,
+            work_model=self.work_model,
+            sampling_safety=self.sampling_safety,
+            calibration_fraction=self.calibration_fraction,
+            min_stratum_samples=self.min_stratum_samples,
+            batch_size=self.batch_size,
+        )
 
     def run_plan(self) -> list:
         """Expanded (method, strata) run matrix in protocol order."""
-        plan = []
-        for method in ("mlmc", "mc", "mlmc_giles", "mlmc_kde"):
-            if method in self.methods:
-                plan.append((method, 1))
-        for method in ("smlmc", "smlmc_kde"):
-            if method in self.methods:
-                for r in self.strata_counts:
-                    plan.append((method, r))
-        return plan
+        return [(method, r) for method, spec in METHODS.items() if method in self.methods
+                for r in (self.strata_counts if spec.stratified else (1,))]
 
 
 _DIFFUSION = ExperimentConfig(
@@ -211,10 +273,6 @@ def preset(name: str) -> ExperimentConfig:
     return PRESETS[name]
 
 
-def _parse_list(raw: str, conv):
-    return tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
-
-
 def load_config(path: str) -> ExperimentConfig:
     """Read an INI config; the [experiment] model key selects the preset whose
     values any other key overrides.  Unknown sections or keys are errors."""
@@ -228,51 +286,9 @@ def load_config(path: str) -> ExperimentConfig:
         unknown = set(parser[section]) - _SCHEMA[section]
         if unknown:
             raise ValueError(f"unknown keys in [{section}]: {sorted(unknown)}")
-    if "experiment" not in parser or "model" not in parser["experiment"]:
+    if not parser.has_option("experiment", "model"):
         raise ValueError("config needs [experiment] with a model key")
-    cfg = preset(parser["experiment"]["model"])
-    exp = parser["experiment"]
-    updates = {}
-    if "eps" in exp:
-        updates["eps_values"] = _parse_list(exp["eps"], float)
-    if "methods" in exp:
-        updates["methods"] = _parse_list(exp["methods"], str)
-    if "strata" in exp:
-        updates["strata_counts"] = _parse_list(exp["strata"], int)
-    scalar_map = [
-        ("experiment", "n_real", int, "n_real"),
-        ("experiment", "seed", int, "seed"),
-        ("experiment", "work_model", str, "work_model"),
-        ("experiment", "out", str, "out"),
-        ("model", "m0", int, "m0"),
-        ("model", "refinement", int, "refinement"),
-        ("model", "l_star", int, "l_star"),
-        ("model", "final_time", float, "final_time"),
-        ("model", "domain_length", float, "domain_length"),
-        ("model", "qoi_scale", float, "qoi_scale"),
-        ("model", "cfl", float, "cfl"),
-        ("distribution", "mu", float, "mu"),
-        ("distribution", "sigma", float, "sigma"),
-        ("distribution", "w_lo", float, "w_lo"),
-        ("distribution", "w_hi", float, "w_hi"),
-        ("grid", "a", float, "grid_a"),
-        ("grid", "b", float, "grid_b"),
-        ("grid", "s_count", int, "grid_s"),
-        ("warmup", "plain", int, "warmup_plain"),
-        ("warmup", "smoothed", int, "warmup_smoothed"),
-        ("warmup", "stratified_plain", int, "warmup_strat_plain"),
-        ("warmup", "stratified_smoothed", int, "warmup_strat_smoothed"),
-        ("smoothing", "degree", int, "giles_degree"),
-        ("smoothing", "calibration_fraction", float, "calibration_fraction"),
-        ("sampling", "safety", float, "sampling_safety"),
-        ("sampling", "batch_size", int, "batch_size"),
-        ("sampling", "min_stratum_samples", int, "min_stratum_samples"),
-        ("reference", "mesh_refine", int, "ref_mesh_refine"),
-        ("reference", "quad_cells", int, "ref_quad_cells"),
-        ("reference", "quad_points", int, "ref_quad_points"),
-        ("reference", "time_coarsen", float, "ref_time_coarsen"),
-    ]
-    for section, key, conv, attr in scalar_map:
-        if section in parser and key in parser[section]:
-            updates[attr] = conv(parser[section][key])
-    return replace(cfg, **updates)
+    return replace(preset(parser["experiment"]["model"]), **{
+        field: conv(parser[section][key])
+        for section, key, field, conv in KEYS if parser.has_option(section, key)
+    })

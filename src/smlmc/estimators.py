@@ -66,6 +66,12 @@ class RunConfig:
                              "and min_stratum_samples of them")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be nonnegative")
+        if self.sampling_safety <= 0:
+            raise ValueError("sampling_safety must be positive")
+        if self.calibration_fraction <= 0:
+            raise ValueError("calibration_fraction must be positive")
 
     @property
     def budget_factor(self) -> float:
@@ -155,6 +161,9 @@ class LevelState:
         return self._stratified_sum(probs * probs, self.var_idiff())
 
     def report(self, probs, work_model: str) -> dict:
+        var_idiff = self.var_idiff_pooled()
+        var_ifine = self.var_ifine_pooled()
+        var_stratified = self.stratified_estimator_variance(probs)
         return {
             "level": self.level,
             "n_per_stratum": self.n.tolist(),
@@ -162,13 +171,13 @@ class LevelState:
             "history": list(self.history),
             "delta": self.delta,
             "avg_work": self.avg_work(work_model).tolist(),
-            "var_idiff_per_node": self.var_idiff_pooled().tolist(),
-            "var_ifine_per_node": self.var_ifine_pooled().tolist(),
-            "var_stratified_per_node": self.stratified_estimator_variance(probs).tolist(),
-            "max_var_idiff": float(self.var_idiff_pooled().max()),
-            "max_var_ifine": float(self.var_ifine_pooled().max()),
+            "var_idiff_per_node": var_idiff.tolist(),
+            "var_ifine_per_node": var_ifine.tolist(),
+            "var_stratified_per_node": var_stratified.tolist(),
+            "max_var_idiff": float(var_idiff.max()),
+            "max_var_ifine": float(var_ifine.max()),
             "max_var_g": float(self.var_g().max()),
-            "max_var_stratified": float(self.stratified_estimator_variance(probs).max()),
+            "max_var_stratified": float(var_stratified.max()),
         }
 
 
@@ -375,16 +384,19 @@ class _Engine:
         i_diff = i_fine
         if coarse is not None:
             i_diff = i_fine - indicator(nodes[None, :], coarse[:, None])
-        lv.sum_idiff[stratum] += i_diff.sum(axis=0)
-        lv.sumsq_idiff[stratum] += (i_diff * i_diff).sum(axis=0)
+        total = i_diff.sum(axis=0)
+        total_sq = (i_diff * i_diff).sum(axis=0)
+        lv.sum_idiff[stratum] += total
+        lv.sumsq_idiff[stratum] += total_sq
         lv.sum_ifine[stratum] += i_fine.sum(axis=0)
-        g = i_diff
-        if self.smoother is not None:
+        if self.smoother is not None:  # else the level terms are i_diff
             g = self.smoother.values(fine, nodes, lv.delta)
             if coarse is not None:
                 g -= self.smoother.values(coarse, nodes, lv.delta)
-        lv.sum_g[stratum] += g.sum(axis=0)
-        lv.sumsq_g[stratum] += (g * g).sum(axis=0)
+            total = g.sum(axis=0)
+            total_sq = (g * g).sum(axis=0)
+        lv.sum_g[stratum] += total
+        lv.sumsq_g[stratum] += total_sq
         lv.n[stratum] += fine.shape[0]
 
     def _add_samples(self, level: int, stratum: int, m: int):

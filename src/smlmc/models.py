@@ -201,9 +201,14 @@ def burgers_max_speed(inflow: float, outflow: float) -> float:
 
     Inputs are held to it (the plateau height may not exceed it), so by the
     max principle it bounds every speed of the solution, and the time step it
-    fixes is the same for every sample and for the work model.
+    fixes is the same for every sample and for the work model.  A zero bound
+    would give no time step, and is rejected.
     """
-    return max(abs(inflow), abs(outflow))
+    bound = max(abs(inflow), abs(outflow))
+    if bound == 0:
+        raise ValueError("Burgers boundary states are both 0: the wave speed "
+                         "bound that fixes the time step must be positive")
+    return bound
 
 
 def burgers_steps(cells: int, final_time: float = 0.5, length: float = 2.0,

@@ -88,8 +88,10 @@ class TestSpline:
         assert f(-3.0) == 0.0 and f(3.0) == 1.0
 
     def test_too_few_nodes(self):
-        with pytest.raises(ValueError):
+        # the grid refuses fewer than the four nodes the spline needs
+        with pytest.raises(ValueError, match="four nodes"):
             build_spline(NodeGrid(0.0, 1.0, 2), np.zeros(3))
+        assert build_spline(NodeGrid(0.0, 1.0, 3), np.zeros(4))(0.5) == 0.0
 
 
 class TestIsotonic:

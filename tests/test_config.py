@@ -1,8 +1,17 @@
+import configparser
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from smlmc.config import load_config, preset
+from smlmc.cli import _reference_cache_key
+from smlmc.config import KEYS, load_config, preset
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestPresets:
@@ -200,7 +209,8 @@ class TestSamplingValidation:
         assert ok.warmup_strat_plain == 10
 
     def test_plain_warmup_needs_min_stratum_samples(self):
-        with pytest.raises(ValueError, match="mlmc warmup 4"):
+        # a plain run's RunConfig holds its warmup to min_stratum_samples
+        with pytest.raises(ValueError, match="min_stratum_samples of them"):
             replace(preset("burgers"), warmup_plain=4, min_stratum_samples=5,
                     warmup_strat_plain=80, warmup_strat_smoothed=80)
 
@@ -208,3 +218,86 @@ class TestSamplingValidation:
         exp = replace(preset("diffusion"), warmup_strat_plain=32,
                       warmup_strat_smoothed=32)
         assert exp.warmup_strat_smoothed == 32
+
+
+def _ini_of(exp) -> str:
+    """An INI file that sets every key of the table to exp's value."""
+    sections: dict = {}
+    for section, key, field, _ in KEYS:
+        value = getattr(exp, field)
+        text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "".join(f"[{section}]\n" + "\n".join(lines) + "\n\n"
+                   for section, lines in sections.items())
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("name", ["diffusion", "burgers"])
+    def test_every_key_round_trips_to_the_preset(self, tmp_path, name):
+        path = tmp_path / "full.ini"
+        path.write_text(_ini_of(preset(name)))
+        assert load_config(str(path)) == preset(name)
+
+    def test_each_key_and_field_once(self):
+        assert len({(s, k) for s, k, _, _ in KEYS}) == len(KEYS)
+        assert len({f for _, _, f, _ in KEYS}) == len(KEYS)
+
+    @pytest.mark.parametrize("name,digest", [
+        ("diffusion", "51c1e30be4b9df18"),
+        ("burgers", "fe60a3ea8509dc58"),
+    ])
+    def test_reference_digests_pinned(self, name, digest):
+        # cached references on disk stay valid as long as these hold
+        assert _reference_cache_key(preset(name)) == digest
+
+    def test_readme_example_names_exactly_the_table_keys(self):
+        block = re.search(r"## Configuration.*?```ini\n(.*?)```", README.read_text(),
+                          re.S).group(1)
+        parser = configparser.ConfigParser()
+        parser.read_string(block)
+        listed = [(section, key) for section in parser.sections()
+                  for key in parser[section]]
+        assert listed == [(section, key) for section, key, _, _ in KEYS]
+
+
+class TestRejectedAtLoad:
+    """Settings that no run can use fail in load_config, each in the object
+    that uses it."""
+
+    @pytest.mark.parametrize("body,match", [
+        ("[smoothing]\ndegree = -1\n", "smoothness parameter d"),
+        ("seed = -1\n", "seed -1"),
+        ("[sampling]\nsafety = 0\n", "sampling_safety"),
+        ("[sampling]\nsafety = -1\n", "sampling_safety"),
+        ("[smoothing]\ncalibration_fraction = 0\n", "calibration_fraction"),
+        ("[distribution]\nsigma = -1\n", "sigma"),
+        ("[model]\nm0 = 1\n", "coarsest mesh"),
+        ("[model]\nrefinement = 1\n", "refinement"),
+        ("[model]\nl_star = -1\n", "l_star"),
+        ("eps = 0.01, 0\n", "eps"),
+        ("strata = 8, 0\n", "stratum"),
+    ])
+    def test_rejected(self, tmp_path, body, match):
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\nmodel = diffusion\n" + body)
+        with pytest.raises(ValueError, match=match):
+            load_config(str(path))
+
+    def test_degree_only_checked_when_the_polynomial_kernel_runs(self, tmp_path):
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nmodel = diffusion\nmethods = mlmc, mlmc_kde\n"
+                        "[smoothing]\ndegree = -1\n")
+        assert load_config(str(path)).giles_degree == -1
+
+    def test_cli_dry_run_stops_before_the_plan(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\nmodel = diffusion\n[distribution]\nsigma = -1\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from smlmc.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "run", "--config", str(path), "--dry-run"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "sigma must be positive" in proc.stderr

@@ -403,6 +403,18 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(eps=0.01, **bad)
 
+    @pytest.mark.parametrize("bad,match", [
+        (dict(seed=-1), "seed"),
+        (dict(sampling_safety=0.0), "sampling_safety"),
+        (dict(sampling_safety=-2.5), "sampling_safety"),
+        (dict(calibration_fraction=0.0), "calibration_fraction"),
+    ])
+    def test_invalid_run_settings_rejected(self, bad, match):
+        # a negative seed fails in the RNG, and a safety of 0 or less leaves
+        # every level at its warmup
+        with pytest.raises(ValueError, match=match):
+            RunConfig(eps=0.01, **bad)
+
     def test_smallest_valid_sampling(self):
         cfg = RunConfig(eps=0.01, warmup=2, batch_size=1, min_stratum_samples=2)
         assert cfg.batch_size == 1

@@ -491,6 +491,15 @@ class TestBurgers:
         with pytest.raises(ValueError, match="speed bound"):
             solve_burgers(-0.5, 64, inflow=0.25)
 
+    def test_zero_speed_bound_rejected(self):
+        # both boundary states 0 leave no CFL time step; the kernel and the
+        # work model share the one check in burgers_max_speed
+        with pytest.raises(ValueError, match="wave speed bound"):
+            solve_burgers_batch([0.0], 16, inflow=0.0)
+        spec = ModelSpec("burgers", 0.5, 2.0, inflow=0.0)
+        with pytest.raises(ValueError, match="wave speed bound"):
+            spec.work_units(16)
+
 
 class TestQoi:
     def test_zero_field(self):
