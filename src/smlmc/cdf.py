@@ -42,13 +42,23 @@ class NodeGrid:
 
 
 def indicator(q_node, qoi):
-    """1 when the sample falls at or below the node (closed on the right)."""
+    """1 when the sample falls at or below the node (closed on the right).
+
+    The dense test oracle of indicator_counts, which the estimators call.
+    """
     q_node = np.asarray(q_node, dtype=float)
     qoi = np.asarray(qoi, dtype=float)
     out = (qoi <= q_node).astype(float)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def indicator_counts(qoi, nodes) -> np.ndarray:
+    """Number of samples at or below each node, as integers: the column sums
+    of indicator(nodes[None, :], qoi[:, None]), exactly, from one sort of the
+    samples."""
+    return np.searchsorted(np.sort(qoi), nodes, side="right")
 
 
 def build_spline(grid: NodeGrid, values):

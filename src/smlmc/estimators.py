@@ -13,6 +13,13 @@ while the acceptance metric is the supremum over all nodes, which for an
 empirical-CDF-type process runs about 1.3x the worst node (Kolmogorov
 statistic).  The default safety of 2.5 absorbs that inflation; setting it to
 1.0 recovers the textbook counts.
+
+Each solved batch enters the per-node running sums without a dense
+(batch, nodes) matrix, yet with the same bits as one: indicator sums are
+integer counts from one sort of the batch (cdf.indicator_counts), and
+smoothed terms are evaluated only where the kernel is not saturated, in a
+band of nodes around each sample (_band).  cdf.indicator and the kernels'
+values stay as the dense test oracles of these sums.
 """
 
 import time
@@ -21,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdf import CdfEstimate, NodeGrid, indicator
+from .cdf import CdfEstimate, NodeGrid, indicator_counts
 from .cost import CostLedger
 from .inputs import (
     Stratification,
@@ -311,11 +318,14 @@ class McResult:
 
 class _Engine:
     """The multilevel engine.  Plain MLMC is its single-stratum case: the same
-    draws, statistics, sizing and estimate, with no separate path."""
+    draws, statistics, sizing and estimate, with no separate path.
+    stratified tells which entry point built it, and so how the run is named:
+    an sMLMC run keeps its stratum count in its name even at r = 1."""
 
     def __init__(self, model: ModelSpec, dist: TruncatedLognormal,
                  strat: Stratification, grid: NodeGrid,
-                 hierarchy: MeshHierarchy, config: RunConfig):
+                 hierarchy: MeshHierarchy, config: RunConfig, stratified: bool):
+        self.stratified = stratified
         self.model = model
         self.dist = dist
         self.strat = strat
@@ -376,25 +386,39 @@ class _Engine:
             m -= batch
 
     def _accumulate(self, lv: LevelState, stratum: int, fine, coarse):
-        """Record one batch of solved pairs in the level's statistics."""
+        """Record one batch of solved pairs in the level's statistics.
+
+        The level's sums come out bit for bit as adding the column sums of
+        the dense (batch, nodes) matrices of cdf.indicator and the kernel's
+        values would leave them, without building those matrices:
+
+        - indicator sums are integer counts.  A difference I_f - I_c squares
+          to 1 exactly where one of Q_f, Q_c lies at or below the node, so
+          its squares sum to #{min <= q} - #{max <= q};
+        - a smoothed difference g_f - g_c is exactly 0 at nodes outside
+          [min(Q_f, Q_c) - w, max(Q_f, Q_c) + w] (_difference_sums);
+        - at level 0, g_f takes one of two saturation values outside
+          [Q_f - w, Q_f + w] (_level0_sums).
+        """
         if self.keep_fine:
             lv.kept_fine.append(fine)
         nodes = self.nodes
-        i_fine = indicator(nodes[None, :], fine[:, None])
-        i_diff = i_fine
-        if coarse is not None:
-            i_diff = i_fine - indicator(nodes[None, :], coarse[:, None])
-        total = i_diff.sum(axis=0)
-        total_sq = (i_diff * i_diff).sum(axis=0)
+        c_fine = indicator_counts(fine, nodes)
+        if coarse is None:
+            total = total_sq = c_fine
+        else:
+            lo, hi = np.minimum(fine, coarse), np.maximum(fine, coarse)
+            total = c_fine - indicator_counts(coarse, nodes)
+            total_sq = indicator_counts(lo, nodes) - indicator_counts(hi, nodes)
         lv.sum_idiff[stratum] += total
         lv.sumsq_idiff[stratum] += total_sq
-        lv.sum_ifine[stratum] += i_fine.sum(axis=0)
-        if self.smoother is not None:  # else the level terms are i_diff
-            g = self.smoother.values(fine, nodes, lv.delta)
-            if coarse is not None:
-                g -= self.smoother.values(coarse, nodes, lv.delta)
-            total = g.sum(axis=0)
-            total_sq = (g * g).sum(axis=0)
+        lv.sum_ifine[stratum] += c_fine
+        if self.smoother is not None:  # else the level terms are I_f - I_c
+            if coarse is None:
+                total, total_sq = _level0_sums(self.smoother, fine, nodes, lv.delta)
+            else:
+                total, total_sq = _difference_sums(self.smoother, fine, coarse,
+                                                   lo, hi, nodes, lv.delta)
         lv.sum_g[stratum] += total
         lv.sumsq_g[stratum] += total_sq
         lv.n[stratum] += fine.shape[0]
@@ -476,7 +500,7 @@ class _Engine:
         raw = np.zeros(self.nodes.size)
         for lv in self.levels:
             raw += lv.mean_g_stratified(self.strat.probs)
-        method = _method_name(self.cfg, self.strat)
+        method = _method_name(self.cfg, self.strat.r, self.stratified)
         estimate = CdfEstimate(
             grid=self.grid,
             raw=raw,
@@ -500,28 +524,106 @@ class _Engine:
         )
 
 
-def _method_name(cfg: RunConfig, strat: Stratification) -> str:
-    base = "smlmc" if strat.r > 1 else "mlmc"
+# the band is widened by this fraction of the magnitudes it is computed
+# from, far above the rounding of its edges and of (Q - q) / delta: a node
+# one ulp outside the rounded edge can still have (Q - q) / delta exactly
+# on the kernel's clip point
+_BAND_SLACK = 2.0 ** -40
+# rows of one dense level-0 tile
+_TILE_ROWS = 2048
+
+
+def _band(smoother, lo, hi, nodes, delta: float):
+    """The (sample, node) pairs with the node in [lo_j - w, hi_j + w],
+    w = smoother.half_width * delta, as sample-major (rows, cols), and the
+    end of each sample's node range.
+
+    Outside that range the kernel is saturated at both of a sample's QoIs,
+    on the same side.  The edges are widened by _BAND_SLACK of the
+    magnitudes, so that a node whose computed (Q - q) / delta rounds onto
+    the clip point is still inside; pairs inside but saturated cost time,
+    not exactness.  nodes must be ascending.
+    """
+    w = smoother.half_width * delta
+    scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()),
+                float(np.abs(nodes).max()))
+    pad = w + _BAND_SLACK * (w + scale)
+    start = np.searchsorted(nodes, lo - pad, side="left")
+    stop = np.searchsorted(nodes, hi + pad, side="right")
+    counts = stop - start
+    rows = np.repeat(np.arange(lo.size), counts)
+    cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+    return rows, cols, stop
+
+
+def _difference_sums(smoother, fine, coarse, lo, hi, nodes, delta: float):
+    """Per-node sums of g_f - g_c and of its square over the batch, with
+    lo, hi the pairwise minimum and maximum of fine and coarse.
+
+    g_f - g_c is exactly 0 outside the band, where both terms saturate alike,
+    and adding 0 to a sum changes nothing but the sign of a zero (which the
+    += into the level's running sums undoes).  The band pairs are evaluated
+    with the kernel's own expression and summed by bincount in sample
+    order, the order of the dense axis-0 reduction.
+    """
+    rows, cols, _ = _band(smoother, lo, hi, nodes, delta)
+    q = nodes[cols]
+    d = smoother.paired(fine[rows], q, delta)
+    d -= smoother.paired(coarse[rows], q, delta)
+    return (np.bincount(cols, weights=d, minlength=nodes.size),
+            np.bincount(cols, weights=d * d, minlength=nodes.size))
+
+
+def _level0_sums(smoother, fine, nodes, delta: float):
+    """Per-node sums of g_f and of its square over the batch.
+
+    g_f saturates at a constant on each side of the band, and a sum of those
+    constants is not exact in any order but the dense one.  So the dense
+    matrix is built _TILE_ROWS rows at a time from the two saturation values
+    (one comparison against each row's band end), the band values are
+    scattered into it, and each tile is reduced as the dense matrix was,
+    with the running sum added into its first row: ((acc + r_0) + r_1) + ...
+    """
+    rows, cols, stop = _band(smoother, fine, fine, nodes, delta)
+    vals = smoother.paired(fine[rows], nodes[cols], delta)
+    below, above = smoother.saturation
+    node_index = np.arange(nodes.size)
+    starts = range(0, fine.size, _TILE_ROWS)
+    cuts = np.searchsorted(rows, [*starts, fine.size])
+    total = total_sq = None
+    for k, t0 in enumerate(starts):
+        g = np.where(node_index >= stop[t0:t0 + _TILE_ROWS, None], above, below)
+        band = slice(cuts[k], cuts[k + 1])
+        g[rows[band] - t0, cols[band]] = vals[band]
+        sq = g * g
+        if total is not None:
+            g[0] += total
+            sq[0] += total_sq
+        total, total_sq = g.sum(axis=0), sq.sum(axis=0)
+    return total, total_sq
+
+
+def _method_name(cfg: RunConfig, r: int, stratified: bool) -> str:
+    """The run's name, as config.run_tag names it in output files."""
+    base = "smlmc" if stratified else "mlmc"
     if cfg.smoother != "none":
         base += f"_{cfg.smoother}"
-    if strat.r > 1:
-        base += f"_r{strat.r}"
-    return base
+    return f"{base}_r{r}" if stratified else base
 
 
 def run_mlmc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
              hierarchy: MeshHierarchy, config: RunConfig) -> MultilevelResult:
     """Plain or smoothed multilevel run (single stratum)."""
     strat = build_equal_width_strata(dist, 1)
-    return _Engine(model, dist, strat, grid, hierarchy, config).run()
+    return _Engine(model, dist, strat, grid, hierarchy, config, stratified=False).run()
 
 
 def run_smlmc(model: ModelSpec, dist: TruncatedLognormal, strat: Stratification,
               grid: NodeGrid, hierarchy: MeshHierarchy,
               config: RunConfig) -> MultilevelResult:
     """Stratified multilevel run; with r = 1 it reproduces run_mlmc bit for bit
-    under a shared seed."""
-    return _Engine(model, dist, strat, grid, hierarchy, config).run()
+    under a shared seed, apart from its name."""
+    return _Engine(model, dist, strat, grid, hierarchy, config, stratified=True).run()
 
 
 def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
@@ -556,7 +658,7 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
         samples.append(model.qoi_batch(w, cells))
         elapsed += time.perf_counter() - t0
     qoi = np.concatenate(samples)
-    raw = indicator(grid.nodes[None, :], qoi[:, None]).mean(axis=0)
+    raw = indicator_counts(qoi, grid.nodes) / qoi.size
     fine_work = det_fine
     if config.work_model == "wallclock":
         if extra > 0:

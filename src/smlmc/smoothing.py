@@ -6,6 +6,14 @@ delta.  The polynomial kernel evaluates g((Q - q) / delta) with g built from
 endpoint and moment conditions; the KDE kernel evaluates Phi((q - Q) / delta)
 (note the reversed argument), the standard normal CDF.
 
+Both kernels saturate: further than half_width * delta from Q (delta for the
+polynomial, 8 delta for the KDE kernel, whose argument is clipped at +-8) a
+node's value is exactly one of two constants, the kernel's saturation pair
+(0 and 1 for the polynomial, Phi(-8) and Phi(8) for the KDE kernel).  So a
+level difference g(Q_f) - g(Q_c) is exactly 0 away from both QoIs, and the
+estimators evaluate each kernel's paired form only in that band; the dense
+values matrix is paired over the whole grid and is their test oracle.
+
 Calibration measures each kernel's bias against a Gaussian-pilot-smoothed
 empirical CDF (bandwidth h).  For the KDE kernel the convolution is a normal
 CDF in closed form.  For the polynomial kernel the bias at r = delta / h <= 1
@@ -41,6 +49,12 @@ class GilesPolynomial:
     degree_d: int
     coeffs: np.ndarray  # ascending powers, length degree_d + 2
 
+    # g is exactly 1 at s < -1 and exactly 0 at s > 1 (the two copyto of
+    # _ramp), so a node further than half_width * delta from Q takes one of
+    # the saturation values: at nodes below Q, then at nodes above it
+    half_width = 1.0
+    saturation = (0.0, 1.0)
+
     def __call__(self, s):
         s = np.array(s, dtype=float)
         out = self._ramp(s.reshape(-1)).reshape(s.shape)
@@ -48,11 +62,19 @@ class GilesPolynomial:
             return float(out)
         return out
 
-    def values(self, qoi, nodes, delta: float):
-        """Smoothed indicator matrix g((Q_j - q_n) / delta), shape (len(qoi), len(nodes))."""
-        s = np.asarray(qoi, dtype=float)[:, None] - np.asarray(nodes, dtype=float)[None, :]
+    def paired(self, qoi, nodes, delta: float):
+        """g((Q - q) / delta) elementwise over float arrays of QoIs and nodes,
+        paired or broadcast against each other."""
+        s = qoi - nodes
         s /= delta
         return self._ramp(s)
+
+    def values(self, qoi, nodes, delta: float):
+        """Smoothed indicator matrix g((Q_j - q_n) / delta), shape
+        (len(qoi), len(nodes)): paired over the broadcast grid.  The dense
+        test oracle of the estimators' band sums."""
+        return self.paired(np.asarray(qoi, dtype=float)[:, None],
+                           np.asarray(nodes, dtype=float)[None, :], delta)
 
     def _ramp(self, s):
         """g over the float array s, which is overwritten: polyval's Horner
@@ -70,8 +92,18 @@ class GilesPolynomial:
         return out
 
 
+# Phi is within 1e-15 of 0 and 1 beyond |s| = 8; the ramp clips there
+_KDE_CLIP = 8.0
+
+
 class GaussianKernelCdf:
     """Standard normal CDF acting as the smoothing sigmoid of a Gaussian KDE."""
+
+    # the ramp clips its argument to [-8, 8], so a node further than
+    # half_width * delta from Q takes exactly Phi(-8) (below Q) or Phi(8)
+    # (above Q); neither is exactly 0 or 1
+    half_width = _KDE_CLIP
+    saturation = (float(ndtr(-_KDE_CLIP)), float(ndtr(_KDE_CLIP)))
 
     def __call__(self, s):
         out = self._ramp(np.array(s, dtype=float))
@@ -79,17 +111,26 @@ class GaussianKernelCdf:
             return float(out)
         return out
 
-    def values(self, qoi, nodes, delta: float):
-        """Smoothed indicator matrix Phi((q_n - Q_j) / delta), shape (len(qoi), len(nodes))."""
-        s = np.asarray(nodes, dtype=float)[None, :] - np.asarray(qoi, dtype=float)[:, None]
+    def paired(self, qoi, nodes, delta: float):
+        """Phi((q - Q) / delta) elementwise over float arrays of QoIs and
+        nodes, paired or broadcast against each other."""
+        s = nodes - qoi
         s /= delta
         return self._ramp(s)
 
+    def values(self, qoi, nodes, delta: float):
+        """Smoothed indicator matrix Phi((q_n - Q_j) / delta), shape
+        (len(qoi), len(nodes)): paired over the broadcast grid.  The dense
+        test oracle of the estimators' band sums."""
+        return self.paired(np.asarray(qoi, dtype=float)[:, None],
+                           np.asarray(nodes, dtype=float)[None, :], delta)
+
     @staticmethod
     def _ramp(s):
-        """Phi over the float array s, in place."""
-        # Phi saturates to 0/1 beyond |s| = 8 to below 1e-15; clip for speed
-        np.clip(s, -8.0, 8.0, out=s)
+        """Phi over the float array s, in place.  The clip saves time, and
+        it makes Phi exactly constant beyond +-8, which the estimators'
+        band sums rely on."""
+        np.clip(s, -_KDE_CLIP, _KDE_CLIP, out=s)
         return ndtr(s, out=s)
 
 

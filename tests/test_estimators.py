@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smlmc.cdf import NodeGrid
-from smlmc.config import preset
+from smlmc.config import METHODS, preset, run_tag
 from smlmc.estimators import (
     LevelState,
     RunConfig,
@@ -273,6 +273,24 @@ class TestRunSmlmc:
         ]
         assert [lv.delta for lv in plain.levels] == [lv.delta for lv in strat.levels]
         assert plain.ledger.total() == strat.ledger.total()
+
+    @pytest.mark.parametrize("r", [1, 8])
+    def test_names_match_run_tags(self, r):
+        # every run is named as its output files are, a one-stratum sMLMC
+        # run included
+        base = dict(eps=0.2, l_star=1, warmup=16, batch_size=4096, seed=3)
+        strat = build_equal_width_strata(DIST, r)
+        for method, spec in METHODS.items():
+            if method == "mc":
+                continue
+            cfg = RunConfig(smoother=spec.smoother, **base)
+            if spec.stratified:
+                res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
+            else:
+                res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+            tag = run_tag(method, r)
+            assert res.method == res.report()["method"] == tag
+            assert res.estimate.metadata["kind"] == res.ledger.method == tag
 
     def test_stratified_run_basics(self):
         strat = build_equal_width_strata(DIST, 4)

@@ -152,7 +152,8 @@ def _engine(r, seed):
     """A diffusion-preset engine over r equal-width strata of DIFF."""
     exp = preset("diffusion")
     return _Engine(exp.model_spec(), DIFF, build_equal_width_strata(DIFF, r),
-                   exp.node_grid(), exp.hierarchy(), RunConfig(eps=0.02, seed=seed))
+                   exp.node_grid(), exp.hierarchy(), RunConfig(eps=0.02, seed=seed),
+                   stratified=True)
 
 
 class TestSampleStratum:

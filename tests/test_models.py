@@ -527,7 +527,7 @@ class TestSamplePair:
         exp = preset("diffusion")
         dist = exp.distribution()
         return _Engine(DIFFUSION, dist, build_equal_width_strata(dist, 1),
-                       exp.node_grid(), cls.HIER, RunConfig(eps=0.01))
+                       exp.node_grid(), cls.HIER, RunConfig(eps=0.01), stratified=False)
 
     def test_level_zero_has_no_coarse(self):
         fine, coarse = self.engine()._solve_pairs(0, np.array([2.0]))

@@ -152,7 +152,7 @@ class TestGaussianCdf:
 
 def pair_term(smoother, delta, q_node, fine, coarse=None):
     """One pair's smoothed level term at one node, through the kernel's
-    values matrix as the engine evaluates it."""
+    dense values matrix."""
     term = smoother.values(np.array([fine]), np.array([q_node]), delta)[0, 0]
     if coarse is not None:
         term -= smoother.values(np.array([coarse]), np.array([q_node]), delta)[0, 0]
