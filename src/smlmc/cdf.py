@@ -168,7 +168,6 @@ def reference_cdf(
     quad_cells: int = 2048,
     quad_points: int = 8,
     time_coarsen: float = 1.0,
-    chunk: int = 4096,
 ) -> CdfEstimate:
     """Deterministic high-accuracy CDF of the QoI by dense quadrature over the
     random input: no sampling noise, only quadrature and discretization error.
@@ -179,7 +178,8 @@ def reference_cdf(
     normalized by the quadrature mass of the density.  time_coarsen > 1
     enlarges the diffusion time step relative to the mesh (the Crank-Nicolson
     O(dt^2) error stays far below the spatial error, at a fraction of the
-    cost); it is ignored for the CFL-limited Burgers march.
+    cost).  One ModelSpec.qoi_batch call solves the whole point set in tiles,
+    and ignores time_coarsen for the CFL-limited Burgers march.
     """
     m_ref = hierarchy.cells(hierarchy.l_star) * mesh_refine
     gx, gw = np.polynomial.legendre.leggauss(quad_points)
@@ -189,17 +189,10 @@ def reference_cdf(
     halves = 0.5 * np.diff(edges)
     points = (mids[:, None] + halves[:, None] * gx[None, :]).ravel()
     weights = (halves[:, None] * gw[None, :]).ravel() * dist.pdf(points)
-    qoi = np.empty_like(points)
-    for start in range(0, points.size, chunk):
-        sl = slice(start, start + chunk)
-        if model.name == "diffusion":
-            qoi[sl] = model.qoi_batch(points[sl], m_ref, dt_over_dx=time_coarsen)
-        else:
-            qoi[sl] = model.qoi_batch(points[sl], m_ref)
+    qoi = model.qoi_batch(points, m_ref, dt_over_dx=time_coarsen)
     order = np.argsort(qoi, kind="stable")
-    qoi_sorted = qoi[order]
     wcum = np.concatenate([[0.0], np.cumsum(weights[order])])
-    values = wcum[np.searchsorted(qoi_sorted, grid.nodes, side="right")] / wcum[-1]
+    values = wcum[np.searchsorted(qoi[order], grid.nodes, side="right")] / wcum[-1]
     meta = {
         "kind": "reference",
         "model": model.name,

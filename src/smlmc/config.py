@@ -11,12 +11,16 @@ A config checks itself by building every object a run will use: the model,
 the input law, the node grid, the mesh hierarchy and, for every planned run,
 its stratification, its RunConfig at every tolerance and that run's smoother.
 Each of them rejects the settings it cannot use, so a config that cannot run
-fails when it is loaded, not hours into a run.  Only the checks that no single
-object owns are made here.
+fails when it is loaded, not hours into a run.  Its error names the INI
+section the object reads and, for a run's settings, the method, the tolerance
+and the keys the message is about.  Only the checks that no single object
+owns are made here.
 """
 
 import configparser
-from dataclasses import dataclass, replace
+import re
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 
 from .cdf import NodeGrid
 from .estimators import RunConfig
@@ -60,7 +64,6 @@ KEYS = (
     ("smoothing", "degree", "giles_degree", int),
     ("smoothing", "calibration_fraction", "calibration_fraction", float),
     ("sampling", "safety", "sampling_safety", float),
-    ("sampling", "batch_size", "batch_size", int),
     ("sampling", "min_stratum_samples", "min_stratum_samples", int),
     ("reference", "mesh_refine", "ref_mesh_refine", int),
     ("reference", "quad_cells", "ref_quad_cells", int),
@@ -87,7 +90,18 @@ METHODS = {
     "smlmc": MethodSpec("none", True, "warmup_strat_plain"),
     "smlmc_kde": MethodSpec("kde", True, "warmup_strat_smoothed"),
 }
-KNOWN_METHODS = tuple(METHODS)
+
+
+@contextmanager
+def _located(where: str, keys=None):
+    """Re-raise a ValueError prefixed with where it comes from and the
+    "[section] key" of each name in keys (with _ or space) its message names."""
+    try:
+        yield
+    except ValueError as exc:
+        named = [f"[{section}] {key}" for name, (section, key) in (keys or {}).items()
+                 if re.search(r"\b%s\b" % name.replace("_", "[_ ]"), str(exc))]
+        raise ValueError(", ".join([where, *named]) + f": {exc}") from exc
 
 
 def run_tag(method: str, r: int) -> str:
@@ -127,7 +141,6 @@ class ExperimentConfig:
     giles_degree: int
     calibration_fraction: float
     sampling_safety: float
-    batch_size: int
     min_stratum_samples: int
     ref_mesh_refine: int
     ref_quad_cells: int
@@ -143,14 +156,21 @@ class ExperimentConfig:
         if self.n_real < 1:
             raise ValueError("n_real must be at least 1")
         # each object a run uses rejects the settings it cannot use
-        spec = self.model_spec()
-        self.distribution()
-        self.node_grid()
-        self.hierarchy()
+        with _located("[model]"):
+            spec = self.model_spec()
+            self.hierarchy()
+        with _located("[distribution]"):
+            self.distribution()
+        with _located("[grid]"):
+            self.node_grid()
         for method, r in self.run_plan():
-            self.stratification(r)
+            with _located("[experiment] strata"):
+                self.stratification(r)
             for eps in self.eps_values:
-                self.run_config(method, eps, 0).make_smoother()
+                with _located(f"{method} at eps {eps}", self._run_keys(method)):
+                    cfg = self.run_config(method, eps, 0)
+                with _located(f"{method}, [smoothing] degree"):
+                    cfg.make_smoother()
             if self.warmup_for(method) < r * self.min_stratum_samples:
                 raise ValueError(
                     f"{method} warmup {self.warmup_for(method)} cannot give "
@@ -200,8 +220,14 @@ class ExperimentConfig:
             sampling_safety=self.sampling_safety,
             calibration_fraction=self.calibration_fraction,
             min_stratum_samples=self.min_stratum_samples,
-            batch_size=self.batch_size,
         )
+
+    def _run_keys(self, method: str) -> dict:
+        """(section, key) of the INI setting behind each field of a method's
+        RunConfig."""
+        at = {field: (section, key) for section, key, field, _ in KEYS}
+        at.update(eps=at["eps_values"], warmup=at[METHODS[method].warmup])
+        return {f.name: at[f.name] for f in fields(RunConfig) if f.name in at}
 
     def run_plan(self) -> list:
         """Expanded (method, strata) run matrix in protocol order."""
@@ -212,7 +238,7 @@ class ExperimentConfig:
 _DIFFUSION = ExperimentConfig(
     model="diffusion",
     eps_values=(0.01, 0.008, 0.005),
-    methods=KNOWN_METHODS,
+    methods=tuple(METHODS),
     strata_counts=(8, 16),
     n_real=50,
     seed=0,
@@ -239,7 +265,6 @@ _DIFFUSION = ExperimentConfig(
     giles_degree=3,
     calibration_fraction=0.15,
     sampling_safety=2.5,
-    batch_size=32768,
     min_stratum_samples=2,
     ref_mesh_refine=4,
     ref_quad_cells=4096,

@@ -5,7 +5,9 @@ The multilevel loop follows the standard pattern: open a new level, draw
 warmup pairs, (re)estimate per-node variances and per-sample work, size every
 level from the variance/work table, top the levels up (samples are never
 discarded), then test the weak-error proxy max_n |mean indicator difference|
-against eps / sqrt(2) to decide whether another level is needed.
+against eps / sqrt(2) to decide whether another level is needed.  Each warmup
+or top-up pass draws every stratum from its own substream and solves the
+pooled draws with one ModelSpec.qoi_batch call per mesh.
 
 Sampling budgets carry a configurable safety factor on top of the textbook
 budget split: the split bounds the worst single node's mean squared error,
@@ -57,7 +59,6 @@ class RunConfig:
     sampling_safety: float = 2.5
     calibration_fraction: float = 0.15
     min_stratum_samples: int = 2
-    batch_size: int = 32768
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -71,8 +72,6 @@ class RunConfig:
         if self.warmup < max(2, self.min_stratum_samples):
             raise ValueError("need at least two warmup samples per level, "
                              "and min_stratum_samples of them")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be nonnegative")
         if self.sampling_safety <= 0:
@@ -113,7 +112,7 @@ class LevelState:
         self.sumsq_idiff = np.zeros((n_strata, n_nodes))
         self.sum_ifine = np.zeros((n_strata, n_nodes))
         self.pair_work = pair_work          # deterministic work units per pair sample
-        self.elapsed = np.zeros(n_strata)   # wallclock seconds spent in solves
+        self.elapsed = 0.0                  # wallclock seconds spent in solves
         self.delta: Optional[float] = None
         self.kept_fine: list = []           # all fine QoIs (MC reuse; plain runs only)
         self.history: list = []             # total sample count after each sizing pass
@@ -123,10 +122,11 @@ class LevelState:
         return int(self.n.sum())
 
     def avg_work(self, work_model: str) -> np.ndarray:
-        """Per-stratum average work per pair sample."""
+        """Per-stratum average work per pair sample.  A pass solves its
+        strata together, so wallclock time is charged per sample alike."""
         if work_model == "deterministic":
             return np.full(self.n.shape, self.pair_work)
-        return np.maximum(self.elapsed / np.maximum(self.n, 1), 1e-9)
+        return np.full(self.n.shape, max(self.elapsed / max(self.n_total, 1), 1e-9))
 
     @property
     def _counts(self) -> np.ndarray:
@@ -342,27 +342,18 @@ class _Engine:
 
     # -- sampling ---------------------------------------------------------
 
-    def _stream(self, level: int, stratum: int) -> np.random.Generator:
+    def _draw_inputs(self, level: int, stratum: int, m: int) -> np.ndarray:
+        """m draws from the input law conditioned on the stratum: the inverse
+        CDF of a uniform on the stratum's CDF interval, from the stratum's
+        own substream at this level.  The interval of a single stratum is
+        exactly [0, 1], so its draws are the unconditional ones."""
         key = (level, stratum)
         if key not in self._streams:
             self._streams[key] = substream(self.cfg.seed, level, stratum)
-        return self._streams[key]
-
-    def _draw_inputs(self, level: int, stratum: int, m: int) -> np.ndarray:
-        """m draws from the input law conditioned on the stratum: the inverse
-        CDF of a uniform on the stratum's CDF interval.  The interval of a
-        single stratum is exactly [0, 1], so its draws are the unconditional
-        ones."""
-        u = self._stream(level, stratum).random(m)
+        u = self._streams[key].random(m)
         lo = self._stratum_cdf[stratum]
         hi = self._stratum_cdf[stratum + 1]
         return self.dist.inverse_cdf(lo + u * (hi - lo))
-
-    def _pair_work(self, level: int) -> float:
-        w = self.model.work_units(self.hierarchy.cells(level))
-        if level > 0:
-            w += self.model.work_units(self.hierarchy.cells(level - 1))
-        return w
 
     def _solve_pairs(self, level: int, w: np.ndarray):
         cells = self.hierarchy.cells(level)
@@ -372,18 +363,33 @@ class _Engine:
             coarse = self.model.qoi_batch(w, self.hierarchy.cells(level - 1))
         return fine, coarse
 
-    def _solve_batches(self, level: int, stratum: int, m: int):
-        """Draw and solve m pairs of a stratum, batch_size at a time, yielding
-        each batch's (fine, coarse) QoIs."""
+    def _add_pass(self, level: int, counts):
+        """Draw counts[i] pairs from each stratum's substream, solve them all
+        with one qoi_batch call per mesh and record them.
+
+        The warmup pass that opens a level first calibrates a smoother's
+        bandwidth on its pooled fine values.  Each stratum's slice is recorded
+        _RECORD_ROWS rows at a time: the level's sums are added up in these
+        blocks, so their size fixes the sums' bits.
+        """
         lv = self.levels[level]
-        while m > 0:
-            batch = min(m, self.cfg.batch_size)
-            w = self._draw_inputs(level, stratum, batch)
-            t0 = time.perf_counter()
-            fine, coarse = self._solve_pairs(level, w)
-            lv.elapsed[stratum] += time.perf_counter() - t0
-            yield fine, coarse
-            m -= batch
+        if not counts.sum():
+            return
+        w = np.concatenate([self._draw_inputs(level, i, m)
+                            for i, m in enumerate(counts) if m])
+        t0 = time.perf_counter()
+        fine, coarse = self._solve_pairs(level, w)
+        lv.elapsed += time.perf_counter() - t0
+        if self.smoother is not None and lv.delta is None:
+            lv.delta = calibrate_bandwidth(self.smoother, fine, self.nodes, self.cfg.eps,
+                                           bracket_top=self.grid.h,
+                                           target_fraction=self.cfg.calibration_fraction)
+        stop = 0
+        for i, m in enumerate(counts):
+            start, stop = stop, stop + m
+            for lo in range(start, stop, _RECORD_ROWS):
+                part = slice(lo, min(lo + _RECORD_ROWS, stop))
+                self._accumulate(lv, i, fine[part], None if coarse is None else coarse[part])
 
     def _accumulate(self, lv: LevelState, stratum: int, fine, coarse):
         """Record one batch of solved pairs in the level's statistics.
@@ -423,11 +429,6 @@ class _Engine:
         lv.sumsq_g[stratum] += total_sq
         lv.n[stratum] += fine.shape[0]
 
-    def _add_samples(self, level: int, stratum: int, m: int):
-        lv = self.levels[level]
-        for fine, coarse in self._solve_batches(level, stratum, m):
-            self._accumulate(lv, stratum, fine, coarse)
-
     def _allocate(self, total: int) -> np.ndarray:
         return proportional_allocation(total, self.strat, self.cfg.min_stratum_samples)
 
@@ -451,39 +452,19 @@ class _Engine:
             variances, self.strat.probs, works, self.cfg.eps, self.cfg.budget_factor
         )[level]
         total = max(int(counts.sum()), lv.n_total)
-        targets = np.maximum(self._allocate(total), lv.n)
-        for i in range(self.strat.r):
-            self._add_samples(level, i, int(targets[i] - lv.n[i]))
+        self._add_pass(level, np.maximum(self._allocate(total), lv.n) - lv.n)
         lv.history.append(lv.n_total)
-
-    def _open_level(self, level: int):
-        """Open a level with a proportional warmup.  Every stratum's warmup is
-        solved first, so that a smoother's bandwidth can be calibrated on the
-        pooled fine values before the warmup is recorded."""
-        lv = LevelState(level, self.strat.r, self.nodes.size, self._pair_work(level))
-        self.levels.append(lv)
-        warm = [
-            (i, fine, coarse)
-            for i, m in enumerate(self._allocate(self.cfg.warmup))
-            for fine, coarse in self._solve_batches(level, i, int(m))
-        ]
-        if self.smoother is not None:
-            lv.delta = calibrate_bandwidth(
-                self.smoother, np.concatenate([f for _, f, _ in warm]), self.nodes,
-                self.cfg.eps, bracket_top=self.grid.h,
-                target_fraction=self.cfg.calibration_fraction,
-            )
-        for i, fine, coarse in warm:
-            self._accumulate(lv, i, fine, coarse)
 
     # -- main loop --------------------------------------------------------
 
     def run(self) -> MultilevelResult:
         cap = min(self.cfg.l_star, self.hierarchy.l_star)
-        level = -1
-        while level < cap:
-            level += 1
-            self._open_level(level)
+        for level in range(cap + 1):
+            # open the level with a proportional warmup pass
+            pair_work = sum(self.model.work_units(self.hierarchy.cells(l))
+                            for l in range(max(level - 1, 0), level + 1))
+            self.levels.append(LevelState(level, self.strat.r, self.nodes.size, pair_work))
+            self._add_pass(level, self._allocate(self.cfg.warmup))
             self._topup(level)
             for l in range(level):
                 self._topup(l)
@@ -524,6 +505,9 @@ class _Engine:
         )
 
 
+# rows _accumulate records at once: the level sums are added up block by
+# block, so this size fixes their bits, and it bounds the band arrays
+_RECORD_ROWS = 32768
 # the band is widened by this fraction of the magnitudes it is computed
 # from, far above the rounding of its edges and of (Q - q) / delta: a node
 # one ulp outside the rounded edge can still have (Q - q) / delta exactly
@@ -649,25 +633,20 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
     extra = n_mc - n_reused
     cells = hierarchy.cells(l_max)
     det_fine = model.work_units(cells)
-    elapsed = 0.0
-    samples = [reused]
-    rng = substream(config.seed, l_max, 0, 1)
-    for start in range(0, extra, config.batch_size):
-        w = dist.inverse_cdf(rng.random(min(config.batch_size, extra - start)))
+    qoi, fine_work = reused, det_fine
+    if extra > 0:
+        w = dist.inverse_cdf(substream(config.seed, l_max, 0, 1).random(extra))
         t0 = time.perf_counter()
-        samples.append(model.qoi_batch(w, cells))
-        elapsed += time.perf_counter() - t0
-    qoi = np.concatenate(samples)
+        fresh = model.qoi_batch(w, cells)
+        if config.work_model == "wallclock":
+            fine_work = max((time.perf_counter() - t0) / extra, 1e-9)
+        qoi = np.concatenate([reused, fresh])
+    elif config.work_model == "wallclock":
+        # no fresh draws: scale the measured pair rate by the deterministic
+        # fine share of the pair work
+        pair = float(top.avg_work("wallclock").mean())
+        fine_work = max(pair * det_fine / top.pair_work, 1e-9)
     raw = indicator_counts(qoi, grid.nodes) / qoi.size
-    fine_work = det_fine
-    if config.work_model == "wallclock":
-        if extra > 0:
-            fine_work = max(elapsed / extra, 1e-9)
-        else:
-            # no fresh draws: scale the measured pair rate by the deterministic
-            # fine share of the pair work
-            pair = float(top.avg_work("wallclock").mean())
-            fine_work = max(pair * det_fine / top.pair_work, 1e-9)
     ledger = CostLedger(method="mc")
     ledger.add(level=l_max, stratum=0, count=n_mc, avg_work=float(fine_work))
     estimate = CdfEstimate(

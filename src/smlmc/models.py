@@ -8,14 +8,14 @@ Two models ship:
   10 * integral of u^2 at t = 0.2;
 * inviscid Burgers on (0, 2) with a random nonnegative initial plateau,
   solved by the first-order Godunov finite-volume scheme, which for the
-  nonnegative states of this testbed is the upwind scheme (the batch marched
-  in column tiles that fit in cache, every step in place in preallocated
-  buffers and over the cells the solution has reached), QoI = 10 * integral
-  of u^2 at t = 0.5.
+  nonnegative states of this testbed is the upwind scheme (every step in
+  place in preallocated buffers and over the cells the solution has
+  reached), QoI = 10 * integral of u^2 at t = 0.5.
 
-Both solvers are vectorized over a batch of input values: a level solve for a
-batch of Monte Carlo samples works on numpy arrays of shape (space, batch).
-A sample's field and QoI do not depend on the other samples of its batch.
+Both solvers work on numpy arrays of shape (space, batch).  ModelSpec.qoi_batch
+is the one place that sizes a solve: it hands them column tiles that fit in
+cache and keeps only the QoIs, so any batch costs one tile's memory beyond its
+B output values.  A sample's QoI does not depend on the rest of its batch.
 """
 
 from dataclasses import dataclass
@@ -245,13 +245,6 @@ def burgers_time_steps(cells: int, final_time: float = 0.5, length: float = 2.0,
     return steps
 
 
-# Elements of one column tile of the Burgers march.  Its state, flux and
-# difference buffers (about 1.5 MB at 2^16) stay in a 4 MiB L2 cache while the
-# tile takes all its steps; the best tile measured 2^15 to 2^16 elements at 32
-# to 512 cells.
-_TILE_ELEMS = 1 << 16
-
-
 def solve_burgers_batch(
     u1_values,
     cells: int,
@@ -285,12 +278,9 @@ def solve_burgers_batch(
     holds exactly 0, and the step updates only the first plateau + k + 1 rows
     (the rows it skips would compute 0 - 0 * dt / dx = +0).
 
-    The batch is marched in column tiles of at most _TILE_ELEMS // (cells + 1)
-    samples, each taking every step while it sits in cache.  One
-    (cells + 1, T) state with the inflow ghost row written once, one
-    (cells + 1, T) flux buffer and one (cells, T) difference buffer are
-    allocated per call, and the non-finite check runs per tile, so the
-    solver's memory beyond its (cells, B) output does not grow with B.
+    One (cells + 1, B) state with the inflow ghost row written once, one
+    (cells + 1, B) flux buffer and one (cells, B) difference buffer serve
+    every step; ModelSpec.qoi_batch sizes B so that they stay in cache.
     Columns never mix, so a sample's field does not depend on its batch.
     """
     u1 = np.atleast_1d(np.asarray(u1_values, dtype=float))
@@ -309,31 +299,25 @@ def solve_burgers_batch(
     dx = length / cells
     ratios = [dt / dx for dt in burgers_time_steps(cells, final_time, length, max_speed, cfl)]
     plateau = int(np.count_nonzero((np.arange(cells) + 0.5) * dx <= 1.0))
-    tile = max(1, min(B, _TILE_ELEMS // (cells + 1)))
-    state = np.empty((cells + 1, tile))
-    flux = np.empty((cells + 1, tile))
-    diff = np.empty((cells, tile))
-    state[0] = inflow
-    out = np.empty((cells, B))
-    for start in range(0, B, tile):
-        width = min(tile, B - start)
-        x, f, d = state[:, :width], flux[:, :width], diff[:, :width]
-        u = x[1:]
-        u[:plateau] = u1[start : start + width]
-        u[plateau:] = 0.0
-        for k, ratio in enumerate(ratios):
-            # upwind flux 0.5 u_left^2 over the rows the solution has reached
-            n = min(cells, plateau + k + 1)
-            fk, dk = f[: n + 1], d[:n]
-            np.square(x[: n + 1], out=fk)
-            fk *= 0.5
-            np.subtract(fk[1:], fk[:-1], out=dk)
-            dk *= ratio
-            u[:n] -= dk
-        if not np.all(np.isfinite(u)):
-            raise FloatingPointError("Burgers solve produced non-finite values")
-        out[:, start : start + width] = u
-    return out
+    x = np.empty((cells + 1, B))
+    f = np.empty((cells + 1, B))
+    d = np.empty((cells, B))
+    x[0] = inflow
+    u = x[1:]
+    u[:plateau] = u1
+    u[plateau:] = 0.0
+    for k, ratio in enumerate(ratios):
+        # upwind flux 0.5 u_left^2 over the rows the solution has reached
+        n = min(cells, plateau + k + 1)
+        fk, dk = f[: n + 1], d[:n]
+        np.square(x[: n + 1], out=fk)
+        fk *= 0.5
+        np.subtract(fk[1:], fk[:-1], out=dk)
+        dk *= ratio
+        u[:n] -= dk
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError("Burgers solve produced non-finite values")
+    return u
 
 
 def solve_burgers(u1: float, cells: int, **kwargs):
@@ -363,6 +347,14 @@ def qoi_midpoint(field, dx: float, scale: float = 10.0):
     return scale * dx * _squares_by_sample(field).sum(axis=-1)
 
 
+# Elements of one column tile: ModelSpec.qoi_batch solves a batch
+# _TILE_ELEMS // (cells + 1) samples at a time.  The Burgers march's three
+# buffers (about 1.5 MB at 2^16) stay in a 4 MiB L2 cache while the tile takes
+# all its steps; the best tile measured 2^15 to 2^16 elements at 32 to 512
+# cells.  The diffusion kernel's (cells, T) arrays are as large.
+_TILE_ELEMS = 1 << 16
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """One PDE testbed: identity, geometry, final time, and QoI scaling."""
@@ -387,17 +379,28 @@ class ModelSpec:
             raise ValueError("Burgers boundary states must be nonnegative")
 
     def qoi_batch(self, w, cells: int, dt_over_dx: float = 1.0):
-        """QoI values for a batch of inputs at the given resolution."""
-        if self.name == "diffusion":
-            u = solve_diffusion_batch(
-                w, cells, self.final_time, self.domain_length, dt_over_dx
-            )
-            return qoi_trapezoid(u, self.domain_length / cells, self.qoi_scale)
-        u = solve_burgers_batch(
-            w, cells, self.final_time, self.domain_length,
-            self.inflow, self.outflow, self.cfl,
-        )
-        return qoi_midpoint(u, self.domain_length / cells, self.qoi_scale)
+        """QoI values for a batch of inputs at the given resolution.
+
+        The only code that sizes a solve: the batch is solved in column tiles
+        of _TILE_ELEMS // (cells + 1) samples, keeping only the B QoIs, so
+        memory beyond the output does not grow with B.  dt_over_dx sets the
+        diffusion time step; the CFL-limited Burgers march ignores it.
+        """
+        w = np.atleast_1d(np.asarray(w, dtype=float))
+        dx = self.domain_length / cells
+        tile = max(1, _TILE_ELEMS // (cells + 1))
+        out = np.empty(w.shape[0])
+        for start in range(0, w.shape[0], tile):
+            part = w[start : start + tile]
+            if self.name == "diffusion":
+                u = solve_diffusion_batch(part, cells, self.final_time,
+                                          self.domain_length, dt_over_dx)
+                out[start : start + tile] = qoi_trapezoid(u, dx, self.qoi_scale)
+            else:
+                u = solve_burgers_batch(part, cells, self.final_time, self.domain_length,
+                                        self.inflow, self.outflow, self.cfl)
+                out[start : start + tile] = qoi_midpoint(u, dx, self.qoi_scale)
+        return out
 
     def solve_field(self, w: float, cells: int):
         """Solution field for one input, on the model's natural grid."""

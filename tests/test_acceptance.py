@@ -278,7 +278,7 @@ def test_criterion_5_exactness_suite(diffusion):
 
     # degenerate stratification reproduces the plain run bit for bit
     exp = diffusion["exp"]
-    cfg = RunConfig(eps=0.02, l_star=2, warmup=32, seed=5, batch_size=4096)
+    cfg = RunConfig(eps=0.02, l_star=2, warmup=32, seed=5)
     plain = run_mlmc(diffusion["model"], diffusion["dist"], diffusion["grid"],
                      diffusion["hier"], cfg)
     strat1 = build_equal_width_strata(diffusion["dist"], 1)

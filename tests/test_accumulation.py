@@ -216,7 +216,7 @@ def test_engine_never_calls_the_dense_oracles(monkeypatch):
     monkeypatch.setattr(GilesPolynomial, "values", dense)
     monkeypatch.setattr(GaussianKernelCdf, "values", dense)
     model, grid, hier = EXP.model_spec(), EXP.node_grid(), EXP.hierarchy()
-    base = dict(eps=0.05, l_star=2, warmup=64, batch_size=4096, seed=5)
+    base = dict(eps=0.05, l_star=2, warmup=64, seed=5)
     plain = run_mlmc(model, DIST, grid, hier, RunConfig(**base))
     run_mc(model, DIST, grid, hier, RunConfig(**base), plain)
     for smoother in ("giles", "kde"):

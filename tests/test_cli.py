@@ -24,9 +24,6 @@ plain = 32
 smoothed = 16
 stratified_plain = 32
 stratified_smoothed = 16
-
-[sampling]
-batch_size = 4096
 """
 
 

@@ -120,7 +120,7 @@ methods = mc
 model = diffusion
 work_model = gpu
 """)
-        with pytest.raises(ValueError, match="work model"):
+        with pytest.raises(ValueError, match=r"\[experiment\] work_model: unknown work model"):
             load_config(path)
 
     @pytest.mark.parametrize("s_count", [1, 2])
@@ -177,6 +177,7 @@ class TestSamplingValidation:
         return str(path)
 
     @pytest.mark.parametrize("body,match", [
+        # batch_size is no longer a setting: the key fails as unknown, by name
         ("[sampling]\nbatch_size = 0\n", "batch_size"),
         ("[sampling]\nmin_stratum_samples = 0\n", "min_stratum_samples"),
         ("[warmup]\nplain = 1\n", "two warmup"),
@@ -276,6 +277,14 @@ class TestRejectedAtLoad:
         ("[model]\nl_star = -1\n", "l_star"),
         ("eps = 0.01, 0\n", "eps"),
         ("strata = 8, 0\n", "stratum"),
+        # the object's own message follows the INI section it reads and, for
+        # a run's settings, the method, the tolerance and the keys it names
+        ("[sampling]\nsafety = 0\n",
+         r"^mlmc at eps 0\.01, \[sampling\] safety: sampling_safety must be positive"),
+        ("[warmup]\nsmoothed = 1\n",
+         r"^mlmc_giles at eps 0\.01, \[warmup\] smoothed, \[sampling\] min_stratum_samples: "
+         "need at least two warmup samples"),
+        ("[model]\nm0 = 1\n", r"^\[model\]: coarsest mesh"),
     ])
     def test_rejected(self, tmp_path, body, match):
         path = tmp_path / "bad.ini"

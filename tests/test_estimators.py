@@ -16,8 +16,8 @@ from smlmc.estimators import (
     run_smlmc,
     stopping_check,
 )
-from smlmc.inputs import build_equal_width_strata
-from smlmc.models import MeshHierarchy
+from smlmc.inputs import build_equal_width_strata, proportional_allocation
+from smlmc.models import MeshHierarchy, ModelSpec
 
 EXP = preset("diffusion")
 BURGERS_EXP = preset("burgers")
@@ -27,7 +27,7 @@ GRID = EXP.node_grid()
 HIER = EXP.hierarchy()
 
 # small, fast engine configuration reused across tests
-FAST = dict(l_star=3, warmup=64, batch_size=4096)
+FAST = dict(l_star=3, warmup=64)
 
 
 class TestRequiredSamplesMlmc:
@@ -160,7 +160,7 @@ class TestRunMlmc:
         assert realized <= cfg.eps**2 / budget_split * 1.05
 
     def test_cap_produces_warning_when_bias_unmet(self):
-        cfg = RunConfig(eps=0.001, seed=1, l_star=1, warmup=32, batch_size=4096)
+        cfg = RunConfig(eps=0.001, seed=1, l_star=1, warmup=32)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         assert res.l_max == 1
         assert any("cap" in w for w in res.warnings)
@@ -226,7 +226,7 @@ class TestTelescopingIdentity:
         # MC needs exactly the 64 warmup samples (N_MC = ceil(5 V / eps^2)
         # with 5 V / eps^2 = 63.5), so it reuses the identical sample set and
         # the two estimates agree exactly
-        base = dict(seed=21, l_star=0, warmup=64, batch_size=4096)
+        base = dict(seed=21, l_star=0, warmup=64)
         probe = run_mlmc(MODEL, DIST, GRID, HIER, RunConfig(eps=0.3, **base))
         v = float(probe.levels[0].var_ifine_pooled().max())
         cfg = RunConfig(eps=float(np.sqrt(5.0 * v / 63.5)), **base)
@@ -261,8 +261,7 @@ class TestRunSmlmc:
     def test_r1_property(self, exp, smoother, seed, eps):
         # one stratum is plain MLMC: same draws, same statistics, same
         # sizing, so the same estimate, sample counts, bandwidths and cost
-        cfg = RunConfig(eps=eps, seed=seed, smoother=smoother, l_star=2,
-                        warmup=16, batch_size=4096)
+        cfg = RunConfig(eps=eps, seed=seed, smoother=smoother, l_star=2, warmup=16)
         args = (exp.model_spec(), exp.distribution())
         rest = (exp.node_grid(), exp.hierarchy(), cfg)
         plain = run_mlmc(*args, *rest)
@@ -278,7 +277,7 @@ class TestRunSmlmc:
     def test_names_match_run_tags(self, r):
         # every run is named as its output files are, a one-stratum sMLMC
         # run included
-        base = dict(eps=0.2, l_star=1, warmup=16, batch_size=4096, seed=3)
+        base = dict(eps=0.2, l_star=1, warmup=16, seed=3)
         strat = build_equal_width_strata(DIST, r)
         for method, spec in METHODS.items():
             if method == "mc":
@@ -343,6 +342,65 @@ class TestRunSmlmc:
         assert all(lv["delta"] is None for lv in plain.report()["levels"])
 
 
+class TestOneSolvePerPass:
+    """The engine solves each warmup or sizing pass of a level, all strata
+    together, with one qoi_batch call per mesh; MC solves its fresh draws in
+    one call."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = []
+        qoi_batch = ModelSpec.qoi_batch
+
+        def counted(self, w, cells, *args, **kwargs):
+            calls.append((cells, int(np.size(w))))
+            return qoi_batch(self, w, cells, *args, **kwargs)
+
+        monkeypatch.setattr(ModelSpec, "qoi_batch", counted)
+        return calls
+
+    @staticmethod
+    def _expected_calls(res, warmup):
+        """(cells, samples) of every call, in the engine's pass order: open
+        level l with its warmup, size it, then resize levels 0..l-1; a pass
+        that adds samples solves them at the fine and, above level 0, the
+        coarse mesh."""
+        sizes = [iter([warmup] + lv.history) for lv in res.levels]
+        totals = [0] * len(res.levels)
+        calls = []
+        for top in range(len(res.levels)):
+            for level in [top, top, *range(top)]:
+                added = next(sizes[level]) - totals[level]
+                totals[level] += added
+                if added:
+                    calls += [(HIER.cells(l), added) for l in range(level, max(level - 2, -1), -1)]
+        return calls
+
+    @pytest.mark.parametrize("r", [1, 8])
+    def test_one_call_per_mesh_per_pass(self, monkeypatch, r):
+        calls = self._count_calls(monkeypatch)
+        cfg = RunConfig(eps=0.03, seed=5, **FAST)
+        res = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, r), GRID, HIER, cfg)
+        assert res.l_max >= 2
+        warmup = int(proportional_allocation(cfg.warmup, res.strat,
+                                             cfg.min_stratum_samples).sum())
+        assert calls == self._expected_calls(res, warmup)
+
+    # at eps 0.1 the finest level keeps more samples than MC needs
+    @pytest.mark.parametrize("settings, fresh", [
+        (dict(eps=0.02, seed=17, **FAST), True),
+        (dict(eps=0.1, seed=3, l_star=1, warmup=200), False),
+    ])
+    def test_mc_solves_fresh_draws_in_one_call(self, monkeypatch, settings, fresh):
+        cfg = RunConfig(**settings)
+        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        calls = self._count_calls(monkeypatch)
+        mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
+        extra = mc_res.n_samples - mc_res.n_reused
+        assert (extra > 0) == fresh
+        assert calls == ([(HIER.cells(mc_res.level), extra)] if fresh else [])
+
+
 class TestRunMc:
     def test_sample_count_and_cost(self):
         cfg = RunConfig(eps=0.02, seed=17, **FAST)
@@ -365,7 +423,7 @@ class TestRunMc:
     def test_reuse_capped_at_n_mc(self):
         # a loose tolerance keeps more fine samples than MC needs: the
         # estimate averages exactly the N_MC samples the ledger charges for
-        cfg = RunConfig(eps=0.1, seed=3, l_star=1, warmup=200, batch_size=4096)
+        cfg = RunConfig(eps=0.1, seed=3, l_star=1, warmup=200)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
         kept = np.concatenate(mlmc_res.levels[-1].kept_fine)
@@ -378,7 +436,7 @@ class TestRunMc:
         # a grid above every QoI leaves no indicator variance, so the formula
         # asks for no MC samples; the run still averages one
         grid = NodeGrid(100.0, 120.0, 4)
-        cfg = RunConfig(eps=0.05, seed=3, l_star=1, warmup=16, batch_size=4096)
+        cfg = RunConfig(eps=0.05, seed=3, l_star=1, warmup=16)
         mlmc_res = run_mlmc(MODEL, DIST, grid, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, grid, HIER, cfg, mlmc_res)
         assert mc_res.n_samples == mc_res.n_reused == 1
@@ -409,15 +467,12 @@ class TestRunConfig:
             RunConfig(eps=0.01, work_model="cycles")
 
     @pytest.mark.parametrize("bad", [
-        dict(batch_size=0),
-        dict(batch_size=-4),
         dict(min_stratum_samples=0),
         dict(warmup=1),
         dict(warmup=0),
         dict(warmup=3, min_stratum_samples=4),
     ])
     def test_invalid_sampling_rejected(self, bad):
-        # batch_size 0 used to spin forever in the top-up loop
         with pytest.raises(ValueError):
             RunConfig(eps=0.01, **bad)
 
@@ -434,5 +489,5 @@ class TestRunConfig:
             RunConfig(eps=0.01, **bad)
 
     def test_smallest_valid_sampling(self):
-        cfg = RunConfig(eps=0.01, warmup=2, batch_size=1, min_stratum_samples=2)
-        assert cfg.batch_size == 1
+        cfg = RunConfig(eps=0.01, warmup=2, min_stratum_samples=2)
+        assert cfg.warmup == cfg.min_stratum_samples == 2

@@ -181,8 +181,18 @@ class TestSpectralKernelAgainstMarch:
 BURGERS_SHORT = ModelSpec(name="burgers", final_time=0.02, domain_length=2.0)
 
 
+def _tile_spanning_sizes(cells):
+    """(min_size, max_size) of a drawn batch: from 2 where qoi_batch's tile
+    holds 24 samples or more, else from one beyond a tile, so that the batch
+    spans tiles and a split can cut one."""
+    tile = _TILE_ELEMS // (cells + 1)
+    min_size = 2 if tile >= 24 else tile + 1
+    return min_size, min_size + 24
+
+
 class TestBatchInvariance:
-    """A sample's QoI is bit for bit the same whatever batch it is solved in."""
+    """A sample's QoI is bit for bit the same whatever batch it is solved in,
+    and wherever qoi_batch's tile edges fall in it."""
 
     @staticmethod
     def _check(model, w, cells, split, order):
@@ -196,25 +206,27 @@ class TestBatchInvariance:
         assert np.array_equal(whole, parts)
         assert np.array_equal(whole[order], permuted)
 
+    # at 4096 cells a tile holds _TILE_ELEMS // (cells + 1) = 15 samples, so
+    # batches of 16 to 40 span tiles; the spectral kernel has no time loop,
+    # so the full horizon costs no more than a short one
     @settings(max_examples=25, deadline=None)
-    @given(data=st.data(), cells=st.sampled_from([2, 16, 17, 64, 100, 256]))
+    @given(data=st.data(), cells=st.sampled_from([2, 16, 17, 64, 100, 256, 4096]))
     def test_diffusion(self, data, cells):
-        w = data.draw(st.lists(st.floats(1.0, 4.0), min_size=2, max_size=24))
+        min_size, max_size = _tile_spanning_sizes(cells)
+        w = data.draw(st.lists(st.floats(1.0, 4.0), min_size=min_size, max_size=max_size))
         split = data.draw(st.integers(1, len(w) - 1))
         order = np.array(data.draw(st.permutations(range(len(w)))))
         self._check(DIFFUSION, w, cells, split, order)
 
-    # at 4096 cells a tile holds _TILE_ELEMS // (cells + 1) = 15 samples, so
-    # batches of 16 to 40 span tiles and a split can cut one; a short horizon
-    # keeps it to 46 steps
+    # at 4096 cells batches of 16 to 40 span tiles, and a short horizon keeps
+    # the march to 46 steps
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), case=st.sampled_from(
         [(BURGERS, c) for c in (2, 16, 17, 64, 100, 256)] + [(BURGERS_SHORT, 4096)]))
     def test_burgers(self, data, case):
         model, cells = case
-        tile = _TILE_ELEMS // (cells + 1)
-        min_size = 2 if tile >= 24 else tile + 1
-        w = data.draw(st.lists(st.floats(0.0, 2.0), min_size=min_size, max_size=min_size + 24))
+        min_size, max_size = _tile_spanning_sizes(cells)
+        w = data.draw(st.lists(st.floats(0.0, 2.0), min_size=min_size, max_size=max_size))
         split = data.draw(st.integers(1, len(w) - 1))
         order = np.array(data.draw(st.permutations(range(len(w)))))
         self._check(model, w, cells, split, order)
@@ -266,7 +278,7 @@ def godunov_march(u1, cells, final_time=0.5, length=2.0, inflow=2.0, outflow=0.0
     """Stepwise Godunov march of the Burgers testbed on the whole batch at
     once: ghost cells by concatenation, godunov_flux at every interface and
     the conservative update over every cell, over the given time steps (by
-    default loop_time_steps).  The oracle of the tiled in-place upwind kernel;
+    default loop_time_steps).  The oracle of the in-place upwind kernel;
     returns cell averages (cells, B)."""
     u1 = np.asarray(u1, dtype=float)
     dx = length / cells
@@ -291,8 +303,9 @@ MAX_PROPERTY_STEPS = 400
 @st.composite
 def burgers_cases(draw):
     """(heights, cells, final_time, cfl) on the preset's boundary states, with
-    batches of 1, of a tile and one either side of it, and of two tiles and 3;
-    heights include 0.0 and the speed bound 2.0 exactly."""
+    batches of 1, of the tile qoi_batch would hand the kernel and one either
+    side of it, and of two tiles and 3; heights include 0.0 and the speed
+    bound 2.0 exactly."""
     cells = draw(st.integers(2, 600))
     tile = _TILE_ELEMS // (cells + 1)
     batch = draw(st.sampled_from([1, tile - 1, tile, tile + 1, 2 * tile + 3]))
@@ -309,10 +322,13 @@ def burgers_cases(draw):
 
 
 class TestTiledKernelAgainstMarch:
-    """solve_burgers_batch is bit for bit the stepwise Godunov march, whatever
-    its tiling, on every input it accepts."""
+    """solve_burgers_batch is bit for bit the stepwise Godunov march on every
+    input it accepts.  The kernel marches whatever batch it is given as one;
+    the batch sizes are drawn around the column tile ModelSpec.qoi_batch
+    hands it."""
 
-    # a tile holds _TILE_ELEMS // (cells + 1) samples: 21845 at 2 cells, 31 at 2048
+    # qoi_batch's tile holds _TILE_ELEMS // (cells + 1) samples: 21845 at 2
+    # cells, 31 at 2048
     @pytest.mark.parametrize("cells, final_time", [(2, 0.5), (17, 0.5), (128, 0.5), (2048, 0.05)])
     def test_bit_identical_across_tile_boundaries(self, cells, final_time):
         tile = _TILE_ELEMS // (cells + 1)
@@ -418,20 +434,29 @@ class TestBurgersTimeSteps:
             burgers_time_steps(64, final_time=0.0)
 
 
-class TestBurgersMemory:
-    def test_solver_memory_does_not_grow_with_batch(self):
-        # numpy reports its buffers to tracemalloc; beyond its output the
-        # solver holds one tile's buffers (1.5 MB at 1024 cells), whatever B
+class TestQoiBatchMemory:
+    """qoi_batch holds one column tile's solver arrays beyond its B QoIs,
+    whatever B: the solver half of the bounded-memory property, at the
+    presets' finest meshes."""
+
+    @pytest.mark.parametrize("model, cells", [
+        (DIFFUSION, 2048),
+        (ModelSpec(name="burgers", final_time=0.01, domain_length=2.0), 4096),
+    ], ids=["diffusion", "burgers"])
+    def test_memory_does_not_grow_with_batch(self, model, cells):
+        # numpy reports its buffers to tracemalloc; a tile's arrays take
+        # about 2 MB at either mesh
         extra = []
         for B in (512, 4096):
-            w = np.linspace(0.0, 2.0, B)
+            w = np.linspace(1.0 if model.name == "diffusion" else 0.0, 2.0, B)
             tracemalloc.start()
             try:
-                u = solve_burgers_batch(w, 1024, final_time=0.01)
+                q = model.qoi_batch(w, cells)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            extra.append(peak - u.nbytes)
+            assert q.shape == (B,)
+            extra.append(peak - q.nbytes)
         assert max(extra) < 3 * 2**20
         assert extra[1] - extra[0] < 2**17
 

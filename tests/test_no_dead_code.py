@@ -1,11 +1,16 @@
 """Dead-code guard: every top-level function and class of src/smlmc, and every
-public method, is used by the package itself, not only by the tests.
+public method, is used by the package itself, not only by the tests; and
+every dataclass field is read.
 
 A definition counts as used when some module other than __init__.py refers
 to its name as a Name or an Attribute node; a mention in a docstring or a
 comment does not count.  Test oracles are the exception: code the engine does
 not run, kept so that the tests can check the code it does run.  Each one
 says so in its docstring.
+
+A dataclass field counts as read when it is read as an attribute outside its
+class's __post_init__ (where it is only checked), or named by a string in
+one of the tables that look fields up by name (TABLES).
 """
 
 import ast
@@ -95,3 +100,57 @@ def test_guard_sees_names_not_docstrings():
     used = _references({"m.py": tree})
     assert "g" not in used
     assert [q for q, b, _ in _definitions({"m.py": tree}) if b not in used] == ["f", "g"]
+
+
+# module-level tables whose strings name the fields that getattr reads
+TABLES = ("KEYS", "METHODS")
+
+
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _unread_fields(modules):
+    """Class.field of every dataclass field that nothing reads."""
+    fields, skipped = [], set()
+    for tree in modules.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields.append((node.name, item.target.id))
+                    if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                        skipped |= {(node.name, id(n)) for n in ast.walk(item)}
+    reads, named = [], set()
+    for fname, tree in modules.items():
+        if fname == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((node.attr, id(node)))
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and getattr(node.targets[0], "id", None) in TABLES):
+                named |= {c.value for c in ast.walk(node.value)
+                          if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return [f"{cls}.{name}" for cls, name in fields
+            if name not in named
+            and not any(attr == name and (cls, key) not in skipped for attr, key in reads)]
+
+
+def test_every_dataclass_field_is_read():
+    unread = _unread_fields(_modules())
+    assert not unread, f"dataclass fields that src/smlmc never reads: {unread}"
+
+
+def test_field_guard_ignores_post_init_checks():
+    # a field that only its own __post_init__ checks is unread, as
+    # RunConfig.strata once was; one read elsewhere or named in a table is not
+    tree = ast.parse(
+        "@dataclass\nclass C:\n    checked: int\n    used: int\n    keyed: int\n\n"
+        "    def __post_init__(self):\n        if self.checked < 0 or self.used < 0:\n"
+        "            raise ValueError\n\n"
+        "    def f(self):\n        return self.used\n\n\n"
+        "KEYS = (('s', 'k', 'keyed', int),)\n")
+    assert _unread_fields({"m.py": tree}) == ["C.checked"]
