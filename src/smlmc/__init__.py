@@ -3,7 +3,7 @@ stratified multilevel Monte Carlo with optional indicator smoothing."""
 
 from .cdf import CdfEstimate, NodeGrid, indicator, reference_cdf, sup_distance
 from .config import ExperimentConfig, load_config, preset
-from .cost import CostLedger, aggregate, comparison_table
+from .cost import aggregate, comparison_table
 from .estimators import (
     McResult,
     MultilevelResult,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cdf as cdf_mod
 from .config import KEYS, METHODS, ExperimentConfig, load_config, preset, run_tag
-from .cost import aggregate, comparison_table, plot_data, plot_data_to_csv, table_to_csv
+from .cost import aggregate, comparison_table, table_to_csv
 from .estimators import run_mc, run_mlmc, run_smlmc
 from .smoothing import build_giles_polynomial
 
@@ -43,7 +43,7 @@ def cmd_run(args) -> int:
     failures = []
     costs: dict = {}
     for eps in exp.eps_values:
-        ledgers: dict = {}
+        totals: dict = {}
         for k in range(exp.n_real):
             mlmc_result = None
             for method, r in plan:
@@ -65,7 +65,7 @@ def cmd_run(args) -> int:
                     failures.append(f"eps={eps} run={k} {tag}: {exc}")
                     print(f"FAILED eps={eps} run={k} {tag}: {exc}", file=sys.stderr)
                     continue
-                ledgers.setdefault(tag, []).append(res.ledger)
+                totals.setdefault(tag, []).append(res.total_cost)
                 report = res.report()
                 report["run"] = k
                 rpath = out / "reports" / f"eps{eps:g}_run{k}_{tag}.json"
@@ -74,7 +74,7 @@ def cmd_run(args) -> int:
                     fh.write("\n")
                 cdf_mod.cdf_to_csv(res.estimate, out / "reports" /
                                    f"eps{eps:g}_run{k}_{tag}_cdf.csv")
-        costs[eps] = {tag: aggregate(lgs) for tag, lgs in ledgers.items()}
+        costs[eps] = {tag: aggregate(ts) for tag, ts in totals.items()}
         print(f"eps={eps}: " + "  ".join(
             f"{m}={c:.4g}" for m, c in sorted(costs[eps].items())
         ))
@@ -86,8 +86,6 @@ def cmd_run(args) -> int:
                    "table": table, "failures": failures},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if args.plot_data:
-        plot_data_to_csv(plot_data(costs), out / "plot_data.csv")
     if failures:
         print(f"{len(failures)} run(s) failed", file=sys.stderr)
         return 1
@@ -104,36 +102,31 @@ def _reference_cache_key(exp: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def compute_reference(exp: ExperimentConfig, out: Path, verbose: bool = True,
-                      convergence_report: bool = True):
-    """Reference CDF for a configuration, cached on disk by parameter digest."""
+def compute_reference(exp: ExperimentConfig, out: Path):
+    """Reference CDF for a configuration, cached on disk by parameter digest,
+    with the self-convergence check against a half-density input grid."""
     out.mkdir(parents=True, exist_ok=True)
     key = _reference_cache_key(exp)
     path = out / f"reference_{exp.model}_{key}.json"
     if path.exists():
-        if verbose:
-            print(f"reference cache hit: {path}")
+        print(f"reference cache hit: {path}")
         return cdf_mod.load_cdf_json(path), path
     ref = cdf_mod.reference_cdf(
         exp.model_spec(), exp.distribution(), exp.node_grid(), exp.hierarchy(),
         mesh_refine=exp.ref_mesh_refine, quad_cells=exp.ref_quad_cells,
         quad_points=exp.ref_quad_points, time_coarsen=exp.ref_time_coarsen,
     )
-    if convergence_report:
-        # self-convergence: delta against a half-density input grid
-        half = cdf_mod.reference_cdf(
-            exp.model_spec(), exp.distribution(), exp.node_grid(), exp.hierarchy(),
-            mesh_refine=exp.ref_mesh_refine,
-            quad_cells=max(exp.ref_quad_cells // 2, 1),
-            quad_points=exp.ref_quad_points, time_coarsen=exp.ref_time_coarsen,
-        )
-        delta = float(np.abs(ref.raw - half.raw).max())
-        ref.metadata["halving_delta"] = delta
-        if verbose:
-            print(f"input-grid halving delta: {delta:.3e}")
+    half = cdf_mod.reference_cdf(
+        exp.model_spec(), exp.distribution(), exp.node_grid(), exp.hierarchy(),
+        mesh_refine=exp.ref_mesh_refine,
+        quad_cells=max(exp.ref_quad_cells // 2, 1),
+        quad_points=exp.ref_quad_points, time_coarsen=exp.ref_time_coarsen,
+    )
+    delta = float(np.abs(ref.raw - half.raw).max())
+    ref.metadata["halving_delta"] = delta
+    print(f"input-grid halving delta: {delta:.3e}")
     cdf_mod.cdf_to_json(ref, path)
-    if verbose:
-        print(f"reference written: {path}")
+    print(f"reference written: {path}")
     return ref, path
 
 
@@ -207,7 +200,6 @@ def main(argv=None) -> int:
     p_run = subs.add_parser("run", help="execute the benchmark protocol")
     _add_common(p_run)
     p_run.add_argument("--dry-run", action="store_true")
-    p_run.add_argument("--plot-data", action="store_true")
     p_ref = subs.add_parser("reference", help="compute and cache the reference CDF")
     _add_common(p_ref)
     p_ins = subs.add_parser("inspect", help="dump internals for debugging")

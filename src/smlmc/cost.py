@@ -1,38 +1,14 @@
-"""Cost bookkeeping: per-level, per-stratum sample counts and work, totals per
-run, aggregation over independent realizations, and comparison tables."""
+"""Cost aggregation over independent realizations, and comparison tables.
 
-from dataclasses import dataclass, field
-
-
-@dataclass
-class CostLedger:
-    """Work ledger of a single estimator run.
-
-    Each entry records (level, stratum, sample count, average per-sample
-    work); the run total is exactly the sum of count * avg_work over entries.
-    """
-
-    method: str
-    entries: list = field(default_factory=list)
-
-    def add(self, level: int, stratum: int, count: int, avg_work: float):
-        if count < 0:
-            raise ValueError("sample count must be nonnegative")
-        if avg_work < 0:
-            raise ValueError("work must be nonnegative")
-        self.entries.append(
-            {"level": level, "stratum": stratum, "count": count, "avg_work": avg_work}
-        )
-
-    def total(self) -> float:
-        return float(sum(e["count"] * e["avg_work"] for e in self.entries))
+Each estimator result carries its own total_cost, the sum over levels and
+strata of sample count times average per-sample work."""
 
 
-def aggregate(ledgers: list) -> float:
+def aggregate(totals: list) -> float:
     """Mean total cost over independent realizations of one method."""
-    if not ledgers:
-        raise ValueError("aggregate needs at least one ledger")
-    return float(sum(lg.total() for lg in ledgers) / len(ledgers))
+    if not totals:
+        raise ValueError("aggregate needs at least one total")
+    return float(sum(totals) / len(totals))
 
 
 def comparison_table(costs: dict) -> dict:
@@ -83,20 +59,3 @@ def table_to_csv(table: dict, path):
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def plot_data(costs: dict) -> dict:
-    """(eps, cost) series per method, for external log-scale cost plots."""
-    series: dict = {}
-    for eps in sorted(costs, reverse=True):
-        for method, cost in costs[eps].items():
-            series.setdefault(method, []).append([eps, cost])
-    return series
-
-
-def plot_data_to_csv(series: dict, path):
-    lines = ["method,eps,cost"]
-    for method in sorted(series):
-        for eps, cost in series[method]:
-            lines.append(f"{method},{eps:.12g},{cost:.12g}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -17,11 +17,15 @@ statistic).  The default safety of 2.5 absorbs that inflation; setting it to
 1.0 recovers the textbook counts.
 
 Each solved batch enters the per-node running sums without a dense
-(batch, nodes) matrix, yet with the same bits as one: indicator sums are
-integer counts from one sort of the batch (cdf.indicator_counts), and
-smoothed terms are evaluated only where the kernel is not saturated, in a
-band of nodes around each sample (_band).  cdf.indicator and the kernels'
-values stay as the dense test oracles of these sums.
+(batch, nodes) matrix.  Indicator sums are integer counts from one sort of
+the batch (cdf.indicator_counts).  Smoothed terms are evaluated only where
+the kernel is not saturated, in a band of nodes around each sample (_band);
+at level 0 the saturated terms enter as counts times the two saturation
+values.  Indicator sums and smoothed sums at levels >= 1 have the bits of
+the dense column sums; level-0 smoothed sums are held to the dense sums'
+rounding bound, N 2^-52 sum_j |g_jn| per node over a batch of N.
+cdf.indicator and the kernels' values stay as the dense test oracles of
+these sums.
 """
 
 import time
@@ -31,7 +35,6 @@ from typing import Optional
 import numpy as np
 
 from .cdf import CdfEstimate, NodeGrid, indicator_counts
-from .cost import CostLedger
 from .inputs import (
     Stratification,
     TruncatedLognormal,
@@ -270,7 +273,7 @@ def stopping_check(level: int, mean_indicator_diff, eps: float, l_star: int) -> 
 class MultilevelResult:
     estimate: CdfEstimate
     levels: list
-    ledger: CostLedger
+    total_cost: float
     config: RunConfig
     method: str
     strat: Stratification
@@ -290,7 +293,7 @@ class MultilevelResult:
             "l_max": self.l_max,
             "sampling_safety": self.config.sampling_safety,
             "work_model": self.config.work_model,
-            "total_cost": self.ledger.total(),
+            "total_cost": self.total_cost,
             "warnings": list(self.warnings),
             "levels": [
                 lv.report(self.strat.probs, self.config.work_model) for lv in self.levels
@@ -301,7 +304,7 @@ class MultilevelResult:
 @dataclass
 class McResult:
     estimate: CdfEstimate
-    ledger: CostLedger
+    total_cost: float
     n_samples: int
     n_reused: int
     level: int
@@ -312,7 +315,7 @@ class McResult:
             "level": self.level,
             "n_samples": self.n_samples,
             "n_reused": self.n_reused,
-            "total_cost": self.ledger.total(),
+            "total_cost": self.total_cost,
         }
 
 
@@ -392,25 +395,24 @@ class _Engine:
                 self._accumulate(lv, i, fine[part], None if coarse is None else coarse[part])
 
     def _accumulate(self, lv: LevelState, stratum: int, fine, coarse):
-        """Record one batch of solved pairs in the level's statistics.
+        """Record one batch of solved pairs in the level's statistics,
+        without the dense (batch, nodes) matrices of cdf.indicator and the
+        kernel's values:
 
-        The level's sums come out bit for bit as adding the column sums of
-        the dense (batch, nodes) matrices of cdf.indicator and the kernel's
-        values would leave them, without building those matrices:
-
-        - indicator sums are integer counts.  A difference I_f - I_c squares
-          to 1 exactly where one of Q_f, Q_c lies at or below the node, so
-          its squares sum to #{min <= q} - #{max <= q};
-        - a smoothed difference g_f - g_c is exactly 0 at nodes outside
-          [min(Q_f, Q_c) - w, max(Q_f, Q_c) + w] (_difference_sums);
-        - at level 0, g_f takes one of two saturation values outside
-          [Q_f - w, Q_f + w] (_level0_sums).
+        - indicator sums are integer counts, bit for bit the dense column
+          sums.  A difference I_f - I_c squares to 1 exactly where one of
+          Q_f, Q_c lies at or below the node, so its squares sum to
+          #{min <= q} - #{max <= q};
+        - smoothed sums come from the kernel's band (_smoothed_sums): bit for
+          bit the dense column sums at levels >= 1, and within the dense
+          sums' own rounding bound at level 0.
         """
         if self.keep_fine:
             lv.kept_fine.append(fine)
         nodes = self.nodes
         c_fine = indicator_counts(fine, nodes)
         if coarse is None:
+            lo = hi = fine
             total = total_sq = c_fine
         else:
             lo, hi = np.minimum(fine, coarse), np.maximum(fine, coarse)
@@ -420,11 +422,8 @@ class _Engine:
         lv.sumsq_idiff[stratum] += total_sq
         lv.sum_ifine[stratum] += c_fine
         if self.smoother is not None:  # else the level terms are I_f - I_c
-            if coarse is None:
-                total, total_sq = _level0_sums(self.smoother, fine, nodes, lv.delta)
-            else:
-                total, total_sq = _difference_sums(self.smoother, fine, coarse,
-                                                   lo, hi, nodes, lv.delta)
+            total, total_sq = _smoothed_sums(self.smoother, fine, coarse,
+                                             lo, hi, nodes, lv.delta)
         lv.sum_g[stratum] += total
         lv.sumsq_g[stratum] += total_sq
         lv.n[stratum] += fine.shape[0]
@@ -492,14 +491,12 @@ class _Engine:
                 "l_max": len(self.levels) - 1,
             },
         )
-        ledger = CostLedger(method=method)
-        for lv in self.levels:
-            avg = lv.avg_work(self.cfg.work_model)
-            for i in range(self.strat.r):
-                ledger.add(level=lv.level, stratum=i, count=int(lv.n[i]),
-                           avg_work=float(avg[i]))
+        # level by level, then stratum by stratum: the order fixes the bits
+        # of the reported total
+        total_cost = float(sum(int(n) * float(w) for lv in self.levels
+                               for n, w in zip(lv.n, lv.avg_work(self.cfg.work_model))))
         return MultilevelResult(
-            estimate=estimate, levels=self.levels, ledger=ledger,
+            estimate=estimate, levels=self.levels, total_cost=total_cost,
             config=self.cfg, method=method, strat=self.strat,
             warnings=self.warnings,
         )
@@ -513,14 +510,12 @@ _RECORD_ROWS = 32768
 # one ulp outside the rounded edge can still have (Q - q) / delta exactly
 # on the kernel's clip point
 _BAND_SLACK = 2.0 ** -40
-# rows of one dense level-0 tile
-_TILE_ROWS = 2048
 
 
 def _band(smoother, lo, hi, nodes, delta: float):
     """The (sample, node) pairs with the node in [lo_j - w, hi_j + w],
     w = smoother.half_width * delta, as sample-major (rows, cols), and the
-    end of each sample's node range.
+    start and end of each sample's node range.
 
     Outside that range the kernel is saturated at both of a sample's QoIs,
     on the same side.  The edges are widened by _BAND_SLACK of the
@@ -537,53 +532,40 @@ def _band(smoother, lo, hi, nodes, delta: float):
     counts = stop - start
     rows = np.repeat(np.arange(lo.size), counts)
     cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-    return rows, cols, stop
+    return rows, cols, start, stop
 
 
-def _difference_sums(smoother, fine, coarse, lo, hi, nodes, delta: float):
-    """Per-node sums of g_f - g_c and of its square over the batch, with
-    lo, hi the pairwise minimum and maximum of fine and coarse.
+def _smoothed_sums(smoother, fine, coarse, lo, hi, nodes, delta: float):
+    """Per-node sums of g_f - g_c (g_f alone at level 0, coarse None) and of
+    its square over the batch, with lo, hi the pairwise minimum and maximum
+    of fine and coarse.
 
-    g_f - g_c is exactly 0 outside the band, where both terms saturate alike,
-    and adding 0 to a sum changes nothing but the sign of a zero (which the
-    += into the level's running sums undoes).  The band pairs are evaluated
-    with the kernel's own expression and summed by bincount in sample
-    order, the order of the dense axis-0 reduction.
+    The band pairs are evaluated with the kernel's own expression and summed
+    by bincount in sample order, the order of the dense axis-0 reduction.
+    Outside the band g_f - g_c is exactly 0, and adding 0 to a sum changes
+    nothing but the sign of a zero (which the += into the level's running
+    sums undoes), so at levels >= 1 the sums are the dense ones bit for bit.
+    At level 0, g_f takes its saturation value below a sample's band
+    (start_j > n) and above it (stop_j <= n); these enter as the value times
+    a count of samples, so a node's sum differs from the dense one by
+    rounding alone: by at most N 2^-52 sum_j |g_jn| over a batch of N, the
+    first-order rounding bounds of the two sums added.
     """
-    rows, cols, _ = _band(smoother, lo, hi, nodes, delta)
+    rows, cols, start, stop = _band(smoother, lo, hi, nodes, delta)
     q = nodes[cols]
     d = smoother.paired(fine[rows], q, delta)
-    d -= smoother.paired(coarse[rows], q, delta)
-    return (np.bincount(cols, weights=d, minlength=nodes.size),
-            np.bincount(cols, weights=d * d, minlength=nodes.size))
-
-
-def _level0_sums(smoother, fine, nodes, delta: float):
-    """Per-node sums of g_f and of its square over the batch.
-
-    g_f saturates at a constant on each side of the band, and a sum of those
-    constants is not exact in any order but the dense one.  So the dense
-    matrix is built _TILE_ROWS rows at a time from the two saturation values
-    (one comparison against each row's band end), the band values are
-    scattered into it, and each tile is reduced as the dense matrix was,
-    with the running sum added into its first row: ((acc + r_0) + r_1) + ...
-    """
-    rows, cols, stop = _band(smoother, fine, fine, nodes, delta)
-    vals = smoother.paired(fine[rows], nodes[cols], delta)
-    below, above = smoother.saturation
-    node_index = np.arange(nodes.size)
-    starts = range(0, fine.size, _TILE_ROWS)
-    cuts = np.searchsorted(rows, [*starts, fine.size])
-    total = total_sq = None
-    for k, t0 in enumerate(starts):
-        g = np.where(node_index >= stop[t0:t0 + _TILE_ROWS, None], above, below)
-        band = slice(cuts[k], cuts[k + 1])
-        g[rows[band] - t0, cols[band]] = vals[band]
-        sq = g * g
-        if total is not None:
-            g[0] += total
-            sq[0] += total_sq
-        total, total_sq = g.sum(axis=0), sq.sum(axis=0)
+    if coarse is not None:
+        d -= smoother.paired(coarse[rows], q, delta)
+    # not in place: over an empty band bincount returns integers
+    total = np.bincount(cols, weights=d, minlength=nodes.size)
+    total_sq = np.bincount(cols, weights=d * d, minlength=nodes.size)
+    if coarse is None:
+        below, above = smoother.saturation
+        n = nodes.size
+        n_below = fine.size - np.cumsum(np.bincount(start, minlength=n + 1))[:n]
+        n_above = np.cumsum(np.bincount(stop, minlength=n + 1))[:n]
+        total = total + below * n_below + above * n_above
+        total_sq = total_sq + below * below * n_below + above * above * n_above
     return total, total_sq
 
 
@@ -647,12 +629,10 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
         pair = float(top.avg_work("wallclock").mean())
         fine_work = max(pair * det_fine / top.pair_work, 1e-9)
     raw = indicator_counts(qoi, grid.nodes) / qoi.size
-    ledger = CostLedger(method="mc")
-    ledger.add(level=l_max, stratum=0, count=n_mc, avg_work=float(fine_work))
     estimate = CdfEstimate(
         grid=grid,
         raw=raw,
         metadata={"kind": "mc", "eps": config.eps, "seed": config.seed, "level": l_max},
     )
-    return McResult(estimate=estimate, ledger=ledger, n_samples=n_mc,
-                    n_reused=n_reused, level=l_max)
+    return McResult(estimate=estimate, total_cost=float(n_mc * float(fine_work)),
+                    n_samples=n_mc, n_reused=n_reused, level=l_max)

@@ -10,9 +10,12 @@ Both kernels saturate: further than half_width * delta from Q (delta for the
 polynomial, 8 delta for the KDE kernel, whose argument is clipped at +-8) a
 node's value is exactly one of two constants, the kernel's saturation pair
 (0 and 1 for the polynomial, Phi(-8) and Phi(8) for the KDE kernel).  So a
-level difference g(Q_f) - g(Q_c) is exactly 0 away from both QoIs, and the
-estimators evaluate each kernel's paired form only in that band; the dense
-values matrix is paired over the whole grid and is their test oracle.
+level difference g(Q_f) - g(Q_c) is exactly 0 away from both QoIs, and a
+level-0 term g(Q_f) there is a saturation value.  The estimators evaluate
+each kernel's paired form only in that band and count the saturated level-0
+terms: their sums at levels >= 1 are the dense sums bit for bit, those at
+level 0 agree with them to rounding.  The dense values matrix is paired over
+the whole grid and is their test oracle.
 
 Calibration measures each kernel's bias against a Gaussian-pilot-smoothed
 empirical CDF (bandwidth h).  For the KDE kernel the convolution is a normal

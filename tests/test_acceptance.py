@@ -138,7 +138,7 @@ def burgers_eps005():
 
 
 def _mean_cost(results):
-    return float(np.mean([r.ledger.total() for r in results]))
+    return float(np.mean([r.total_cost for r in results]))
 
 
 def test_criterion_1_accuracy_vs_oracle(diffusion, diffusion_eps01):

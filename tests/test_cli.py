@@ -45,10 +45,9 @@ class TestRun:
     def test_end_to_end_artifacts(self, tmp_path):
         cfg = _write_config(tmp_path)
         out = tmp_path / "results"
-        rc = main(["run", "--config", cfg, "--out", str(out), "--plot-data"])
+        rc = main(["run", "--config", cfg, "--out", str(out)])
         assert rc == 0
         assert (out / "costs.csv").exists()
-        assert (out / "plot_data.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failures"] == []
         reports = sorted((out / "reports").glob("*.json"))

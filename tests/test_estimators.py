@@ -141,7 +141,7 @@ class TestRunMlmc:
         cfg = RunConfig(eps=0.02, seed=5, **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         total = sum(lv.n_total * lv.pair_work for lv in res.levels)
-        assert res.ledger.total() == pytest.approx(total)
+        assert res.total_cost == pytest.approx(total)
 
     def test_smoothed_run_tracks_indicator_stats(self):
         cfg = RunConfig(eps=0.02, seed=2, smoother="kde", **FAST)
@@ -176,7 +176,7 @@ class TestRunMlmc:
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         for lv in res.levels:
             assert np.all(lv.avg_work("wallclock") > 0)
-        assert res.ledger.total() > 0
+        assert res.total_cost > 0
 
 
 def _empirical_cdf(samples):
@@ -271,7 +271,7 @@ class TestRunSmlmc:
             lv.n.tolist() for lv in strat.levels
         ]
         assert [lv.delta for lv in plain.levels] == [lv.delta for lv in strat.levels]
-        assert plain.ledger.total() == strat.ledger.total()
+        assert plain.total_cost == strat.total_cost
 
     @pytest.mark.parametrize("r", [1, 8])
     def test_names_match_run_tags(self, r):
@@ -289,7 +289,7 @@ class TestRunSmlmc:
                 res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
             tag = run_tag(method, r)
             assert res.method == res.report()["method"] == tag
-            assert res.estimate.metadata["kind"] == res.ledger.method == tag
+            assert res.estimate.metadata["kind"] == res.report()["method"] == tag
 
     def test_stratified_run_basics(self):
         strat = build_equal_width_strata(DIST, 4)
@@ -412,7 +412,7 @@ class TestRunMc:
         )
         assert mc_res.n_samples == expected_n
         fine_work = MODEL.work_units(HIER.cells(mc_res.level))
-        assert mc_res.ledger.total() == pytest.approx(expected_n * fine_work)
+        assert mc_res.total_cost == pytest.approx(expected_n * fine_work)
 
     def test_reuses_finest_level_samples(self):
         cfg = RunConfig(eps=0.02, seed=17, **FAST)
@@ -422,7 +422,7 @@ class TestRunMc:
 
     def test_reuse_capped_at_n_mc(self):
         # a loose tolerance keeps more fine samples than MC needs: the
-        # estimate averages exactly the N_MC samples the ledger charges for
+        # estimate averages exactly the N_MC samples its cost charges for
         cfg = RunConfig(eps=0.1, seed=3, l_star=1, warmup=200)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)

@@ -1,12 +1,16 @@
 """Dead-code guard: every top-level function and class of src/smlmc, and every
-public method, is used by the package itself, not only by the tests; and
-every dataclass field is read.
+public method, is used by the package itself, not only by the tests; every
+module-level constant and every dataclass field is read.
 
 A definition counts as used when some module other than __init__.py refers
 to its name as a Name or an Attribute node; a mention in a docstring or a
 comment does not count.  Test oracles are the exception: code the engine does
 not run, kept so that the tests can check the code it does run.  Each one
 says so in its docstring.
+
+A module-level constant (a name a module-level assignment binds) counts as
+read when some module other than __init__.py loads it as a Name or an
+Attribute; its own assignment does not count.
 
 A dataclass field counts as read when it is read as an attribute outside its
 class's __post_init__ (where it is only checked), or named by a string in
@@ -100,6 +104,40 @@ def test_guard_sees_names_not_docstrings():
     used = _references({"m.py": tree})
     assert "g" not in used
     assert [q for q, b, _ in _definitions({"m.py": tree}) if b not in used] == ["f", "g"]
+
+
+def _unread_constants(modules):
+    """module:name of every module-level constant that no module reads."""
+    bound, reads = [], set()
+    for fname, tree in modules.items():
+        if fname == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound += [(fname, n.id) for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return [f"{fname}:{name}" for fname, name in bound if name not in reads]
+
+
+def test_every_module_constant_is_read():
+    unread = _unread_constants(_modules())
+    assert not unread, f"module-level names that src/smlmc never reads: {unread}"
+
+
+def test_constant_guard_ignores_assignments_and_init():
+    # binding a name is not reading it, and neither is a read in __init__.py
+    # or a mention in a string; a read through an attribute counts
+    tree = ast.parse("A = 1\n_B, C = 2, 3\nD: int = 4\nE = 5\n\n\n"
+                     "def f():\n    return A + m.C + len('_B')\n")
+    init = ast.parse("from .m import D\nX = D + E\n")
+    assert _unread_constants({"m.py": tree, "__init__.py": init}) == ["m.py:_B", "m.py:D",
+                                                                        "m.py:E"]
 
 
 # module-level tables whose strings name the fields that getattr reads
