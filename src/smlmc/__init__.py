@@ -8,6 +8,7 @@ from .estimators import (
     McResult,
     MultilevelResult,
     RunConfig,
+    SampleBank,
     mc_sample_count,
     required_samples_mlmc,
     required_samples_smlmc,

@@ -4,10 +4,10 @@ monotone post-processing, error norms, and a quadrature-based reference CDF.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .inputs import TruncatedLognormal
 from .models import MeshHierarchy, ModelSpec
@@ -63,7 +63,12 @@ def indicator_counts(qoi, nodes) -> np.ndarray:
 
 def build_spline(grid: NodeGrid, values):
     """Natural cubic spline through the node values, clamped to the endpoint
-    values outside [a, b].  Every NodeGrid has the four nodes it needs."""
+    values outside [a, b].  Every NodeGrid has the four nodes it needs.
+
+    scipy.interpolate is imported here, on first use: importing it costs
+    about 0.2 s, and no CLI output evaluates a spline."""
+    from scipy.interpolate import CubicSpline
+
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.s_count + 1,):
         raise ValueError("one value per node required")
@@ -116,24 +121,29 @@ class CdfEstimate:
 
     raw holds the estimator output untouched (it can dip below 0 or exceed 1
     and is what error accounting uses); processed is the isotonic-projected,
-    clipped version that downstream consumers should treat as the CDF.
+    clipped version that downstream consumers should treat as the CDF.  The
+    two splines are built on first use.
     """
 
     grid: NodeGrid
     raw: np.ndarray
     metadata: dict = field(default_factory=dict)
     processed: np.ndarray = None
-    spline: object = None       # evaluator over processed values
-    raw_spline: object = None   # evaluator over raw values
 
     def __post_init__(self):
         self.raw = np.asarray(self.raw, dtype=float)
         if self.processed is None:
             self.processed = postprocess_cdf(self.raw)
-        if self.spline is None:
-            self.spline = build_spline(self.grid, self.processed)
-        if self.raw_spline is None:
-            self.raw_spline = build_spline(self.grid, self.raw)
+
+    @cached_property
+    def spline(self):
+        """Evaluator over the processed values."""
+        return build_spline(self.grid, self.processed)
+
+    @cached_property
+    def raw_spline(self):
+        """Evaluator over the raw values."""
+        return build_spline(self.grid, self.raw)
 
     @property
     def clipping_adjustment(self) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from . import cdf as cdf_mod
 from .config import KEYS, METHODS, ExperimentConfig, load_config, preset, run_tag
 from .cost import aggregate, comparison_table, table_to_csv
-from .estimators import run_mc, run_mlmc, run_smlmc
+from .estimators import SampleBank, run_mc, run_mlmc, run_smlmc
 from .smoothing import build_giles_polynomial
 
 
@@ -45,6 +45,9 @@ def cmd_run(args) -> int:
     for eps in exp.eps_values:
         totals: dict = {}
         for k in range(exp.n_real):
+            # the runs of a realization share one seed, so one bank solves
+            # each of their common inputs once
+            bank = SampleBank(model, dist, hierarchy)
             mlmc_result = None
             for method, r in plan:
                 tag = run_tag(method, r)
@@ -56,9 +59,9 @@ def cmd_run(args) -> int:
                         res = run_mc(model, dist, grid, hierarchy, cfg, mlmc_result)
                     elif METHODS[method].stratified:
                         strat = exp.stratification(r)
-                        res = run_smlmc(model, dist, strat, grid, hierarchy, cfg)
+                        res = run_smlmc(model, dist, strat, grid, hierarchy, cfg, bank=bank)
                     else:
-                        res = run_mlmc(model, dist, grid, hierarchy, cfg)
+                        res = run_mlmc(model, dist, grid, hierarchy, cfg, bank=bank)
                         if method == "mlmc":
                             mlmc_result = res
                 except Exception as exc:  # keep the remaining runs alive

@@ -6,8 +6,15 @@ warmup pairs, (re)estimate per-node variances and per-sample work, size every
 level from the variance/work table, top the levels up (samples are never
 discarded), then test the weak-error proxy max_n |mean indicator difference|
 against eps / sqrt(2) to decide whether another level is needed.  Each warmup
-or top-up pass draws every stratum from its own substream and solves the
-pooled draws with one ModelSpec.qoi_batch call per mesh.
+or top-up pass takes its rows from a SampleBank: level l of stratum i is
+drawn from its own substream (seed, l, i), and the rows the bank does not
+hold yet are drawn and solved, all strata together, with one
+ModelSpec.qoi_batch call per mesh.
+
+Runs with the same seed draw the same inputs from the same substream keys,
+so a bank shared by the runs of one realization (as the CLI shares one per
+realization) solves each input once.  Every run still records, and is
+charged for, every row it uses, so its results are those of the run alone.
 
 Sampling budgets carry a configurable safety factor on top of the textbook
 budget split: the split bounds the worst single node's mean squared error,
@@ -319,18 +326,131 @@ class McResult:
         }
 
 
+class SampleBank:
+    """The solved sample pairs of one realization, shared by its runs.
+
+    Every run draws level l of stratum i from the substream (seed, l, i) of
+    its seed, as the inverse CDF of uniforms on the stratum's CDF interval
+    (lo, hi), so runs with one seed draw the same inputs wherever these
+    agree.  The bank keeps, per key (seed, level, stratum, lo, hi), the
+    substream and the (fine, coarse) QoIs solved from its draws, in draw
+    order.  Keying on the interval rather than on the stratum count keeps a
+    stratification from ever reading rows another one drew.
+
+    Philox substreams give the same sequence however the draws are split,
+    and inverse_cdf and qoi_batch work sample by sample (TestBatchInvariance),
+    so a held row has the bits the run would have solved alone.  The bank
+    holds 16 bytes per pair (8 at level 0) plus a fixed overhead per key and
+    per solve.
+    """
+
+    def __init__(self, model: ModelSpec, dist: TruncatedLognormal,
+                 hierarchy: MeshHierarchy):
+        self.model = model
+        self.dist = dist
+        self.hierarchy = hierarchy
+        self._held: dict = {}
+
+    def take(self, seed: int, level: int, intervals, starts, counts):
+        """Rows [starts[i], starts[i] + counts[i]) of the stratum with CDF
+        interval intervals[i], for every i: their fine QoIs, their coarse
+        QoIs (None at level 0), pooled in stratum order, and the solve
+        seconds charged to them.
+
+        Rows the bank does not hold yet are drawn and solved, all strata
+        together, with one qoi_batch call per mesh; every row is charged the
+        per-sample seconds of the solve that added it.  A run asks for rows
+        in order, so each key holds at least starts[i] rows.
+        """
+        held = [(self._rows(seed, level, i, lo, hi), int(n), int(n) + int(m))
+                for i, ((lo, hi), n, m) in enumerate(zip(intervals, starts, counts)) if m]
+        missing = [(rows, stop - rows.fine.size) for rows, _, stop in held
+                   if stop > rows.fine.size]
+        if missing:
+            w = np.concatenate([rows.draw(self.dist, m) for rows, m in missing])
+            t0 = time.perf_counter()
+            fine, coarse = self._solve_pairs(level, w)
+            per_row = (time.perf_counter() - t0) / w.size
+            stop = 0
+            for rows, m in missing:
+                start, stop = stop, stop + m
+                rows.add(fine[start:stop], None if coarse is None else coarse[start:stop],
+                         per_row)
+        fine = np.concatenate([rows.fine[start:stop] for rows, start, stop in held])
+        coarse = None
+        if level > 0:
+            coarse = np.concatenate([rows.coarse[start:stop] for rows, start, stop in held])
+        seconds = sum(rows.seconds(start, stop) for rows, start, stop in held)
+        return fine, coarse, seconds
+
+    def _rows(self, seed: int, level: int, stratum: int, lo: float, hi: float) -> "_HeldRows":
+        key = (seed, level, stratum, float(lo), float(hi))
+        if key not in self._held:
+            self._held[key] = _HeldRows(substream(seed, level, stratum), lo, hi)
+        return self._held[key]
+
+    def _solve_pairs(self, level: int, w: np.ndarray):
+        fine = self.model.qoi_batch(w, self.hierarchy.cells(level))
+        coarse = None
+        if level > 0:
+            coarse = self.model.qoi_batch(w, self.hierarchy.cells(level - 1))
+        return fine, coarse
+
+
+class _HeldRows:
+    """One key of a SampleBank: its substream, the CDF interval (lo, hi) of
+    its stratum, the QoI pairs solved from its draws so far, and the
+    (row stop, seconds per row) of each solve that added rows."""
+
+    def __init__(self, stream: np.random.Generator, lo: float, hi: float):
+        self.stream = stream
+        self.lo = lo
+        self.hi = hi
+        self.fine = np.empty(0)
+        self.coarse = np.empty(0)
+        self.solves: list = []
+
+    def draw(self, dist: TruncatedLognormal, m: int) -> np.ndarray:
+        """m more draws from the input law conditioned on the stratum: the
+        inverse CDF of uniforms on (lo, hi).  The interval of a single
+        stratum is exactly [0, 1], so its draws are the unconditional ones."""
+        u = self.stream.random(m)
+        return dist.inverse_cdf(self.lo + u * (self.hi - self.lo))
+
+    def add(self, fine, coarse, per_row: float):
+        self.fine = np.concatenate([self.fine, fine])
+        if coarse is not None:
+            self.coarse = np.concatenate([self.coarse, coarse])
+        self.solves.append((self.fine.size, per_row))
+
+    def seconds(self, start: int, stop: int) -> float:
+        """Solve seconds of rows [start, stop)."""
+        total, lo = 0.0, 0
+        for hi, per_row in self.solves:
+            total += max(min(hi, stop) - max(lo, start), 0) * per_row
+            lo = hi
+        return total
+
+
 class _Engine:
     """The multilevel engine.  Plain MLMC is its single-stratum case: the same
     draws, statistics, sizing and estimate, with no separate path.
     stratified tells which entry point built it, and so how the run is named:
-    an sMLMC run keeps its stratum count in its name even at r = 1."""
+    an sMLMC run keeps its stratum count in its name even at r = 1.  Its
+    rows come from bank, a private SampleBank when none is given."""
 
     def __init__(self, model: ModelSpec, dist: TruncatedLognormal,
                  strat: Stratification, grid: NodeGrid,
-                 hierarchy: MeshHierarchy, config: RunConfig, stratified: bool):
+                 hierarchy: MeshHierarchy, config: RunConfig, stratified: bool,
+                 bank: Optional[SampleBank] = None):
+        if bank is None:
+            bank = SampleBank(model, dist, hierarchy)
+        elif (bank.model, bank.dist, bank.hierarchy) != (model, dist, hierarchy):
+            raise ValueError("the sample bank holds solves of another model, "
+                             "input law or mesh hierarchy")
+        self.bank = bank
         self.stratified = stratified
         self.model = model
-        self.dist = dist
         self.strat = strat
         self.grid = grid
         self.hierarchy = hierarchy
@@ -340,35 +460,15 @@ class _Engine:
         self.levels: list[LevelState] = []
         self.warnings: list[str] = []
         self.keep_fine = strat.r == 1 and config.smoother == "none"
-        self._streams = {}
-        self._stratum_cdf = dist.cdf(strat.boundaries)
+        cdf = dist.cdf(strat.boundaries)
+        self._intervals = list(zip(cdf[:-1], cdf[1:]))
 
     # -- sampling ---------------------------------------------------------
 
-    def _draw_inputs(self, level: int, stratum: int, m: int) -> np.ndarray:
-        """m draws from the input law conditioned on the stratum: the inverse
-        CDF of a uniform on the stratum's CDF interval, from the stratum's
-        own substream at this level.  The interval of a single stratum is
-        exactly [0, 1], so its draws are the unconditional ones."""
-        key = (level, stratum)
-        if key not in self._streams:
-            self._streams[key] = substream(self.cfg.seed, level, stratum)
-        u = self._streams[key].random(m)
-        lo = self._stratum_cdf[stratum]
-        hi = self._stratum_cdf[stratum + 1]
-        return self.dist.inverse_cdf(lo + u * (hi - lo))
-
-    def _solve_pairs(self, level: int, w: np.ndarray):
-        cells = self.hierarchy.cells(level)
-        fine = self.model.qoi_batch(w, cells)
-        coarse = None
-        if level > 0:
-            coarse = self.model.qoi_batch(w, self.hierarchy.cells(level - 1))
-        return fine, coarse
-
     def _add_pass(self, level: int, counts):
-        """Draw counts[i] pairs from each stratum's substream, solve them all
-        with one qoi_batch call per mesh and record them.
+        """Take the next counts[i] pairs of each stratum from the bank, which
+        solves the ones it does not hold with one qoi_batch call per mesh,
+        and record them.
 
         The warmup pass that opens a level first calibrates a smoother's
         bandwidth on its pooled fine values.  Each stratum's slice is recorded
@@ -378,11 +478,9 @@ class _Engine:
         lv = self.levels[level]
         if not counts.sum():
             return
-        w = np.concatenate([self._draw_inputs(level, i, m)
-                            for i, m in enumerate(counts) if m])
-        t0 = time.perf_counter()
-        fine, coarse = self._solve_pairs(level, w)
-        lv.elapsed += time.perf_counter() - t0
+        fine, coarse, seconds = self.bank.take(self.cfg.seed, level, self._intervals,
+                                               lv.n, counts)
+        lv.elapsed += seconds
         if self.smoother is not None and lv.delta is None:
             lv.delta = calibrate_bandwidth(self.smoother, fine, self.nodes, self.cfg.eps,
                                            bracket_top=self.grid.h,
@@ -578,18 +676,23 @@ def _method_name(cfg: RunConfig, r: int, stratified: bool) -> str:
 
 
 def run_mlmc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
-             hierarchy: MeshHierarchy, config: RunConfig) -> MultilevelResult:
-    """Plain or smoothed multilevel run (single stratum)."""
+             hierarchy: MeshHierarchy, config: RunConfig, *,
+             bank: Optional[SampleBank] = None) -> MultilevelResult:
+    """Plain or smoothed multilevel run (single stratum).  A bank shared with
+    the other runs of a realization saves their common solves; the result
+    is the same with or without it."""
     strat = build_equal_width_strata(dist, 1)
-    return _Engine(model, dist, strat, grid, hierarchy, config, stratified=False).run()
+    return _Engine(model, dist, strat, grid, hierarchy, config, stratified=False,
+                   bank=bank).run()
 
 
 def run_smlmc(model: ModelSpec, dist: TruncatedLognormal, strat: Stratification,
-              grid: NodeGrid, hierarchy: MeshHierarchy,
-              config: RunConfig) -> MultilevelResult:
+              grid: NodeGrid, hierarchy: MeshHierarchy, config: RunConfig, *,
+              bank: Optional[SampleBank] = None) -> MultilevelResult:
     """Stratified multilevel run; with r = 1 it reproduces run_mlmc bit for bit
-    under a shared seed, apart from its name."""
-    return _Engine(model, dist, strat, grid, hierarchy, config, stratified=True).run()
+    under a shared seed, apart from its name.  bank as for run_mlmc."""
+    return _Engine(model, dist, strat, grid, hierarchy, config, stratified=True,
+                   bank=bank).run()
 
 
 def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,

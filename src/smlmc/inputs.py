@@ -11,6 +11,11 @@ import numpy as np
 from scipy.special import erf, erfinv
 
 _SQRT2 = np.sqrt(2.0)
+# inverse_cdf checks its erfinv round trip only where |e| exceeds this.  A
+# dense sweep of u (9 million points, two thirds log-spaced towards 0 and 1)
+# over both presets and two laws whose e spans (-1, 1) found round-trip errors
+# of at most 1.4e-15 at |e| <= 0.99, against the 1e-10 that triggers a repair
+_ERF_CHECKED = 0.99
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -103,8 +108,11 @@ class TruncatedLognormal:
         w = np.clip(w, self.w_lo, self.w_hi)
         w[u <= 0.0] = self.w_lo
         w[u >= 1.0] = self.w_hi
-        # erfinv loses accuracy where erf saturates; repair those points by bisection
-        bad = ~np.isfinite(w) | (np.abs(self.cdf(np.maximum(w, 1e-300)) - u) > 1e-10)
+        # erfinv loses accuracy where erf saturates: there, check the round
+        # trip through cdf, and repair the points that fail by bisection
+        bad = ~np.isfinite(w)
+        near = np.abs(e) > _ERF_CHECKED
+        bad[near] |= np.abs(self.cdf(np.maximum(w[near], 1e-300)) - u[near]) > 1e-10
         bad &= (u > 0.0) & (u < 1.0)
         if np.any(bad):
             w[bad] = self._bisect(u[bad])

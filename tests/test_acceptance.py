@@ -21,6 +21,7 @@ from smlmc.config import preset
 from smlmc.estimators import (
     LevelState,
     RunConfig,
+    SampleBank,
     mc_sample_count,
     required_samples_mlmc,
     required_samples_smlmc,
@@ -70,11 +71,13 @@ def diffusion():
 
 
 def _battery(setup, eps, methods, n_real=N_REAL):
-    """Run the benchmark methods for n_real seeds; returns per-method lists."""
+    """Run the benchmark methods for n_real seeds, the runs of each seed on
+    one sample bank as smlmc run shares it; returns per-method lists."""
     exp, model, dist = setup["exp"], setup["model"], setup["dist"]
     grid, hier, strat8 = setup["grid"], setup["hier"], setup["strat8"]
     out = {m: [] for m in methods}
     for seed in range(n_real):
+        bank = SampleBank(model, dist, hier)
         mlmc_res = None
         for method in methods:
             smoother = ("giles" if method.endswith("giles")
@@ -93,9 +96,9 @@ def _battery(setup, eps, methods, n_real=N_REAL):
             if method == "mc":
                 res = run_mc(model, dist, grid, hier, cfg, mlmc_res)
             elif stratified:
-                res = run_smlmc(model, dist, strat8, grid, hier, cfg)
+                res = run_smlmc(model, dist, strat8, grid, hier, cfg, bank=bank)
             else:
-                res = run_mlmc(model, dist, grid, hier, cfg)
+                res = run_mlmc(model, dist, grid, hier, cfg, bank=bank)
                 if method == "mlmc":
                     mlmc_res = res
             out[method].append(res)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +133,23 @@ class TestCdfEstimate:
         est = CdfEstimate(grid=g, raw=raw)
         assert np.abs(est.spline(g.nodes) - est.processed).max() < 1e-14
         assert np.abs(est.raw_spline(g.nodes) - est.raw).max() < 1e-14
+
+    def test_splines_and_interpolation_import_on_first_use(self):
+        # importing the CLI and building an estimate load no scipy.interpolate
+        # (about 0.2 s of import); evaluating the estimate does
+        code = (
+            "import sys, numpy as np, smlmc.cli\n"
+            "from smlmc.cdf import CdfEstimate, NodeGrid\n"
+            "loaded = lambda: any(m.startswith('scipy.interpolate') for m in sys.modules)\n"
+            "est = CdfEstimate(grid=NodeGrid(0.0, 1.0, 5), raw=np.linspace(0, 1, 6))\n"
+            "before = loaded()\n"
+            "value = est(0.5)\n"
+            "print(before, loaded(), value)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert proc.stdout.split() == ["False", "True", "0.5"]
 
     def test_csv_and_json_round_trip(self, tmp_path):
         g = NodeGrid(0.0, 1.0, 5)

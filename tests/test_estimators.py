@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +14,8 @@ from smlmc.config import METHODS, preset, run_tag
 from smlmc.estimators import (
     LevelState,
     RunConfig,
+    SampleBank,
+    _HeldRows,
     mc_sample_count,
     required_samples_mlmc,
     required_samples_smlmc,
@@ -16,7 +24,7 @@ from smlmc.estimators import (
     run_smlmc,
     stopping_check,
 )
-from smlmc.inputs import build_equal_width_strata, proportional_allocation
+from smlmc.inputs import Stratification, build_equal_width_strata, proportional_allocation
 from smlmc.models import MeshHierarchy, ModelSpec
 
 EXP = preset("diffusion")
@@ -256,16 +264,20 @@ class TestRunSmlmc:
         smoother=st.sampled_from(["none", "giles", "kde"]),
         seed=st.integers(min_value=0, max_value=10**6),
         eps=st.floats(min_value=0.02, max_value=0.2),
+        shared=st.booleans(),
     )
     @settings(max_examples=30, deadline=None)
-    def test_r1_property(self, exp, smoother, seed, eps):
+    def test_r1_property(self, exp, smoother, seed, eps, shared):
         # one stratum is plain MLMC: same draws, same statistics, same
-        # sizing, so the same estimate, sample counts, bandwidths and cost
+        # sizing, so the same estimate, sample counts, bandwidths and cost;
+        # also when the sMLMC run takes every row from the MLMC run's bank
         cfg = RunConfig(eps=eps, seed=seed, smoother=smoother, l_star=2, warmup=16)
         args = (exp.model_spec(), exp.distribution())
         rest = (exp.node_grid(), exp.hierarchy(), cfg)
-        plain = run_mlmc(*args, *rest)
-        strat = run_smlmc(*args, build_equal_width_strata(exp.distribution(), 1), *rest)
+        bank = SampleBank(*args, exp.hierarchy()) if shared else None
+        plain = run_mlmc(*args, *rest, bank=bank)
+        strat = run_smlmc(*args, build_equal_width_strata(exp.distribution(), 1), *rest,
+                          bank=bank)
         assert np.array_equal(plain.estimate.raw, strat.estimate.raw)
         assert [lv.n.tolist() for lv in plain.levels] == [
             lv.n.tolist() for lv in strat.levels
@@ -360,19 +372,20 @@ class TestOneSolvePerPass:
         return calls
 
     @staticmethod
-    def _expected_calls(res, warmup):
-        """(cells, samples) of every call, in the engine's pass order: open
-        level l with its warmup, size it, then resize levels 0..l-1; a pass
-        that adds samples solves them at the fine and, above level 0, the
-        coarse mesh."""
+    def _expected_calls(res, warmup, held=()):
+        """(cells, samples) of every call of a one-stratum run, in the
+        engine's pass order: open level l with its warmup, size it, then
+        resize levels 0..l-1; a pass that grows a level beyond the rows its
+        bank holds (held[l] from earlier runs, and the run's own) solves the
+        rows it lacks at the fine and, above level 0, the coarse mesh."""
         sizes = [iter([warmup] + lv.history) for lv in res.levels]
-        totals = [0] * len(res.levels)
+        solved = [held[l] if l < len(held) else 0 for l in range(len(res.levels))]
         calls = []
         for top in range(len(res.levels)):
             for level in [top, top, *range(top)]:
-                added = next(sizes[level]) - totals[level]
-                totals[level] += added
-                if added:
+                size = next(sizes[level])
+                if size > solved[level]:
+                    added, solved[level] = size - solved[level], size
                     calls += [(HIER.cells(l), added) for l in range(level, max(level - 2, -1), -1)]
         return calls
 
@@ -385,6 +398,42 @@ class TestOneSolvePerPass:
         warmup = int(proportional_allocation(cfg.warmup, res.strat,
                                              cfg.min_stratum_samples).sum())
         assert calls == self._expected_calls(res, warmup)
+
+    def test_held_rows_never_reach_qoi_batch(self, monkeypatch):
+        # a smoothed run after a plain one on the same bank solves only the
+        # rows the plain run did not; an sMLMC run at r = 1 after both
+        # solves none
+        bank = SampleBank(MODEL, DIST, HIER)
+        plain = run_mlmc(MODEL, DIST, GRID, HIER, RunConfig(eps=0.1, seed=5, **FAST),
+                         bank=bank)
+        calls = self._count_calls(monkeypatch)
+        cfg = RunConfig(eps=0.03, seed=5, smoother="kde", l_star=3, warmup=16)
+        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg, bank=bank)
+        assert calls == self._expected_calls(res, cfg.warmup,
+                                             [lv.n_total for lv in plain.levels])
+        assert calls and calls != self._expected_calls(res, cfg.warmup)  # some held, some not
+        calls.clear()
+        run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, 1), GRID, HIER, cfg, bank=bank)
+        assert calls == []
+
+    def test_other_boundaries_get_no_rows(self, monkeypatch):
+        # two stratifications with the same r but other boundaries share no
+        # stratum interval, so neither reads the other's rows
+        first = build_equal_width_strata(DIST, 4)
+        b = first.boundaries + np.array([0.0, 0.1, 0.1, 0.1, 0.0])
+        p = np.diff(DIST.cdf(b))
+        other = Stratification(boundaries=b, probs=p / p.sum())
+        cfg = RunConfig(eps=0.03, seed=5, **FAST)
+        calls = self._count_calls(monkeypatch)
+        alone = run_smlmc(MODEL, DIST, other, GRID, HIER, cfg)
+        alone_calls = list(calls)
+        bank = SampleBank(MODEL, DIST, HIER)
+        run_smlmc(MODEL, DIST, first, GRID, HIER, cfg, bank=bank)
+        calls.clear()
+        after = run_smlmc(MODEL, DIST, other, GRID, HIER, cfg, bank=bank)
+        assert calls == alone_calls
+        assert after.report() == alone.report()
+        assert np.array_equal(after.estimate.raw, alone.estimate.raw)
 
     # at eps 0.1 the finest level keeps more samples than MC needs
     @pytest.mark.parametrize("settings, fresh", [
@@ -399,6 +448,141 @@ class TestOneSolvePerPass:
         extra = mc_res.n_samples - mc_res.n_reused
         assert (extra > 0) == fresh
         assert calls == ([(HIER.cells(mc_res.level), extra)] if fresh else [])
+
+
+# warmups that differ by method, so that runs sharing a bank find some of
+# the rows they ask for held and some not
+BANK_WARMUPS = {"mlmc": 32, "mlmc_giles": 16, "mlmc_kde": 24,
+                "smlmc": 32, "smlmc_kde": 16}
+
+
+def _realization(exp, order, seed, shared):
+    """The six methods of one realization at r = 4, run in the given order
+    (mc straight after mlmc, which it reuses), on one shared bank or each
+    on its own."""
+    model, dist, grid, hier = (exp.model_spec(), exp.distribution(), exp.node_grid(),
+                               exp.hierarchy())
+    strat = build_equal_width_strata(dist, 4)
+    bank = SampleBank(model, dist, hier) if shared else None
+    out = {}
+    for method in order:
+        spec = METHODS[method]
+        cfg = RunConfig(eps=0.05, seed=seed, smoother=spec.smoother, l_star=2,
+                        warmup=BANK_WARMUPS[method])
+        if spec.stratified:
+            out[method] = run_smlmc(model, dist, strat, grid, hier, cfg, bank=bank)
+        else:
+            out[method] = run_mlmc(model, dist, grid, hier, cfg, bank=bank)
+        if method == "mlmc":
+            out["mc"] = run_mc(model, dist, grid, hier, cfg, out["mlmc"])
+    return out
+
+
+class TestSampleBank:
+    @given(
+        exp=st.sampled_from([EXP, BURGERS_EXP]),
+        seed=st.integers(min_value=0, max_value=10**6),
+        order=st.permutations([m for m in METHODS if m != "mc"]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_shared_bank_changes_no_result(self, exp, seed, order):
+        # whatever the order, runs sharing one bank report what runs on
+        # their own banks report, bit for bit
+        shared = _realization(exp, order, seed, shared=True)
+        alone = _realization(exp, order, seed, shared=False)
+        for method in METHODS:
+            assert shared[method].report() == alone[method].report()
+            assert np.array_equal(shared[method].estimate.raw, alone[method].estimate.raw)
+
+    def test_held_rows_charged_the_seconds_of_their_solve(self):
+        # under the wallclock model a run that solves nothing is charged what
+        # the solves of its rows took: an sMLMC run at r = 1 after MLMC on
+        # one bank reports MLMC's measured work exactly
+        cfg = RunConfig(eps=0.03, seed=8, work_model="wallclock", **FAST)
+        bank = SampleBank(MODEL, DIST, HIER)
+        plain = run_mlmc(MODEL, DIST, GRID, HIER, cfg, bank=bank)
+        strat = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, 1), GRID, HIER, cfg,
+                          bank=bank)
+        assert [lv.elapsed for lv in strat.levels] == [lv.elapsed for lv in plain.levels]
+        assert strat.total_cost == plain.total_cost > 0
+
+    def test_rows_charged_by_solve(self):
+        rows = _HeldRows(None, 0.0, 1.0)
+        rows.add(np.zeros(3), None, 2.0)
+        rows.add(np.zeros(5), None, 0.5)
+        assert rows.seconds(0, 8) == 3 * 2.0 + 5 * 0.5
+        assert rows.seconds(2, 4) == 2.0 + 0.5
+        assert rows.seconds(3, 3) == 0.0
+
+    def test_bank_of_another_model_rejected(self):
+        bank = SampleBank(BURGERS_EXP.model_spec(), DIST, HIER)
+        with pytest.raises(ValueError, match="sample bank"):
+            run_mlmc(MODEL, DIST, GRID, HIER, RunConfig(eps=0.05, **FAST), bank=bank)
+
+    def test_holds_sixteen_bytes_per_pair(self):
+        # the bank's memory is O(rows held): 16 bytes per (fine, coarse) pair
+        # plus a fixed overhead per key (its generator) and per solve
+        hier = MeshHierarchy(m0=4, factor=2, l_star=1)   # 8-cell solves: fast
+        cdf = DIST.cdf(build_equal_width_strata(DIST, 4).boundaries)
+        intervals = list(zip(cdf[:-1], cdf[1:]))
+
+        def held_bytes(per_pass):
+            bank = SampleBank(MODEL, DIST, hier)
+            counts = np.full(4, per_pass)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for n in range(0, 3 * per_pass, per_pass):
+                    bank.take(7, 1, intervals, np.full(4, n), counts)
+                return tracemalloc.get_traced_memory()[0] - base
+            finally:
+                tracemalloc.stop()
+
+        held_bytes(10)   # fill the solver's caches before measuring
+        small, large = held_bytes(100), held_bytes(10_000)
+        pairs = 4 * 3 * (10_000 - 100)
+        assert 16 * pairs <= large - small <= 16 * pairs + 1024
+        assert small <= 16 * 4 * 3 * 100 + 4 * 4096
+
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=3, deadline=None)
+    def test_realization_peak_memory_bounded(self, seed):
+        # one Burgers preset realization at eps 0.02 of all six methods on
+        # one bank, as smlmc run makes it: its smoothed runs mostly reach the
+        # level cap L7.  The peak RSS it adds to the process stays bounded
+        code = """
+import resource, sys
+from smlmc.config import METHODS, preset
+from smlmc.estimators import SampleBank, run_mc, run_mlmc, run_smlmc
+seed = int(sys.argv[1])
+exp = preset("burgers")
+model, dist, grid, hier = exp.model_spec(), exp.distribution(), exp.node_grid(), exp.hierarchy()
+strat = exp.stratification(8)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+bank = SampleBank(model, dist, hier)
+for method, spec in METHODS.items():
+    cfg = exp.run_config(method, 0.02, seed)
+    if method == "mc":
+        run_mc(model, dist, grid, hier, cfg, plain)
+    elif spec.stratified:
+        run_smlmc(model, dist, strat, grid, hier, cfg, bank=bank)
+    else:
+        res = run_mlmc(model, dist, grid, hier, cfg, bank=bank)
+        plain = res if method == "mlmc" else plain
+print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code, str(seed)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        before, after = (int(x) for x in proc.stdout.split())
+        assert after - before <= REALIZATION_RSS_KB
+
+
+# peak RSS one Burgers realization may add, in KiB: at eps 0.02 it adds
+# 5-6 MB (and 18 MB at eps 0.01); a bank that held solution fields instead
+# of QoIs would add hundreds
+REALIZATION_RSS_KB = 32 * 1024
 
 
 class TestRunMc:

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfinv
 from scipy.stats import kstest
 
+import smlmc.inputs
 from smlmc.config import preset
-from smlmc.estimators import LevelState, RunConfig, _Engine
+from smlmc.estimators import LevelState, SampleBank
 from smlmc.inputs import (
     Stratification,
     TruncatedLognormal,
@@ -87,6 +89,40 @@ class TestInverseCdf:
         with pytest.raises(ValueError):
             DIFF.inverse_cdf(-0.1)
 
+    @staticmethod
+    def _always_checked(dist, u):
+        """inverse_cdf with the erfinv round trip checked at every point,
+        whatever |e|."""
+        e = dist._erf_lo + u * dist._norm
+        with np.errstate(divide="ignore", over="ignore"):
+            w = np.exp(dist.mu + np.sqrt(2.0) * dist.sigma * erfinv(np.clip(e, -1.0, 1.0)))
+        w = np.clip(w, dist.w_lo, dist.w_hi)
+        w[u <= 0.0] = dist.w_lo
+        w[u >= 1.0] = dist.w_hi
+        bad = ~np.isfinite(w) | (np.abs(dist.cdf(np.maximum(w, 1e-300)) - u) > 1e-10)
+        bad &= (u > 0.0) & (u < 1.0)
+        if np.any(bad):
+            w[bad] = dist._bisect(u[bad])
+        return w
+
+    @pytest.mark.parametrize("dist", [DIFF, BURG], ids=["diffusion", "burgers"])
+    def test_matches_always_checked_path(self, dist):
+        # checking only where |e| is near 1 changes no draw: e spans
+        # [-0.68, -0.41] for diffusion and reaches -1 for Burgers
+        tiny = np.logspace(-300, -0.3, 300_001)
+        u = np.concatenate([np.linspace(0.0, 1.0, 1_000_001), tiny, 1.0 - tiny])
+        assert np.array_equal(dist.inverse_cdf(u), self._always_checked(dist, u))
+
+    def test_repairs_where_erf_saturates(self, monkeypatch):
+        # Burgers' w_lo = 0 puts e at -1; an erfinv that goes wrong near
+        # |e| = 1 is still caught by the round trip and repaired
+        exact = erfinv
+        monkeypatch.setattr(smlmc.inputs, "erfinv",
+                            lambda e: np.where(np.abs(e) > 0.999, 0.9, 1.0) * exact(e))
+        u = np.logspace(-12, -3, 50)
+        w = BURG.inverse_cdf(u)
+        assert np.abs(BURG.cdf(w) - u).max() <= 1e-10
+
 
 class TestSampling:
     def test_support(self):
@@ -148,36 +184,35 @@ class TestStratification:
         assert np.abs(mix - DIFF.pdf(w)).max() < 1e-10
 
 
-def _engine(r, seed):
-    """A diffusion-preset engine over r equal-width strata of DIFF."""
+def _draws(r, seed, m):
+    """r equal-width strata of DIFF, and m level-0 draws of each as a
+    diffusion-preset sample bank draws them."""
     exp = preset("diffusion")
-    return _Engine(exp.model_spec(), DIFF, build_equal_width_strata(DIFF, r),
-                   exp.node_grid(), exp.hierarchy(), RunConfig(eps=0.02, seed=seed),
-                   stratified=True)
+    bank = SampleBank(exp.model_spec(), DIFF, exp.hierarchy())
+    strat = build_equal_width_strata(DIFF, r)
+    cdf = DIFF.cdf(strat.boundaries)
+    return strat, [bank._rows(seed, 0, i, cdf[i], cdf[i + 1]).draw(DIFF, m)
+                   for i in range(r)]
 
 
 class TestSampleStratum:
-    """Conditional input draws of the engine, _Engine._draw_inputs (0-based
+    """Conditional input draws of the sample bank, _HeldRows.draw (0-based
     strata, one substream per (level, stratum))."""
 
     def test_degenerate_matches_plain_sampling(self):
-        a = _engine(1, 5)._draw_inputs(0, 0, 100)
+        _, (a,) = _draws(1, 5, 100)
         b = DIFF.sample(substream(5, 0, 0), 100)
         assert np.array_equal(a, b)
 
     def test_draws_inside_stratum(self):
-        engine = _engine(8, 9)
-        s = engine.strat
-        for i in range(8):
-            w = engine._draw_inputs(0, i, 500)
+        s, draws = _draws(8, 9, 500)
+        for i, w in enumerate(draws):
             assert np.all(w >= s.boundaries[i] - 1e-12)
             assert np.all(w <= s.boundaries[i + 1] + 1e-12)
 
     def test_conditional_law(self):
-        engine = _engine(4, 11)
-        s = engine.strat
-        for i in range(4):
-            w = engine._draw_inputs(0, i, 10_000)
+        s, draws = _draws(4, 11, 10_000)
+        for i, w in enumerate(draws):
             lo = float(DIFF.cdf(s.boundaries[i]))
             span = float(DIFF.cdf(s.boundaries[i + 1])) - lo
             cond_cdf = lambda x: (DIFF.cdf(x) - lo) / span

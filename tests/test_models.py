@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smlmc.config import preset
-from smlmc.estimators import RunConfig, _Engine
-from smlmc.inputs import build_equal_width_strata
+from smlmc.estimators import SampleBank
 from smlmc.models import (
     _TILE_ELEMS,
     BURGERS,
@@ -543,41 +542,38 @@ class TestQoi:
 
 
 class TestSamplePair:
-    """Coupled (fine, coarse) QoI pairs as the engine solves them."""
+    """Coupled (fine, coarse) QoI pairs as the sample bank solves them."""
 
     HIER = MeshHierarchy(m0=16, factor=2, l_star=7)
 
     @classmethod
-    def engine(cls):
-        exp = preset("diffusion")
-        dist = exp.distribution()
-        return _Engine(DIFFUSION, dist, build_equal_width_strata(dist, 1),
-                       exp.node_grid(), cls.HIER, RunConfig(eps=0.01), stratified=False)
+    def bank(cls):
+        return SampleBank(DIFFUSION, preset("diffusion").distribution(), cls.HIER)
 
     def test_level_zero_has_no_coarse(self):
-        fine, coarse = self.engine()._solve_pairs(0, np.array([2.0]))
+        fine, coarse = self.bank()._solve_pairs(0, np.array([2.0]))
         assert coarse is None and fine.shape == (1,)
 
     def test_coupling_reproducible_from_input(self):
-        engine = self.engine()
-        fine, coarse = engine._solve_pairs(3, np.array([2.7]))
-        again = self.engine()._solve_pairs(3, np.array([2.7]))
+        bank = self.bank()
+        fine, coarse = bank._solve_pairs(3, np.array([2.7]))
+        again = self.bank()._solve_pairs(3, np.array([2.7]))
         assert np.array_equal(fine, again[0]) and np.array_equal(coarse, again[1])
         assert np.array_equal(fine, DIFFUSION.qoi_batch([2.7], self.HIER.cells(3)))
         assert np.array_equal(coarse, DIFFUSION.qoi_batch([2.7], self.HIER.cells(2)))
 
     def test_fine_coarse_gap_shrinks(self):
-        engine = self.engine()
+        bank = self.bank()
         gaps = []
         for level in (1, 3, 5):
-            fine, coarse = engine._solve_pairs(level, np.array([2.0]))
+            fine, coarse = bank._solve_pairs(level, np.array([2.0]))
             gaps.append(abs(fine[0] - coarse[0]))
         assert gaps[2] < gaps[0]
 
     def test_batch_matches_scalar(self):
-        engine = self.engine()
-        fine, coarse = engine._solve_pairs(2, np.array([1.5, 3.0]))
-        fine1, coarse1 = engine._solve_pairs(2, np.array([1.5]))
+        bank = self.bank()
+        fine, coarse = bank._solve_pairs(2, np.array([1.5, 3.0]))
+        fine1, coarse1 = bank._solve_pairs(2, np.array([1.5]))
         assert fine[0] == fine1[0]
         assert coarse[0] == coarse1[0]
 
