@@ -124,7 +124,6 @@ class LevelState:
         self.pair_work = pair_work          # deterministic work units per pair sample
         self.elapsed = 0.0                  # wallclock seconds spent in solves
         self.delta: Optional[float] = None
-        self.kept_fine: list = []           # all fine QoIs (MC reuse; plain runs only)
         self.history: list = []             # total sample count after each sizing pass
 
     @property
@@ -285,6 +284,7 @@ class MultilevelResult:
     method: str
     strat: Stratification
     warnings: list
+    bank: "SampleBank"  # the rows the run used, and run_mc reuses
 
     @property
     def l_max(self) -> int:
@@ -459,7 +459,6 @@ class _Engine:
         self.smoother = config.make_smoother()
         self.levels: list[LevelState] = []
         self.warnings: list[str] = []
-        self.keep_fine = strat.r == 1 and config.smoother == "none"
         cdf = dist.cdf(strat.boundaries)
         self._intervals = list(zip(cdf[:-1], cdf[1:]))
 
@@ -505,8 +504,6 @@ class _Engine:
           bit the dense column sums at levels >= 1, and within the dense
           sums' own rounding bound at level 0.
         """
-        if self.keep_fine:
-            lv.kept_fine.append(fine)
         nodes = self.nodes
         c_fine = indicator_counts(fine, nodes)
         if coarse is None:
@@ -596,7 +593,7 @@ class _Engine:
         return MultilevelResult(
             estimate=estimate, levels=self.levels, total_cost=total_cost,
             config=self.cfg, method=method, strat=self.strat,
-            warnings=self.warnings,
+            warnings=self.warnings, bank=self.bank,
         )
 
 
@@ -703,18 +700,23 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
 
     The sample count N_MC comes from the finest level's estimated indicator
     variance.  The estimate averages exactly N_MC samples: the first N_MC
-    reused ones, topped up with fresh draws when the MLMC run kept fewer.
-    Cost is charged for all N_MC samples at fine-solve work, since the
-    comparison treats the reused samples as MC samples too.
+    reused ones, topped up with fresh draws when the MLMC run used fewer.
+    The reused ones are read back from the run's sample bank, which holds
+    the level's rows in the order the run used them.  Cost is charged for all
+    N_MC samples at fine-solve work, since the comparison treats the reused
+    samples as MC samples too.
     """
-    levels = mlmc_result.levels
-    top = levels[-1]
+    if mlmc_result.strat.r != 1 or mlmc_result.config.smoother != "none":
+        raise ValueError("mc reuses the samples of a plain, unstratified mlmc run")
+    top = mlmc_result.levels[-1]
     l_max = top.level
     var_max = float(top.var_ifine_pooled().max())
     # at least one sample, so that the estimate is an average
     n_mc = max(mc_sample_count(var_max, config.eps, 2.0 * config.sampling_safety), 1)
-    reused = np.concatenate(top.kept_fine or [np.empty(0)])[:n_mc]
-    n_reused = reused.size
+    n_reused = min(n_mc, top.n_total)
+    interval = tuple(dist.cdf(mlmc_result.strat.boundaries))
+    reused = mlmc_result.bank.take(mlmc_result.config.seed, l_max, [interval], [0],
+                                   [n_reused])[0]
     extra = n_mc - n_reused
     cells = hierarchy.cells(l_max)
     det_fine = model.work_units(cells)

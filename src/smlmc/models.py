@@ -9,8 +9,9 @@ Two models ship:
 * inviscid Burgers on (0, 2) with a random nonnegative initial plateau,
   solved by the first-order Godunov finite-volume scheme, which for the
   nonnegative states of this testbed is the upwind scheme (every step in
-  place in preallocated buffers and over the cells the solution has
-  reached), QoI = 10 * integral of u^2 at t = 0.5.
+  place in preallocated buffers, and only over the rows near the two fronts,
+  from the inflow boundary and from the plateau edge, where the update can
+  be nonzero), QoI = 10 * integral of u^2 at t = 0.5.
 
 Both solvers work on numpy arrays of shape (space, batch).  ModelSpec.qoi_batch
 is the one place that sizes a solve: it hands them column tiles that fit in
@@ -245,6 +246,49 @@ def burgers_time_steps(cells: int, final_time: float = 0.5, length: float = 2.0,
     return steps
 
 
+# steps between measurements of the march's inflow prefix and zero suffix,
+# and the rows each measurement reads at a time
+_EDGE_CHECK_STEPS = 8
+_EDGE_ROWS = 16
+
+
+def _upwind_rows(x, f, d, start, stop, ratio):
+    """One upwind step over rows [start, stop) of the state u = x[1:], in five
+    in-place passes: square the left states into the flux buffer f, halve
+    them, difference them into d, scale d by ratio = dt / dx and subtract it
+    from u.  Reads rows start - 1 .. stop - 1 of u (row -1 is the inflow
+    ghost x[0]) and writes rows start .. stop - 1."""
+    fk, dk = f[start : stop + 1], d[start:stop]
+    np.square(x[start : stop + 1], out=fk)
+    fk *= 0.5
+    np.subtract(fk[1:], fk[:-1], out=dk)
+    dk *= ratio
+    x[start + 1 : stop + 1] -= dk
+
+
+def _inflow_prefix(u, lo, stop, inflow):
+    """lo advanced past the rows of u[lo:stop] that equal inflow in every
+    column."""
+    while lo < stop:
+        same = (u[lo : min(stop, lo + _EDGE_ROWS)] == inflow).all(axis=1)
+        if not same.all():
+            return lo + int(np.argmin(same))
+        lo += same.size
+    return lo
+
+
+def _zero_suffix(u, floor, hi):
+    """hi lowered, not below floor, past the rows of u[floor:hi] that are 0 in
+    every column."""
+    while hi > floor:
+        start = max(floor, hi - _EDGE_ROWS)
+        live = np.flatnonzero(u[start:hi].any(axis=1))
+        if live.size:
+            return start + int(live[-1]) + 1
+        hi = start
+    return hi
+
+
 def solve_burgers_batch(
     u1_values,
     cells: int,
@@ -271,12 +315,27 @@ def solve_burgers_batch(
     state only enters through the speed bound.  Negative plateau heights or
     boundary states and cfl outside (0, 1] are rejected.
 
-    A step is five in-place passes: square the left states into the flux
-    buffer, halve it, difference it into the third buffer, scale that by
-    dt / dx and subtract it from u.  Upwinding moves information one cell per
-    step, so before step k every cell at index plateau + k or beyond still
-    holds exactly 0, and the step updates only the first plateau + k + 1 rows
-    (the rows it skips would compute 0 - 0 * dt / dx = +0).
+    A step is five in-place passes over a window of rows (_upwind_rows):
+    square the left states into the flux buffer, halve it, difference it into
+    the third buffer, scale that by dt / dx and subtract it from u.  A row
+    whose state equals its left neighbour's in every column gets the update
+    u - 0 * dt / dx = u, bits and all, so the march skips the rows where that
+    is known to hold.  Upwinding moves information one cell per step, and the
+    solution has two fronts:
+
+    * the inflow front.  Before step k the rows [k + 1, plateau) still hold
+      u1 exactly, so step k updates rows [lo, min(k + 1, plateau)), where lo
+      is the measured prefix of rows equal to the inflow state in every
+      column (behind the boundary shock they reach it exactly); those rows
+      and their left neighbours stay equal for good;
+    * the plateau front.  Rows from hi on hold exactly 0 in every column,
+      with hi trimmed past the measured trailing zero rows and then grown by
+      one row a step, so step k updates rows [plateau, min(cells, hi + 1)).
+
+    Once k + 1 reaches plateau the two windows meet and the step updates
+    [lo, min(cells, hi + 1)).  While apart, neither window reads a row the
+    other writes, so every field has the bits of the full sweep.  lo and hi
+    are measured every _EDGE_CHECK_STEPS steps, _EDGE_ROWS rows at a time.
 
     One (cells + 1, B) state with the inflow ghost row written once, one
     (cells + 1, B) flux buffer and one (cells, B) difference buffer serve
@@ -306,15 +365,25 @@ def solve_burgers_batch(
     u = x[1:]
     u[:plateau] = u1
     u[plateau:] = 0.0
+    # rows [0, lo) hold the inflow state in every column and rows [hi, cells)
+    # hold 0 in every column; both stay so, and are measured every
+    # _EDGE_CHECK_STEPS steps
+    lo, hi = 0, plateau
     for k, ratio in enumerate(ratios):
-        # upwind flux 0.5 u_left^2 over the rows the solution has reached
-        n = min(cells, plateau + k + 1)
-        fk, dk = f[: n + 1], d[:n]
-        np.square(x[: n + 1], out=fk)
-        fk *= 0.5
-        np.subtract(fk[1:], fk[:-1], out=dk)
-        dk *= ratio
-        u[:n] -= dk
+        if k % _EDGE_CHECK_STEPS == 0:
+            hi = _zero_suffix(u, plateau, hi)
+            lo = _inflow_prefix(u, lo, hi, inflow)
+        right = min(cells, hi + 1)
+        left = min(k + 1, plateau)
+        if left < plateau:
+            # the fronts are apart: rows [left, plateau) still hold u1
+            if lo < left:
+                _upwind_rows(x, f, d, lo, left, ratio)
+            if plateau < right:
+                _upwind_rows(x, f, d, plateau, right, ratio)
+        elif lo < right:
+            _upwind_rows(x, f, d, lo, right, ratio)
+        hi = right
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("Burgers solve produced non-finite values")
     return u

@@ -23,7 +23,11 @@ CDF in closed form.  For the polynomial kernel the bias at r = delta / h <= 1
 is a Taylor series in r whose coefficients are kernel moments times Hermite
 moments of the pilot, both built once per calibration; above r = 1 a 48-point
 Gauss-Legendre quadrature of the ramp against the pilot density (GL-48) takes
-over, and it is the tests' reference for the series.
+over, and it is the tests' reference for the series.  A calibration first
+bounds the bias over its whole bandwidth bracket (the polynomial series with
+absolute terms; for the KDE kernel, its heat-flow series in the same Hermite
+moments), and when the bound stays below the target it returns the bracket
+top without scanning.
 """
 
 import math
@@ -38,6 +42,15 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
 # beyond it the series needs more terms and cancels, and GL-48 takes over
 _SERIES_TERMS = 40
 _SERIES_MAX_RATIO = 1.0
+# the largest r the KDE kernel's discrepancy bound serves: its terms fall
+# like r^(2k), and up to 0.5 the tail past the Hermite moments is < 1e-14
+_KDE_BOUND_MAX_RATIO = 0.5
+# Cramer's inequality: |He_m(u) phi(u)| <= _CRAMER * sqrt(m!) / sqrt(2 pi)
+_CRAMER = 1.0865
+# the rounding a computed discrepancy may carry beyond the exact value its
+# bound holds: this fraction of the bound, plus this much outright
+_BOUND_REL = 2.0 ** -30
+_BOUND_ABS = 2.0 ** -40
 
 
 @dataclass(frozen=True)
@@ -309,6 +322,40 @@ def calibration_discrepancy(smoother, samples, nodes, deltas, pilot=None):
     return out
 
 
+def _discrepancy_bound(smoother, pilot: _Pilot, samples, nodes, r_top: float):
+    """Per node, an upper bound on calibration_discrepancy at every
+    delta <= r_top * h, or None when r_top lies beyond the bound's range.
+
+    Polynomial kernel (r_top <= 1, where the discrepancy is the series):
+    sum_m |series_nm| r_top^(m+1), which bounds the series at every r <= r_top
+    term by term.
+
+    KDE kernel (r_top <= _KDE_BOUND_MAX_RATIO): the pilot smoothed once more
+    at bandwidth delta is the heat flow of the pilot CDF over time delta^2 / 2,
+    so the discrepancy is |sum_{k >= 1} (r^2 / 2)^k / k! A_{n,2k-1}| with the
+    Hermite moments A of _hermite_moments.  The first _SERIES_TERMS / 2 terms
+    are bounded by their absolute values at r_top, and the tail by Cramer's
+    inequality, |A_nm| <= _CRAMER sqrt(m!) / sqrt(2 pi): the tail's terms
+    shrink at least by r_top^2 from one to the next, so it is at most its
+    first term over 1 - r_top^2.
+    """
+    if isinstance(smoother, GaussianKernelCdf):
+        if r_top > _KDE_BOUND_MAX_RATIO:
+            return None
+        # A_{n,2k-1} for k = 1..top
+        odd = _hermite_moments((nodes[:, None] - samples[None, :]) / pilot.h)[:, 1::2]
+        top = odd.shape[1]
+        half = r_top * r_top / 2.0
+        k = np.arange(1, top + 1)
+        weights = half**k / np.array([math.factorial(j) for j in k], dtype=float)
+        first_tail = (half ** (top + 1) / math.factorial(top + 1)
+                      * _CRAMER * math.sqrt(math.factorial(2 * top + 1) / (2.0 * math.pi)))
+        return np.abs(odd) @ weights + first_tail / (1.0 - r_top * r_top)
+    if r_top > _SERIES_MAX_RATIO:
+        return None
+    return np.abs(pilot.series) @ r_top ** np.arange(1, _SERIES_TERMS + 1)
+
+
 def calibrate_bandwidth(
     smoother,
     samples,
@@ -335,6 +382,11 @@ def calibrate_bandwidth(
     nodes that crossed there are bisected: their roots lie below that step's
     scan point and any later crossing lies at or above it, so the smallest
     root is among them.
+
+    Before the scan, _discrepancy_bound bounds every node's discrepancy at
+    every scan point.  When the bound, with room for rounding, stays below
+    the target at every node, no node can cross and the search returns the
+    bracket top without scanning: the scan's own answer.
     """
     samples = np.asarray(samples, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
@@ -352,6 +404,9 @@ def calibrate_bandwidth(
     target = target_fraction * eps
     pilot = _build_pilot(smoother, samples, nodes)
     grid = np.exp(np.linspace(np.log(lo), np.log(hi), scan_points))
+    bound = _discrepancy_bound(smoother, pilot, samples, nodes, float(grid.max()) / pilot.h)
+    if bound is not None and np.all(bound * (1.0 + _BOUND_REL) + _BOUND_ABS < target):
+        return float(hi)  # no node can reach the target at any scan point
     prev = calibration_discrepancy(smoother, samples, nodes, grid[0], pilot)
     for k in range(1, scan_points):
         cur = calibration_discrepancy(smoother, samples, nodes, grid[k], pilot)

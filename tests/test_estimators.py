@@ -24,7 +24,12 @@ from smlmc.estimators import (
     run_smlmc,
     stopping_check,
 )
-from smlmc.inputs import Stratification, build_equal_width_strata, proportional_allocation
+from smlmc.inputs import (
+    Stratification,
+    build_equal_width_strata,
+    proportional_allocation,
+    substream,
+)
 from smlmc.models import MeshHierarchy, ModelSpec
 
 EXP = preset("diffusion")
@@ -187,6 +192,13 @@ class TestRunMlmc:
         assert res.total_cost > 0
 
 
+def _plain_fine_rows(seed, level, n):
+    """The first n fine QoIs a plain run uses at a level: the inverse CDF of
+    the level's single-stratum substream, solved on the level's mesh."""
+    w = DIST.inverse_cdf(substream(seed, level, 0).random(n))
+    return MODEL.qoi_batch(w, HIER.cells(level))
+
+
 def _empirical_cdf(samples):
     return (samples[:, None] <= GRID.nodes[None, :]).mean(axis=0)
 
@@ -240,9 +252,9 @@ class TestTelescopingIdentity:
         cfg = RunConfig(eps=float(np.sqrt(5.0 * v / 63.5)), **base)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
-        kept = np.concatenate(mlmc_res.levels[0].kept_fine)
+        kept = _plain_fine_rows(cfg.seed, 0, 64)
         assert mlmc_res.l_max == 0
-        assert mlmc_res.levels[0].n_total == kept.size == 64
+        assert mlmc_res.levels[0].n_total == 64
         assert mc_res.n_samples == mc_res.n_reused == 64
         assert np.array_equal(mlmc_res.estimate.raw, mc_res.estimate.raw)
         assert np.array_equal(mc_res.estimate.raw, _empirical_cdf(kept))
@@ -610,11 +622,18 @@ class TestRunMc:
         cfg = RunConfig(eps=0.1, seed=3, l_star=1, warmup=200)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
-        kept = np.concatenate(mlmc_res.levels[-1].kept_fine)
-        assert kept.size > mc_res.n_samples
+        assert mlmc_res.levels[-1].n_total > mc_res.n_samples
         assert mc_res.n_reused == mc_res.n_samples
-        assert np.array_equal(mc_res.estimate.raw,
-                              _empirical_cdf(kept[: mc_res.n_samples]))
+        kept = _plain_fine_rows(cfg.seed, mc_res.level, mc_res.n_samples)
+        assert np.array_equal(mc_res.estimate.raw, _empirical_cdf(kept))
+
+    @pytest.mark.parametrize("smoother, r", [("giles", 1), ("none", 4)])
+    def test_needs_a_plain_unstratified_run(self, smoother, r):
+        # only a plain single-stratum run draws its rows as MC would
+        cfg = RunConfig(eps=0.1, seed=3, l_star=1, warmup=16, smoother=smoother)
+        res = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, r), GRID, HIER, cfg)
+        with pytest.raises(ValueError, match="plain, unstratified"):
+            run_mc(MODEL, DIST, GRID, HIER, cfg, res)
 
     def test_zero_variance_still_averages(self):
         # a grid above every QoI leaves no indicator variance, so the formula

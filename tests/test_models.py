@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smlmc import models
 from smlmc.config import preset
 from smlmc.estimators import SampleBank
 from smlmc.models import (
@@ -299,25 +300,38 @@ def godunov_march(u1, cells, final_time=0.5, length=2.0, inflow=2.0, outflow=0.0
 MAX_PROPERTY_STEPS = 400
 
 
+# boundary states the property tests draw: the presets', and a pair with a
+# positive outflow state that only enters through the speed bound
+BOUNDARY_STATES = [(2.0, 0.0), (1.5, 0.5)]
+
+
 @st.composite
 def burgers_cases(draw):
-    """(heights, cells, final_time, cfl) on the preset's boundary states, with
-    batches of 1, of the tile qoi_batch would hand the kernel and one either
-    side of it, and of two tiles and 3; heights include 0.0 and the speed
-    bound 2.0 exactly."""
-    cells = draw(st.integers(2, 600))
+    """(heights, cells, final_time, cfl, boundary states) with batches of 1,
+    of the tile qoi_batch would hand the kernel and one either side of it,
+    and of two tiles and 3; heights include 0.0, the inflow state and the
+    speed bound exactly.  Final times include those of one step fewer, the
+    same and one more than the step where the kernel's two windows meet."""
+    cells = draw(st.integers(2, 600) | st.sampled_from([2, 3]))
+    inflow, outflow = draw(st.sampled_from(BOUNDARY_STATES))
+    max_speed = burgers_max_speed(inflow, outflow)
     tile = _TILE_ELEMS // (cells + 1)
     batch = draw(st.sampled_from([1, tile - 1, tile, tile + 1, 2 * tile + 3]))
     # from 1e-3, not 0: final_time is capped in proportion to cfl, and near 0
     # the time step would underflow
     cfl = draw(st.floats(1e-3, 1.0) | st.just(1.0))
-    final_time = draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0))
-    final_time = min(final_time, MAX_PROPERTY_STEPS * cfl * (2.0 / cells) / 2.0)
-    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, 2.0, batch)
-    w[0] = draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 2.0))
+    dt = cfl * (2.0 / cells) / max_speed
+    # the kernel's two windows meet at step k = plateau - 1, the first whose
+    # inflow window [.., k + 1) reaches the plateau edge
+    plateau = int(np.count_nonzero((np.arange(cells) + 0.5) * (2.0 / cells) <= 1.0))
+    meet = st.integers(-1, 1).map(lambda j: max(plateau + j, 1) * dt)
+    final_time = draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0) | meet)
+    final_time = min(final_time, MAX_PROPERTY_STEPS * dt)
+    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, max_speed, batch)
+    w[0] = draw(st.sampled_from([0.0, inflow, max_speed]) | st.floats(0.0, max_speed))
     if batch > 1:
-        w[-2:] = 0.0, 2.0
-    return w, cells, final_time, cfl
+        w[-2:] = 0.0, inflow
+    return w, cells, final_time, cfl, dict(inflow=inflow, outflow=outflow)
 
 
 class TestTiledKernelAgainstMarch:
@@ -368,18 +382,45 @@ class TestTiledKernelAgainstMarch:
     @settings(max_examples=40, deadline=None)
     @given(case=burgers_cases())
     def test_bit_identical_to_march(self, case):
-        w, cells, final_time, cfl = case
-        steps = burgers_time_steps(cells, final_time, cfl=cfl)
-        assert np.array_equal(solve_burgers_batch(w, cells, final_time, cfl=cfl),
-                              godunov_march(w, cells, final_time, cfl=cfl, steps=steps))
+        w, cells, final_time, cfl, kw = case
+        steps = burgers_time_steps(cells, final_time, cfl=cfl, max_speed=burgers_max_speed(**kw))
+        assert np.array_equal(solve_burgers_batch(w, cells, final_time, cfl=cfl, **kw),
+                              godunov_march(w, cells, final_time, cfl=cfl, steps=steps, **kw))
 
     @settings(max_examples=60, deadline=None)
     @given(case=burgers_cases())
     def test_fields_within_speed_bound(self, case):
         # the monotone scheme keeps every state in [0, max_speed] for cfl <= 1
-        w, cells, final_time, cfl = case
-        u = solve_burgers_batch(w, cells, final_time, cfl=cfl)
-        assert u.min() >= 0.0 and u.max() <= 2.0
+        w, cells, final_time, cfl, kw = case
+        u = solve_burgers_batch(w, cells, final_time, cfl=cfl, **kw)
+        assert u.min() >= 0.0 and u.max() <= burgers_max_speed(**kw)
+
+
+class TestFrontWindows:
+    """solve_burgers_batch steps only the rows near the two fronts, where the
+    upwind update can be nonzero."""
+
+    def test_march_updates_only_the_front_windows(self, monkeypatch):
+        # one qoi_batch tile of preset inputs at 128 cells: the steps update
+        # 40% of the cells x steps, where a sweep over every row the solution
+        # has reached would update 78%
+        rows = []
+        inner = models._upwind_rows
+
+        def counting(x, f, d, start, stop, ratio):
+            rows.append(stop - start)
+            return inner(x, f, d, start, stop, ratio)
+
+        monkeypatch.setattr(models, "_upwind_rows", counting)
+        cells = 128
+        w = preset("burgers").distribution().inverse_cdf(
+            np.random.default_rng(5).random(_TILE_ELEMS // (cells + 1)))
+        u = solve_burgers_batch(w, cells)
+        assert np.array_equal(u, godunov_march(w, cells))
+        steps = burgers_steps(cells)
+        reached = sum(min(cells, cells // 2 + k + 1) for k in range(steps))
+        assert reached > 0.75 * cells * steps
+        assert sum(rows) < 0.45 * cells * steps
 
 
 class TestBurgersTimeSteps:

@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from smlmc import smoothing
+from smlmc.config import preset
+from smlmc.inputs import substream
 from smlmc.smoothing import (
     GAUSSIAN_CDF,
     GaussianKernelCdf,
     _build_pilot,
+    _discrepancy_bound,
     _kernel_moments,
     _quadrature_discrepancy,
     _silverman,
@@ -452,3 +455,83 @@ class TestCalibrationSearch:
         bisections = calls[len(scans):]
         assert bisections and max(bisections) < nodes.size
         assert len(scans) < 40  # the scan stopped at the first crossing
+
+
+def _slack(bound):
+    """The bound with the rounding allowance the certificate adds to it."""
+    return bound * (1.0 + smoothing._BOUND_REL) + smoothing._BOUND_ABS
+
+
+class TestDiscrepancyBound:
+    """The certificate of calibrate_bandwidth: an upper bound on the
+    discrepancy over every bandwidth up to the bracket top, which lets the
+    search return the top without scanning."""
+
+    @staticmethod
+    def _case(seed, n, n_nodes):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=n) * rng.uniform(0.2, 3.0), np.linspace(-4.0, 4.0, n_nodes)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 120), st.integers(3, 30),
+           st.floats(0.01, 1.0), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_the_discrepancy_up_to_r_top(self, seed, n, n_nodes, frac, kde):
+        samples, nodes = self._case(seed, n, n_nodes)
+        smoother = GAUSSIAN_CDF if kde else build_giles_polynomial(3)
+        r_top = frac * (smoothing._KDE_BOUND_MAX_RATIO if kde else smoothing._SERIES_MAX_RATIO)
+        pilot = _build_pilot(smoother, samples, nodes)
+        bound = _discrepancy_bound(smoother, pilot, samples, nodes, r_top)
+        for r in np.linspace(0.05, 1.0, 20) * r_top:
+            disc = calibration_discrepancy(smoother, samples, nodes, r * pilot.h, pilot)
+            assert np.all(disc <= _slack(bound))
+
+    @pytest.mark.parametrize("kde", [True, False], ids=["kde", "giles"])
+    def test_no_bound_beyond_its_range(self, kde):
+        samples, nodes = self._case(0, 30, 5)
+        smoother = GAUSSIAN_CDF if kde else build_giles_polynomial(3)
+        top = smoothing._KDE_BOUND_MAX_RATIO if kde else smoothing._SERIES_MAX_RATIO
+        pilot = _build_pilot(smoother, samples, nodes)
+        assert _discrepancy_bound(smoother, pilot, samples, nodes, top) is not None
+        assert _discrepancy_bound(smoother, pilot, samples, nodes, np.nextafter(top, 2)) is None
+
+    # bracket tops at r_top = top / h either side of the bounds' limits 0.5
+    # (KDE) and 1 (polynomial), and targets either side of the bound there
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 120), st.integers(4, 30),
+           st.booleans(), st.floats(-0.05, 0.05), st.floats(-0.3, 0.3))
+    @settings(max_examples=80, deadline=None)
+    def test_certified_search_same_bits_as_full_scan(self, seed, n, n_nodes, kde,
+                                                     offset, log_factor):
+        samples, nodes = self._case(seed, n, n_nodes)
+        smoother = GAUSSIAN_CDF if kde else build_giles_polynomial(3)
+        pilot = _build_pilot(smoother, samples, nodes)
+        limit = smoothing._KDE_BOUND_MAX_RATIO if kde else smoothing._SERIES_MAX_RATIO
+        top = (limit + offset) * pilot.h
+        r_top = min(top, samples.max() - samples.min()) / pilot.h
+        bound = _discrepancy_bound(smoother, pilot, samples, nodes, r_top)
+        if bound is None:
+            bound = calibration_discrepancy(smoother, samples, nodes, r_top * pilot.h, pilot)
+        eps = max(float(bound.max()), 1e-12) * 10.0**log_factor / 0.25
+        delta = calibrate_bandwidth(smoother, samples, nodes, eps, top)
+        expected = full_scan_calibration(smoother, samples, nodes, eps, top,
+                                         discrepancy=calibration_discrepancy)
+        assert delta == expected
+
+    @pytest.mark.parametrize("kde", [True, False], ids=["kde", "giles"])
+    def test_burgers_preset_warmups_need_no_scan(self, monkeypatch, kde):
+        # the warmups of 50 at the Burgers preset's first levels, tolerances
+        # and node spacing: every calibration is certified at the bracket top
+        calls = []
+        monkeypatch.setattr(smoothing, "calibration_discrepancy",
+                            lambda *args: calls.append(args))
+        exp = preset("burgers")
+        model, dist, hier, grid = (exp.model_spec(), exp.distribution(), exp.hierarchy(),
+                                   exp.node_grid())
+        smoother = GAUSSIAN_CDF if kde else build_giles_polynomial(exp.giles_degree)
+        for level in range(3):
+            fine = model.qoi_batch(dist.inverse_cdf(substream(0, level, 0).random(50)),
+                                   hier.cells(level))
+            for eps in exp.eps_values:
+                delta = calibrate_bandwidth(smoother, fine, grid.nodes, eps, grid.h,
+                                            exp.calibration_fraction)
+                assert delta == grid.h
+        assert not calls
