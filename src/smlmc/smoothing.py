@@ -18,39 +18,44 @@ level 0 agree with them to rounding.  The dense values matrix is paired over
 the whole grid and is their test oracle.
 
 Calibration measures each kernel's bias against a Gaussian-pilot-smoothed
-empirical CDF (bandwidth h).  For the KDE kernel the convolution is a normal
-CDF in closed form.  For the polynomial kernel the bias at r = delta / h <= 1
-is a Taylor series in r whose coefficients are kernel moments times Hermite
-moments of the pilot, both built once per calibration; above r = 1 a 48-point
-Gauss-Legendre quadrature of the ramp against the pilot density (GL-48) takes
-over, and it is the tests' reference for the series.  A calibration first
-bounds the bias over its whole bandwidth bracket (the polynomial series with
-absolute terms; for the KDE kernel, its heat-flow series in the same Hermite
-moments), and when the bound stays below the target it returns the bracket
-top without scanning.
+empirical CDF (bandwidth h).  For either kernel the bias at r = delta / h is
+one Taylor series in r, whose coefficients are the kernel's moments times
+Hermite moments of the pilot, built once per calibration.  Each kernel
+carries its moment vector, the largest r its 40 terms serve (1 for the
+polynomial, 0.5 for the KDE kernel) and the exact form that takes over
+beyond it: a 48-point Gauss-Legendre quadrature of the ramp against the
+pilot density (GL-48) for the polynomial, the normal CDF in closed form for
+the KDE kernel.  Both exact forms are also the tests' references for the
+series.  A calibration first bounds the bias over its whole bandwidth
+bracket by the series' absolute terms, and when the bound stays below the
+target it returns the bracket top without scanning.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
-# terms of the discrepancy series, and the largest r = delta / h it serves;
-# beyond it the series needs more terms and cancels, and GL-48 takes over
+# terms of the discrepancy series: orders m = 0 .. 39
 _SERIES_TERMS = 40
-_SERIES_MAX_RATIO = 1.0
-# the largest r the KDE kernel's discrepancy bound serves: its terms fall
-# like r^(2k), and up to 0.5 the tail past the Hermite moments is < 1e-14
-_KDE_BOUND_MAX_RATIO = 0.5
-# Cramer's inequality: |He_m(u) phi(u)| <= _CRAMER * sqrt(m!) / sqrt(2 pi)
-_CRAMER = 1.0865
+_ORDERS = np.arange(_SERIES_TERMS)
+_FACTORIALS = np.array([math.factorial(m) for m in _ORDERS], dtype=float)
 # the rounding a computed discrepancy may carry beyond the exact value its
 # bound holds: this fraction of the bound, plus this much outright
 _BOUND_REL = 2.0 ** -30
 _BOUND_ABS = 2.0 ** -40
+# the calibration's log-spaced scan points, and the width in log delta to
+# which it bisects a crossing
+_SCAN_POINTS = 40
+_REL_TOL = 1e-3
+
+
+def _series_weights(mu: np.ndarray) -> np.ndarray:
+    """A kernel's factor (-1)^m mu_m / m! of the discrepancy series' m-th
+    term, from its moments mu_m = int (g(s) - 1{s < 0}) s^m ds."""
+    return (-1.0) ** _ORDERS * mu / _FACTORIALS
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,9 @@ class GilesPolynomial:
     # the saturation values: at nodes below Q, then at nodes above it
     half_width = 1.0
     saturation = (0.0, 1.0)
+    # the largest r = delta / h the discrepancy series serves; beyond it the
+    # series needs more terms and cancels, and GL-48 takes over
+    series_max_ratio = 1.0
 
     def __call__(self, s):
         s = np.array(s, dtype=float)
@@ -91,6 +99,32 @@ class GilesPolynomial:
         test oracle of the estimators' band sums."""
         return self.paired(np.asarray(qoi, dtype=float)[:, None],
                            np.asarray(nodes, dtype=float)[None, :], delta)
+
+    @property
+    def series_moments(self) -> np.ndarray:
+        """The series weights (_series_weights) of g's moments
+        mu_m = int_{-1}^{1} (g(s) - 1{s < 0}) s^m ds, zero for m < d and for
+        even m."""
+        power = _ORDERS[:, None] + np.arange(self.coeffs.size)[None, :]
+        monomial = np.where(power % 2 == 0, 2.0 / (power + 1), 0.0)  # int s^power
+        mu = (monomial * self.coeffs).sum(axis=1) - (-1.0) ** _ORDERS / (_ORDERS + 1)
+        return _series_weights(mu)
+
+    def exact_discrepancy(self, samples, nodes, deltas, h):
+        """The discrepancy by GL-48: the pilot's tail mass below q - delta
+        contributes 1 and the ramp is integrated against the pilot density
+        by Gauss-Legendre on [-1, 1].  The form above series_max_ratio, and
+        the tests' reference for the series."""
+        pilot_cdf = ndtr((nodes[:, None] - samples[None, :]) / h).mean(axis=1)
+        out = np.empty(nodes.size)
+        g_at = self(_GL_NODES)
+        for j, (q, dd) in enumerate(zip(nodes, deltas)):
+            tail = ndtr((q - dd - samples) / h).mean()
+            x = q + dd * _GL_NODES[:, None]  # (quad, N)
+            density = np.exp(-0.5 * ((x - samples[None, :]) / h) ** 2) / (np.sqrt(2 * np.pi) * h)
+            ramp = (g_at[:, None] * density * _GL_WEIGHTS[:, None]).sum(axis=0).mean() * dd
+            out[j] = tail + ramp
+        return np.abs(out - pilot_cdf)
 
     def _ramp(self, s):
         """g over the float array s, which is overwritten: polyval's Horner
@@ -120,6 +154,16 @@ class GaussianKernelCdf:
     # (above Q); neither is exactly 0 or 1
     half_width = _KDE_CLIP
     saturation = (float(ndtr(-_KDE_CLIP)), float(ndtr(_KDE_CLIP)))
+    # the series weights of the moments of Phi(-s): m!! / (m + 1) at odd m,
+    # 0 at even m, so the series is the heat flow of the pilot CDF,
+    # -sum_k (r^2 / 2)^k / k! A_{2k-1}
+    series_moments = _series_weights(np.array(
+        [math.prod(range(m, 0, -2)) / (m + 1) if m % 2 else 0.0 for m in _ORDERS]))
+    # the largest r the series serves: its terms fall like r^(2k) / (2^k k!)
+    # times Hermite moments |A_{2k-1}| <= 1.09 sqrt((2k-1)!) / sqrt(2 pi)
+    # (Cramer), so up to 0.5 the tail past the 40th order is under 1e-14;
+    # beyond it the closed form takes over
+    series_max_ratio = 0.5
 
     def __call__(self, s):
         out = self._ramp(np.array(s, dtype=float))
@@ -140,6 +184,16 @@ class GaussianKernelCdf:
         test oracle of the estimators' band sums."""
         return self.paired(np.asarray(qoi, dtype=float)[:, None],
                            np.asarray(nodes, dtype=float)[None, :], delta)
+
+    @staticmethod
+    def exact_discrepancy(samples, nodes, deltas, h):
+        """The discrepancy in closed form: Phi at bandwidth delta convolved
+        with the Gaussian pilot is a normal CDF at bandwidth
+        sqrt(delta^2 + h^2).  The form above series_max_ratio, and the tests'
+        reference for the series."""
+        u = nodes[:, None] - samples[None, :]
+        eff = np.sqrt(deltas * deltas + h * h)
+        return np.abs(ndtr(u / eff[:, None]).mean(axis=1) - ndtr(u / h).mean(axis=1))
 
     @staticmethod
     def _ramp(s):
@@ -205,40 +259,21 @@ def _silverman(samples: np.ndarray) -> float:
 @dataclass(frozen=True)
 class _Pilot:
     """The Gaussian pilot of one sample set at a set of nodes, built once per
-    calibration: its bandwidth h, and per node the pilot CDF (KDE kernel) or
-    the discrepancy series' coefficients, shape (nodes, _SERIES_TERMS)
-    (polynomial kernel)."""
+    calibration: its bandwidth h and per node the discrepancy series'
+    coefficients, shape (nodes, _SERIES_TERMS)."""
 
     h: float
-    cdf: Optional[np.ndarray] = None
-    series: Optional[np.ndarray] = None
+    series: np.ndarray
 
     def subset(self, idx):
         """The pilot at nodes[idx]."""
-        return _Pilot(
-            self.h,
-            None if self.cdf is None else self.cdf[idx],
-            None if self.series is None else self.series[idx],
-        )
+        return _Pilot(self.h, self.series[idx])
 
 
 def _build_pilot(smoother, samples, nodes) -> _Pilot:
     h = _silverman(samples)
     u = (nodes[:, None] - samples[None, :]) / h
-    if isinstance(smoother, GaussianKernelCdf):
-        return _Pilot(h, cdf=ndtr(u).mean(axis=1))
-    return _Pilot(h, series=_hermite_moments(u) * _kernel_moments(smoother))
-
-
-def _kernel_moments(poly: GilesPolynomial) -> np.ndarray:
-    """(-1)^m mu_m / m! for m < _SERIES_TERMS, where
-    mu_m = int_{-1}^{1} (g(s) - 1{s < 0}) s^m ds (zero for m < d)."""
-    m = np.arange(_SERIES_TERMS)
-    power = m[:, None] + np.arange(poly.coeffs.size)[None, :]
-    monomial = np.where(power % 2 == 0, 2.0 / (power + 1), 0.0)  # int s^power
-    mu = (monomial * poly.coeffs).sum(axis=1) - (-1.0) ** m / (m + 1)
-    factorial = np.array([math.factorial(k) for k in m], dtype=float)
-    return (-1.0) ** m * mu / factorial
+    return _Pilot(h, _hermite_moments(u) * smoother.series_moments)
 
 
 def _hermite_moments(u: np.ndarray) -> np.ndarray:
@@ -261,23 +296,6 @@ def _hermite_moments(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quadrature_discrepancy(poly, samples, nodes, deltas, h):
-    """The polynomial kernel's discrepancy by GL-48: the tail mass below
-    q - delta contributes 1 and the ramp is integrated against the pilot
-    density by Gauss-Legendre on [-1, 1].  The fallback above r = 1, and the
-    tests' reference for the series."""
-    pilot_cdf = ndtr((nodes[:, None] - samples[None, :]) / h).mean(axis=1)
-    out = np.empty(nodes.size)
-    g_at = poly(_GL_NODES)
-    for j, (q, dd) in enumerate(zip(nodes, deltas)):
-        tail = ndtr((q - dd - samples) / h).mean()
-        x = q + dd * _GL_NODES[:, None]  # (quad, N)
-        density = np.exp(-0.5 * ((x - samples[None, :]) / h) ** 2) / (np.sqrt(2 * np.pi) * h)
-        ramp = (g_at[:, None] * density * _GL_WEIGHTS[:, None]).sum(axis=0).mean() * dd
-        out[j] = tail + ramp
-    return np.abs(out - pilot_cdf)
-
-
 def calibration_discrepancy(smoother, samples, nodes, deltas, pilot=None):
     """|bias| per node of smoothing at bandwidth delta, measured against a
     Gaussian-pilot-smoothed empirical CDF of the samples.
@@ -289,12 +307,12 @@ def calibration_discrepancy(smoother, samples, nodes, deltas, pilot=None):
     _build_pilot of (smoother, samples, nodes); a calibration passes its own,
     built once, and without one it is built here (Silverman bandwidth h).
 
-    For the polynomial kernel, with r = delta / h, u_nj = (q_n - X_j) / h and
-    mu_m the kernel moments of _kernel_moments, the discrepancy is
+    With r = delta / h, u_nj = (q_n - X_j) / h and the kernel's moments
+    mu_m = int (g(s) - 1{s < 0}) s^m ds, the discrepancy is
     |sum_{m < 40} r^(m+1) (-1)^m mu_m A_nm / m!| with the Hermite moments
     A_nm = mean_j He_m(u_nj) phi(u_nj): the Taylor series of the pilot density
-    across the ramp.  It serves r <= 1; above, GL-48 quadrature
-    (_quadrature_discrepancy) takes over.
+    across the ramp.  It serves r <= smoother.series_max_ratio; beyond, the
+    kernel's exact_discrepancy takes over.
     """
     samples = np.asarray(samples, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
@@ -304,13 +322,8 @@ def calibration_discrepancy(smoother, samples, nodes, deltas, pilot=None):
         pilot = _build_pilot(smoother, samples, nodes)
     h = pilot.h
     d = np.broadcast_to(np.asarray(deltas, dtype=float), nodes.shape)
-    if isinstance(smoother, GaussianKernelCdf):
-        # Phi * Gaussian pilot convolves in closed form: bandwidth sqrt(delta^2 + h^2)
-        eff = np.sqrt(d * d + h * h)
-        smoothed = ndtr((nodes[:, None] - samples[None, :]) / eff[:, None]).mean(axis=1)
-        return np.abs(smoothed - pilot.cdf)
     r = d / h
-    near = r <= _SERIES_MAX_RATIO
+    near = r <= smoother.series_max_ratio
     out = np.empty(nodes.size)
     # r^1 .. r^40 along each node's row, by running products; each row is
     # summed on its own, so a node's value does not depend on the others
@@ -318,65 +331,33 @@ def calibration_discrepancy(smoother, samples, nodes, deltas, pilot=None):
     out[near] = np.abs((pilot.series[near] * powers).sum(axis=1))
     if not near.all():
         far = ~near
-        out[far] = _quadrature_discrepancy(smoother, samples, nodes[far], d[far], h)
+        out[far] = smoother.exact_discrepancy(samples, nodes[far], d[far], h)
     return out
 
 
-def _discrepancy_bound(smoother, pilot: _Pilot, samples, nodes, r_top: float):
+def _discrepancy_bound(smoother, pilot: _Pilot, r_top: float):
     """Per node, an upper bound on calibration_discrepancy at every
-    delta <= r_top * h, or None when r_top lies beyond the bound's range.
-
-    Polynomial kernel (r_top <= 1, where the discrepancy is the series):
-    sum_m |series_nm| r_top^(m+1), which bounds the series at every r <= r_top
-    term by term.
-
-    KDE kernel (r_top <= _KDE_BOUND_MAX_RATIO): the pilot smoothed once more
-    at bandwidth delta is the heat flow of the pilot CDF over time delta^2 / 2,
-    so the discrepancy is |sum_{k >= 1} (r^2 / 2)^k / k! A_{n,2k-1}| with the
-    Hermite moments A of _hermite_moments.  The first _SERIES_TERMS / 2 terms
-    are bounded by their absolute values at r_top, and the tail by Cramer's
-    inequality, |A_nm| <= _CRAMER sqrt(m!) / sqrt(2 pi): the tail's terms
-    shrink at least by r_top^2 from one to the next, so it is at most its
-    first term over 1 - r_top^2.
-    """
-    if isinstance(smoother, GaussianKernelCdf):
-        if r_top > _KDE_BOUND_MAX_RATIO:
-            return None
-        # A_{n,2k-1} for k = 1..top
-        odd = _hermite_moments((nodes[:, None] - samples[None, :]) / pilot.h)[:, 1::2]
-        top = odd.shape[1]
-        half = r_top * r_top / 2.0
-        k = np.arange(1, top + 1)
-        weights = half**k / np.array([math.factorial(j) for j in k], dtype=float)
-        first_tail = (half ** (top + 1) / math.factorial(top + 1)
-                      * _CRAMER * math.sqrt(math.factorial(2 * top + 1) / (2.0 * math.pi)))
-        return np.abs(odd) @ weights + first_tail / (1.0 - r_top * r_top)
-    if r_top > _SERIES_MAX_RATIO:
+    delta <= r_top * h, or None when r_top lies beyond the series' range
+    smoother.series_max_ratio: sum_m |series_nm| r_top^(m+1), which bounds
+    the series at every r <= r_top term by term."""
+    if r_top > smoother.series_max_ratio:
         return None
     return np.abs(pilot.series) @ r_top ** np.arange(1, _SERIES_TERMS + 1)
 
 
-def calibrate_bandwidth(
-    smoother,
-    samples,
-    nodes,
-    eps: float,
-    bracket_top: float = np.inf,
-    target_fraction: float = 0.25,
-    scan_points: int = 40,
-    rel_tol: float = 1e-3,
-) -> float:
+def calibrate_bandwidth(smoother, samples, nodes, eps: float, bracket_top: float,
+                        target_fraction: float) -> float:
     """Per-level bandwidth from a bracketed root search on the discrepancy.
 
     For each interpolation node the search locates the first bandwidth at
-    which the node's discrepancy crosses target_fraction * eps (log-spaced
-    scan, then bisection in log delta).  The level bandwidth is the smallest
-    rooted crossing, so plugging it back keeps the discrepancy within the
-    target at every node; nodes whose discrepancy never reaches the target
-    impose no constraint.  With no rooted node at all the bracket top is
-    returned.  bracket_top caps the search (the node spacing in the engines;
-    smoothing beyond the grid resolution trades unquantifiable bias for
-    variance).
+    which the node's discrepancy crosses target_fraction * eps (a scan of
+    _SCAN_POINTS log-spaced bandwidths, then bisection in log delta down to a
+    width of _REL_TOL).  The level bandwidth is the smallest rooted crossing,
+    so plugging it back keeps the discrepancy within the target at every
+    node; nodes whose discrepancy never reaches the target impose no
+    constraint.  With no rooted node at all the bracket top is returned.
+    bracket_top caps the search (the node spacing in the engines; smoothing
+    beyond the grid resolution trades unquantifiable bias for variance).
 
     The scan stops at the first step where a node crosses, and only the
     nodes that crossed there are bisected: their roots lie below that step's
@@ -384,9 +365,11 @@ def calibrate_bandwidth(
     root is among them.
 
     Before the scan, _discrepancy_bound bounds every node's discrepancy at
-    every scan point.  When the bound, with room for rounding, stays below
-    the target at every node, no node can cross and the search returns the
-    bracket top without scanning: the scan's own answer.
+    every scan point, for either kernel by the absolute terms of its series
+    when the bracket top lies within series_max_ratio * h.  When the bound,
+    with room for rounding, stays below the target at every node, no node can
+    cross and the search returns the bracket top without scanning: the scan's
+    own answer.
     """
     samples = np.asarray(samples, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
@@ -403,12 +386,12 @@ def calibrate_bandwidth(
         return float(hi if hi > 0 else bracket_top)
     target = target_fraction * eps
     pilot = _build_pilot(smoother, samples, nodes)
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), scan_points))
-    bound = _discrepancy_bound(smoother, pilot, samples, nodes, float(grid.max()) / pilot.h)
+    grid = np.exp(np.linspace(np.log(lo), np.log(hi), _SCAN_POINTS))
+    bound = _discrepancy_bound(smoother, pilot, float(grid.max()) / pilot.h)
     if bound is not None and np.all(bound * (1.0 + _BOUND_REL) + _BOUND_ABS < target):
         return float(hi)  # no node can reach the target at any scan point
     prev = calibration_discrepancy(smoother, samples, nodes, grid[0], pilot)
-    for k in range(1, scan_points):
+    for k in range(1, _SCAN_POINTS):
         cur = calibration_discrepancy(smoother, samples, nodes, grid[k], pilot)
         crossed = np.flatnonzero((prev < target) & (cur >= target))
         if crossed.size:
@@ -419,7 +402,7 @@ def calibrate_bandwidth(
     nodes, pilot = nodes[crossed], pilot.subset(crossed)
     b_lo = np.full(crossed.size, np.log(grid[k] / (grid[1] / grid[0])))
     b_hi = np.full(crossed.size, np.log(grid[k]))
-    while np.any(b_hi - b_lo > rel_tol):
+    while np.any(b_hi - b_lo > _REL_TOL):
         mid = 0.5 * (b_lo + b_hi)
         disc = calibration_discrepancy(smoother, samples, nodes, np.exp(mid), pilot)
         below = disc < target

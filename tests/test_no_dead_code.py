@@ -192,3 +192,26 @@ def test_field_guard_ignores_post_init_checks():
         "    def f(self):\n        return self.used\n\n\n"
         "KEYS = (('s', 'k', 'keyed', int),)\n")
     assert _unread_fields({"m.py": tree}) == ["C.checked"]
+
+
+KERNELS = {"GilesPolynomial", "GaussianKernelCdf"}
+
+
+def _kernel_class_checks(tree):
+    """Source of every isinstance call that names a kernel class."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and KERNELS & {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}]
+
+
+def test_smoothing_asks_kernels_not_their_class():
+    # what calibration needs of a kernel (its series moments, the range its
+    # series serves, its exact form) is on the kernel, so smoothing.py never
+    # branches on a kernel's class
+    checks = _kernel_class_checks(_modules()["smoothing.py"])
+    assert not checks, f"smoothing.py tests a kernel's class: {checks}"
+
+
+def test_kernel_class_guard_sees_tuples():
+    tree = ast.parse("isinstance(k, (int, GaussianKernelCdf))\nisinstance(k, float)\n")
+    assert _kernel_class_checks(tree) == ["isinstance(k, (int, GaussianKernelCdf))"]

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import integrate
 from scipy.special import ndtr
 
 from smlmc import smoothing
@@ -13,8 +16,6 @@ from smlmc.smoothing import (
     GaussianKernelCdf,
     _build_pilot,
     _discrepancy_bound,
-    _kernel_moments,
-    _quadrature_discrepancy,
     _silverman,
     build_giles_polynomial,
     calibrate_bandwidth,
@@ -25,7 +26,7 @@ from smlmc.smoothing import (
 def gl48_discrepancy(smoother, samples, nodes, deltas):
     """Oracle: the discrepancy with GL-48 quadrature at every bandwidth for
     the polynomial kernel, and the KDE kernel's closed form with the pilot
-    CDF computed at each call."""
+    CDF computed at each call: each kernel's exact form, with no series."""
     samples = np.asarray(samples, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     h = _silverman(samples)
@@ -35,15 +36,15 @@ def gl48_discrepancy(smoother, samples, nodes, deltas):
         eff = np.sqrt(d * d + h * h)
         smoothed = ndtr((nodes[:, None] - samples[None, :]) / eff[:, None]).mean(axis=1)
         return np.abs(smoothed - pilot_cdf)
-    return _quadrature_discrepancy(smoother, samples, nodes, d, h)
+    return smoother.exact_discrepancy(samples, nodes, d, h)
 
 
-def full_scan_calibration(smoother, samples, nodes, eps, bracket_top=np.inf,
-                          target_fraction=0.25, scan_points=40, rel_tol=1e-3,
+def full_scan_calibration(smoother, samples, nodes, eps, bracket_top, target_fraction,
                           discrepancy=gl48_discrepancy):
-    """Oracle: the bracketed root search that scans all scan_points
-    bandwidths, bisects every node that crosses at any step, evaluating all
-    nodes at each bisection point, and returns the smallest root."""
+    """Oracle: the bracketed root search that scans all of the calibration's
+    scan points, bisects every node that crosses at any step to the
+    calibration's tolerance, evaluating all nodes at each bisection point,
+    and returns the smallest root."""
     samples = np.asarray(samples, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
     spread = float(samples.max() - samples.min())
@@ -54,7 +55,7 @@ def full_scan_calibration(smoother, samples, nodes, eps, bracket_top=np.inf,
     if hi <= lo:
         return float(hi if hi > 0 else bracket_top)
     target = target_fraction * eps
-    grid = np.exp(np.linspace(np.log(lo), np.log(hi), scan_points))
+    grid = np.exp(np.linspace(np.log(lo), np.log(hi), smoothing._SCAN_POINTS))
     roots = np.full(nodes.size, np.inf)
     found = np.zeros(nodes.size, dtype=bool)
     prev = discrepancy(smoother, samples, nodes, grid[0])
@@ -64,7 +65,7 @@ def full_scan_calibration(smoother, samples, nodes, eps, bracket_top=np.inf,
         if newly.any():
             b_lo = np.where(newly, np.log(g / (grid[1] / grid[0])), 0.0)
             b_hi = np.where(newly, np.log(g), 0.0)
-            while np.any((b_hi - b_lo)[newly] > rel_tol):
+            while np.any((b_hi - b_lo)[newly] > smoothing._REL_TOL):
                 mid = 0.5 * (b_lo + b_hi)
                 below = discrepancy(smoother, samples, nodes, np.exp(mid)) < target
                 b_lo = np.where(below, mid, b_lo)
@@ -198,7 +199,8 @@ class TestCalibration:
         samples = np.array([-1.0, 1.0])
         nodes = np.array([0.0])
         poly = build_giles_polynomial(1)
-        delta = calibrate_bandwidth(poly, samples, nodes, eps=0.01, bracket_top=5.0)
+        delta = calibrate_bandwidth(poly, samples, nodes, eps=0.01, bracket_top=5.0,
+                                    target_fraction=0.25)
         scan = np.exp(np.linspace(np.log(2e-6), np.log(2.0), 200))
         disc = np.array([
             calibration_discrepancy(poly, samples, nodes, d)[0] for d in scan
@@ -244,7 +246,7 @@ class TestCalibration:
         eps = 0.01
         for smoother in (build_giles_polynomial(3), GAUSSIAN_CDF):
             delta = calibrate_bandwidth(smoother, samples, nodes, eps,
-                                        bracket_top=np.inf)
+                                        bracket_top=np.inf, target_fraction=0.25)
             disc = calibration_discrepancy(smoother, samples, nodes, delta)
             assert disc.max() <= eps / 2.0 + 1e-8   # paper budget target
             assert disc.max() <= 0.25 * eps + 1e-8  # configured target
@@ -254,21 +256,22 @@ class TestCalibration:
         samples = rng.normal(size=60)
         nodes = np.linspace(-2, 2, 9)
         delta = calibrate_bandwidth(GAUSSIAN_CDF, samples, nodes, eps=0.01,
-                                    bracket_top=0.05)
+                                    bracket_top=0.05, target_fraction=0.25)
         assert delta <= 0.05 + 1e-12
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
-            calibrate_bandwidth(GAUSSIAN_CDF, np.array([]), np.array([0.0]), 0.01)
+            calibrate_bandwidth(GAUSSIAN_CDF, np.array([]), np.array([0.0]), 0.01,
+                                np.inf, 0.25)
 
     def test_tighter_tolerance_means_smaller_bandwidth(self):
         rng = np.random.default_rng(3)
         samples = rng.normal(size=200) * 2.0
         nodes = np.linspace(-4, 4, 17)
         d_loose = calibrate_bandwidth(GAUSSIAN_CDF, samples, nodes, eps=0.02,
-                                      bracket_top=np.inf)
+                                      bracket_top=np.inf, target_fraction=0.25)
         d_tight = calibrate_bandwidth(GAUSSIAN_CDF, samples, nodes, eps=0.005,
-                                      bracket_top=np.inf)
+                                      bracket_top=np.inf, target_fraction=0.25)
         assert d_tight < d_loose
 
 
@@ -309,7 +312,8 @@ class TestKernelValues:
 
 
 class TestDiscrepancySeries:
-    """The polynomial kernel's discrepancy series against GL-48."""
+    """Each kernel's discrepancy series against its exact form: GL-48 for the
+    polynomial kernel, the closed form for the KDE kernel."""
 
     @staticmethod
     def _case(seed, n, scale):
@@ -340,11 +344,52 @@ class TestDiscrepancySeries:
         quad = gl48_discrepancy(poly, samples, nodes, r * h)
         assert np.abs(series - quad).max() <= 1e-14
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.floats(0.05, 5.0),
+           st.floats(-7.0, np.log10(0.5)))
+    @settings(max_examples=150, deadline=None)
+    def test_kde_series_matches_closed_form(self, seed, n, scale, log_r):
+        # a tolerance, not the closed form's bits: at r = 1e-5 its two means
+        # of normal CDFs cancel to near 1e-11 and keep their rounding, near
+        # 1e-16, which the series does not share
+        rng, samples, nodes, h = self._case(seed, n, scale)
+        # per-node r in [1e-7, 0.5]; the last node takes the drawn value
+        r = np.r_[10.0 ** rng.uniform(-7.0, np.log10(0.5), nodes.size - 1), 10.0 ** log_r]
+        series = calibration_discrepancy(GAUSSIAN_CDF, samples, nodes, r * h)
+        assert np.all(np.isfinite(series))
+        closed = gl48_discrepancy(GAUSSIAN_CDF, samples, nodes, r * h)
+        assert np.abs(series - closed).max() <= 1e-14
+
+    def test_kde_switch_at_r_half(self):
+        _, samples, nodes, h = self._case(11, 80, 1.5)
+        below = calibration_discrepancy(GAUSSIAN_CDF, samples, nodes, (0.5 - 1e-12) * h)
+        above = calibration_discrepancy(GAUSSIAN_CDF, samples, nodes, (0.5 + 1e-12) * h)
+        closed_below = gl48_discrepancy(GAUSSIAN_CDF, samples, nodes, (0.5 - 1e-12) * h)
+        closed_above = gl48_discrepancy(GAUSSIAN_CDF, samples, nodes, (0.5 + 1e-12) * h)
+        assert np.abs(below - closed_below).max() <= 1e-14
+        # above r = 0.5 the closed form itself runs
+        assert np.array_equal(above, closed_above)
+        assert np.abs(above - below).max() <= 1e-10
+
+    def test_gaussian_moments_match_quadrature(self):
+        # mu_m = int (Phi(-s) - 1{s < 0}) s^m ds by adaptive quadrature on
+        # each half line, against the closed form m!! / (m + 1) at odd m
+        weights = GAUSSIAN_CDF.series_moments
+        for m in range(weights.size):
+            mu = (integrate.quad(lambda s: ndtr(-s) * s**m, 0.0, np.inf,
+                                 epsabs=0, limit=200)[0]
+                  + integrate.quad(lambda s: -ndtr(s) * s**m, -np.inf, 0.0,
+                                   epsabs=0, limit=200)[0])
+            expected = (-1.0) ** m * mu / math.factorial(m)
+            if m % 2 == 0:
+                assert weights[m] == 0.0 and abs(expected) < 1e-12
+            else:
+                assert weights[m] == pytest.approx(expected, rel=1e-9)
+
     def test_far_node_is_exactly_zero(self):
         _, samples, nodes, h = self._case(3, 50, 1.0)
-        disc = calibration_discrepancy(build_giles_polynomial(3), samples,
-                                       nodes[-1:], 0.5 * h)
-        assert disc[0] == 0.0
+        for smoother in (build_giles_polynomial(3), GAUSSIAN_CDF):
+            disc = calibration_discrepancy(smoother, samples, nodes[-1:], 0.5 * h)
+            assert disc[0] == 0.0
 
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_switch_at_r_one(self, d):
@@ -360,19 +405,20 @@ class TestDiscrepancySeries:
         assert np.abs(above - below).max() <= 1e-10
 
     def test_mixed_nodes_match_single_node_calls(self):
-        # per-node bandwidths on both sides of r = 1: each node's value does
-        # not depend on the path the other nodes take
+        # per-node bandwidths on both sides of r = 1 and of r = 0.5: each
+        # node's value does not depend on the path the other nodes take
         _, samples, nodes, h = self._case(5, 60, 2.0)
-        poly = build_giles_polynomial(3)
         deltas = h * np.array([0.3, 1.7, 1.0, 2.5, 1e-5, 0.99, 0.5])
-        together = calibration_discrepancy(poly, samples, nodes, deltas)
-        alone = [calibration_discrepancy(poly, samples, nodes[i:i + 1], deltas[i])[0]
-                 for i in range(nodes.size)]
-        assert np.array_equal(together, alone)
+        for smoother in (build_giles_polynomial(3), GAUSSIAN_CDF):
+            together = calibration_discrepancy(smoother, samples, nodes, deltas)
+            alone = [calibration_discrepancy(smoother, samples, nodes[i:i + 1],
+                                             deltas[i])[0]
+                     for i in range(nodes.size)]
+            assert np.array_equal(together, alone)
 
     @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
     def test_kernel_moments_vanish_below_d(self, d):
-        weights = _kernel_moments(build_giles_polynomial(d))
+        weights = build_giles_polynomial(d).series_moments
         assert np.all(np.abs(weights[:d]) < 1e-15)
         # g(s) - 1{s < 0} is odd about 0, so only odd orders survive
         assert np.abs(weights[0::2]).max() < 1e-15
@@ -390,24 +436,13 @@ class TestCalibrationSearch:
         # eps 0.02 at target fraction 0.5 crosses at every node; eps 2 never
         return samples, nodes, (0.02 if crossing else 2.0)
 
-    def test_kde_pilot_built_once_same_bits(self):
-        # the calibration's pilot CDF, built once, gives the bits of the
-        # closed form that computes it at every call
-        samples, nodes, _ = self._case(True)
-        pilot = _build_pilot(GAUSSIAN_CDF, samples, nodes)
-        for delta in (1e-5, 0.3, 2.0, np.linspace(0.1, 1.0, nodes.size)):
-            assert np.array_equal(
-                calibration_discrepancy(GAUSSIAN_CDF, samples, nodes, delta, pilot),
-                gl48_discrepancy(GAUSSIAN_CDF, samples, nodes, delta))
-
     @pytest.mark.parametrize("crossing", [True, False])
     @pytest.mark.parametrize("kernel", ["giles", "kde"])
     def test_equals_full_scan_oracle(self, crossing, kernel):
         smoother = build_giles_polynomial(3) if kernel == "giles" else GAUSSIAN_CDF
         samples, nodes, eps = self._case(crossing)
-        delta = calibrate_bandwidth(smoother, samples, nodes, eps, target_fraction=0.5)
-        expected = full_scan_calibration(smoother, samples, nodes, eps,
-                                         target_fraction=0.5)
+        delta = calibrate_bandwidth(smoother, samples, nodes, eps, np.inf, 0.5)
+        expected = full_scan_calibration(smoother, samples, nodes, eps, np.inf, 0.5)
         assert delta == expected
         spread = samples.max() - samples.min()
         assert (delta < spread) == crossing
@@ -444,7 +479,7 @@ class TestCalibrationSearch:
             raise AssertionError("GL-48 ran below r = 1")
 
         monkeypatch.setattr(smoothing, "calibration_discrepancy", counting)
-        monkeypatch.setattr(smoothing, "_quadrature_discrepancy", no_quadrature)
+        monkeypatch.setattr(smoothing.GilesPolynomial, "exact_discrepancy", no_quadrature)
         poly = build_giles_polynomial(3)
         # the presets' tolerances never cross below the node spacing; a
         # ten-thousandth of them crosses halfway up the scan
@@ -478,9 +513,9 @@ class TestDiscrepancyBound:
     def test_bounds_the_discrepancy_up_to_r_top(self, seed, n, n_nodes, frac, kde):
         samples, nodes = self._case(seed, n, n_nodes)
         smoother = GAUSSIAN_CDF if kde else build_giles_polynomial(3)
-        r_top = frac * (smoothing._KDE_BOUND_MAX_RATIO if kde else smoothing._SERIES_MAX_RATIO)
+        r_top = frac * smoother.series_max_ratio
         pilot = _build_pilot(smoother, samples, nodes)
-        bound = _discrepancy_bound(smoother, pilot, samples, nodes, r_top)
+        bound = _discrepancy_bound(smoother, pilot, r_top)
         for r in np.linspace(0.05, 1.0, 20) * r_top:
             disc = calibration_discrepancy(smoother, samples, nodes, r * pilot.h, pilot)
             assert np.all(disc <= _slack(bound))
@@ -489,10 +524,10 @@ class TestDiscrepancyBound:
     def test_no_bound_beyond_its_range(self, kde):
         samples, nodes = self._case(0, 30, 5)
         smoother = GAUSSIAN_CDF if kde else build_giles_polynomial(3)
-        top = smoothing._KDE_BOUND_MAX_RATIO if kde else smoothing._SERIES_MAX_RATIO
+        top = smoother.series_max_ratio
         pilot = _build_pilot(smoother, samples, nodes)
-        assert _discrepancy_bound(smoother, pilot, samples, nodes, top) is not None
-        assert _discrepancy_bound(smoother, pilot, samples, nodes, np.nextafter(top, 2)) is None
+        assert _discrepancy_bound(smoother, pilot, top) is not None
+        assert _discrepancy_bound(smoother, pilot, np.nextafter(top, 2)) is None
 
     # bracket tops at r_top = top / h either side of the bounds' limits 0.5
     # (KDE) and 1 (polynomial), and targets either side of the bound there
@@ -504,15 +539,14 @@ class TestDiscrepancyBound:
         samples, nodes = self._case(seed, n, n_nodes)
         smoother = GAUSSIAN_CDF if kde else build_giles_polynomial(3)
         pilot = _build_pilot(smoother, samples, nodes)
-        limit = smoothing._KDE_BOUND_MAX_RATIO if kde else smoothing._SERIES_MAX_RATIO
-        top = (limit + offset) * pilot.h
+        top = (smoother.series_max_ratio + offset) * pilot.h
         r_top = min(top, samples.max() - samples.min()) / pilot.h
-        bound = _discrepancy_bound(smoother, pilot, samples, nodes, r_top)
+        bound = _discrepancy_bound(smoother, pilot, r_top)
         if bound is None:
             bound = calibration_discrepancy(smoother, samples, nodes, r_top * pilot.h, pilot)
         eps = max(float(bound.max()), 1e-12) * 10.0**log_factor / 0.25
-        delta = calibrate_bandwidth(smoother, samples, nodes, eps, top)
-        expected = full_scan_calibration(smoother, samples, nodes, eps, top,
+        delta = calibrate_bandwidth(smoother, samples, nodes, eps, top, 0.25)
+        expected = full_scan_calibration(smoother, samples, nodes, eps, top, 0.25,
                                          discrepancy=calibration_discrepancy)
         assert delta == expected
 
