@@ -4,7 +4,9 @@ Reproduces the benchmark protocol: for every tolerance and every realization,
 run plain MLMC (fixing the finest level), MC at that level reusing the MLMC
 samples, smoothed MLMC with both kernels, and stratified MLMC with and
 without KDE smoothing for each configured stratum count; then aggregate the
-costs into comparison tables.
+costs into comparison tables.  run_realization runs the protocol of one
+realization, and the acceptance tests run it too; cmd_run names each run by
+config.run_tag, writes its files and aggregates the costs.
 """
 
 import argparse
@@ -23,53 +25,61 @@ from .estimators import SampleBank, run_mc, run_mlmc, run_smlmc
 from .smoothing import build_giles_polynomial
 
 
+def run_realization(exp: ExperimentConfig, eps: float, k: int):
+    """The runs of realization k at tolerance eps in exp.run_plan() order (mlmc
+    before the mc run that reuses its samples), with exp.run_config's
+    settings, on one SampleBank: they share a seed, so the bank solves each
+    of their common inputs once.  Yields (method, strata, outcome) per run,
+    outcome being its result or the exception it raised."""
+    model, dist, grid, hierarchy = (exp.model_spec(), exp.distribution(),
+                                    exp.node_grid(), exp.hierarchy())
+    bank = SampleBank(model, dist, hierarchy)
+    mlmc_result = None
+    for method, r in exp.run_plan():
+        cfg = exp.run_config(method, eps, k)
+        try:
+            if method == "mc":
+                if mlmc_result is None:
+                    raise RuntimeError("mc requires the plain mlmc run")
+                res = run_mc(model, dist, grid, hierarchy, cfg, mlmc_result)
+            elif METHODS[method].stratified:
+                res = run_smlmc(model, dist, exp.stratification(r), grid, hierarchy, cfg,
+                                bank=bank)
+            else:
+                res = run_mlmc(model, dist, grid, hierarchy, cfg, bank=bank)
+                if method == "mlmc":
+                    mlmc_result = res
+        except Exception as exc:  # the caller reports it
+            res = exc
+        yield method, r, res
+
+
 def cmd_run(args) -> int:
     exp = _load_experiment(args)
     out = Path(args.out or exp.out)
-    plan = exp.run_plan()
     if args.dry_run:
         print(f"model={exp.model} work_model={exp.work_model} seed={exp.seed}")
+        tags = ", ".join(run_tag(m, r) for m, r in exp.run_plan())
         for eps in exp.eps_values:
             for k in range(exp.n_real):
-                tags = ", ".join(run_tag(m, r) for m, r in plan)
                 print(f"eps={eps} run={k} seed={exp.seed + k}: {tags}")
         return 0
     out.mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
-    model = exp.model_spec()
-    dist = exp.distribution()
-    grid = exp.node_grid()
-    hierarchy = exp.hierarchy()
     failures = []
     costs: dict = {}
     for eps in exp.eps_values:
         totals: dict = {}
         for k in range(exp.n_real):
-            # the runs of a realization share one seed, so one bank solves
-            # each of their common inputs once
-            bank = SampleBank(model, dist, hierarchy)
-            mlmc_result = None
-            for method, r in plan:
+            for method, r, res in run_realization(exp, eps, k):
                 tag = run_tag(method, r)
-                cfg = exp.run_config(method, eps, k)
-                try:
-                    if method == "mc":
-                        if mlmc_result is None:
-                            raise RuntimeError("mc requires the plain mlmc run")
-                        res = run_mc(model, dist, grid, hierarchy, cfg, mlmc_result)
-                    elif METHODS[method].stratified:
-                        strat = exp.stratification(r)
-                        res = run_smlmc(model, dist, strat, grid, hierarchy, cfg, bank=bank)
-                    else:
-                        res = run_mlmc(model, dist, grid, hierarchy, cfg, bank=bank)
-                        if method == "mlmc":
-                            mlmc_result = res
-                except Exception as exc:  # keep the remaining runs alive
-                    failures.append(f"eps={eps} run={k} {tag}: {exc}")
-                    print(f"FAILED eps={eps} run={k} {tag}: {exc}", file=sys.stderr)
+                if isinstance(res, Exception):  # the remaining runs went on
+                    failures.append(f"eps={eps} run={k} {tag}: {res}")
+                    print(f"FAILED eps={eps} run={k} {tag}: {res}", file=sys.stderr)
                     continue
                 totals.setdefault(tag, []).append(res.total_cost)
                 report = res.report()
+                report["method"] = tag
                 report["run"] = k
                 rpath = out / "reports" / f"eps{eps:g}_run{k}_{tag}.json"
                 with open(rpath, "w", newline="\n") as fh:

@@ -281,7 +281,6 @@ class MultilevelResult:
     levels: list
     total_cost: float
     config: RunConfig
-    method: str
     strat: Stratification
     warnings: list
     bank: "SampleBank"  # the rows the run used, and run_mc reuses
@@ -292,7 +291,6 @@ class MultilevelResult:
 
     def report(self) -> dict:
         return {
-            "method": self.method,
             "eps": self.config.eps,
             "seed": self.config.seed,
             "smoother": self.config.smoother,
@@ -318,7 +316,6 @@ class McResult:
 
     def report(self) -> dict:
         return {
-            "method": "mc",
             "level": self.level,
             "n_samples": self.n_samples,
             "n_reused": self.n_reused,
@@ -434,14 +431,12 @@ class _HeldRows:
 
 class _Engine:
     """The multilevel engine.  Plain MLMC is its single-stratum case: the same
-    draws, statistics, sizing and estimate, with no separate path.
-    stratified tells which entry point built it, and so how the run is named:
-    an sMLMC run keeps its stratum count in its name even at r = 1.  Its
-    rows come from bank, a private SampleBank when none is given."""
+    draws, statistics, sizing and estimate, with no separate path.  Its rows
+    come from bank, a private SampleBank when none is given."""
 
     def __init__(self, model: ModelSpec, dist: TruncatedLognormal,
                  strat: Stratification, grid: NodeGrid,
-                 hierarchy: MeshHierarchy, config: RunConfig, stratified: bool,
+                 hierarchy: MeshHierarchy, config: RunConfig,
                  bank: Optional[SampleBank] = None):
         if bank is None:
             bank = SampleBank(model, dist, hierarchy)
@@ -449,7 +444,6 @@ class _Engine:
             raise ValueError("the sample bank holds solves of another model, "
                              "input law or mesh hierarchy")
         self.bank = bank
-        self.stratified = stratified
         self.model = model
         self.strat = strat
         self.grid = grid
@@ -511,8 +505,11 @@ class _Engine:
             total = total_sq = c_fine
         else:
             lo, hi = np.minimum(fine, coarse), np.maximum(fine, coarse)
-            total = c_fine - indicator_counts(coarse, nodes)
-            total_sq = indicator_counts(lo, nodes) - indicator_counts(hi, nodes)
+            c_coarse = indicator_counts(coarse, nodes)
+            total = c_fine - c_coarse
+            # {lo_j, hi_j} = {fine_j, coarse_j}, so #{hi <= q} is
+            # c_fine + c_coarse - #{lo <= q}
+            total_sq = 2 * indicator_counts(lo, nodes) - c_fine - c_coarse
         lv.sum_idiff[stratum] += total
         lv.sumsq_idiff[stratum] += total_sq
         lv.sum_ifine[stratum] += c_fine
@@ -575,24 +572,14 @@ class _Engine:
         raw = np.zeros(self.nodes.size)
         for lv in self.levels:
             raw += lv.mean_g_stratified(self.strat.probs)
-        method = _method_name(self.cfg, self.strat.r, self.stratified)
-        estimate = CdfEstimate(
-            grid=self.grid,
-            raw=raw,
-            metadata={
-                "kind": method,
-                "eps": self.cfg.eps,
-                "seed": self.cfg.seed,
-                "l_max": len(self.levels) - 1,
-            },
-        )
+        estimate = CdfEstimate(grid=self.grid, raw=raw)
         # level by level, then stratum by stratum: the order fixes the bits
         # of the reported total
         total_cost = float(sum(int(n) * float(w) for lv in self.levels
                                for n, w in zip(lv.n, lv.avg_work(self.cfg.work_model))))
         return MultilevelResult(
             estimate=estimate, levels=self.levels, total_cost=total_cost,
-            config=self.cfg, method=method, strat=self.strat,
+            config=self.cfg, strat=self.strat,
             warnings=self.warnings, bank=self.bank,
         )
 
@@ -664,32 +651,21 @@ def _smoothed_sums(smoother, fine, coarse, lo, hi, nodes, delta: float):
     return total, total_sq
 
 
-def _method_name(cfg: RunConfig, r: int, stratified: bool) -> str:
-    """The run's name, as config.run_tag names it in output files."""
-    base = "smlmc" if stratified else "mlmc"
-    if cfg.smoother != "none":
-        base += f"_{cfg.smoother}"
-    return f"{base}_r{r}" if stratified else base
-
-
 def run_mlmc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
              hierarchy: MeshHierarchy, config: RunConfig, *,
              bank: Optional[SampleBank] = None) -> MultilevelResult:
-    """Plain or smoothed multilevel run (single stratum).  A bank shared with
-    the other runs of a realization saves their common solves; the result
-    is the same with or without it."""
-    strat = build_equal_width_strata(dist, 1)
-    return _Engine(model, dist, strat, grid, hierarchy, config, stratified=False,
-                   bank=bank).run()
+    """Plain or smoothed multilevel run: run_smlmc with one stratum."""
+    return run_smlmc(model, dist, build_equal_width_strata(dist, 1), grid, hierarchy,
+                     config, bank=bank)
 
 
 def run_smlmc(model: ModelSpec, dist: TruncatedLognormal, strat: Stratification,
               grid: NodeGrid, hierarchy: MeshHierarchy, config: RunConfig, *,
               bank: Optional[SampleBank] = None) -> MultilevelResult:
-    """Stratified multilevel run; with r = 1 it reproduces run_mlmc bit for bit
-    under a shared seed, apart from its name.  bank as for run_mlmc."""
-    return _Engine(model, dist, strat, grid, hierarchy, config, stratified=True,
-                   bank=bank).run()
+    """Stratified multilevel run.  A bank shared with the other runs of a
+    realization saves their common solves; the result is the same with or
+    without it."""
+    return _Engine(model, dist, strat, grid, hierarchy, config, bank=bank).run()
 
 
 def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
@@ -734,10 +710,6 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
         pair = float(top.avg_work("wallclock").mean())
         fine_work = max(pair * det_fine / top.pair_work, 1e-9)
     raw = indicator_counts(qoi, grid.nodes) / qoi.size
-    estimate = CdfEstimate(
-        grid=grid,
-        raw=raw,
-        metadata={"kind": "mc", "eps": config.eps, "seed": config.seed, "level": l_max},
-    )
-    return McResult(estimate=estimate, total_cost=float(n_mc * float(fine_work)),
+    return McResult(estimate=CdfEstimate(grid=grid, raw=raw),
+                    total_cost=float(n_mc * float(fine_work)),
                     n_samples=n_mc, n_reused=n_reused, level=l_max)

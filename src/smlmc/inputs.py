@@ -178,22 +178,18 @@ def build_equal_width_strata(dist: TruncatedLognormal, r: int) -> Stratification
 
 def _round_counts(raw: np.ndarray, total: int, min_count: int) -> np.ndarray:
     """floor + largest-fractional-part remainder, then enforce a per-entry floor
-    by stealing from the largest entry."""
+    by stealing from the largest entry.  total >= len(raw) * min_count, so
+    while an entry is short the largest holds more than min_count."""
     n = np.floor(raw).astype(int)
     remainder = total - int(n.sum())
     if remainder > 0:
         order = np.argsort(-(raw - n), kind="stable")
         n[order[:remainder]] += 1
-    deficit = np.maximum(min_count - n, 0)
-    while deficit.any():
-        short = int(np.argmax(deficit > 0))
-        donor = int(np.argmax(n))
-        if n[donor] <= min_count:
-            break  # nothing left to steal; floor wins over the exact total
-        n[donor] -= 1
+    while np.any(n < min_count):
+        short = int(np.argmax(n < min_count))
+        n[int(np.argmax(n))] -= 1
         n[short] += 1
-        deficit = np.maximum(min_count - n, 0)
-    return np.maximum(n, min_count)
+    return n
 
 
 def proportional_allocation(N: int, strat: Stratification, min_count: int = 1) -> np.ndarray:

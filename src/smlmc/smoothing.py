@@ -345,6 +345,24 @@ def _discrepancy_bound(smoother, pilot: _Pilot, r_top: float):
     return np.abs(pilot.series) @ r_top ** np.arange(1, _SERIES_TERMS + 1)
 
 
+def _scan_start(smoother, pilot: _Pilot, grid, target: float):
+    """The first step k >= 1 of the scan, whose previous point grid[k - 1]
+    it evaluates first: the first scan point at which the series bound,
+    with room for rounding, does not keep every node below the target (so
+    none can reach it lower down), or None when no scan point has one.  The
+    top scan point is tried first, so a certified calibration costs one
+    bound; the others within the series' range take one product, a column
+    of _discrepancy_bound per scan point."""
+    top = _discrepancy_bound(smoother, pilot, grid[-1] / pilot.h)
+    if top is not None and np.all(top * (1.0 + _BOUND_REL) + _BOUND_ABS < target):
+        return None
+    r = grid / pilot.h
+    r = r[r <= smoother.series_max_ratio]
+    bound = np.abs(pilot.series) @ r ** np.arange(1, _SERIES_TERMS + 1)[:, None]
+    cleared = np.all(bound * (1.0 + _BOUND_REL) + _BOUND_ABS < target, axis=0)
+    return max(int(np.argmin(np.append(cleared, False))), 1)
+
+
 def calibrate_bandwidth(smoother, samples, nodes, eps: float, bracket_top: float,
                         target_fraction: float) -> float:
     """Per-level bandwidth from a bracketed root search on the discrepancy.
@@ -365,11 +383,13 @@ def calibrate_bandwidth(smoother, samples, nodes, eps: float, bracket_top: float
     root is among them.
 
     Before the scan, _discrepancy_bound bounds every node's discrepancy at
-    every scan point, for either kernel by the absolute terms of its series
-    when the bracket top lies within series_max_ratio * h.  When the bound,
-    with room for rounding, stays below the target at every node, no node can
+    the scan points within series_max_ratio * h, for either kernel by the
+    absolute terms of its series.  When the bound at the top scan point, with
+    room for rounding, stays below the target at every node, no node can
     cross and the search returns the bracket top without scanning: the scan's
-    own answer.
+    own answer.  Otherwise the scan starts just below the first scan point
+    whose bound does not clear the target: below it no node reaches the
+    target, so no crossing is skipped and the answer is the full scan's.
     """
     samples = np.asarray(samples, dtype=float)
     nodes = np.asarray(nodes, dtype=float)
@@ -387,11 +407,11 @@ def calibrate_bandwidth(smoother, samples, nodes, eps: float, bracket_top: float
     target = target_fraction * eps
     pilot = _build_pilot(smoother, samples, nodes)
     grid = np.exp(np.linspace(np.log(lo), np.log(hi), _SCAN_POINTS))
-    bound = _discrepancy_bound(smoother, pilot, float(grid.max()) / pilot.h)
-    if bound is not None and np.all(bound * (1.0 + _BOUND_REL) + _BOUND_ABS < target):
+    start = _scan_start(smoother, pilot, grid, target)
+    if start is None:
         return float(hi)  # no node can reach the target at any scan point
-    prev = calibration_discrepancy(smoother, samples, nodes, grid[0], pilot)
-    for k in range(1, _SCAN_POINTS):
+    prev = calibration_discrepancy(smoother, samples, nodes, grid[start - 1], pilot)
+    for k in range(start, _SCAN_POINTS):
         cur = calibration_discrepancy(smoother, samples, nodes, grid[k], pilot)
         crossed = np.flatnonzero((prev < target) & (cur >= target))
         if crossed.size:

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The expensive simulation batteries run once in module-scoped fixtures and are
-shared across criteria.  The diffusion reference CDF values were computed by
+shared across criteria.  Each realization of a battery is run by
+smlmc.cli.run_realization, the runner of smlmc run, so the criteria judge the
+runs the CLI makes.  The diffusion reference CDF values were computed by
 the deterministic quadrature oracle (dense input-grid indicator sums at four
 times the finest hierarchy resolution; see tests/data/diffusion_reference.json
 for the generation parameters and self-convergence deltas) and are frozen
@@ -11,21 +13,21 @@ tests/test_cdf.py.
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smlmc.cdf import CdfEstimate, NodeGrid, sup_distance
+from smlmc.cli import run_realization
 from smlmc.config import preset
 from smlmc.estimators import (
     LevelState,
     RunConfig,
-    SampleBank,
     mc_sample_count,
     required_samples_mlmc,
     required_samples_smlmc,
-    run_mc,
     run_mlmc,
     run_smlmc,
     stopping_check,
@@ -70,37 +72,15 @@ def diffusion():
     }
 
 
-def _battery(setup, eps, methods, n_real=N_REAL):
-    """Run the benchmark methods for n_real seeds, the runs of each seed on
-    one sample bank as smlmc run shares it; returns per-method lists."""
-    exp, model, dist = setup["exp"], setup["model"], setup["dist"]
-    grid, hier, strat8 = setup["grid"], setup["hier"], setup["strat8"]
+def _battery(exp, eps, methods, n_real=N_REAL):
+    """The first n_real realizations of the given methods at eps, sMLMC at
+    r = 8, run by the runner smlmc run uses; returns per-method lists."""
+    exp = replace(exp, methods=tuple(methods), strata_counts=(8,))
     out = {m: [] for m in methods}
-    for seed in range(n_real):
-        bank = SampleBank(model, dist, hier)
-        mlmc_res = None
-        for method in methods:
-            smoother = ("giles" if method.endswith("giles")
-                        else "kde" if method.endswith("kde") else "none")
-            stratified = method.startswith("smlmc")
-            cfg = RunConfig(
-                eps=eps,
-                l_star=exp.l_star,
-                warmup=exp.warmup_for("mlmc" if smoother == "none" else "mlmc_kde")
-                if not stratified else
-                exp.warmup_for("smlmc" if smoother == "none" else "smlmc_kde"),
-                smoother=smoother,
-                seed=exp.seed + seed,
-                work_model="deterministic",
-            )
-            if method == "mc":
-                res = run_mc(model, dist, grid, hier, cfg, mlmc_res)
-            elif stratified:
-                res = run_smlmc(model, dist, strat8, grid, hier, cfg, bank=bank)
-            else:
-                res = run_mlmc(model, dist, grid, hier, cfg, bank=bank)
-                if method == "mlmc":
-                    mlmc_res = res
+    for k in range(n_real):
+        for method, _, res in run_realization(exp, eps, k):
+            if isinstance(res, Exception):
+                raise res
             out[method].append(res)
     return out
 
@@ -108,7 +88,7 @@ def _battery(setup, eps, methods, n_real=N_REAL):
 @pytest.fixture(scope="module")
 def diffusion_eps01(diffusion):
     t0 = time.perf_counter()
-    runs = _battery(diffusion, EPS_ACC,
+    runs = _battery(diffusion["exp"], EPS_ACC,
                     ["mlmc", "mc", "mlmc_giles", "mlmc_kde", "smlmc", "smlmc_kde"])
     runs["_seconds"] = time.perf_counter() - t0
     return runs
@@ -117,7 +97,7 @@ def diffusion_eps01(diffusion):
 @pytest.fixture(scope="module")
 def diffusion_eps005(diffusion):
     t0 = time.perf_counter()
-    runs = _battery(diffusion, EPS_COST,
+    runs = _battery(diffusion["exp"], EPS_COST,
                     ["mlmc", "mc", "mlmc_giles", "mlmc_kde", "smlmc", "smlmc_kde"])
     runs["_seconds"] = time.perf_counter() - t0
     return runs
@@ -125,17 +105,8 @@ def diffusion_eps005(diffusion):
 
 @pytest.fixture(scope="module")
 def burgers_eps005():
-    exp = preset("burgers")
-    setup = {
-        "exp": exp,
-        "model": exp.model_spec(),
-        "dist": exp.distribution(),
-        "grid": exp.node_grid(),
-        "hier": exp.hierarchy(),
-        "strat8": exp.stratification(8),
-    }
     t0 = time.perf_counter()
-    runs = _battery(setup, EPS_COST, ["mlmc_giles", "mlmc_kde"])
+    runs = _battery(preset("burgers"), EPS_COST, ["mlmc_giles", "mlmc_kde"])
     runs["_seconds"] = time.perf_counter() - t0
     return runs
 

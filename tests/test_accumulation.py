@@ -42,8 +42,7 @@ KERNELS = {"giles": build_giles_polynomial(3), "kde": GAUSSIAN_CDF}
 
 def _engine(grid, smoother):
     return _Engine(EXP.model_spec(), DIST, build_equal_width_strata(DIST, 1), grid,
-                   EXP.hierarchy(), RunConfig(eps=0.02, smoother=smoother),
-                   stratified=False)
+                   EXP.hierarchy(), RunConfig(eps=0.02, smoother=smoother))
 
 
 def _dense_accumulate(lv, smoother, nodes, fine, coarse):

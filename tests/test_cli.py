@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from smlmc.cli import main
+from smlmc.config import METHODS, load_config, run_tag
 
 TINY_CONFIG = """
 [experiment]
 model = diffusion
 eps = 0.05
 methods = {methods}
-strata = 2
+strata = {strata}
 n_real = 2
 seed = 3
 work_model = deterministic
@@ -27,9 +28,9 @@ stratified_smoothed = 16
 """
 
 
-def _write_config(tmp_path, methods="mlmc, mc, smlmc"):
+def _write_config(tmp_path, methods="mlmc, mc, smlmc", strata="2"):
     path = tmp_path / "exp.ini"
-    path.write_text(TINY_CONFIG.format(methods=methods))
+    path.write_text(TINY_CONFIG.format(methods=methods, strata=strata))
     return str(path)
 
 
@@ -43,20 +44,26 @@ class TestRun:
         assert "smlmc_r2" in out
 
     def test_end_to_end_artifacts(self, tmp_path):
-        cfg = _write_config(tmp_path)
+        # every method, and sMLMC at r = 1 too
+        cfg = _write_config(tmp_path, methods=", ".join(METHODS), strata="1, 2")
         out = tmp_path / "results"
         rc = main(["run", "--config", cfg, "--out", str(out)])
         assert rc == 0
         assert (out / "costs.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failures"] == []
-        reports = sorted((out / "reports").glob("*.json"))
-        # 2 runs x 3 methods
-        assert len(reports) == 6
-        report = json.loads(reports[0].read_text())
-        assert "total_cost" in report and "run" in report
-        cdfs = sorted((out / "reports").glob("*_cdf.csv"))
-        assert len(cdfs) == 6
+        tags = [run_tag(m, r) for m, r in load_config(cfg).run_plan()]
+        assert "smlmc_r1" in tags and "smlmc_kde_r2" in tags
+        for k in range(2):
+            for tag in tags:
+                # each report names its run as its file name does
+                stem = out / "reports" / f"eps0.05_run{k}_{tag}"
+                report = json.loads(stem.with_name(stem.name + ".json").read_text())
+                assert report["method"] == tag and report["run"] == k
+                assert "total_cost" in report
+                assert stem.with_name(stem.name + "_cdf.csv").exists()
+        assert len(list((out / "reports").glob("*.json"))) == 2 * len(tags)
+        assert len(list((out / "reports").glob("*_cdf.csv"))) == 2 * len(tags)
 
     def test_byte_identical_outputs_under_deterministic_work(self, tmp_path):
         cfg = _write_config(tmp_path)

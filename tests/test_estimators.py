@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smlmc.cdf import NodeGrid
-from smlmc.config import METHODS, preset, run_tag
+from smlmc.config import METHODS, preset
 from smlmc.estimators import (
     LevelState,
     RunConfig,
@@ -297,24 +297,6 @@ class TestRunSmlmc:
         assert [lv.delta for lv in plain.levels] == [lv.delta for lv in strat.levels]
         assert plain.total_cost == strat.total_cost
 
-    @pytest.mark.parametrize("r", [1, 8])
-    def test_names_match_run_tags(self, r):
-        # every run is named as its output files are, a one-stratum sMLMC
-        # run included
-        base = dict(eps=0.2, l_star=1, warmup=16, seed=3)
-        strat = build_equal_width_strata(DIST, r)
-        for method, spec in METHODS.items():
-            if method == "mc":
-                continue
-            cfg = RunConfig(smoother=spec.smoother, **base)
-            if spec.stratified:
-                res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
-            else:
-                res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-            tag = run_tag(method, r)
-            assert res.method == res.report()["method"] == tag
-            assert res.estimate.metadata["kind"] == res.report()["method"] == tag
-
     def test_stratified_run_basics(self):
         strat = build_equal_width_strata(DIST, 4)
         cfg = RunConfig(eps=0.02, seed=7, **FAST)
@@ -346,7 +328,7 @@ class TestRunSmlmc:
         cfg = RunConfig(eps=0.05, seed=1, **FAST)
         res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
         rep = res.report()
-        assert rep["method"] == "smlmc_r4"
+        assert rep["strata"] == 4
         assert len(rep["levels"]) == res.l_max + 1
         for lv in rep["levels"]:
             assert set(lv) >= {"n_per_stratum", "delta", "avg_work",
@@ -567,28 +549,21 @@ class TestSampleBank:
     @given(seed=st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=3, deadline=None)
     def test_realization_peak_memory_bounded(self, seed):
-        # one Burgers preset realization at eps 0.02 of all six methods on
-        # one bank, as smlmc run makes it: its smoothed runs mostly reach the
-        # level cap L7.  The peak RSS it adds to the process stays bounded
+        # one Burgers preset realization at eps 0.02 of all six methods, by
+        # the runner smlmc run uses (one bank for the realization): its
+        # smoothed runs mostly reach the level cap L7.  The peak RSS it adds
+        # to the process stays bounded
         code = """
 import resource, sys
-from smlmc.config import METHODS, preset
-from smlmc.estimators import SampleBank, run_mc, run_mlmc, run_smlmc
+from dataclasses import replace
+from smlmc.cli import run_realization
+from smlmc.config import preset
 seed = int(sys.argv[1])
-exp = preset("burgers")
-model, dist, grid, hier = exp.model_spec(), exp.distribution(), exp.node_grid(), exp.hierarchy()
-strat = exp.stratification(8)
+exp = replace(preset("burgers"), strata_counts=(8,))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-bank = SampleBank(model, dist, hier)
-for method, spec in METHODS.items():
-    cfg = exp.run_config(method, 0.02, seed)
-    if method == "mc":
-        run_mc(model, dist, grid, hier, cfg, plain)
-    elif spec.stratified:
-        run_smlmc(model, dist, strat, grid, hier, cfg, bank=bank)
-    else:
-        res = run_mlmc(model, dist, grid, hier, cfg, bank=bank)
-        plain = res if method == "mlmc" else plain
+for method, r, res in run_realization(exp, 0.02, seed - exp.seed):
+    if isinstance(res, Exception):
+        raise res
 print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
         src = Path(__file__).resolve().parent.parent / "src"

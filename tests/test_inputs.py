@@ -251,16 +251,17 @@ class TestAllocation:
         st.integers(min_value=2, max_value=6),
         st.integers(min_value=50, max_value=500),
         st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=3),
     )
     @settings(max_examples=50, deadline=None)
-    def test_allocation_invariants(self, r, total, seed):
+    def test_allocation_invariants(self, r, total, seed, min_count):
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(r) * 2.0)
         probs = probs / probs.sum()
         s = _strat(probs)
-        n = proportional_allocation(total, s)
-        assert np.all(n >= 1)
-        assert abs(int(n.sum()) - total) <= r
+        n = proportional_allocation(total, s, min_count)
+        assert np.all(n >= min_count)
+        assert int(n.sum()) == total
 
 
 def _filled_level(counts, means, sds, seed=0, nodes=3):
