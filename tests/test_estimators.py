@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smlmc.cdf import NodeGrid
-from smlmc.config import METHODS, preset
+from smlmc.cli import run_realization
+from smlmc.config import METHODS, preset, run_tag
 from smlmc.estimators import (
     LevelState,
     RunConfig,
@@ -296,6 +298,31 @@ class TestRunSmlmc:
         ]
         assert [lv.delta for lv in plain.levels] == [lv.delta for lv in strat.levels]
         assert plain.total_cost == strat.total_cost
+
+    @pytest.mark.parametrize("r", [1, 8])
+    def test_names_match_run_tags(self, r):
+        # every run smlmc run makes is named as its output files are, a
+        # one-stratum sMLMC run included: the runner yields the planned
+        # (method, strata) pairs in order, their tags are distinct, and each
+        # result is the run its tag names (smoother and stratum count)
+        exp = replace(EXP, methods=tuple(METHODS), strata_counts=(r,), l_star=1,
+                      warmup_plain=16, warmup_smoothed=16, warmup_strat_plain=16,
+                      warmup_strat_smoothed=16, seed=3)
+        runs = list(run_realization(exp, 0.2, 0))
+        assert [(m, s) for m, s, _ in runs] == exp.run_plan()
+        tags = [run_tag(m, s) for m, s, _ in runs]
+        assert len(set(tags)) == len(tags)
+        assert f"smlmc_r{r}" in tags and f"smlmc_kde_r{r}" in tags
+        for method, s, res in runs:
+            assert not isinstance(res, Exception), (run_tag(method, s), res)
+            spec = METHODS[method]
+            if method == "mc":
+                assert set(res.report()) >= {"n_samples", "n_reused", "total_cost"}
+                continue
+            rep = res.report()
+            assert rep["smoother"] == spec.smoother
+            assert rep["strata"] == (r if spec.stratified else 1)
+            assert run_tag(method, s) == (f"{method}_r{r}" if spec.stratified else method)
 
     def test_stratified_run_basics(self):
         strat = build_equal_width_strata(DIST, 4)
