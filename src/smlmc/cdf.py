@@ -5,7 +5,6 @@ monotone post-processing, error norms, and a quadrature-based reference CDF.
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -213,16 +212,11 @@ def reference_cdf(
     return CdfEstimate(grid=grid, raw=values, metadata=meta)
 
 
-def cdf_to_csv(estimate: CdfEstimate, path, reference: Optional[CdfEstimate] = None):
-    """Write node rows: q, raw, processed, reference, abs_error (LF endings)."""
-    lines = ["q,raw,processed,reference,abs_error"]
-    ref = reference.raw if reference is not None else None
+def cdf_to_csv(estimate: CdfEstimate, path):
+    """Write node rows: q, raw, processed (LF endings)."""
+    lines = ["q,raw,processed"]
     for i, q in enumerate(estimate.grid.nodes):
-        if ref is None:
-            tail = ","
-        else:
-            tail = f"{ref[i]:.12g},{abs(estimate.raw[i] - ref[i]):.12g}"
-        lines.append(f"{q:.12g},{estimate.raw[i]:.12g},{estimate.processed[i]:.12g},{tail}")
+        lines.append(f"{q:.12g},{estimate.raw[i]:.12g},{estimate.processed[i]:.12g}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

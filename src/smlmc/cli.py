@@ -58,7 +58,7 @@ def cmd_run(args) -> int:
     exp = _load_experiment(args)
     out = Path(args.out or exp.out)
     if args.dry_run:
-        print(f"model={exp.model} work_model={exp.work_model} seed={exp.seed}")
+        print(f"model={exp.model} seed={exp.seed}")
         tags = ", ".join(run_tag(m, r) for m, r in exp.run_plan())
         for eps in exp.eps_values:
             for k in range(exp.n_real):
@@ -94,8 +94,7 @@ def cmd_run(args) -> int:
     table = comparison_table(costs)
     table_to_csv(table, out / "costs.csv")
     with open(out / "summary.json", "w", newline="\n") as fh:
-        json.dump({"model": exp.model, "work_model": exp.work_model,
-                   "n_real": exp.n_real, "seed": exp.seed,
+        json.dump({"model": exp.model, "n_real": exp.n_real, "seed": exp.seed,
                    "table": table, "failures": failures},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -182,14 +181,9 @@ def cmd_inspect(args) -> int:
 def _load_experiment(args) -> ExperimentConfig:
     if not (args.config or args.preset):
         raise SystemExit("need --preset or --config")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.work_model:
-        overrides["work_model"] = args.work_model
     try:
         exp = load_config(args.config) if args.config else preset(args.preset)
-        return replace(exp, **overrides)
+        return exp if args.seed is None else replace(exp, seed=args.seed)
     except ValueError as exc:  # a setting that cannot run stops every run
         raise SystemExit(f"smlmc: invalid config: {exc}") from exc
 
@@ -199,8 +193,6 @@ def _add_common(sub):
     sub.add_argument("--config")
     sub.add_argument("--out")
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--work-model", dest="work_model",
-                     choices=("wallclock", "deterministic"))
 
 
 def main(argv=None) -> int:

@@ -2,14 +2,15 @@
 smoothing.
 
 The multilevel loop follows the standard pattern: open a new level, draw
-warmup pairs, (re)estimate per-node variances and per-sample work, size every
-level from the variance/work table, top the levels up (samples are never
-discarded), then test the weak-error proxy max_n |mean indicator difference|
-against eps / sqrt(2) to decide whether another level is needed.  Each warmup
-or top-up pass takes its rows from a SampleBank: level l of stratum i is
-drawn from its own substream (seed, l, i), and the rows the bank does not
-hold yet are drawn and solved, all strata together, with one
-ModelSpec.qoi_batch call per mesh.
+warmup pairs, (re)estimate per-node variances, size every level from the
+variances and the work of a pair sample (the deterministic work model: cells
+x time steps of its fine and coarse solves), top the levels up (samples are
+never discarded), then test the weak-error proxy max_n |mean indicator
+difference| against eps / sqrt(2) to decide whether another level is
+needed.  Each warmup or top-up pass takes its rows from a SampleBank: level
+l of stratum i is drawn from its own substream (seed, l, i), and the rows
+the bank does not hold yet are drawn and solved, all strata together, with
+one ModelSpec.qoi_batch call per mesh.
 
 Runs with the same seed draw the same inputs from the same substream keys,
 so a bank shared by the runs of one realization (as the CLI shares one per
@@ -35,7 +36,6 @@ cdf.indicator and the kernels' values stay as the dense test oracles of
 these sums.
 """
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,7 +65,6 @@ class RunConfig:
     smoother: str = "none"             # none | giles | kde
     giles_degree: int = 3
     seed: int = 0
-    work_model: str = "deterministic"  # deterministic | wallclock
     sampling_safety: float = 2.5
     calibration_fraction: float = 0.15
     min_stratum_samples: int = 2
@@ -75,8 +74,6 @@ class RunConfig:
             raise ValueError("eps must be positive")
         if self.smoother not in ("none", "giles", "kde"):
             raise ValueError(f"unknown smoother {self.smoother!r}")
-        if self.work_model not in ("deterministic", "wallclock"):
-            raise ValueError(f"unknown work model {self.work_model!r}")
         if self.min_stratum_samples < 1:
             raise ValueError("min_stratum_samples must be at least 1")
         if self.warmup < max(2, self.min_stratum_samples):
@@ -122,20 +119,12 @@ class LevelState:
         self.sumsq_idiff = np.zeros((n_strata, n_nodes))
         self.sum_ifine = np.zeros((n_strata, n_nodes))
         self.pair_work = pair_work          # deterministic work units per pair sample
-        self.elapsed = 0.0                  # wallclock seconds spent in solves
         self.delta: Optional[float] = None
         self.history: list = []             # total sample count after each sizing pass
 
     @property
     def n_total(self) -> int:
         return int(self.n.sum())
-
-    def avg_work(self, work_model: str) -> np.ndarray:
-        """Per-stratum average work per pair sample.  A pass solves its
-        strata together, so wallclock time is charged per sample alike."""
-        if work_model == "deterministic":
-            return np.full(self.n.shape, self.pair_work)
-        return np.full(self.n.shape, max(self.elapsed / max(self.n_total, 1), 1e-9))
 
     @property
     def _counts(self) -> np.ndarray:
@@ -176,7 +165,7 @@ class LevelState:
         probs = np.asarray(probs)
         return self._stratified_sum(probs * probs, self.var_idiff())
 
-    def report(self, probs, work_model: str) -> dict:
+    def report(self, probs) -> dict:
         var_idiff = self.var_idiff_pooled()
         var_ifine = self.var_ifine_pooled()
         var_stratified = self.stratified_estimator_variance(probs)
@@ -186,7 +175,7 @@ class LevelState:
             "n_total": self.n_total,
             "history": list(self.history),
             "delta": self.delta,
-            "avg_work": self.avg_work(work_model).tolist(),
+            "avg_work": [self.pair_work] * self.n.size,
             "var_idiff_per_node": var_idiff.tolist(),
             "var_ifine_per_node": var_ifine.tolist(),
             "var_stratified_per_node": var_stratified.tolist(),
@@ -225,30 +214,31 @@ def required_samples_mlmc(variances, works, eps: float, budget_factor: float):
 
 def required_samples_smlmc(variances, probs, works, eps: float, budget_factor: float):
     """Per-stratum, per-level counts from the stratified analogue of the MLMC
-    formula: n_{i,l} = ceil(max_n bf eps^-2 sqrt(V_{n,l,i} p_i^2 / w_{i,l})
-    sum_k sum_j sqrt(V_{n,k,j} p_j^2 w_{j,k})).
+    formula: n_{i,l} = ceil(max_n bf eps^-2 sqrt(V_{n,l,i} p_i^2 / w_l)
+    sum_k sum_j sqrt(V_{n,k,j} p_j^2 w_k)).
 
-    variances: one (r, nodes) array per level; works: one (r,) array per
-    level; probs: stratum probabilities.
+    variances: one (r, nodes) array per level; works: one positive scalar
+    per level, the work of a pair sample in any stratum; probs: stratum
+    probabilities.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    works = [float(w) for w in works]
+    if any(w <= 0 for w in works):
+        raise ValueError("per-sample work must be positive")
     probs = np.asarray(probs, dtype=float)
     vs = [np.atleast_2d(np.asarray(v, dtype=float)) for v in variances]
-    ws = [np.atleast_1d(np.asarray(w, dtype=float))[:, None] for w in works]
-    for v, w in zip(vs, ws):
-        if v.shape[0] != probs.size or w.shape[0] != probs.size:
-            raise ValueError("need one variance row and one work entry per stratum")
-        if np.any(w <= 0):
-            raise ValueError("per-sample work must be positive")
+    for v in vs:
+        if v.shape[0] != probs.size:
+            raise ValueError("need one variance row per stratum")
         if np.any(v < 0):
             raise ValueError("variances must be nonnegative")
     # p_i^2 by scalar pow, which numpy's array power does not round alike
     p2 = np.array([p ** 2 for p in probs])[:, None]
-    total = sum(np.sqrt(v * p2 * w).sum(axis=0) for v, w in zip(vs, ws))
+    total = sum(np.sqrt(v * p2 * w).sum(axis=0) for v, w in zip(vs, works))
     return [
         np.ceil(budget_factor / eps**2 * (np.sqrt(v * p2 / w) * total).max(axis=1)).astype(int)
-        for v, w in zip(vs, ws)
+        for v, w in zip(vs, works)
     ]
 
 
@@ -297,12 +287,9 @@ class MultilevelResult:
             "strata": self.strat.r,
             "l_max": self.l_max,
             "sampling_safety": self.config.sampling_safety,
-            "work_model": self.config.work_model,
             "total_cost": self.total_cost,
             "warnings": list(self.warnings),
-            "levels": [
-                lv.report(self.strat.probs, self.config.work_model) for lv in self.levels
-            ],
+            "levels": [lv.report(self.strat.probs) for lv in self.levels],
         }
 
 
@@ -337,8 +324,7 @@ class SampleBank:
     Philox substreams give the same sequence however the draws are split,
     and inverse_cdf and qoi_batch work sample by sample (TestBatchInvariance),
     so a held row has the bits the run would have solved alone.  The bank
-    holds 16 bytes per pair (8 at level 0) plus a fixed overhead per key and
-    per solve.
+    holds 16 bytes per pair (8 at level 0) plus a fixed overhead per key.
     """
 
     def __init__(self, model: ModelSpec, dist: TruncatedLognormal,
@@ -350,14 +336,12 @@ class SampleBank:
 
     def take(self, seed: int, level: int, intervals, starts, counts):
         """Rows [starts[i], starts[i] + counts[i]) of the stratum with CDF
-        interval intervals[i], for every i: their fine QoIs, their coarse
-        QoIs (None at level 0), pooled in stratum order, and the solve
-        seconds charged to them.
+        interval intervals[i], for every i: their fine QoIs and their coarse
+        QoIs (None at level 0), pooled in stratum order.
 
         Rows the bank does not hold yet are drawn and solved, all strata
-        together, with one qoi_batch call per mesh; every row is charged the
-        per-sample seconds of the solve that added it.  A run asks for rows
-        in order, so each key holds at least starts[i] rows.
+        together, with one qoi_batch call per mesh.  A run asks for rows in
+        order, so each key holds at least starts[i] rows.
         """
         held = [(self._rows(seed, level, i, lo, hi), int(n), int(n) + int(m))
                 for i, ((lo, hi), n, m) in enumerate(zip(intervals, starts, counts)) if m]
@@ -365,20 +349,16 @@ class SampleBank:
                    if stop > rows.fine.size]
         if missing:
             w = np.concatenate([rows.draw(self.dist, m) for rows, m in missing])
-            t0 = time.perf_counter()
             fine, coarse = self._solve_pairs(level, w)
-            per_row = (time.perf_counter() - t0) / w.size
             stop = 0
             for rows, m in missing:
                 start, stop = stop, stop + m
-                rows.add(fine[start:stop], None if coarse is None else coarse[start:stop],
-                         per_row)
+                rows.add(fine[start:stop], None if coarse is None else coarse[start:stop])
         fine = np.concatenate([rows.fine[start:stop] for rows, start, stop in held])
         coarse = None
         if level > 0:
             coarse = np.concatenate([rows.coarse[start:stop] for rows, start, stop in held])
-        seconds = sum(rows.seconds(start, stop) for rows, start, stop in held)
-        return fine, coarse, seconds
+        return fine, coarse
 
     def _rows(self, seed: int, level: int, stratum: int, lo: float, hi: float) -> "_HeldRows":
         key = (seed, level, stratum, float(lo), float(hi))
@@ -396,8 +376,7 @@ class SampleBank:
 
 class _HeldRows:
     """One key of a SampleBank: its substream, the CDF interval (lo, hi) of
-    its stratum, the QoI pairs solved from its draws so far, and the
-    (row stop, seconds per row) of each solve that added rows."""
+    its stratum, and the QoI pairs solved from its draws so far."""
 
     def __init__(self, stream: np.random.Generator, lo: float, hi: float):
         self.stream = stream
@@ -405,7 +384,6 @@ class _HeldRows:
         self.hi = hi
         self.fine = np.empty(0)
         self.coarse = np.empty(0)
-        self.solves: list = []
 
     def draw(self, dist: TruncatedLognormal, m: int) -> np.ndarray:
         """m more draws from the input law conditioned on the stratum: the
@@ -414,19 +392,10 @@ class _HeldRows:
         u = self.stream.random(m)
         return dist.inverse_cdf(self.lo + u * (self.hi - self.lo))
 
-    def add(self, fine, coarse, per_row: float):
+    def add(self, fine, coarse):
         self.fine = np.concatenate([self.fine, fine])
         if coarse is not None:
             self.coarse = np.concatenate([self.coarse, coarse])
-        self.solves.append((self.fine.size, per_row))
-
-    def seconds(self, start: int, stop: int) -> float:
-        """Solve seconds of rows [start, stop)."""
-        total, lo = 0.0, 0
-        for hi, per_row in self.solves:
-            total += max(min(hi, stop) - max(lo, start), 0) * per_row
-            lo = hi
-        return total
 
 
 class _Engine:
@@ -471,9 +440,7 @@ class _Engine:
         lv = self.levels[level]
         if not counts.sum():
             return
-        fine, coarse, seconds = self.bank.take(self.cfg.seed, level, self._intervals,
-                                               lv.n, counts)
-        lv.elapsed += seconds
+        fine, coarse = self.bank.take(self.cfg.seed, level, self._intervals, lv.n, counts)
         if self.smoother is not None and lv.delta is None:
             lv.delta = calibrate_bandwidth(self.smoother, fine, self.nodes, self.cfg.eps,
                                            bracket_top=self.grid.h,
@@ -538,7 +505,7 @@ class _Engine:
         """
         lv = self.levels[level]
         variances = [state.var_g() for state in self.levels]
-        works = [state.avg_work(self.cfg.work_model) for state in self.levels]
+        works = [state.pair_work for state in self.levels]
         counts = required_samples_smlmc(
             variances, self.strat.probs, works, self.cfg.eps, self.cfg.budget_factor
         )[level]
@@ -575,8 +542,7 @@ class _Engine:
         estimate = CdfEstimate(grid=self.grid, raw=raw)
         # level by level, then stratum by stratum: the order fixes the bits
         # of the reported total
-        total_cost = float(sum(int(n) * float(w) for lv in self.levels
-                               for n, w in zip(lv.n, lv.avg_work(self.cfg.work_model))))
+        total_cost = float(sum(int(n) * lv.pair_work for lv in self.levels for n in lv.n))
         return MultilevelResult(
             estimate=estimate, levels=self.levels, total_cost=total_cost,
             config=self.cfg, strat=self.strat,
@@ -691,25 +657,14 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
     n_mc = max(mc_sample_count(var_max, config.eps, 2.0 * config.sampling_safety), 1)
     n_reused = min(n_mc, top.n_total)
     interval = tuple(dist.cdf(mlmc_result.strat.boundaries))
-    reused = mlmc_result.bank.take(mlmc_result.config.seed, l_max, [interval], [0],
-                                   [n_reused])[0]
+    qoi = mlmc_result.bank.take(mlmc_result.config.seed, l_max, [interval], [0],
+                                [n_reused])[0]
     extra = n_mc - n_reused
     cells = hierarchy.cells(l_max)
-    det_fine = model.work_units(cells)
-    qoi, fine_work = reused, det_fine
     if extra > 0:
         w = dist.inverse_cdf(substream(config.seed, l_max, 0, 1).random(extra))
-        t0 = time.perf_counter()
-        fresh = model.qoi_batch(w, cells)
-        if config.work_model == "wallclock":
-            fine_work = max((time.perf_counter() - t0) / extra, 1e-9)
-        qoi = np.concatenate([reused, fresh])
-    elif config.work_model == "wallclock":
-        # no fresh draws: scale the measured pair rate by the deterministic
-        # fine share of the pair work
-        pair = float(top.avg_work("wallclock").mean())
-        fine_work = max(pair * det_fine / top.pair_work, 1e-9)
+        qoi = np.concatenate([qoi, model.qoi_batch(w, cells)])
     raw = indicator_counts(qoi, grid.nodes) / qoi.size
     return McResult(estimate=CdfEstimate(grid=grid, raw=raw),
-                    total_cost=float(n_mc * float(fine_work)),
+                    total_cost=float(n_mc * model.work_units(cells)),
                     n_samples=n_mc, n_reused=n_reused, level=l_max)

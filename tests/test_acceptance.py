@@ -236,7 +236,7 @@ def test_criterion_5_exactness_suite(diffusion):
                    required_samples_mlmc([0.25, 0.01], [1.0, 4.0], 0.01, 4.0)
                    == [14000, 1400]))
     smlmc_counts = required_samples_smlmc(
-        [np.array([[1.0], [0.25]])], [0.5, 0.5], [np.ones(2)], 0.01, 4.0
+        [np.array([[1.0], [0.25]])], [0.5, 0.5], [1.0], 0.01, 4.0
     )
     checks.append(("smlmc formula", smlmc_counts[0].tolist() == [15000, 7500]))
     checks.append(("mc formula", mc_sample_count(0.25, 0.01, 2.0) == 5000))
@@ -350,7 +350,6 @@ methods = mlmc, mc, smlmc_kde
 strata = 4
 n_real = 2
 seed = 12
-work_model = deterministic
 
 [model]
 l_star = 3

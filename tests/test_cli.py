@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -15,7 +16,6 @@ methods = {methods}
 strata = {strata}
 n_real = 2
 seed = 3
-work_model = deterministic
 
 [model]
 l_star = 2
@@ -34,6 +34,57 @@ def _write_config(tmp_path, methods="mlmc, mc, smlmc", strata="2"):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory):
+    """One run of TINY_CONFIG with every method, and sMLMC at r = 1 too:
+    the config path and the output directory."""
+    tmp_path = tmp_path_factory.mktemp("full")
+    cfg = _write_config(tmp_path, methods=", ".join(METHODS), strata="1, 2")
+    out = tmp_path / "results"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    return cfg, out
+
+
+# the first 16 hex digits of the sha256 of each file full_run writes, taken
+# with numpy 2.4.6 and scipy 1.17.1
+OUTPUT_DIGESTS = {
+    "costs.csv": "364d10db771fb822",
+    "reports/eps0.05_run0_mc.json": "3dcc5f89dcc5a995",
+    "reports/eps0.05_run0_mc_cdf.csv": "cd338124bb99fd83",
+    "reports/eps0.05_run0_mlmc.json": "1eeec64ea215883d",
+    "reports/eps0.05_run0_mlmc_cdf.csv": "313790b60ff99fc1",
+    "reports/eps0.05_run0_mlmc_giles.json": "47c34dc5c5bb5eb9",
+    "reports/eps0.05_run0_mlmc_giles_cdf.csv": "13500df08a448a94",
+    "reports/eps0.05_run0_mlmc_kde.json": "cecbd016396aa5f3",
+    "reports/eps0.05_run0_mlmc_kde_cdf.csv": "890f2a1d0d7e87f3",
+    "reports/eps0.05_run0_smlmc_kde_r1.json": "047312bec7b5d97a",
+    "reports/eps0.05_run0_smlmc_kde_r1_cdf.csv": "890f2a1d0d7e87f3",
+    "reports/eps0.05_run0_smlmc_kde_r2.json": "250418e59564f730",
+    "reports/eps0.05_run0_smlmc_kde_r2_cdf.csv": "72dffcb19714f131",
+    "reports/eps0.05_run0_smlmc_r1.json": "c803aac31a3bea7a",
+    "reports/eps0.05_run0_smlmc_r1_cdf.csv": "313790b60ff99fc1",
+    "reports/eps0.05_run0_smlmc_r2.json": "34f52718f620f822",
+    "reports/eps0.05_run0_smlmc_r2_cdf.csv": "42b375ffa47a2319",
+    "reports/eps0.05_run1_mc.json": "b0dfd824e54e9ff5",
+    "reports/eps0.05_run1_mc_cdf.csv": "63d13e9f41df30a3",
+    "reports/eps0.05_run1_mlmc.json": "be0fa2b064eea977",
+    "reports/eps0.05_run1_mlmc_cdf.csv": "cf14fc8e0188619d",
+    "reports/eps0.05_run1_mlmc_giles.json": "35c24f12add0d504",
+    "reports/eps0.05_run1_mlmc_giles_cdf.csv": "86ecf4e29b5bd2e1",
+    "reports/eps0.05_run1_mlmc_kde.json": "cd8749735c9d8ff5",
+    "reports/eps0.05_run1_mlmc_kde_cdf.csv": "c90890a6ac2061a0",
+    "reports/eps0.05_run1_smlmc_kde_r1.json": "ab44ecf65b644d46",
+    "reports/eps0.05_run1_smlmc_kde_r1_cdf.csv": "c90890a6ac2061a0",
+    "reports/eps0.05_run1_smlmc_kde_r2.json": "9e3f214d7be61a2e",
+    "reports/eps0.05_run1_smlmc_kde_r2_cdf.csv": "9717bc3f66313d59",
+    "reports/eps0.05_run1_smlmc_r1.json": "3035386c0a163b9d",
+    "reports/eps0.05_run1_smlmc_r1_cdf.csv": "cf14fc8e0188619d",
+    "reports/eps0.05_run1_smlmc_r2.json": "5f834831e3490244",
+    "reports/eps0.05_run1_smlmc_r2_cdf.csv": "8267fb4fc84f4c7c",
+    "summary.json": "9de5d4df73fc640a",
+}
+
+
 class TestRun:
     def test_dry_run_prints_matrix(self, tmp_path, capsys):
         cfg = _write_config(tmp_path)
@@ -43,15 +94,12 @@ class TestRun:
         assert "eps=0.05 run=0" in out and "eps=0.05 run=1" in out
         assert "smlmc_r2" in out
 
-    def test_end_to_end_artifacts(self, tmp_path):
-        # every method, and sMLMC at r = 1 too
-        cfg = _write_config(tmp_path, methods=", ".join(METHODS), strata="1, 2")
-        out = tmp_path / "results"
-        rc = main(["run", "--config", cfg, "--out", str(out)])
-        assert rc == 0
+    def test_end_to_end_artifacts(self, full_run):
+        cfg, out = full_run
         assert (out / "costs.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failures"] == []
+        assert "work_model" not in summary
         tags = [run_tag(m, r) for m, r in load_config(cfg).run_plan()]
         assert "smlmc_r1" in tags and "smlmc_kde_r2" in tags
         for k in range(2):
@@ -60,10 +108,19 @@ class TestRun:
                 stem = out / "reports" / f"eps0.05_run{k}_{tag}"
                 report = json.loads(stem.with_name(stem.name + ".json").read_text())
                 assert report["method"] == tag and report["run"] == k
-                assert "total_cost" in report
-                assert stem.with_name(stem.name + "_cdf.csv").exists()
+                assert "total_cost" in report and "work_model" not in report
+                csv = stem.with_name(stem.name + "_cdf.csv").read_text()
+                assert csv.splitlines()[0] == "q,raw,processed"
         assert len(list((out / "reports").glob("*.json"))) == 2 * len(tags)
         assert len(list((out / "reports").glob("*_cdf.csv"))) == 2 * len(tags)
+
+    def test_output_digests(self, full_run):
+        # the fixed reference for byte-identical outputs: a change that moves
+        # these bytes on purpose records the new digests and says why
+        _, out = full_run
+        digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                   for p in sorted(out.rglob("*")) if p.is_file()}
+        assert digests == OUTPUT_DIGESTS
 
     def test_byte_identical_outputs_under_deterministic_work(self, tmp_path):
         cfg = _write_config(tmp_path)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from smlmc.cli import _reference_cache_key
+from smlmc.cli import _reference_cache_key, main
 from smlmc.config import KEYS, load_config, preset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -114,14 +114,26 @@ methods = mc
         with pytest.raises(ValueError):
             load_config("/nonexistent/exp.ini")
 
-    def test_bad_work_model(self, tmp_path):
-        path = self._write(tmp_path, """
-[experiment]
-model = diffusion
-work_model = gpu
-""")
-        with pytest.raises(ValueError, match=r"\[experiment\] work_model: unknown work model"):
+    @pytest.mark.parametrize("value", ["gpu", "wallclock"])
+    def test_bad_work_model(self, tmp_path, value):
+        # the work-model key is retired: no value but the one model left loads
+        path = self._write(tmp_path, f"[experiment]\nmodel = diffusion\nwork_model = {value}\n")
+        with pytest.raises(ValueError, match=r"\[experiment\] work_model"):
             load_config(path)
+
+    def test_retired_deterministic_work_model_ignored(self, tmp_path):
+        # the benchmark's generated INI still writes this line
+        path = self._write(tmp_path, "[experiment]\nmodel = diffusion\n"
+                           "work_model = deterministic\n")
+        assert load_config(path) == preset("diffusion")
+
+    def test_work_model_flag_gone(self):
+        # an argparse usage error; --dry-run keeps a flag that came back from
+        # starting the preset's runs
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "diffusion", "--work-model", "deterministic",
+                  "--dry-run"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("s_count", [1, 2])
     def test_too_few_grid_nodes_rejected(self, tmp_path, s_count):

@@ -17,7 +17,6 @@ from smlmc.estimators import (
     LevelState,
     RunConfig,
     SampleBank,
-    _HeldRows,
     mc_sample_count,
     required_samples_mlmc,
     required_samples_smlmc,
@@ -75,25 +74,23 @@ class TestRequiredSamplesMlmc:
 class TestRequiredSamplesSmlmc:
     def test_degenerate_reduces_to_mlmc(self):
         variances = [np.array([[0.25, 0.04]]), np.array([[0.01, 0.02]])]
-        works = [np.array([1.0]), np.array([4.0])]
+        works = [1.0, 4.0]
         strat_out = required_samples_smlmc(variances, [1.0], works, 0.01, 4.0)
-        plain_out = required_samples_mlmc(
-            [v[0] for v in variances], [w[0] for w in works], 0.01, 4.0
-        )
+        plain_out = required_samples_mlmc([v[0] for v in variances], works, 0.01, 4.0)
         assert [int(c[0]) for c in strat_out] == plain_out
 
     def test_symmetric_strata_get_equal_counts(self):
         v = np.full((4, 3), 0.09)
-        out = required_samples_smlmc([v], [0.25] * 4, [np.ones(4)], 0.01, 4.0)
+        out = required_samples_smlmc([v], [0.25] * 4, [1.0], 0.01, 4.0)
         assert len(set(out[0].tolist())) == 1
 
     def test_two_stratum_oracle(self):
-        # r=2, one level: V=(1.0, 0.25), p=(0.5, 0.5), w=(1, 1), bf=4, eps=0.01
+        # r=2, one level: V=(1.0, 0.25), p=(0.5, 0.5), w=1, bf=4, eps=0.01
         # total = 0.5*1.0 + 0.5*0.5 = 0.75 (exact in floats)
         # n_1 = ceil(4e4 * sqrt(1.0*0.25/1) * 0.75) = 15000
         # n_2 = ceil(4e4 * sqrt(0.25*0.25) * 0.75) = 7500
         out = required_samples_smlmc(
-            [np.array([[1.0], [0.25]])], [0.5, 0.5], [np.ones(2)], 0.01, 4.0
+            [np.array([[1.0], [0.25]])], [0.5, 0.5], [1.0], 0.01, 4.0
         )
         assert out[0].tolist() == [15000, 7500]
 
@@ -185,13 +182,6 @@ class TestRunMlmc:
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         works = [lv.pair_work for lv in res.levels]
         assert all(b > a for a, b in zip(works, works[1:]))
-
-    def test_wallclock_work_positive(self):
-        cfg = RunConfig(eps=0.05, seed=9, work_model="wallclock", **FAST)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-        for lv in res.levels:
-            assert np.all(lv.avg_work("wallclock") > 0)
-        assert res.total_cost > 0
 
 
 def _plain_fine_rows(seed, level, n):
@@ -515,26 +505,6 @@ class TestSampleBank:
             assert shared[method].report() == alone[method].report()
             assert np.array_equal(shared[method].estimate.raw, alone[method].estimate.raw)
 
-    def test_held_rows_charged_the_seconds_of_their_solve(self):
-        # under the wallclock model a run that solves nothing is charged what
-        # the solves of its rows took: an sMLMC run at r = 1 after MLMC on
-        # one bank reports MLMC's measured work exactly
-        cfg = RunConfig(eps=0.03, seed=8, work_model="wallclock", **FAST)
-        bank = SampleBank(MODEL, DIST, HIER)
-        plain = run_mlmc(MODEL, DIST, GRID, HIER, cfg, bank=bank)
-        strat = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, 1), GRID, HIER, cfg,
-                          bank=bank)
-        assert [lv.elapsed for lv in strat.levels] == [lv.elapsed for lv in plain.levels]
-        assert strat.total_cost == plain.total_cost > 0
-
-    def test_rows_charged_by_solve(self):
-        rows = _HeldRows(None, 0.0, 1.0)
-        rows.add(np.zeros(3), None, 2.0)
-        rows.add(np.zeros(5), None, 0.5)
-        assert rows.seconds(0, 8) == 3 * 2.0 + 5 * 0.5
-        assert rows.seconds(2, 4) == 2.0 + 0.5
-        assert rows.seconds(3, 3) == 0.0
-
     def test_bank_of_another_model_rejected(self):
         bank = SampleBank(BURGERS_EXP.model_spec(), DIST, HIER)
         with pytest.raises(ValueError, match="sample bank"):
@@ -542,7 +512,7 @@ class TestSampleBank:
 
     def test_holds_sixteen_bytes_per_pair(self):
         # the bank's memory is O(rows held): 16 bytes per (fine, coarse) pair
-        # plus a fixed overhead per key (its generator) and per solve
+        # plus a fixed overhead per key (its generator)
         hier = MeshHierarchy(m0=4, factor=2, l_star=1)   # 8-cell solves: fast
         cdf = DIST.cdf(build_equal_width_strata(DIST, 4).boundaries)
         intervals = list(zip(cdf[:-1], cdf[1:]))
@@ -676,8 +646,6 @@ class TestRunConfig:
             RunConfig(eps=0.0)
         with pytest.raises(ValueError):
             RunConfig(eps=0.01, smoother="boxcar")
-        with pytest.raises(ValueError):
-            RunConfig(eps=0.01, work_model="cycles")
 
     @pytest.mark.parametrize("bad", [
         dict(min_stratum_samples=0),
