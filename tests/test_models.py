@@ -178,6 +178,57 @@ class TestSpectralKernelAgainstMarch:
             assert np.abs(u - oracle).max() <= 1e-10
 
 
+class TestQoiFromInterior:
+    """qoi_batch sums the diffusion kernel's interior squares with no field:
+    bit for bit qoi_trapezoid of solve_diffusion_batch's field, its oracle."""
+
+    @pytest.mark.parametrize("dt_over_dx", [1.0, 4.0])
+    @pytest.mark.parametrize("cells", [2, 16, 17, 256, 4096])
+    def test_matches_trapezoid_of_field(self, cells, dt_over_dx):
+        # three samples past one tile, so that the batch spans two
+        w = np.linspace(1.0, 4.0, _TILE_ELEMS // (cells + 1) + 3)
+        field = solve_diffusion_batch(w, cells, dt_over_dx=dt_over_dx)
+        oracle = qoi_trapezoid(field, 4.0 / cells, DIFFUSION.qoi_scale)
+        assert np.array_equal(DIFFUSION.qoi_batch(w, cells, dt_over_dx), oracle)
+
+
+class TestDiffusionSetup:
+    """The batch-independent set-up is built once per mesh and shared."""
+
+    def test_forward_transform_once_per_mesh(self, monkeypatch):
+        calls = []
+        dst = models.dst
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return dst(*args, **kwargs)
+
+        monkeypatch.setattr(models, "dst", counted)
+        models._diffusion_setup.cache_clear()
+        w = np.linspace(1.0, 4.0, 3 * (_TILE_ELEMS // 129) + 1)  # four tiles at 128 cells
+        for _ in range(3):
+            DIFFUSION.qoi_batch(w, 128)
+        solve_diffusion_batch(w[:5], 128)
+        assert len(calls) == 1
+        # another time step is another mesh
+        DIFFUSION.qoi_batch(w, 128, dt_over_dx=4.0)
+        assert len(calls) == 2
+
+    def test_cached_arrays_are_read_only(self):
+        _, _, *arrays = models._diffusion_setup(64, 0.2, 4.0, 1.0)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_non_finite_solve_raises(self):
+        # numpy's own warnings off, so that the kernel's check is what raises
+        with np.errstate(all="ignore"):
+            with pytest.raises(FloatingPointError):
+                DIFFUSION.qoi_batch([np.inf], 64)
+            with pytest.raises(FloatingPointError):
+                solve_diffusion_batch([np.inf], 64)
+
+
 BURGERS_SHORT = ModelSpec(name="burgers", final_time=0.02, domain_length=2.0)
 
 

@@ -28,6 +28,9 @@ TEST_ORACLES = {
     # the step-by-step Crank-Nicolson march the spectral diffusion kernel is
     # checked against
     "thomas_solve",
+    # the quadrature of the whole diffusion field, which the QoI summed from
+    # the kernel's interior values is checked against
+    "qoi_trapezoid",
     # the flux of the stepwise Godunov march the tiled Burgers kernel is
     # checked against
     "godunov_flux",
