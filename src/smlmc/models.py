@@ -4,8 +4,10 @@ Two models ship:
 
 * linear diffusion on (0, 4) with a random diffusion coefficient, solved by
   central differences in space and Crank-Nicolson in time (the whole march
-  evaluated exactly in the sine basis that diagonalises it, by DST-I), QoI =
-  10 * integral of u^2 at t = 0.2;
+  evaluated exactly in the sine basis that diagonalises it, by DST-I, with
+  the set-up shared by every batch at a mesh and the step factors raised to
+  the step count by repeated squaring), QoI = 10 * integral of u^2 at
+  t = 0.2, summed from the interior values without assembling the field;
 * inviscid Burgers on (0, 2) with a random nonnegative initial plateau,
   solved by the first-order Godunov finite-volume scheme, which for the
   nonnegative states of this testbed is the upwind scheme (every step in
@@ -125,10 +127,51 @@ def _diffusion_setup(cells: int, final_time: float, length: float, dt_over_dx: f
     return n_steps, final_time / n_steps, ramp, coeffs, mu
 
 
-def _diffusion_interior(d, cells: int, final_time: float, length: float, dt_over_dx: float):
+def _power(g, n: int, e, t):
+    """g**n elementwise for an integer n >= 1 and |g| <= 1, by binary
+    exponentiation, in g's memory; e and t are scratch of g's shape.
+
+    Squaring g in place would round each power near 1 to an absolute 2^-54,
+    and the rest of the exponent multiplies that error by up to n / 2: at 103
+    steps that moved QoIs by 2.5e-15.  So the squares g^2, g^4, ... are
+    carried as their distances e from 1, which keep their relative accuracy.
+    The first is e = 1 - g^2 = (1 - g)(1 + g), where one factor is exact once
+    |g| >= 1/2 (Sterbenz), and squaring maps e to e (2 - e).  The product of
+    the powers that n's bits select is never squared, so it is carried as
+    is, from g when n is odd.  n = 1 returns g with no pass over it.
+    """
+    if n == 1:
+        return g
+    np.subtract(1.0, g, out=e)
+    np.add(1.0, g, out=t)
+    e *= t
+    acc = g if n % 2 else None
+    m = n // 2
+    while True:
+        if m & 1:
+            if acc is None:
+                acc = np.subtract(1.0, e, out=g)
+            else:
+                np.subtract(1.0, e, out=t)
+                acc *= t
+        m >>= 1
+        if not m:
+            return acc
+        np.subtract(2.0, e, out=t)
+        e *= t
+
+
+def _diffusion_interior(d, cells: int, final_time: float, length: float,
+                        dt_over_dx: float, work):
     """Interior node values u(x_1 .. x_{cells-1}, final_time) for a batch of
     coefficients, shape (cells - 1, B): the spectral core that
-    solve_diffusion_batch and ModelSpec.qoi_batch share."""
+    solve_diffusion_batch and ModelSpec.qoi_batch share.
+
+    work is scratch of shape (3, n) with n >= (cells - 1) * B, which a caller
+    that solves many tiles reuses for each of them; the values returned lie
+    in work[0].  Fresh arrays for each tile cost more in page faults than the
+    passes over them.
+    """
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if np.any(d <= 0):
         raise ValueError("diffusion coefficient must be positive")
@@ -137,21 +180,12 @@ def _diffusion_interior(d, cells: int, final_time: float, length: float, dt_over
     dx = length / cells
     n_steps, dt, ramp, coeffs, mu = _diffusion_setup(cells, final_time, length, dt_over_dx)
     lam = d * dt / (2.0 * dx * dx)
-    # g^n as sign * exp(n log|g|): a float power costs an order of magnitude
-    # more, and the batch takes (cells - 1) x B of them
-    g = np.multiply(mu[:, None], lam)
-    negative = g > 1.0
-    denom = g + 1.0
+    g, e, t = (row[: (cells - 1) * d.shape[0]].reshape(cells - 1, d.shape[0]) for row in work)
+    np.multiply(mu[:, None], lam, out=g)
+    np.add(g, 1.0, out=t)
     np.subtract(1.0, g, out=g)
-    g /= denom
-    del denom
-    np.abs(g, out=g)
-    with np.errstate(divide="ignore"):  # g = 0 when lam mu = 1 exactly
-        np.log(g, out=g)
-    g *= n_steps
-    np.exp(g, out=g)
-    if n_steps % 2:
-        np.negative(g, out=g, where=negative)
+    g /= t
+    g = _power(g, n_steps, e, t)
     g *= coeffs[:, None]
     v = idst(g, type=1, norm="ortho", axis=0, overwrite_x=True)
     v += ramp[:, None]
@@ -180,12 +214,17 @@ def solve_diffusion_batch(
     is scaled by g_k = (1 - lam mu_k) / (1 + lam mu_k), with
     mu_k = 4 sin^2(k pi / (2 cells)).  So n steps are one DST-I of the initial
     data, a multiply by g_k^n and one inverse DST-I over the batch.  The
-    forward transform, the ramp and mu_k do not depend on the batch and are
-    built once per mesh (_diffusion_setup).  The step count and the work
-    model are those of the stepwise march.
+    forward transform, the ramp and mu_k do not depend on the batch: every
+    batch at a mesh shares them, built once (_diffusion_setup).  g_k^n is
+    taken by squaring over the integer n (_power), with no pass at n = 1.
+    The step count and the work model are those of the stepwise march.
+    ModelSpec.qoi_batch shares this kernel's interior values
+    (_diffusion_interior) and never assembles the field.
     """
-    v = _diffusion_interior(d_coeffs, cells, final_time, length, dt_over_dx)
-    u = np.empty((cells + 1, v.shape[1]))
+    batch = np.atleast_1d(d_coeffs).shape[0]
+    v = _diffusion_interior(d_coeffs, cells, final_time, length, dt_over_dx,
+                            np.empty((3, (cells - 1) * batch)))
+    u = np.empty((cells + 1, batch))
     u[0] = -1.0
     u[-1] = 1.0
     u[1:-1] = v
@@ -420,15 +459,16 @@ def solve_burgers(u1: float, cells: int, **kwargs):
     return solve_burgers_batch([u1], cells, **kwargs)[:, 0]
 
 
-def _squares_by_sample(field):
-    """field^2 as (batch, space) with each sample's values contiguous.
+def _squares_by_sample(field, out=None):
+    """field^2 as (batch, space) with each sample's values contiguous, in out
+    when given (a C-contiguous array of that shape).
 
     numpy sums the last axis of this layout pairwise for every row whatever
     the batch size, so a sample's QoI does not depend on its batch-mates.
     Summing axis 0 of the (space, batch) layout goes row by row for B > 1 but
     pairwise for B = 1, which moved a lone sample's QoI by up to 7e-14.
     """
-    return np.square(np.asarray(field, dtype=float).T, order="C")
+    return np.square(np.asarray(field, dtype=float).T, out=out, order="C")
 
 
 def qoi_trapezoid(field, dx: float, scale: float = 10.0):
@@ -486,19 +526,31 @@ class ModelSpec:
         of _TILE_ELEMS // (cells + 1) samples, keeping only the B QoIs, so
         memory beyond the output does not grow with B.  dt_over_dx sets the
         diffusion time step; the CFL-limited Burgers march ignores it.
+
+        The diffusion QoI comes without the field: the squares of the
+        kernel's interior values, in the (batch, space) rows of
+        _squares_by_sample, plus the two walls' 0.5 each in qoi_trapezoid's
+        order, so it has the bits of qoi_trapezoid on solve_diffusion_batch.
+        Its set-up is built once per mesh and shared by every tile and call,
+        the tiles share one scratch, g^n is taken by squaring, and a
+        non-finite QoI raises.
         """
         w = np.atleast_1d(np.asarray(w, dtype=float))
         dx = self.domain_length / cells
         tile = max(1, _TILE_ELEMS // (cells + 1))
         out = np.empty(w.shape[0])
+        if self.name == "diffusion":
+            work = np.empty((3, (cells - 1) * min(tile, w.shape[0])))
         for start in range(0, w.shape[0], tile):
             part = w[start : start + tile]
             if self.name == "diffusion":
                 v = _diffusion_interior(part, cells, self.final_time,
-                                        self.domain_length, dt_over_dx)
+                                        self.domain_length, dt_over_dx, work)
+                squares = work[1, : v.size].reshape(v.shape[::-1])
                 # the walls' squares, (-1)^2 and 1^2, enter with weight 0.5
                 # each, summed in qoi_trapezoid's order
-                q = self.qoi_scale * dx * (0.5 + _squares_by_sample(v).sum(axis=-1) + 0.5)
+                q = self.qoi_scale * dx * (0.5 + _squares_by_sample(v, squares).sum(axis=-1)
+                                           + 0.5)
                 if not np.all(np.isfinite(q)):
                     raise FloatingPointError("diffusion solve produced non-finite values")
                 out[start : start + tile] = q

@@ -53,13 +53,13 @@ OUTPUT_DIGESTS = {
     "reports/eps0.05_run0_mc_cdf.csv": "cd338124bb99fd83",
     "reports/eps0.05_run0_mlmc.json": "1eeec64ea215883d",
     "reports/eps0.05_run0_mlmc_cdf.csv": "313790b60ff99fc1",
-    "reports/eps0.05_run0_mlmc_giles.json": "47c34dc5c5bb5eb9",
+    "reports/eps0.05_run0_mlmc_giles.json": "7a26799216235e69",
     "reports/eps0.05_run0_mlmc_giles_cdf.csv": "13500df08a448a94",
-    "reports/eps0.05_run0_mlmc_kde.json": "cecbd016396aa5f3",
+    "reports/eps0.05_run0_mlmc_kde.json": "89472b73b393d77e",
     "reports/eps0.05_run0_mlmc_kde_cdf.csv": "890f2a1d0d7e87f3",
-    "reports/eps0.05_run0_smlmc_kde_r1.json": "047312bec7b5d97a",
+    "reports/eps0.05_run0_smlmc_kde_r1.json": "49fa5139e900b92e",
     "reports/eps0.05_run0_smlmc_kde_r1_cdf.csv": "890f2a1d0d7e87f3",
-    "reports/eps0.05_run0_smlmc_kde_r2.json": "250418e59564f730",
+    "reports/eps0.05_run0_smlmc_kde_r2.json": "b15dc21db78f6ab6",
     "reports/eps0.05_run0_smlmc_kde_r2_cdf.csv": "72dffcb19714f131",
     "reports/eps0.05_run0_smlmc_r1.json": "c803aac31a3bea7a",
     "reports/eps0.05_run0_smlmc_r1_cdf.csv": "313790b60ff99fc1",
@@ -69,13 +69,13 @@ OUTPUT_DIGESTS = {
     "reports/eps0.05_run1_mc_cdf.csv": "63d13e9f41df30a3",
     "reports/eps0.05_run1_mlmc.json": "be0fa2b064eea977",
     "reports/eps0.05_run1_mlmc_cdf.csv": "cf14fc8e0188619d",
-    "reports/eps0.05_run1_mlmc_giles.json": "35c24f12add0d504",
+    "reports/eps0.05_run1_mlmc_giles.json": "9e440dddc570ccfb",
     "reports/eps0.05_run1_mlmc_giles_cdf.csv": "86ecf4e29b5bd2e1",
-    "reports/eps0.05_run1_mlmc_kde.json": "cd8749735c9d8ff5",
+    "reports/eps0.05_run1_mlmc_kde.json": "ce72d75126d60159",
     "reports/eps0.05_run1_mlmc_kde_cdf.csv": "c90890a6ac2061a0",
-    "reports/eps0.05_run1_smlmc_kde_r1.json": "ab44ecf65b644d46",
+    "reports/eps0.05_run1_smlmc_kde_r1.json": "6e68decaf7159ef6",
     "reports/eps0.05_run1_smlmc_kde_r1_cdf.csv": "c90890a6ac2061a0",
-    "reports/eps0.05_run1_smlmc_kde_r2.json": "9e3f214d7be61a2e",
+    "reports/eps0.05_run1_smlmc_kde_r2.json": "90c39454482b34f5",
     "reports/eps0.05_run1_smlmc_kde_r2_cdf.csv": "9717bc3f66313d59",
     "reports/eps0.05_run1_smlmc_r1.json": "3035386c0a163b9d",
     "reports/eps0.05_run1_smlmc_r1_cdf.csv": "cf14fc8e0188619d",

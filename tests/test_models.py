@@ -229,6 +229,55 @@ class TestDiffusionSetup:
                 solve_diffusion_batch([np.inf], 64)
 
 
+def _exp_log_power(g, n, *scratch):
+    """g**n as sign * exp(n log|g|), the form the kernel took before binary
+    exponentiation: the reference its QoIs are held to."""
+    negative = g < 0.0
+    np.abs(g, out=g)
+    with np.errstate(divide="ignore"):  # g = 0 when lam mu = 1 exactly
+        np.log(g, out=g)
+    g *= n
+    np.exp(g, out=g)
+    if n % 2:
+        np.negative(g, out=g, where=negative)
+    return g
+
+
+# every preset level at dt = dx, and the oracle meshes at dt = 4 dx: the
+# benchmark's (4096 cells) and the preset's (8192 cells)
+POWER_MESHES = ([(preset("diffusion").hierarchy().cells(level), 1.0) for level in range(8)]
+                + [(4096, 4.0), (8192, 4.0)])
+
+
+class TestIntegerPower:
+    """g^n by binary exponentiation over the integer step count."""
+
+    def test_meshes_take_odd_and_even_step_counts(self):
+        steps = [diffusion_steps(cells, 0.2, 4.0, r) for cells, r in POWER_MESHES]
+        assert steps[0] == 1
+        assert any(n % 2 for n in steps[1:]) and any(n % 2 == 0 for n in steps)
+
+    @pytest.mark.parametrize("cells, dt_over_dx", POWER_MESHES)
+    def test_qois_match_exp_log_form(self, monkeypatch, cells, dt_over_dx):
+        w = np.linspace(1.0, 4.0, 401)
+        q = DIFFUSION.qoi_batch(w, cells, dt_over_dx)
+        monkeypatch.setattr(models, "_power", _exp_log_power)
+        reference = DIFFUSION.qoi_batch(w, cells, dt_over_dx)
+        assert np.all(np.abs(q - reference) <= 2e-15 * reference)
+
+    def test_exact_on_dyadic_factors(self):
+        # these powers, and the distances from 1 that the squaring carries,
+        # are exact in floating point
+        g = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+        for n in range(1, 27):
+            power = models._power(g.copy(), n, np.empty_like(g), np.empty_like(g))
+            assert np.array_equal(power, g**n)
+
+    def test_one_step_makes_no_pass(self):
+        g = np.array([0.25, -0.75])
+        assert models._power(g, 1, None, None) is g
+
+
 BURGERS_SHORT = ModelSpec(name="burgers", final_time=0.02, domain_length=2.0)
 
 
