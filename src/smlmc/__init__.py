@@ -24,8 +24,6 @@ from .inputs import (
     proportional_allocation,
 )
 from .models import (
-    BURGERS,
-    DIFFUSION,
     MeshHierarchy,
     ModelSpec,
     godunov_flux,

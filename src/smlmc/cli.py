@@ -164,12 +164,7 @@ def cmd_inspect(args) -> int:
                   f"{strat.boundaries[i + 1]:.12g},{strat.probs[i]:.12g}")
         return 0
     if args.subject == "solver-field":
-        model = exp.model_spec()
-        field = model.solve_field(args.w, args.cells)
-        if model.name == "diffusion":
-            xs = np.linspace(0.0, model.domain_length, args.cells + 1)
-        else:
-            xs = (np.arange(args.cells) + 0.5) * model.domain_length / args.cells
+        xs, field = exp.model_spec().solve_field(args.w, args.cells)
         print("x,u")
         for x, u in zip(xs, field):
             print(f"{x:.12g},{u:.12g}")

@@ -1,9 +1,11 @@
 """Experiment configuration: the INI keys, the methods, the two presets of
 the testbed problems, and load-time validation.
 
-KEYS is the one table of INI keys.  Each row maps a (section, key) to an
-ExperimentConfig field and the converter of its text; loading, the rejection
-of unknown sections and keys, and the reference cache key all read it.
+Each ExperimentConfig field is declared once, with its INI (section, key)
+and its diffusion-preset value.  KEYS, the table of INI keys, is read off
+those fields: each row maps a (section, key) to a field and the converter of
+its text; loading, the rejection of unknown sections and keys, and the
+reference cache key all read it.
 METHODS is the one table of methods: each name maps to its smoother, whether
 it is stratified, and the field that holds its per-level warmup.
 
@@ -20,12 +22,12 @@ owns are made here.
 import configparser
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .cdf import NodeGrid
 from .estimators import RunConfig
 from .inputs import TruncatedLognormal, build_equal_width_strata
-from .models import MeshHierarchy, ModelSpec, burgers_max_speed, model_by_name
+from .models import MeshHierarchy, ModelSpec, burgers_max_speed
 
 
 def _list_of(conv):
@@ -33,44 +35,10 @@ def _list_of(conv):
     return lambda raw: tuple(conv(tok.strip()) for tok in raw.split(",") if tok.strip())
 
 
-# (section, key, ExperimentConfig field, converter), in the README's order
-KEYS = (
-    ("experiment", "model", "model", str),
-    ("experiment", "eps", "eps_values", _list_of(float)),
-    ("experiment", "methods", "methods", _list_of(str)),
-    ("experiment", "strata", "strata_counts", _list_of(int)),
-    ("experiment", "n_real", "n_real", int),
-    ("experiment", "seed", "seed", int),
-    ("experiment", "out", "out", str),
-    ("model", "m0", "m0", int),
-    ("model", "refinement", "refinement", int),
-    ("model", "l_star", "l_star", int),
-    ("model", "final_time", "final_time", float),
-    ("model", "domain_length", "domain_length", float),
-    ("model", "qoi_scale", "qoi_scale", float),
-    ("model", "cfl", "cfl", float),
-    ("distribution", "mu", "mu", float),
-    ("distribution", "sigma", "sigma", float),
-    ("distribution", "w_lo", "w_lo", float),
-    ("distribution", "w_hi", "w_hi", float),
-    ("grid", "a", "grid_a", float),
-    ("grid", "b", "grid_b", float),
-    ("grid", "s_count", "grid_s", int),
-    ("warmup", "plain", "warmup_plain", int),
-    ("warmup", "smoothed", "warmup_smoothed", int),
-    ("warmup", "stratified_plain", "warmup_strat_plain", int),
-    ("warmup", "stratified_smoothed", "warmup_strat_smoothed", int),
-    ("smoothing", "degree", "giles_degree", int),
-    ("smoothing", "calibration_fraction", "calibration_fraction", float),
-    ("sampling", "safety", "sampling_safety", float),
-    ("sampling", "min_stratum_samples", "min_stratum_samples", int),
-    ("reference", "mesh_refine", "ref_mesh_refine", int),
-    ("reference", "quad_cells", "ref_quad_cells", int),
-    ("reference", "quad_points", "ref_quad_points", int),
-    ("reference", "time_coarsen", "ref_time_coarsen", float),
-)
-
-_SCHEMA = {section: {k for s, k, _, _ in KEYS if s == section} for section, *_ in KEYS}
+def _ini(section: str, key: str, default, conv=None):
+    """A config field: the INI (section, key) that sets it, its
+    diffusion-preset value and, for a list key, its converter."""
+    return field(default=default, metadata={"ini": (section, key), "conv": conv})
 
 
 @dataclass(frozen=True)
@@ -111,39 +79,39 @@ def run_tag(method: str, r: int) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: str
-    eps_values: tuple
-    methods: tuple
-    strata_counts: tuple
-    n_real: int
-    seed: int
-    out: str
-    m0: int
-    refinement: int
-    l_star: int
-    final_time: float
-    domain_length: float
-    qoi_scale: float
-    cfl: float
-    mu: float
-    sigma: float
-    w_lo: float
-    w_hi: float
-    grid_a: float
-    grid_b: float
-    grid_s: int
-    warmup_plain: int
-    warmup_smoothed: int
-    warmup_strat_plain: int
-    warmup_strat_smoothed: int
-    giles_degree: int
-    calibration_fraction: float
-    sampling_safety: float
-    min_stratum_samples: int
-    ref_mesh_refine: int
-    ref_quad_cells: int
-    ref_quad_points: int
-    ref_time_coarsen: float
+    model: str = _ini("experiment", "model", "diffusion")
+    eps_values: tuple = _ini("experiment", "eps", (0.01, 0.008, 0.005), _list_of(float))
+    methods: tuple = _ini("experiment", "methods", tuple(METHODS), _list_of(str))
+    strata_counts: tuple = _ini("experiment", "strata", (8, 16), _list_of(int))
+    n_real: int = _ini("experiment", "n_real", 50)
+    seed: int = _ini("experiment", "seed", 0)
+    out: str = _ini("experiment", "out", "results")
+    m0: int = _ini("model", "m0", 16)
+    refinement: int = _ini("model", "refinement", 2)
+    l_star: int = _ini("model", "l_star", 7)
+    final_time: float = _ini("model", "final_time", 0.2)
+    domain_length: float = _ini("model", "domain_length", 4.0)
+    qoi_scale: float = _ini("model", "qoi_scale", 10.0)
+    cfl: float = _ini("model", "cfl", 0.9)
+    mu: float = _ini("distribution", "mu", 3.0)
+    sigma: float = _ini("distribution", "sigma", 3.0)
+    w_lo: float = _ini("distribution", "w_lo", 1.0)
+    w_hi: float = _ini("distribution", "w_hi", 4.0)
+    grid_a: float = _ini("grid", "a", 14.0)
+    grid_b: float = _ini("grid", "b", 28.0)
+    grid_s: int = _ini("grid", "s_count", 28)
+    warmup_plain: int = _ini("warmup", "plain", 200)
+    warmup_smoothed: int = _ini("warmup", "smoothed", 50)
+    warmup_strat_plain: int = _ini("warmup", "stratified_plain", 200)
+    warmup_strat_smoothed: int = _ini("warmup", "stratified_smoothed", 50)
+    giles_degree: int = _ini("smoothing", "degree", 3)
+    calibration_fraction: float = _ini("smoothing", "calibration_fraction", 0.15)
+    sampling_safety: float = _ini("sampling", "safety", 2.5)
+    min_stratum_samples: int = _ini("sampling", "min_stratum_samples", 2)
+    ref_mesh_refine: int = _ini("reference", "mesh_refine", 4)
+    ref_quad_cells: int = _ini("reference", "quad_cells", 4096)
+    ref_quad_points: int = _ini("reference", "quad_points", 8)
+    ref_time_coarsen: float = _ini("reference", "time_coarsen", 4.0)
 
     def __post_init__(self):
         unknown = set(self.methods) - set(METHODS)
@@ -185,10 +153,8 @@ class ExperimentConfig:
     # -- derived objects ---------------------------------------------------
 
     def model_spec(self) -> ModelSpec:
-        base = model_by_name(self.model)
-        return replace(base, final_time=self.final_time,
-                       domain_length=self.domain_length,
-                       qoi_scale=self.qoi_scale, cfl=self.cfl)
+        return ModelSpec(self.model, self.final_time, self.domain_length,
+                         self.qoi_scale, self.cfl)
 
     def distribution(self) -> TruncatedLognormal:
         return TruncatedLognormal(self.mu, self.sigma, self.w_lo, self.w_hi)
@@ -222,7 +188,7 @@ class ExperimentConfig:
     def _run_keys(self, method: str) -> dict:
         """(section, key) of the INI setting behind each field of a method's
         RunConfig."""
-        at = {field: (section, key) for section, key, field, _ in KEYS}
+        at = {name: (section, key) for section, key, name, _ in KEYS}
         at.update(eps=at["eps_values"], warmup=at[METHODS[method].warmup])
         return {f.name: at[f.name] for f in fields(RunConfig) if f.name in at}
 
@@ -232,41 +198,14 @@ class ExperimentConfig:
                 for r in (self.strata_counts if spec.stratified else (1,))]
 
 
-_DIFFUSION = ExperimentConfig(
-    model="diffusion",
-    eps_values=(0.01, 0.008, 0.005),
-    methods=tuple(METHODS),
-    strata_counts=(8, 16),
-    n_real=50,
-    seed=0,
-    out="results",
-    m0=16,
-    refinement=2,
-    l_star=7,
-    final_time=0.2,
-    domain_length=4.0,
-    qoi_scale=10.0,
-    cfl=0.9,
-    mu=3.0,
-    sigma=3.0,
-    w_lo=1.0,
-    w_hi=4.0,
-    grid_a=14.0,
-    grid_b=28.0,
-    grid_s=28,
-    warmup_plain=200,
-    warmup_smoothed=50,
-    warmup_strat_plain=200,
-    warmup_strat_smoothed=50,
-    giles_degree=3,
-    calibration_fraction=0.15,
-    sampling_safety=2.5,
-    min_stratum_samples=2,
-    ref_mesh_refine=4,
-    ref_quad_cells=4096,
-    ref_quad_points=8,
-    ref_time_coarsen=4.0,
-)
+# (section, key, ExperimentConfig field, converter), in the README's order; a
+# list key gives its converter, a scalar converts by its annotated type
+KEYS = tuple((*f.metadata["ini"], f.name, f.metadata["conv"] or f.type)
+             for f in fields(ExperimentConfig))
+
+_SCHEMA = {section: {k for s, k, _, _ in KEYS if s == section} for section, *_ in KEYS}
+
+_DIFFUSION = ExperimentConfig()
 
 _BURGERS = replace(
     _DIFFUSION,
@@ -318,6 +257,6 @@ def load_config(path: str) -> ExperimentConfig:
     if not parser.has_option("experiment", "model"):
         raise ValueError("config needs [experiment] with a model key")
     return replace(preset(parser["experiment"]["model"]), **{
-        field: conv(parser[section][key])
-        for section, key, field, conv in KEYS if parser.has_option(section, key)
+        name: conv(parser[section][key])
+        for section, key, name, conv in KEYS if parser.has_option(section, key)
     })

@@ -1,7 +1,9 @@
 """Cost aggregation over independent realizations, and comparison tables.
 
 Each estimator result carries its own total_cost, the sum over levels and
-strata of sample count times average per-sample work."""
+strata of sample count times the deterministic work of one pair sample (the
+cells x time steps of its fine and coarse solves); an MC run's is its sample
+count times the work of one fine solve."""
 
 
 def aggregate(totals: list) -> float:

@@ -561,10 +561,13 @@ class ModelSpec:
         return out
 
     def solve_field(self, w: float, cells: int):
-        """Solution field for one input, on the model's natural grid."""
+        """(x, u): the solution field for one input on the model's own grid,
+        the cells + 1 nodes for diffusion, the cell centres for Burgers."""
         if self.name == "diffusion":
-            return solve_diffusion(w, cells, self.final_time, self.domain_length)
-        return solve_burgers(
+            x = np.linspace(0.0, self.domain_length, cells + 1)
+            return x, solve_diffusion(w, cells, self.final_time, self.domain_length)
+        x = (np.arange(cells) + 0.5) * self.domain_length / cells
+        return x, solve_burgers(
             w, cells, final_time=self.final_time, length=self.domain_length,
             inflow=self.inflow, outflow=self.outflow, cfl=self.cfl,
         )
@@ -581,14 +584,3 @@ class ModelSpec:
         """Deterministic work model: cells times time steps for one solve."""
         return float(cells) * self.steps(cells)
 
-
-DIFFUSION = ModelSpec(name="diffusion", final_time=0.2, domain_length=4.0)
-BURGERS = ModelSpec(name="burgers", final_time=0.5, domain_length=2.0)
-
-
-def model_by_name(name: str) -> ModelSpec:
-    if name == "diffusion":
-        return DIFFUSION
-    if name == "burgers":
-        return BURGERS
-    raise ValueError(f"unknown model {name!r}")

@@ -24,8 +24,10 @@ from smlmc.cdf import (
 )
 from smlmc.config import preset
 from smlmc.inputs import TruncatedLognormal, substream
-from smlmc.models import BURGERS, DIFFUSION, MeshHierarchy
+from smlmc.models import MeshHierarchy
 
+DIFFUSION = preset("diffusion").model_spec()
+BURGERS = preset("burgers").model_spec()
 FROZEN_REFERENCE = Path(__file__).parent / "data" / "diffusion_reference.json"
 
 DIFF_DIST = TruncatedLognormal(3.0, 3.0, 1.0, 4.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from smlmc.cli import main
-from smlmc.config import METHODS, load_config, run_tag
+from smlmc.config import METHODS, load_config, preset, run_tag
 
 TINY_CONFIG = """
 [experiment]
@@ -199,3 +199,16 @@ class TestInspect:
         values = np.array([float(l.split(",")[1]) for l in lines[1:]])
         assert np.all(np.isfinite(values))
         assert values.min() >= 0.0 and values.max() <= 2.0
+
+    def test_solver_field_diffusion(self, capsys):
+        cells = 32
+        assert main(["inspect", "solver-field", "--preset", "diffusion",
+                     "--w", "2.0", "--cells", str(cells)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "x,u"
+        rows = np.array([[float(v) for v in l.split(",")] for l in lines[1:]])
+        # the cells + 1 nodes from 0 to domain_length, walls included
+        assert rows.shape == (cells + 1, 2)
+        assert rows[0, 0] == 0.0 and rows[-1, 0] == preset("diffusion").domain_length
+        assert (rows[0, 1], rows[-1, 1]) == (-1.0, 1.0)
+        assert np.all(np.isfinite(rows[:, 1]))

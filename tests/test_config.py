@@ -3,13 +3,13 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from smlmc.cli import _reference_cache_key, main
-from smlmc.config import KEYS, load_config, preset
+from smlmc.config import KEYS, ExperimentConfig, load_config, preset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,6 +37,19 @@ class TestPresets:
         assert (dist.mu, dist.sigma, dist.w_lo, dist.w_hi) == (1.5, 1.0, 0.0, 2.0)
         assert exp.hierarchy().cells(0) == 32
         assert exp.model_spec().final_time == 0.5
+
+    def test_field_defaults_are_the_diffusion_preset(self):
+        assert ExperimentConfig() == preset("diffusion")
+
+    @pytest.mark.parametrize("name", ["diffusion", "burgers"])
+    def test_values_have_their_annotated_types(self, name):
+        # INI text converts by the field's annotated type: an int preset
+        # value of a float field would load from its own text as a float,
+        # and the two would give different reference cache keys
+        exp = preset(name)
+        wrong = [(f.name, getattr(exp, f.name)) for f in fields(ExperimentConfig)
+                 if not isinstance(getattr(exp, f.name), f.type)]
+        assert not wrong
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):

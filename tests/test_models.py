@@ -10,8 +10,6 @@ from smlmc.config import preset
 from smlmc.estimators import SampleBank
 from smlmc.models import (
     _TILE_ELEMS,
-    BURGERS,
-    DIFFUSION,
     MeshHierarchy,
     ModelSpec,
     burgers_max_speed,
@@ -27,6 +25,9 @@ from smlmc.models import (
     solve_diffusion_batch,
     thomas_solve,
 )
+
+DIFFUSION = preset("diffusion").model_spec()
+BURGERS = preset("burgers").model_spec()
 
 
 class TestThomas:

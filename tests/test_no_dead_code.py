@@ -144,7 +144,7 @@ def test_constant_guard_ignores_assignments_and_init():
 
 
 # module-level tables whose strings name the fields that getattr reads
-TABLES = ("KEYS", "METHODS")
+TABLES = ("METHODS",)
 
 
 def _is_dataclass(node):
@@ -193,7 +193,7 @@ def test_field_guard_ignores_post_init_checks():
         "    def __post_init__(self):\n        if self.checked < 0 or self.used < 0:\n"
         "            raise ValueError\n\n"
         "    def f(self):\n        return self.used\n\n\n"
-        "KEYS = (('s', 'k', 'keyed', int),)\n")
+        "METHODS = {'m': MethodSpec('none', False, 'keyed')}\n")
     assert _unread_fields({"m.py": tree}) == ["C.checked"]
 
 
