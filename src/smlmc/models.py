@@ -10,10 +10,12 @@ Two models ship:
   t = 0.2, summed from the interior values without assembling the field;
 * inviscid Burgers on (0, 2) with a random nonnegative initial plateau,
   solved by the first-order Godunov finite-volume scheme, which for the
-  nonnegative states of this testbed is the upwind scheme (every step in
-  place in preallocated buffers, and only over the rows near the two fronts,
-  from the inflow boundary and from the plateau edge, where the update can
-  be nonzero), QoI = 10 * integral of u^2 at t = 0.5.
+  nonnegative states of this testbed is the upwind scheme (every step four
+  in-place passes over buffers allocated once per batch, and only over the
+  rows near the two fronts, from the inflow boundary and from the plateau
+  edge, where the update can be nonzero; a batch is marched in tiles of
+  ascending input, which keeps each tile's fronts close together), QoI =
+  10 * integral of u^2 at t = 0.5.
 
 Both solvers work on numpy arrays of shape (space, batch).  ModelSpec.qoi_batch
 is the one place that sizes a solve: it hands them column tiles that fit in
@@ -318,14 +320,14 @@ _EDGE_ROWS = 16
 
 
 def _upwind_rows(x, f, d, start, stop, ratio):
-    """One upwind step over rows [start, stop) of the state u = x[1:], in five
-    in-place passes: square the left states into the flux buffer f, halve
-    them, difference them into d, scale d by ratio = dt / dx and subtract it
-    from u.  Reads rows start - 1 .. stop - 1 of u (row -1 is the inflow
-    ghost x[0]) and writes rows start .. stop - 1."""
+    """One upwind step over rows [start, stop) of the state u = x[1:], in four
+    in-place passes: square the left states into the flux buffer f,
+    difference them into d, scale d by ratio = 0.5 * (dt / dx), which holds
+    the flux's halving, and subtract it from u.  Reads rows
+    start - 1 .. stop - 1 of u (row -1 is the inflow ghost x[0]) and writes
+    rows start .. stop - 1."""
     fk, dk = f[start : stop + 1], d[start:stop]
     np.square(x[start : stop + 1], out=fk)
-    fk *= 0.5
     np.subtract(fk[1:], fk[:-1], out=dk)
     dk *= ratio
     x[start + 1 : stop + 1] -= dk
@@ -354,58 +356,16 @@ def _zero_suffix(u, floor, hi):
     return hi
 
 
-def solve_burgers_batch(
-    u1_values,
-    cells: int,
-    final_time: float = 0.5,
-    length: float = 2.0,
-    inflow: float = 2.0,
-    outflow: float = 0.0,
-    cfl: float = 0.9,
-):
-    """Burgers fields for a batch of nonnegative initial plateau heights.
+def _burgers_setup(u1_values, cells: int, final_time: float, length: float,
+                   inflow: float, outflow: float, cfl: float):
+    """The batch-independent half of the Burgers march, after validating its
+    inputs: (u1, ratios, plateau), the plateau heights as a float array, the
+    step ratios 0.5 * (dt / dx) of burgers_time_steps and the number of
+    cells of the initial plateau.
 
-    Returns cell averages of shape (cells, B) at final_time.  Initial data is
-    u1 on (0, 1] and 0 on (1, length); the left ghost cell carries the inflow
-    state.  The time step is CFL-limited by burgers_max_speed(inflow, outflow),
-    which every u1 must not exceed; the steps are those of burgers_time_steps.
-
-    Every state is nonnegative: the plateau heights and boundary states are
-    required to be, and with cfl <= 1 the monotone scheme keeps u in
-    [0, max_speed] (the top only up to rounding).  For the convex flux u^2 / 2 the Godunov flux of two
-    nonnegative states is then the upwind flux f(u_left) (LeVeque, Finite
-    Volume Methods for Hyperbolic Problems, 2002, sec. 12.2), and in IEEE
-    arithmetic godunov_flux's max(u, 0) = u, min(u_right, 0)^2 = 0 and
-    max(f, 0) = f, so a step gives the bits of the Godunov step.  The outflow
-    state only enters through the speed bound.  Negative plateau heights or
-    boundary states and cfl outside (0, 1] are rejected.
-
-    A step is five in-place passes over a window of rows (_upwind_rows):
-    square the left states into the flux buffer, halve it, difference it into
-    the third buffer, scale that by dt / dx and subtract it from u.  A row
-    whose state equals its left neighbour's in every column gets the update
-    u - 0 * dt / dx = u, bits and all, so the march skips the rows where that
-    is known to hold.  Upwinding moves information one cell per step, and the
-    solution has two fronts:
-
-    * the inflow front.  Before step k the rows [k + 1, plateau) still hold
-      u1 exactly, so step k updates rows [lo, min(k + 1, plateau)), where lo
-      is the measured prefix of rows equal to the inflow state in every
-      column (behind the boundary shock they reach it exactly); those rows
-      and their left neighbours stay equal for good;
-    * the plateau front.  Rows from hi on hold exactly 0 in every column,
-      with hi trimmed past the measured trailing zero rows and then grown by
-      one row a step, so step k updates rows [plateau, min(cells, hi + 1)).
-
-    Once k + 1 reaches plateau the two windows meet and the step updates
-    [lo, min(cells, hi + 1)).  While apart, neither window reads a row the
-    other writes, so every field has the bits of the full sweep.  lo and hi
-    are measured every _EDGE_CHECK_STEPS steps, _EDGE_ROWS rows at a time.
-
-    One (cells + 1, B) state with the inflow ghost row written once, one
-    (cells + 1, B) flux buffer and one (cells, B) difference buffer serve
-    every step; ModelSpec.qoi_batch sizes B so that they stay in cache.
-    Columns never mix, so a sample's field does not depend on its batch.
+    Each ratio halves the rounded dt / dx exactly, and _upwind_rows scales
+    the difference of the squares by it in place of halving every square:
+    the two round alike wherever the halved squares are normal numbers.
     """
     u1 = np.atleast_1d(np.asarray(u1_values, dtype=float))
     if cells < 2:
@@ -419,13 +379,25 @@ def solve_burgers_batch(
         raise ValueError(f"plateau heights must lie within the boundary speed bound {max_speed}")
     if np.any(u1 < 0):
         raise ValueError("plateau heights must be nonnegative")
-    B = u1.shape[0]
     dx = length / cells
-    ratios = [dt / dx for dt in burgers_time_steps(cells, final_time, length, max_speed, cfl)]
+    ratios = [0.5 * (dt / dx) for dt in burgers_time_steps(cells, final_time, length,
+                                                           max_speed, cfl)]
     plateau = int(np.count_nonzero((np.arange(cells) + 0.5) * dx <= 1.0))
-    x = np.empty((cells + 1, B))
-    f = np.empty((cells + 1, B))
-    d = np.empty((cells, B))
+    return u1, ratios, plateau
+
+
+def _burgers_march(u1, ratios, plateau: int, inflow: float, x, f, d):
+    """Cell averages u at the final time, shape (cells, B), for plateau
+    heights u1 of shape (B,): the upwind core that solve_burgers_batch and
+    ModelSpec.qoi_batch share, over the ratios and plateau of _burgers_setup.
+
+    x and f are scratch of shape (cells + 1, B) and d of shape (cells, B),
+    which a caller that marches many tiles reuses for each of them: the
+    state with the inflow ghost in row 0, the flux buffer and the difference
+    buffer.  The field returned is the view x[1:].  Fresh arrays for each
+    tile cost about 110 minor page faults a tile at 32 and 128 cells.
+    """
+    cells = d.shape[0]
     x[0] = inflow
     u = x[1:]
     u[:plateau] = u1
@@ -454,6 +426,71 @@ def solve_burgers_batch(
     return u
 
 
+def solve_burgers_batch(
+    u1_values,
+    cells: int,
+    final_time: float = 0.5,
+    length: float = 2.0,
+    inflow: float = 2.0,
+    outflow: float = 0.0,
+    cfl: float = 0.9,
+):
+    """Burgers fields for a batch of nonnegative initial plateau heights.
+
+    Returns cell averages of shape (cells, B) at final_time.  Initial data is
+    u1 on (0, 1] and 0 on (1, length); the left ghost cell carries the inflow
+    state.  The time step is CFL-limited by burgers_max_speed(inflow, outflow),
+    which every u1 must not exceed; the steps are those of burgers_time_steps.
+
+    Every state is nonnegative: the plateau heights and boundary states are
+    required to be, and with cfl <= 1 the monotone scheme keeps u in
+    [0, max_speed] (the top only up to rounding).  For the convex flux
+    u^2 / 2 the Godunov flux of two nonnegative states is then the upwind
+    flux f(u_left) (LeVeque, Finite Volume Methods for Hyperbolic Problems,
+    2002, sec. 12.2), and in IEEE arithmetic godunov_flux's max(u, 0) = u,
+    min(u_right, 0)^2 = 0 and max(f, 0) = f, so the full sweep's flux is
+    0.5 * u_left^2.  The outflow state only enters through the speed bound.  Negative plateau heights or
+    boundary states and cfl outside (0, 1] are rejected.
+
+    A step is four in-place passes over a window of rows (_upwind_rows):
+    square the left states into the flux buffer, difference it into the
+    third buffer, scale that by 0.5 * (dt / dx) and subtract it from u.
+    Moving the flux's halving into the ratio is exact wherever the halved
+    squares are normal numbers, so fields keep the bits of the full sweep
+    down to the subnormal range, and below 2^-1000 differ from them by a few
+    units of 2^-1074; QoIs keep every bit.  A row whose state equals its left
+    neighbour's in every column gets the update u - 0 * ratio = u, bits and
+    all, so the march skips the rows where that is known to hold.
+    Upwinding moves information one cell per step, and the solution has two
+    fronts:
+
+    * the inflow front.  Before step k the rows [k + 1, plateau) still hold
+      u1 exactly, so step k updates rows [lo, min(k + 1, plateau)), where lo
+      is the measured prefix of rows equal to the inflow state in every
+      column (behind the boundary shock they reach it exactly); those rows
+      and their left neighbours stay equal for good;
+    * the plateau front.  Rows from hi on hold exactly 0 in every column,
+      with hi trimmed past the measured trailing zero rows and then grown by
+      one row a step, so step k updates rows [plateau, min(cells, hi + 1)).
+
+    Once k + 1 reaches plateau the two windows meet and the step updates
+    [lo, min(cells, hi + 1)).  While apart, neither window reads a row the
+    other writes, so skipping rows changes no bit.  lo and hi are measured
+    every _EDGE_CHECK_STEPS steps, _EDGE_ROWS rows at a time.
+
+    One (cells + 1, B) state with the inflow ghost row written once, one
+    (cells + 1, B) flux buffer and one (cells, B) difference buffer serve
+    every step (_burgers_march).  Columns never mix, so a sample's field does
+    not depend on its batch.  ModelSpec.qoi_batch marches its batch in tiles
+    of ascending u1 in one set of buffers and keeps only the QoIs.
+    """
+    u1, ratios, plateau = _burgers_setup(u1_values, cells, final_time, length,
+                                         inflow, outflow, cfl)
+    B = u1.shape[0]
+    return _burgers_march(u1, ratios, plateau, inflow, np.empty((cells + 1, B)),
+                          np.empty((cells + 1, B)), np.empty((cells, B)))
+
+
 def solve_burgers(u1: float, cells: int, **kwargs):
     """Single Burgers field u(., final_time) on cell centers, shape (cells,)."""
     return solve_burgers_batch([u1], cells, **kwargs)[:, 0]
@@ -471,7 +508,7 @@ def _squares_by_sample(field, out=None):
     return np.square(np.asarray(field, dtype=float).T, out=out, order="C")
 
 
-def qoi_trapezoid(field, dx: float, scale: float = 10.0):
+def qoi_trapezoid(field, dx: float, scale: float):
     """scale * trapezoid quadrature of field^2 on a node grid (boundary nodes included).
 
     The engine does not call it: ModelSpec.qoi_batch sums the squares of the
@@ -483,7 +520,7 @@ def qoi_trapezoid(field, dx: float, scale: float = 10.0):
     return scale * dx * (0.5 * f2[..., 0] + f2[..., 1:-1].sum(axis=-1) + 0.5 * f2[..., -1])
 
 
-def qoi_midpoint(field, dx: float, scale: float = 10.0):
+def qoi_midpoint(field, dx: float, scale: float):
     """scale * midpoint quadrature of field^2 on a cell-average grid."""
     return scale * dx * _squares_by_sample(field).sum(axis=-1)
 
@@ -503,8 +540,8 @@ class ModelSpec:
     name: str                 # "diffusion" | "burgers"
     final_time: float
     domain_length: float
-    qoi_scale: float = 10.0
-    cfl: float = 0.9          # Burgers only
+    qoi_scale: float
+    cfl: float                # Burgers only
     inflow: float = 2.0       # Burgers only
     outflow: float = 0.0      # Burgers only
 
@@ -534,6 +571,13 @@ class ModelSpec:
         Its set-up is built once per mesh and shared by every tile and call,
         the tiles share one scratch, g^n is taken by squaring, and a
         non-finite QoI raises.
+
+        The Burgers inputs are validated and the march's step ratios built
+        once per call (_burgers_setup).  The tiles are taken in ascending u1,
+        which narrows the rows between a tile's slowest and fastest fronts
+        that its steps update, and every tile marches in one set of buffers
+        (_burgers_march); each tile's QoIs go back to their inputs' places
+        in the output.
         """
         w = np.atleast_1d(np.asarray(w, dtype=float))
         dx = self.domain_length / cells
@@ -541,6 +585,12 @@ class ModelSpec:
         out = np.empty(w.shape[0])
         if self.name == "diffusion":
             work = np.empty((3, (cells - 1) * min(tile, w.shape[0])))
+        else:
+            w, ratios, plateau = _burgers_setup(w, cells, self.final_time, self.domain_length,
+                                                self.inflow, self.outflow, self.cfl)
+            order = np.argsort(w)
+            w = w[order]
+            work = np.empty((3, (cells + 1) * min(tile, w.shape[0])))
         for start in range(0, w.shape[0], tile):
             part = w[start : start + tile]
             if self.name == "diffusion":
@@ -555,9 +605,10 @@ class ModelSpec:
                     raise FloatingPointError("diffusion solve produced non-finite values")
                 out[start : start + tile] = q
             else:
-                u = solve_burgers_batch(part, cells, self.final_time, self.domain_length,
-                                        self.inflow, self.outflow, self.cfl)
-                out[start : start + tile] = qoi_midpoint(u, dx, self.qoi_scale)
+                x, f, d = (row[: m * part.size].reshape(m, part.size)
+                           for row, m in zip(work, (cells + 1, cells + 1, cells)))
+                u = _burgers_march(part, ratios, plateau, self.inflow, x, f, d)
+                out[order[start : start + tile]] = qoi_midpoint(u, dx, self.qoi_scale)
         return out
 
     def solve_field(self, w: float, cells: int):
