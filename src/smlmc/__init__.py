@@ -23,14 +23,7 @@ from .inputs import (
     build_equal_width_strata,
     proportional_allocation,
 )
-from .models import (
-    MeshHierarchy,
-    ModelSpec,
-    godunov_flux,
-    solve_burgers,
-    solve_diffusion,
-    thomas_solve,
-)
+from .models import MeshHierarchy, ModelSpec, godunov_flux, thomas_solve
 from .smoothing import (
     GaussianKernelCdf,
     GilesPolynomial,

@@ -36,7 +36,7 @@ class NodeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.s_count + 1)
 
-    def dense(self, factor: int = 10) -> np.ndarray:
+    def dense(self, factor: int) -> np.ndarray:
         return np.linspace(self.a, self.b, factor * self.s_count + 1)
 
 
@@ -173,10 +173,10 @@ def reference_cdf(
     dist: TruncatedLognormal,
     grid: NodeGrid,
     hierarchy: MeshHierarchy,
-    mesh_refine: int = 4,
-    quad_cells: int = 2048,
-    quad_points: int = 8,
-    time_coarsen: float = 1.0,
+    mesh_refine: int,
+    quad_cells: int,
+    quad_points: int,
+    time_coarsen: float,
 ) -> CdfEstimate:
     """Deterministic high-accuracy CDF of the QoI by dense quadrature over the
     random input: no sampling noise, only quadrature and discretization error.

@@ -123,17 +123,11 @@ def compute_reference(exp: ExperimentConfig, out: Path):
     if path.exists():
         print(f"reference cache hit: {path}")
         return cdf_mod.load_cdf_json(path), path
-    ref = cdf_mod.reference_cdf(
+    ref, half = (cdf_mod.reference_cdf(
         exp.model_spec(), exp.distribution(), exp.node_grid(), exp.hierarchy(),
-        mesh_refine=exp.ref_mesh_refine, quad_cells=exp.ref_quad_cells,
+        mesh_refine=exp.ref_mesh_refine, quad_cells=quad_cells,
         quad_points=exp.ref_quad_points, time_coarsen=exp.ref_time_coarsen,
-    )
-    half = cdf_mod.reference_cdf(
-        exp.model_spec(), exp.distribution(), exp.node_grid(), exp.hierarchy(),
-        mesh_refine=exp.ref_mesh_refine,
-        quad_cells=max(exp.ref_quad_cells // 2, 1),
-        quad_points=exp.ref_quad_points, time_coarsen=exp.ref_time_coarsen,
-    )
+    ) for quad_cells in (exp.ref_quad_cells, max(exp.ref_quad_cells // 2, 1)))
     delta = float(np.abs(ref.raw - half.raw).max())
     ref.metadata["halving_delta"] = delta
     print(f"input-grid halving delta: {delta:.3e}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from .cdf import NodeGrid
 from .estimators import RunConfig
 from .inputs import TruncatedLognormal, build_equal_width_strata
-from .models import MeshHierarchy, ModelSpec, burgers_max_speed
+from .models import MeshHierarchy, ModelSpec
 
 
 def _list_of(conv):
@@ -114,6 +114,15 @@ class ExperimentConfig:
     ref_time_coarsen: float = _ini("reference", "time_coarsen", 4.0)
 
     def __post_init__(self):
+        for f in fields(self):
+            section, key = f.metadata["ini"]
+            value = getattr(self, f.name)
+            if f.metadata["conv"] and (not value or len(set(value)) < len(value)):
+                raise ValueError(f"[{section}] {key} must list each value once, "
+                                 f"and at least one: {value}")
+            # the reference oracle's settings, which no object of a run reads
+            if section == "reference" and not value > 0:
+                raise ValueError(f"[{section}] {key} must be positive, not {value}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -142,13 +151,11 @@ class ExperimentConfig:
                     f"{method} warmup {self.warmup_for(method)} cannot give "
                     f"{self.min_stratum_samples} sample(s) to each of {r} strata"
                 )
-        if self.model == "burgers":
-            bound = burgers_max_speed(spec.inflow, spec.outflow)
-            if max(abs(self.w_lo), abs(self.w_hi)) > bound:
-                raise ValueError(
-                    f"Burgers plateau support [{self.w_lo}, {self.w_hi}] exceeds the "
-                    f"wave-speed bound {bound} of the boundary states"
-                )
+        if self.model == "burgers" and max(abs(self.w_lo), abs(self.w_hi)) > spec.max_speed:
+            raise ValueError(
+                f"Burgers plateau support [{self.w_lo}, {self.w_hi}] exceeds the "
+                f"wave-speed bound {spec.max_speed} of the boundary states"
+            )
 
     # -- derived objects ---------------------------------------------------
 

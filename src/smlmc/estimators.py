@@ -60,14 +60,14 @@ class RunConfig:
     """Knobs of one estimator run (one seed, one tolerance)."""
 
     eps: float
-    l_star: int = 7
-    warmup: int = 200                  # N_l^0 at every level for this run
+    l_star: int
+    warmup: int                        # N_l^0 at every level for this run
+    giles_degree: int
+    seed: int
+    sampling_safety: float
+    calibration_fraction: float
+    min_stratum_samples: int
     smoother: str = "none"             # none | giles | kde
-    giles_degree: int = 3
-    seed: int = 0
-    sampling_safety: float = 2.5
-    calibration_fraction: float = 0.15
-    min_stratum_samples: int = 2
 
     def __post_init__(self):
         if self.eps <= 0:

@@ -17,10 +17,15 @@ Two models ship:
   ascending input, which keeps each tile's fronts close together), QoI =
   10 * integral of u^2 at t = 0.5.
 
-Both solvers work on numpy arrays of shape (space, batch).  ModelSpec.qoi_batch
-is the one place that sizes a solve: it hands them column tiles that fit in
-cache and keeps only the QoIs, so any batch costs one tile's memory beyond its
-B output values.  A sample's QoI does not depend on the rest of its batch.
+A ModelSpec holds a testbed's parameters (final time, domain length, QoI
+scale, CFL number and boundary states), its step count and work model, and
+the Burgers wave-speed bound; the solvers take the spec, not copies of its
+values.  Both work on numpy arrays of shape (space, batch).
+ModelSpec.qoi_batch is the one place that sizes a solve: it hands them column
+tiles that fit in cache and keeps only the QoIs, so any batch costs one
+tile's memory beyond its B output values.  ModelSpec.solve_field is the
+single-sample field.  A sample's QoI does not depend on the rest of its
+batch.
 """
 
 from dataclasses import dataclass
@@ -37,8 +42,8 @@ class MeshHierarchy:
     """Geometric mesh family M_l = m0 * factor^l, levels 0..l_star."""
 
     m0: int
-    factor: int = 2
-    l_star: int = 7
+    factor: int
+    l_star: int
 
     def __post_init__(self):
         if self.m0 <= 1:
@@ -194,24 +199,19 @@ def _diffusion_interior(d, cells: int, final_time: float, length: float,
     return v
 
 
-def solve_diffusion_batch(
-    d_coeffs,
-    cells: int,
-    final_time: float = 0.2,
-    length: float = 4.0,
-    dt_over_dx: float = 1.0,
-):
-    """Diffusion fields for a batch of coefficients.
+def solve_diffusion_batch(model, d_coeffs, cells: int, dt_over_dx: float = 1.0):
+    """Diffusion fields of a diffusion ModelSpec for a batch of coefficients.
 
-    Returns an array of node values of shape (cells + 1, B).  Nodes are
-    x_j = j * dx including the boundary nodes; the interior unknowns advance by
-    Crank-Nicolson.  Walls are held at u(0) = -1 and u(length) = +1; the
-    initial transition layer is tanh((x - 2) / 0.05).
+    Returns an array of node values of shape (cells + 1, B) at the model's
+    final time.  Nodes are x_j = j * dx including the boundary nodes; the
+    interior unknowns advance by Crank-Nicolson.  Walls are held at
+    u(0) = -1 and u(domain_length) = +1; the initial transition layer is
+    tanh((x - 2) / 0.05).
 
     The march is evaluated in closed form.  With the wall ramp
-    r(x) = -1 + 2x / length subtracted, each step multiplies the interior data
-    by (I + lam A)^-1 (I - lam A), with lam = d dt / (2 dx^2) per sample and A
-    the Dirichlet second-difference matrix.  The orthonormal DST-I
+    r(x) = -1 + 2x / domain_length subtracted, each step multiplies the
+    interior data by (I + lam A)^-1 (I - lam A), with lam = d dt / (2 dx^2)
+    per sample and A the Dirichlet second-difference matrix.  The orthonormal DST-I
     diagonalises this step for any lam (Strang, SIAM Review 41, 1999): mode k
     is scaled by g_k = (1 - lam mu_k) / (1 + lam mu_k), with
     mu_k = 4 sin^2(k pi / (2 cells)).  So n steps are one DST-I of the initial
@@ -224,8 +224,8 @@ def solve_diffusion_batch(
     (_diffusion_interior) and never assembles the field.
     """
     batch = np.atleast_1d(d_coeffs).shape[0]
-    v = _diffusion_interior(d_coeffs, cells, final_time, length, dt_over_dx,
-                            np.empty((3, (cells - 1) * batch)))
+    v = _diffusion_interior(d_coeffs, cells, model.final_time, model.domain_length,
+                            dt_over_dx, np.empty((3, (cells - 1) * batch)))
     u = np.empty((cells + 1, batch))
     u[0] = -1.0
     u[-1] = 1.0
@@ -233,12 +233,6 @@ def solve_diffusion_batch(
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("diffusion solve produced non-finite values")
     return u
-
-
-def solve_diffusion(d_coeff: float, cells: int, final_time: float = 0.2,
-                    length: float = 4.0, dt_over_dx: float = 1.0):
-    """Single diffusion field u(., final_time) on the node grid, shape (cells + 1,)."""
-    return solve_diffusion_batch([d_coeff], cells, final_time, length, dt_over_dx)[:, 0]
 
 
 def godunov_flux(u_left, u_right):
@@ -264,52 +258,22 @@ def godunov_flux(u_left, u_right):
     return out
 
 
-def burgers_max_speed(inflow: float, outflow: float) -> float:
-    """Wave-speed bound of the Burgers march: the larger boundary state.
-
-    Inputs are held to it (the plateau height may not exceed it), so by the
-    max principle it bounds every speed of the solution, and the time step it
-    fixes is the same for every sample and for the work model.  A zero bound
-    would give no time step, and is rejected.
-    """
-    bound = max(abs(inflow), abs(outflow))
-    if bound == 0:
-        raise ValueError("Burgers boundary states are both 0: the wave speed "
-                         "bound that fixes the time step must be positive")
-    return bound
-
-
-def burgers_steps(cells: int, final_time: float = 0.5, length: float = 2.0,
-                  max_speed: float = 2.0, cfl: float = 0.9) -> int:
-    """Step count of the CFL-limited march (final step clipped onto final_time).
-
-    A ratio final_time / dt within a relative 1e-12 above an integer counts as
-    that integer: past a few thousand steps the ratio's rounding exceeds any
-    absolute tolerance, and the count would gain a step of rounding size.
-    """
-    dx = length / cells
-    dt = cfl * dx / max_speed
-    return int(np.ceil(final_time / dt * (1.0 - 1e-12)))
-
-
-def burgers_time_steps(cells: int, final_time: float = 0.5, length: float = 2.0,
-                       max_speed: float = 2.0, cfl: float = 0.9) -> list:
-    """The time steps of the Burgers march, burgers_steps(...) of them.
+def burgers_time_steps(model, cells: int) -> list:
+    """The time steps of the Burgers march of a ModelSpec, model.steps(cells)
+    of them.
 
     Each step is min(dt_cfl, final_time - t) with t accumulated step by step,
     and the last one is clipped onto final_time, so the steps sum to
     final_time and their count is the one the work model charges.
     """
-    if final_time <= 0:
-        raise ValueError("final_time must be positive")
-    n_steps = burgers_steps(cells, final_time, length, max_speed, cfl)
-    dt_cfl = cfl * (length / cells) / max_speed
+    n_steps = model.steps(cells)
+    dt_cfl = model.cfl * (model.domain_length / cells) / model.max_speed
     steps = []
     t = 0.0
     for _ in range(n_steps - 1):
-        steps.append(min(dt_cfl, final_time - t))
+        steps.append(min(dt_cfl, model.final_time - t))
         t += steps[-1]
-    steps.append(final_time - t)
+    steps.append(model.final_time - t)
     return steps
 
 
@@ -356,12 +320,12 @@ def _zero_suffix(u, floor, hi):
     return hi
 
 
-def _burgers_setup(u1_values, cells: int, final_time: float, length: float,
-                   inflow: float, outflow: float, cfl: float):
-    """The batch-independent half of the Burgers march, after validating its
-    inputs: (u1, ratios, plateau), the plateau heights as a float array, the
-    step ratios 0.5 * (dt / dx) of burgers_time_steps and the number of
-    cells of the initial plateau.
+def _burgers_setup(model, u1_values, cells: int):
+    """The batch-independent half of the Burgers march of a ModelSpec, after
+    validating its inputs: (u1, ratios, plateau), the plateau heights as a
+    float array, the step ratios 0.5 * (dt / dx) of burgers_time_steps and
+    the number of cells of the initial plateau.  The model's own settings
+    were checked when it was built.
 
     Each ratio halves the rounded dt / dx exactly, and _upwind_rows scales
     the difference of the squares by it in place of halving every square:
@@ -370,18 +334,13 @@ def _burgers_setup(u1_values, cells: int, final_time: float, length: float,
     u1 = np.atleast_1d(np.asarray(u1_values, dtype=float))
     if cells < 2:
         raise ValueError("need at least two cells")
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError(f"cfl {cfl} must lie in (0, 1]: above 1 the scheme is not monotone")
-    if inflow < 0 or outflow < 0:
-        raise ValueError("Burgers boundary states must be nonnegative")
-    max_speed = burgers_max_speed(inflow, outflow)
-    if np.any(np.abs(u1) > max_speed):
-        raise ValueError(f"plateau heights must lie within the boundary speed bound {max_speed}")
+    if np.any(np.abs(u1) > model.max_speed):
+        raise ValueError("plateau heights must lie within the boundary speed bound "
+                         f"{model.max_speed}")
     if np.any(u1 < 0):
         raise ValueError("plateau heights must be nonnegative")
-    dx = length / cells
-    ratios = [0.5 * (dt / dx) for dt in burgers_time_steps(cells, final_time, length,
-                                                           max_speed, cfl)]
+    dx = model.domain_length / cells
+    ratios = [0.5 * (dt / dx) for dt in burgers_time_steps(model, cells)]
     plateau = int(np.count_nonzero((np.arange(cells) + 0.5) * dx <= 1.0))
     return u1, ratios, plateau
 
@@ -426,31 +385,25 @@ def _burgers_march(u1, ratios, plateau: int, inflow: float, x, f, d):
     return u
 
 
-def solve_burgers_batch(
-    u1_values,
-    cells: int,
-    final_time: float = 0.5,
-    length: float = 2.0,
-    inflow: float = 2.0,
-    outflow: float = 0.0,
-    cfl: float = 0.9,
-):
-    """Burgers fields for a batch of nonnegative initial plateau heights.
+def solve_burgers_batch(model, u1_values, cells: int):
+    """Burgers fields of a Burgers ModelSpec for a batch of nonnegative
+    initial plateau heights.
 
-    Returns cell averages of shape (cells, B) at final_time.  Initial data is
-    u1 on (0, 1] and 0 on (1, length); the left ghost cell carries the inflow
-    state.  The time step is CFL-limited by burgers_max_speed(inflow, outflow),
-    which every u1 must not exceed; the steps are those of burgers_time_steps.
+    Returns cell averages of shape (cells, B) at the model's final time.
+    Initial data is u1 on (0, 1] and 0 on (1, domain_length); the left ghost
+    cell carries the inflow state.  The time step is CFL-limited by
+    model.max_speed, which every u1 must not exceed; the steps are those of
+    burgers_time_steps.
 
-    Every state is nonnegative: the plateau heights and boundary states are
-    required to be, and with cfl <= 1 the monotone scheme keeps u in
-    [0, max_speed] (the top only up to rounding).  For the convex flux
+    Every state is nonnegative: the plateau heights and (by ModelSpec) the
+    boundary states are required to be, and with cfl <= 1 the monotone
+    scheme keeps u in [0, max_speed] (the top only up to rounding).  For the convex flux
     u^2 / 2 the Godunov flux of two nonnegative states is then the upwind
     flux f(u_left) (LeVeque, Finite Volume Methods for Hyperbolic Problems,
     2002, sec. 12.2), and in IEEE arithmetic godunov_flux's max(u, 0) = u,
     min(u_right, 0)^2 = 0 and max(f, 0) = f, so the full sweep's flux is
-    0.5 * u_left^2.  The outflow state only enters through the speed bound.  Negative plateau heights or
-    boundary states and cfl outside (0, 1] are rejected.
+    0.5 * u_left^2.  The outflow state only enters through the speed bound.
+    Negative plateau heights, and heights above the speed bound, are rejected.
 
     A step is four in-place passes over a window of rows (_upwind_rows):
     square the left states into the flux buffer, difference it into the
@@ -484,28 +437,22 @@ def solve_burgers_batch(
     not depend on its batch.  ModelSpec.qoi_batch marches its batch in tiles
     of ascending u1 in one set of buffers and keeps only the QoIs.
     """
-    u1, ratios, plateau = _burgers_setup(u1_values, cells, final_time, length,
-                                         inflow, outflow, cfl)
+    u1, ratios, plateau = _burgers_setup(model, u1_values, cells)
     B = u1.shape[0]
-    return _burgers_march(u1, ratios, plateau, inflow, np.empty((cells + 1, B)),
+    return _burgers_march(u1, ratios, plateau, model.inflow, np.empty((cells + 1, B)),
                           np.empty((cells + 1, B)), np.empty((cells, B)))
 
 
-def solve_burgers(u1: float, cells: int, **kwargs):
-    """Single Burgers field u(., final_time) on cell centers, shape (cells,)."""
-    return solve_burgers_batch([u1], cells, **kwargs)[:, 0]
-
-
-def _squares_by_sample(field, out=None):
-    """field^2 as (batch, space) with each sample's values contiguous, in out
-    when given (a C-contiguous array of that shape).
+def _squares_by_sample(field, buffer=None):
+    """field^2 as (batch, space) with each sample's values contiguous, in
+    buffer when given (a C-contiguous array of that shape).
 
     numpy sums the last axis of this layout pairwise for every row whatever
     the batch size, so a sample's QoI does not depend on its batch-mates.
     Summing axis 0 of the (space, batch) layout goes row by row for B > 1 but
     pairwise for B = 1, which moved a lone sample's QoI by up to 7e-14.
     """
-    return np.square(np.asarray(field, dtype=float).T, out=out, order="C")
+    return np.square(np.asarray(field, dtype=float).T, out=buffer, order="C")
 
 
 def qoi_trapezoid(field, dx: float, scale: float):
@@ -535,7 +482,8 @@ _TILE_ELEMS = 1 << 16
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One PDE testbed: identity, geometry, final time, and QoI scaling."""
+    """One PDE testbed: identity, geometry, final time, QoI scaling and the
+    Burgers march's settings, checked once here for every solve."""
 
     name: str                 # "diffusion" | "burgers"
     final_time: float
@@ -586,8 +534,7 @@ class ModelSpec:
         if self.name == "diffusion":
             work = np.empty((3, (cells - 1) * min(tile, w.shape[0])))
         else:
-            w, ratios, plateau = _burgers_setup(w, cells, self.final_time, self.domain_length,
-                                                self.inflow, self.outflow, self.cfl)
+            w, ratios, plateau = _burgers_setup(self, w, cells)
             order = np.argsort(w)
             w = w[order]
             work = np.empty((3, (cells + 1) * min(tile, w.shape[0])))
@@ -616,20 +563,35 @@ class ModelSpec:
         the cells + 1 nodes for diffusion, the cell centres for Burgers."""
         if self.name == "diffusion":
             x = np.linspace(0.0, self.domain_length, cells + 1)
-            return x, solve_diffusion(w, cells, self.final_time, self.domain_length)
+            return x, solve_diffusion_batch(self, [w], cells)[:, 0]
         x = (np.arange(cells) + 0.5) * self.domain_length / cells
-        return x, solve_burgers(
-            w, cells, final_time=self.final_time, length=self.domain_length,
-            inflow=self.inflow, outflow=self.outflow, cfl=self.cfl,
-        )
+        return x, solve_burgers_batch(self, [w], cells)[:, 0]
+
+    @property
+    def max_speed(self) -> float:
+        """Wave-speed bound of the Burgers march: the larger boundary state.
+
+        Inputs are held to it (the plateau height may not exceed it), so by
+        the max principle it bounds every speed of the solution, and the time
+        step it fixes is the same for every sample and for the work model.  A
+        zero bound would give no time step, and is rejected.
+        """
+        bound = max(self.inflow, self.outflow)
+        if bound == 0:
+            raise ValueError("Burgers boundary states are both 0: the wave speed "
+                             "bound that fixes the time step must be positive")
+        return bound
 
     def steps(self, cells: int) -> int:
+        """Time steps of one solve.  The Burgers march is CFL-limited, its
+        final step clipped onto final_time: a ratio final_time / dt within a
+        relative 1e-12 above an integer counts as that integer, because past
+        a few thousand steps the ratio's rounding exceeds any absolute
+        tolerance, and the count would gain a step of rounding size."""
         if self.name == "diffusion":
             return diffusion_steps(cells, self.final_time, self.domain_length)
-        return burgers_steps(
-            cells, self.final_time, self.domain_length,
-            burgers_max_speed(self.inflow, self.outflow), self.cfl,
-        )
+        dt = self.cfl * (self.domain_length / cells) / self.max_speed
+        return int(np.ceil(self.final_time / dt * (1.0 - 1e-12)))
 
     def work_units(self, cells: int) -> float:
         """Deterministic work model: cells times time steps for one solve."""

@@ -24,7 +24,6 @@ from smlmc.cli import run_realization
 from smlmc.config import preset
 from smlmc.estimators import (
     LevelState,
-    RunConfig,
     mc_sample_count,
     required_samples_mlmc,
     required_samples_smlmc,
@@ -38,7 +37,7 @@ from smlmc.inputs import (
     proportional_allocation,
     substream,
 )
-from smlmc.models import godunov_flux, solve_burgers, solve_diffusion, thomas_solve
+from smlmc.models import godunov_flux, thomas_solve
 from smlmc.smoothing import GAUSSIAN_CDF, build_giles_polynomial
 
 DATA = Path(__file__).parent / "data"
@@ -252,7 +251,7 @@ def test_criterion_5_exactness_suite(diffusion):
 
     # degenerate stratification reproduces the plain run bit for bit
     exp = diffusion["exp"]
-    cfg = RunConfig(eps=0.02, l_star=2, warmup=32, seed=5)
+    cfg = replace(exp.run_config("mlmc", 0.02, 5), l_star=2, warmup=32)
     plain = run_mlmc(diffusion["model"], diffusion["dist"], diffusion["grid"],
                      diffusion["hier"], cfg)
     strat1 = build_equal_width_strata(diffusion["dist"], 1)
@@ -273,16 +272,17 @@ def test_criterion_5_exactness_suite(diffusion):
 
 def test_criterion_6_solver_orders():
     # diffusion: second order once the initial layer is resolved
-    u1 = solve_diffusion(1.0, 1024)
-    u2 = solve_diffusion(1.0, 2048)
-    u3 = solve_diffusion(1.0, 4096)
+    diffusion, burgers = preset("diffusion").model_spec(), preset("burgers").model_spec()
+    _, u1 = diffusion.solve_field(1.0, 1024)
+    _, u2 = diffusion.solve_field(1.0, 2048)
+    _, u3 = diffusion.solve_field(1.0, 4096)
     e_c = np.abs(u2[::2] - u1).max()
     e_f = np.abs(u3[::2] - u2).max()
     diff_order = float(np.log2(e_c / e_f))
     # Burgers: first order in L1 with shocks present
-    b1 = solve_burgers(0.9, 128)
-    b2 = solve_burgers(0.9, 256)
-    b3 = solve_burgers(0.9, 512)
+    _, b1 = burgers.solve_field(0.9, 128)
+    _, b2 = burgers.solve_field(0.9, 256)
+    _, b3 = burgers.solve_field(0.9, 512)
     dx = 2.0 / 128
     eb_c = dx * np.abs(b2.reshape(-1, 2).mean(axis=1) - b1).sum()
     eb_f = (dx / 2) * np.abs(b3.reshape(-1, 2).mean(axis=1) - b2).sum()

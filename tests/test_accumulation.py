@@ -10,6 +10,7 @@ smoothed sums and their squares are held to the dense sums' rounding bound:
 """
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from smlmc.cdf import NodeGrid, indicator
 from smlmc.config import preset
 from smlmc.estimators import (
     LevelState,
-    RunConfig,
     _band,
     _Engine,
     run_mc,
@@ -37,12 +37,13 @@ from smlmc.smoothing import (
 
 EXP = preset("diffusion")
 DIST = EXP.distribution()
+RUN = EXP.run_config("mlmc", 0.01, 0)
 KERNELS = {"giles": build_giles_polynomial(3), "kde": GAUSSIAN_CDF}
 
 
 def _engine(grid, smoother):
     return _Engine(EXP.model_spec(), DIST, build_equal_width_strata(DIST, 1), grid,
-                   EXP.hierarchy(), RunConfig(eps=0.02, smoother=smoother))
+                   EXP.hierarchy(), replace(RUN, eps=0.02, smoother=smoother))
 
 
 def _dense_accumulate(lv, smoother, nodes, fine, coarse):
@@ -253,10 +254,10 @@ def test_engine_never_calls_the_dense_oracles(monkeypatch):
     monkeypatch.setattr(GaussianKernelCdf, "values", dense)
     model, grid, hier = EXP.model_spec(), EXP.node_grid(), EXP.hierarchy()
     base = dict(eps=0.05, l_star=2, warmup=64, seed=5)
-    plain = run_mlmc(model, DIST, grid, hier, RunConfig(**base))
-    run_mc(model, DIST, grid, hier, RunConfig(**base), plain)
+    plain = run_mlmc(model, DIST, grid, hier, replace(RUN, **base))
+    run_mc(model, DIST, grid, hier, replace(RUN, **base), plain)
     for smoother in ("giles", "kde"):
-        run_mlmc(model, DIST, grid, hier, RunConfig(smoother=smoother, **base))
+        run_mlmc(model, DIST, grid, hier, replace(RUN, smoother=smoother, **base))
     for smoother in ("none", "kde"):
         run_smlmc(model, DIST, build_equal_width_strata(DIST, 8), grid, hier,
-                  RunConfig(smoother=smoother, **dict(base, warmup=128)))
+                  replace(RUN, smoother=smoother, **dict(base, warmup=128)))

@@ -45,3 +45,15 @@ def test_traced_protocol_run(tmp_path):
     units = workloads.check_protocol_outputs(out, ctx, 0)
     assert [u.key[1] for u in units] == runs
     assert all(u.report["method"] == u.key[1] and not math.isnan(u.cost) for u in units)
+
+
+def test_reference_pass():
+    # one oracle build of the diffusion reference workload: the benchmark's
+    # reference hooks (the config's [reference] fields, reference_cdf's
+    # keywords, diffusion_steps) still resolve and give its cost
+    result = workloads.reference_pass(workloads.prepare("diffusion-reference"), 0, 1,
+                                      workloads.trace_targets(full=True))
+    [unit] = result.units
+    assert unit.ok
+    assert unit.cost == 4096 * 52 * 512 == 109051904
+    assert {"models.qoi_batch", "cdf.reference_cdf"} <= {s.name for s in result.spans}

@@ -206,8 +206,8 @@ class TestReference:
 
     def test_monotone_with_saturated_endpoints(self):
         grid = NodeGrid(14.0, 28.0, 28)
-        ref = reference_cdf(DIFFUSION, DIFF_DIST, grid, self.HIER,
-                            quad_cells=128, quad_points=4)
+        ref = reference_cdf(DIFFUSION, DIFF_DIST, grid, self.HIER, mesh_refine=4,
+                            quad_cells=128, quad_points=4, time_coarsen=1.0)
         assert ref.raw[0] <= 1e-6
         assert ref.raw[-1] >= 1.0 - 1e-6
         assert np.all(np.diff(ref.raw) >= 0)
@@ -216,10 +216,10 @@ class TestReference:
         grid = NodeGrid(14.0, 28.0, 28)
         deltas = []
         for cells in (64, 128, 256):
-            a = reference_cdf(DIFFUSION, DIFF_DIST, grid, self.HIER,
-                              quad_cells=cells, quad_points=4)
-            b = reference_cdf(DIFFUSION, DIFF_DIST, grid, self.HIER,
-                              quad_cells=2 * cells, quad_points=4)
+            a = reference_cdf(DIFFUSION, DIFF_DIST, grid, self.HIER, mesh_refine=4,
+                              quad_cells=cells, quad_points=4, time_coarsen=1.0)
+            b = reference_cdf(DIFFUSION, DIFF_DIST, grid, self.HIER, mesh_refine=4,
+                              quad_cells=2 * cells, quad_points=4, time_coarsen=1.0)
             deltas.append(np.abs(a.raw - b.raw).max())
         assert deltas[2] < deltas[0]
 
@@ -229,7 +229,7 @@ class TestReference:
         grid = NodeGrid(15.0, 65.0, 100)
         hier = MeshHierarchy(m0=32, factor=2, l_star=3)
         ref = reference_cdf(BURGERS, BURG_DIST, grid, hier, mesh_refine=4,
-                            quad_cells=256, quad_points=4)
+                            quad_cells=256, quad_points=4, time_coarsen=1.0)
         u1_star = -1.0 + np.sqrt(np.maximum(grid.nodes / 5.0 - 3.0, 0.0))
         exact = BURG_DIST.cdf(u1_star)
         assert np.abs(ref.raw - exact).max() < 5e-3
@@ -240,7 +240,7 @@ class TestReference:
         grid = NodeGrid(14.0, 28.0, 28)
         hier = MeshHierarchy(m0=64, factor=2, l_star=0)
         ref = reference_cdf(DIFFUSION, DIFF_DIST, grid, hier, mesh_refine=1,
-                            quad_cells=512, quad_points=8)
+                            quad_cells=512, quad_points=8, time_coarsen=1.0)
         runs, per_run = 200, 100
         counts = np.zeros(grid.nodes.size)
         for k in range(runs):

@@ -302,6 +302,22 @@ class TestRejectedAtLoad:
         ("[model]\nl_star = -1\n", "l_star"),
         ("eps = 0.01, 0\n", "eps"),
         ("strata = 8, 0\n", "stratum"),
+        # an empty list ran nothing and failed in the cost table; a repeated
+        # value ran its runs again over the same report files
+        ("eps =\n", r"^\[experiment\] eps must list each value once"),
+        ("eps = 0.01, 0.005, 0.01\n", r"^\[experiment\] eps must list each value once"),
+        ("strata = 8, 8\n", r"^\[experiment\] strata must list each value once"),
+        ("strata =\n", r"^\[experiment\] strata must list each value once"),
+        ("methods = mlmc, mlmc\n", r"^\[experiment\] methods must list each value once"),
+        ("methods =\n", r"^\[experiment\] methods must list each value once"),
+        # the reference oracle's resolution: 0 cells gave an all-NaN
+        # reference, a negative time_coarsen one Crank-Nicolson step, and a
+        # zero mesh_refine or time_coarsen a ZeroDivisionError
+        ("[reference]\nquad_cells = 0\n", r"^\[reference\] quad_cells must be positive"),
+        ("[reference]\nquad_points = 0\n", r"^\[reference\] quad_points must be positive"),
+        ("[reference]\nmesh_refine = 0\n", r"^\[reference\] mesh_refine must be positive"),
+        ("[reference]\ntime_coarsen = 0\n", r"^\[reference\] time_coarsen must be positive"),
+        ("[reference]\ntime_coarsen = -4\n", r"^\[reference\] time_coarsen must be positive"),
         # the object's own message follows the INI section it reads and, for
         # a run's settings, the method, the tolerance and the keys it names
         ("[sampling]\nsafety = 0\n",

@@ -15,7 +15,6 @@ from smlmc.cli import run_realization
 from smlmc.config import METHODS, preset, run_tag
 from smlmc.estimators import (
     LevelState,
-    RunConfig,
     SampleBank,
     mc_sample_count,
     required_samples_mlmc,
@@ -39,6 +38,8 @@ MODEL = EXP.model_spec()
 DIST = EXP.distribution()
 GRID = EXP.node_grid()
 HIER = EXP.hierarchy()
+# the preset's settings of a plain run; tests replace the ones they set
+RUN = EXP.run_config("mlmc", 0.01, 0)
 
 # small, fast engine configuration reused across tests
 FAST = dict(l_star=3, warmup=64)
@@ -131,32 +132,32 @@ class TestStoppingCheck:
 
 class TestRunMlmc:
     def test_deterministic_replay(self):
-        cfg = RunConfig(eps=0.02, seed=11, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=11, **FAST)
         a = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         b = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         assert np.array_equal(a.estimate.raw, b.estimate.raw)
         assert [lv.n_total for lv in a.levels] == [lv.n_total for lv in b.levels]
 
     def test_raw_node_means_bounded(self):
-        cfg = RunConfig(eps=0.02, seed=3, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=3, **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         for lv in res.levels:
             mean = lv.mean_g_stratified(res.strat.probs)
             assert np.all(np.abs(mean) <= 1.0 + 1e-12)
 
     def test_sample_floor_at_warmup(self):
-        cfg = RunConfig(eps=0.05, seed=1, **FAST)
+        cfg = replace(RUN, eps=0.05, seed=1, **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         assert all(lv.n_total >= cfg.warmup for lv in res.levels)
 
     def test_ledger_consistency(self):
-        cfg = RunConfig(eps=0.02, seed=5, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=5, **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         total = sum(lv.n_total * lv.pair_work for lv in res.levels)
         assert res.total_cost == pytest.approx(total)
 
     def test_smoothed_run_tracks_indicator_stats(self):
-        cfg = RunConfig(eps=0.02, seed=2, smoother="kde", **FAST)
+        cfg = replace(RUN, eps=0.02, seed=2, smoother="kde", **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         assert res.levels[0].delta is not None and res.levels[0].delta > 0
         assert res.levels[0].sumsq_idiff.sum() > 0  # raw stats alongside smoothed
@@ -166,19 +167,19 @@ class TestRunMlmc:
         # realized sampling-error bound stays within eps^2 / split (the safety
         # factor keeps it comfortably inside even though the per-level argmax
         # nodes need not coincide)
-        cfg = RunConfig(eps=0.02, seed=4, smoother=smoother, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=4, smoother=smoother, **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         realized = sum(lv.var_g()[0].max() / lv.n_total for lv in res.levels)
         assert realized <= cfg.eps**2 / budget_split * 1.05
 
     def test_cap_produces_warning_when_bias_unmet(self):
-        cfg = RunConfig(eps=0.001, seed=1, l_star=1, warmup=32)
+        cfg = replace(RUN, eps=0.001, seed=1, l_star=1, warmup=32)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         assert res.l_max == 1
         assert any("cap" in w for w in res.warnings)
 
     def test_work_monotone_in_level_deterministic(self):
-        cfg = RunConfig(eps=0.02, seed=1, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=1, **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         works = [lv.pair_work for lv in res.levels]
         assert all(b > a for a, b in zip(works, works[1:]))
@@ -239,9 +240,9 @@ class TestTelescopingIdentity:
         # with 5 V / eps^2 = 63.5), so it reuses the identical sample set and
         # the two estimates agree exactly
         base = dict(seed=21, l_star=0, warmup=64)
-        probe = run_mlmc(MODEL, DIST, GRID, HIER, RunConfig(eps=0.3, **base))
+        probe = run_mlmc(MODEL, DIST, GRID, HIER, replace(RUN, eps=0.3, **base))
         v = float(probe.levels[0].var_ifine_pooled().max())
-        cfg = RunConfig(eps=float(np.sqrt(5.0 * v / 63.5)), **base)
+        cfg = replace(RUN, eps=float(np.sqrt(5.0 * v / 63.5)), **base)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
         kept = _plain_fine_rows(cfg.seed, 0, 64)
@@ -254,7 +255,7 @@ class TestTelescopingIdentity:
 
 class TestRunSmlmc:
     def test_r1_matches_mlmc_bit_for_bit(self):
-        cfg = RunConfig(eps=0.02, seed=13, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=13, **FAST)
         plain = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         strat = build_equal_width_strata(DIST, 1)
         stratified = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
@@ -275,7 +276,7 @@ class TestRunSmlmc:
         # one stratum is plain MLMC: same draws, same statistics, same
         # sizing, so the same estimate, sample counts, bandwidths and cost;
         # also when the sMLMC run takes every row from the MLMC run's bank
-        cfg = RunConfig(eps=eps, seed=seed, smoother=smoother, l_star=2, warmup=16)
+        cfg = replace(RUN, eps=eps, seed=seed, smoother=smoother, l_star=2, warmup=16)
         args = (exp.model_spec(), exp.distribution())
         rest = (exp.node_grid(), exp.hierarchy(), cfg)
         bank = SampleBank(*args, exp.hierarchy()) if shared else None
@@ -316,7 +317,7 @@ class TestRunSmlmc:
 
     def test_stratified_run_basics(self):
         strat = build_equal_width_strata(DIST, 4)
-        cfg = RunConfig(eps=0.02, seed=7, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=7, **FAST)
         res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
         for lv in res.levels:
             assert np.all(lv.n >= cfg.min_stratum_samples)
@@ -329,10 +330,10 @@ class TestRunSmlmc:
         strat = build_equal_width_strata(DIST, 8)
         wins = total = 0
         for seed in range(3):
-            cfg = RunConfig(eps=0.02, seed=seed, **FAST)
+            cfg = replace(RUN, eps=0.02, seed=seed, **FAST)
             res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
             plain = run_mlmc(MODEL, DIST, GRID, HIER,
-                             RunConfig(eps=0.02, seed=seed, **FAST))
+                             replace(RUN, eps=0.02, seed=seed, **FAST))
             for lv, plv in zip(res.levels, plain.levels):
                 strat_var = lv.n_total * lv.stratified_estimator_variance(strat.probs).max()
                 plain_var = plv.var_idiff_pooled().max()
@@ -342,7 +343,7 @@ class TestRunSmlmc:
 
     def test_report_shape(self):
         strat = build_equal_width_strata(DIST, 4)
-        cfg = RunConfig(eps=0.05, seed=1, **FAST)
+        cfg = replace(RUN, eps=0.05, seed=1, **FAST)
         res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
         rep = res.report()
         assert rep["strata"] == 4
@@ -355,13 +356,13 @@ class TestRunSmlmc:
     def test_bandwidths_accessor(self):
         # per-level bandwidths reach the report: positive for a smoothed
         # run, absent for a plain one
-        cfg = RunConfig(eps=0.05, seed=2, smoother="kde", **FAST)
+        cfg = replace(RUN, eps=0.05, seed=2, smoother="kde", **FAST)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         deltas = [lv["delta"] for lv in res.report()["levels"]]
         assert len(deltas) == res.l_max + 1
         assert all(d > 0 for d in deltas)
         assert deltas == [lv.delta for lv in res.levels]
-        plain = run_mlmc(MODEL, DIST, GRID, HIER, RunConfig(eps=0.05, seed=2, **FAST))
+        plain = run_mlmc(MODEL, DIST, GRID, HIER, replace(RUN, eps=0.05, seed=2, **FAST))
         assert all(lv["delta"] is None for lv in plain.report()["levels"])
 
 
@@ -403,7 +404,7 @@ class TestOneSolvePerPass:
     @pytest.mark.parametrize("r", [1, 8])
     def test_one_call_per_mesh_per_pass(self, monkeypatch, r):
         calls = self._count_calls(monkeypatch)
-        cfg = RunConfig(eps=0.03, seed=5, **FAST)
+        cfg = replace(RUN, eps=0.03, seed=5, **FAST)
         res = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, r), GRID, HIER, cfg)
         assert res.l_max >= 2
         warmup = int(proportional_allocation(cfg.warmup, res.strat,
@@ -415,10 +416,10 @@ class TestOneSolvePerPass:
         # rows the plain run did not; an sMLMC run at r = 1 after both
         # solves none
         bank = SampleBank(MODEL, DIST, HIER)
-        plain = run_mlmc(MODEL, DIST, GRID, HIER, RunConfig(eps=0.1, seed=5, **FAST),
+        plain = run_mlmc(MODEL, DIST, GRID, HIER, replace(RUN, eps=0.1, seed=5, **FAST),
                          bank=bank)
         calls = self._count_calls(monkeypatch)
-        cfg = RunConfig(eps=0.03, seed=5, smoother="kde", l_star=3, warmup=16)
+        cfg = replace(RUN, eps=0.03, seed=5, smoother="kde", l_star=3, warmup=16)
         res = run_mlmc(MODEL, DIST, GRID, HIER, cfg, bank=bank)
         assert calls == self._expected_calls(res, cfg.warmup,
                                              [lv.n_total for lv in plain.levels])
@@ -434,7 +435,7 @@ class TestOneSolvePerPass:
         b = first.boundaries + np.array([0.0, 0.1, 0.1, 0.1, 0.0])
         p = np.diff(DIST.cdf(b))
         other = Stratification(boundaries=b, probs=p / p.sum())
-        cfg = RunConfig(eps=0.03, seed=5, **FAST)
+        cfg = replace(RUN, eps=0.03, seed=5, **FAST)
         calls = self._count_calls(monkeypatch)
         alone = run_smlmc(MODEL, DIST, other, GRID, HIER, cfg)
         alone_calls = list(calls)
@@ -452,7 +453,7 @@ class TestOneSolvePerPass:
         (dict(eps=0.1, seed=3, l_star=1, warmup=200), False),
     ])
     def test_mc_solves_fresh_draws_in_one_call(self, monkeypatch, settings, fresh):
-        cfg = RunConfig(**settings)
+        cfg = replace(RUN, **settings)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         calls = self._count_calls(monkeypatch)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
@@ -478,7 +479,7 @@ def _realization(exp, order, seed, shared):
     out = {}
     for method in order:
         spec = METHODS[method]
-        cfg = RunConfig(eps=0.05, seed=seed, smoother=spec.smoother, l_star=2,
+        cfg = replace(RUN, eps=0.05, seed=seed, smoother=spec.smoother, l_star=2,
                         warmup=BANK_WARMUPS[method])
         if spec.stratified:
             out[method] = run_smlmc(model, dist, strat, grid, hier, cfg, bank=bank)
@@ -508,7 +509,7 @@ class TestSampleBank:
     def test_bank_of_another_model_rejected(self):
         bank = SampleBank(BURGERS_EXP.model_spec(), DIST, HIER)
         with pytest.raises(ValueError, match="sample bank"):
-            run_mlmc(MODEL, DIST, GRID, HIER, RunConfig(eps=0.05, **FAST), bank=bank)
+            run_mlmc(MODEL, DIST, GRID, HIER, replace(RUN, eps=0.05, **FAST), bank=bank)
 
     def test_holds_sixteen_bytes_per_pair(self):
         # the bank's memory is O(rows held): 16 bytes per (fine, coarse) pair
@@ -579,7 +580,7 @@ REALIZATION_RSS_KB = 32 * 1024
 
 class TestRunMc:
     def test_sample_count_and_cost(self):
-        cfg = RunConfig(eps=0.02, seed=17, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=17, **FAST)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
         top = mlmc_res.levels[-1]
@@ -591,7 +592,7 @@ class TestRunMc:
         assert mc_res.total_cost == pytest.approx(expected_n * fine_work)
 
     def test_reuses_finest_level_samples(self):
-        cfg = RunConfig(eps=0.02, seed=17, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=17, **FAST)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
         assert mc_res.n_reused == min(mlmc_res.levels[-1].n_total, mc_res.n_samples)
@@ -599,7 +600,7 @@ class TestRunMc:
     def test_reuse_capped_at_n_mc(self):
         # a loose tolerance keeps more fine samples than MC needs: the
         # estimate averages exactly the N_MC samples its cost charges for
-        cfg = RunConfig(eps=0.1, seed=3, l_star=1, warmup=200)
+        cfg = replace(RUN, eps=0.1, seed=3, l_star=1, warmup=200)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
         assert mlmc_res.levels[-1].n_total > mc_res.n_samples
@@ -610,7 +611,7 @@ class TestRunMc:
     @pytest.mark.parametrize("smoother, r", [("giles", 1), ("none", 4)])
     def test_needs_a_plain_unstratified_run(self, smoother, r):
         # only a plain single-stratum run draws its rows as MC would
-        cfg = RunConfig(eps=0.1, seed=3, l_star=1, warmup=16, smoother=smoother)
+        cfg = replace(RUN, eps=0.1, seed=3, l_star=1, warmup=16, smoother=smoother)
         res = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, r), GRID, HIER, cfg)
         with pytest.raises(ValueError, match="plain, unstratified"):
             run_mc(MODEL, DIST, GRID, HIER, cfg, res)
@@ -619,14 +620,14 @@ class TestRunMc:
         # a grid above every QoI leaves no indicator variance, so the formula
         # asks for no MC samples; the run still averages one
         grid = NodeGrid(100.0, 120.0, 4)
-        cfg = RunConfig(eps=0.05, seed=3, l_star=1, warmup=16)
+        cfg = replace(RUN, eps=0.05, seed=3, l_star=1, warmup=16)
         mlmc_res = run_mlmc(MODEL, DIST, grid, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, grid, HIER, cfg, mlmc_res)
         assert mc_res.n_samples == mc_res.n_reused == 1
         assert np.array_equal(mc_res.estimate.raw, np.ones(5))
 
     def test_estimate_is_a_cdf(self):
-        cfg = RunConfig(eps=0.02, seed=23, **FAST)
+        cfg = replace(RUN, eps=0.02, seed=23, **FAST)
         mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
         mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
         raw = mc_res.estimate.raw
@@ -636,16 +637,16 @@ class TestRunMc:
 
 class TestRunConfig:
     def test_budget_factor(self):
-        assert RunConfig(eps=0.01, sampling_safety=1.0).budget_factor == 2.0
-        assert RunConfig(eps=0.01, smoother="kde",
+        assert replace(RUN, eps=0.01, sampling_safety=1.0).budget_factor == 2.0
+        assert replace(RUN, eps=0.01, smoother="kde",
                          sampling_safety=1.0).budget_factor == 4.0
-        assert RunConfig(eps=0.01).budget_factor == 5.0
+        assert replace(RUN, eps=0.01).budget_factor == 5.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RunConfig(eps=0.0)
+            replace(RUN, eps=0.0)
         with pytest.raises(ValueError):
-            RunConfig(eps=0.01, smoother="boxcar")
+            replace(RUN, eps=0.01, smoother="boxcar")
 
     @pytest.mark.parametrize("bad", [
         dict(min_stratum_samples=0),
@@ -655,7 +656,7 @@ class TestRunConfig:
     ])
     def test_invalid_sampling_rejected(self, bad):
         with pytest.raises(ValueError):
-            RunConfig(eps=0.01, **bad)
+            replace(RUN, eps=0.01, **bad)
 
     @pytest.mark.parametrize("bad,match", [
         (dict(seed=-1), "seed"),
@@ -667,8 +668,8 @@ class TestRunConfig:
         # a negative seed fails in the RNG, and a safety of 0 or less leaves
         # every level at its warmup
         with pytest.raises(ValueError, match=match):
-            RunConfig(eps=0.01, **bad)
+            replace(RUN, eps=0.01, **bad)
 
     def test_smallest_valid_sampling(self):
-        cfg = RunConfig(eps=0.01, warmup=2, min_stratum_samples=2)
+        cfg = replace(RUN, eps=0.01, warmup=2, min_stratum_samples=2)
         assert cfg.warmup == cfg.min_stratum_samples == 2

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,23 +12,19 @@ from smlmc.estimators import SampleBank
 from smlmc.models import (
     _TILE_ELEMS,
     MeshHierarchy,
-    ModelSpec,
-    burgers_max_speed,
-    burgers_steps,
     burgers_time_steps,
     diffusion_steps,
     godunov_flux,
     qoi_midpoint,
     qoi_trapezoid,
-    solve_burgers,
     solve_burgers_batch,
-    solve_diffusion,
     solve_diffusion_batch,
     thomas_solve,
 )
 
 DIFFUSION = preset("diffusion").model_spec()
 BURGERS = preset("burgers").model_spec()
+HIER = preset("diffusion").hierarchy()
 
 
 class TestThomas:
@@ -79,30 +76,30 @@ class TestMeshHierarchy:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MeshHierarchy(m0=1)
+            replace(HIER, m0=1)
         with pytest.raises(ValueError):
-            MeshHierarchy(m0=4, factor=1)
+            replace(HIER, m0=4, factor=1)
         with pytest.raises(ValueError):
-            MeshHierarchy(m0=4).cells(8)
+            replace(HIER, m0=4).cells(8)
 
 
 class TestDiffusion:
     def test_boundary_values_exact(self):
-        u = solve_diffusion(2.3, 64)
+        _, u = DIFFUSION.solve_field(2.3, 64)
         assert u[0] == -1.0 and u[-1] == 1.0
 
     def test_long_time_steady_state(self):
         x = np.linspace(0.0, 4.0, 513)
-        u = solve_diffusion(4.0, 512, final_time=5.0)
+        _, u = replace(DIFFUSION, final_time=5.0).solve_field(4.0, 512)
         assert np.abs(u - (x - 2.0) / 2.0).max() < 1e-3
 
     def test_grid_self_convergence_second_order(self):
         # second order shows once the initial layer (width 0.05) is resolved;
         # coarser triplets sit in the pre-asymptotic ringing regime
         d = 1.0
-        u1 = solve_diffusion(d, 1024)
-        u2 = solve_diffusion(d, 2048)
-        u3 = solve_diffusion(d, 4096)
+        _, u1 = DIFFUSION.solve_field(d, 1024)
+        _, u2 = DIFFUSION.solve_field(d, 2048)
+        _, u3 = DIFFUSION.solve_field(d, 4096)
         e_coarse = np.abs(u2[::2] - u1).max()
         e_fine = np.abs(u3[::2] - u2).max()
         order = np.log2(e_coarse / e_fine)
@@ -110,12 +107,12 @@ class TestDiffusion:
 
     def test_self_convergence_monotone_at_coarse_levels(self):
         d = 1.7
-        us = {c: solve_diffusion(d, c) for c in (128, 256, 512, 1024)}
+        us = {c: DIFFUSION.solve_field(d, c)[1] for c in (128, 256, 512, 1024)}
         errs = [np.abs(us[2 * c][::2] - us[c]).max() for c in (128, 256, 512)]
         assert errs[0] > errs[1] > errs[2]
 
     def test_antisymmetry(self):
-        u = solve_diffusion(2.0, 128)
+        _, u = DIFFUSION.solve_field(2.0, 128)
         assert np.abs(u + u[::-1]).max() < 1e-10
 
     def test_qoi_range_within_paper_interval(self):
@@ -126,21 +123,22 @@ class TestDiffusion:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            solve_diffusion(-1.0, 64)
+            DIFFUSION.solve_field(-1.0, 64)
         with pytest.raises(ValueError):
-            solve_diffusion(1.0, 1)
+            DIFFUSION.solve_field(1.0, 1)
 
     def test_batch_matches_single(self):
         w = np.array([1.3, 2.2, 3.9])
-        batch = solve_diffusion_batch(w, 64)
+        batch = solve_diffusion_batch(DIFFUSION, w, 64)
         for i, wi in enumerate(w):
-            assert np.array_equal(batch[:, i], solve_diffusion(wi, 64))
+            assert np.array_equal(batch[:, i], DIFFUSION.solve_field(wi, 64)[1])
 
 
-def cn_march(d, cells, final_time=0.2, length=4.0, dt_over_dx=1.0):
+def cn_march(model, d, cells, dt_over_dx=1.0):
     """Step-by-step Crank-Nicolson march of the diffusion testbed, one
     tridiagonal solve per step by thomas_solve: the oracle of the closed-form
     kernel.  d is a batch of coefficients; returns node values (cells + 1, B)."""
+    final_time, length = model.final_time, model.domain_length
     d = np.asarray(d, dtype=float)
     dx = length / cells
     n_steps = diffusion_steps(cells, final_time, length, dt_over_dx)
@@ -163,8 +161,8 @@ class TestSpectralKernelAgainstMarch:
     @pytest.mark.parametrize("dt_over_dx", [1.0, 4.0])
     @pytest.mark.parametrize("cells", [16, 37, 128, 1024])
     def test_matches_dense_march(self, cells, dt_over_dx):
-        oracle = cn_march(self.D, cells, dt_over_dx=dt_over_dx)
-        u = solve_diffusion_batch(self.D, cells, dt_over_dx=dt_over_dx)
+        oracle = cn_march(DIFFUSION, self.D, cells, dt_over_dx=dt_over_dx)
+        u = solve_diffusion_batch(DIFFUSION, self.D, cells, dt_over_dx=dt_over_dx)
         assert u.shape == (cells + 1, self.D.size)
         assert np.abs(u - oracle).max() <= 1e-10
         dx = 4.0 / cells
@@ -174,8 +172,9 @@ class TestSpectralKernelAgainstMarch:
         # g_k < 0 for the stiff modes once lam mu_k > 1: an odd step count
         # must keep their sign, an even one drop it
         for final_time in (0.2, 0.2 + 4.0 / 64):
-            oracle = cn_march(self.D, 64, final_time=final_time, dt_over_dx=4.0)
-            u = solve_diffusion_batch(self.D, 64, final_time=final_time, dt_over_dx=4.0)
+            model = replace(DIFFUSION, final_time=final_time)
+            oracle = cn_march(model, self.D, 64, dt_over_dx=4.0)
+            u = solve_diffusion_batch(model, self.D, 64, dt_over_dx=4.0)
             assert np.abs(u - oracle).max() <= 1e-10
 
 
@@ -188,7 +187,7 @@ class TestQoiFromInterior:
     def test_matches_trapezoid_of_field(self, cells, dt_over_dx):
         # three samples past one tile, so that the batch spans two
         w = np.linspace(1.0, 4.0, _TILE_ELEMS // (cells + 1) + 3)
-        field = solve_diffusion_batch(w, cells, dt_over_dx=dt_over_dx)
+        field = solve_diffusion_batch(DIFFUSION, w, cells, dt_over_dx=dt_over_dx)
         oracle = qoi_trapezoid(field, 4.0 / cells, DIFFUSION.qoi_scale)
         assert np.array_equal(DIFFUSION.qoi_batch(w, cells, dt_over_dx), oracle)
 
@@ -209,7 +208,7 @@ class TestDiffusionSetup:
         w = np.linspace(1.0, 4.0, 3 * (_TILE_ELEMS // 129) + 1)  # four tiles at 128 cells
         for _ in range(3):
             DIFFUSION.qoi_batch(w, 128)
-        solve_diffusion_batch(w[:5], 128)
+        solve_diffusion_batch(DIFFUSION, w[:5], 128)
         assert len(calls) == 1
         # another time step is another mesh
         DIFFUSION.qoi_batch(w, 128, dt_over_dx=4.0)
@@ -227,7 +226,7 @@ class TestDiffusionSetup:
             with pytest.raises(FloatingPointError):
                 DIFFUSION.qoi_batch([np.inf], 64)
             with pytest.raises(FloatingPointError):
-                solve_diffusion_batch([np.inf], 64)
+                solve_diffusion_batch(DIFFUSION, [np.inf], 64)
 
 
 def _exp_log_power(g, n, *scratch):
@@ -279,8 +278,7 @@ class TestIntegerPower:
         assert models._power(g, 1, None, None) is g
 
 
-BURGERS_SHORT = ModelSpec(name="burgers", final_time=0.02, domain_length=2.0, qoi_scale=10.0,
-                          cfl=0.9)
+BURGERS_SHORT = replace(BURGERS, final_time=0.02)
 
 
 def _tile_spanning_sizes(cells):
@@ -375,21 +373,20 @@ def loop_time_steps(dt_cfl, final_time):
     return steps
 
 
-def godunov_march(u1, cells, final_time=0.5, length=2.0, inflow=2.0, outflow=0.0, cfl=0.9,
-                  steps=None):
-    """Stepwise Godunov march of the Burgers testbed on the whole batch at
-    once: ghost cells by concatenation, godunov_flux at every interface and
-    the conservative update over every cell, over the given time steps (by
+def godunov_march(model, u1, cells, steps=None):
+    """Stepwise Godunov march of a Burgers model on the whole batch at once:
+    ghost cells by concatenation, godunov_flux at every interface and the
+    conservative update over every cell, over the given time steps (by
     default loop_time_steps).  The oracle of the in-place upwind kernel;
     returns cell averages (cells, B)."""
     u1 = np.asarray(u1, dtype=float)
-    dx = length / cells
+    dx = model.domain_length / cells
     centers = (np.arange(cells) + 0.5) * dx
     u = np.where(centers[:, None] <= 1.0, u1[None, :], 0.0)
-    ghost_l = np.full((1, u1.size), float(inflow))
-    ghost_r = np.full((1, u1.size), float(outflow))
+    ghost_l = np.full((1, u1.size), float(model.inflow))
+    ghost_r = np.full((1, u1.size), float(model.outflow))
     if steps is None:
-        steps = loop_time_steps(cfl * dx / burgers_max_speed(inflow, outflow), final_time)
+        steps = loop_time_steps(model.cfl * dx / model.max_speed, model.final_time)
     for dt in steps:
         ext = np.concatenate([ghost_l, u, ghost_r], axis=0)
         flux = godunov_flux(ext[:-1, :], ext[1:, :])
@@ -423,14 +420,16 @@ BOUNDARY_STATES = [(2.0, 0.0), (1.5, 0.5)]
 
 @st.composite
 def burgers_cases(draw):
-    """(heights, cells, final_time, cfl, boundary states) with batches of 1,
-    of the tile qoi_batch would hand the kernel and one either side of it,
-    and of two tiles and 3; heights include 0.0, the inflow state and the
-    speed bound exactly.  Final times include those of one step fewer, the
-    same and one more than the step where the kernel's two windows meet."""
+    """(heights, cells, model), the model the preset's with drawn final_time,
+    cfl and boundary states, with batches of 1, of the tile qoi_batch would
+    hand the kernel and one either side of it, and of two tiles and 3;
+    heights include 0.0, the inflow state and the speed bound exactly.  Final
+    times include those of one step fewer, the same and one more than the
+    step where the kernel's two windows meet."""
     cells = draw(st.integers(2, 600) | st.sampled_from([2, 3]))
     inflow, outflow = draw(st.sampled_from(BOUNDARY_STATES))
-    max_speed = burgers_max_speed(inflow, outflow)
+    model = replace(BURGERS, inflow=inflow, outflow=outflow)
+    max_speed = model.max_speed
     tile = _TILE_ELEMS // (cells + 1)
     batch = draw(st.sampled_from([1, tile - 1, tile, tile + 1, 2 * tile + 3]))
     # from 1e-3, not 0: final_time is capped in proportion to cfl, and near 0
@@ -447,7 +446,7 @@ def burgers_cases(draw):
     w[0] = draw(st.sampled_from([0.0, inflow, max_speed]) | st.floats(0.0, max_speed))
     if batch > 1:
         w[-2:] = 0.0, inflow
-    return w, cells, final_time, cfl, dict(inflow=inflow, outflow=outflow)
+    return w, cells, replace(model, final_time=final_time, cfl=cfl)
 
 
 class TestTiledKernelAgainstMarch:
@@ -461,13 +460,14 @@ class TestTiledKernelAgainstMarch:
     # cells, 31 at 2048
     @pytest.mark.parametrize("cells, final_time", [(2, 0.5), (17, 0.5), (128, 0.5), (2048, 0.05)])
     def test_bit_identical_across_tile_boundaries(self, cells, final_time):
+        model = replace(BURGERS, final_time=final_time)
         tile = _TILE_ELEMS // (cells + 1)
         rng = np.random.default_rng(cells)
         for B in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
             w = rng.uniform(0.0, 2.0, B)
-            u = solve_burgers_batch(w, cells, final_time)
+            u = solve_burgers_batch(model, w, cells)
             assert u.shape == (cells, B)
-            assert_matches_march(u, godunov_march(w, cells, final_time))
+            assert_matches_march(u, godunov_march(model, w, cells))
 
     @pytest.mark.parametrize("w, kw", [
         ([0.5, -0.1], {}),
@@ -478,39 +478,39 @@ class TestTiledKernelAgainstMarch:
     def test_negative_states_rejected(self, w, kw):
         # the upwind flux is the Godunov flux only for nonnegative states
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_burgers_batch(w, 64, **kw)
+            solve_burgers_batch(replace(BURGERS, **kw), w, 64)
 
     @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.0000001, 1.5])
     def test_cfl_outside_unit_interval_rejected(self, cfl):
         # above 1 the scheme is not monotone and states can turn negative
         with pytest.raises(ValueError, match="cfl"):
-            solve_burgers_batch([0.5], 64, cfl=cfl)
+            solve_burgers_batch(replace(BURGERS, cfl=cfl), [0.5], 64)
 
     def test_bit_identical_with_other_boundary_states(self):
         # the outflow state only sets the speed bound: for nonnegative states
         # godunov_flux never reads the right ghost cell
-        kw = dict(final_time=0.31, inflow=1.5, outflow=0.5, cfl=0.5)
-        steps = burgers_time_steps(100, 0.31, max_speed=1.5, cfl=0.5)
+        model = replace(BURGERS, final_time=0.31, inflow=1.5, outflow=0.5, cfl=0.5)
+        steps = burgers_time_steps(model, 100)
         w = np.random.default_rng(7).uniform(0.0, 1.5, 3 * (_TILE_ELEMS // 101) + 5)
         w[:2] = 0.0, 1.5
-        assert_matches_march(solve_burgers_batch(w, 100, **kw),
-                             godunov_march(w, 100, steps=steps, **kw))
+        assert_matches_march(solve_burgers_batch(model, w, 100),
+                             godunov_march(model, w, 100, steps=steps))
 
     @settings(max_examples=40, deadline=None)
     @given(case=burgers_cases())
     def test_bit_identical_to_march(self, case):
-        w, cells, final_time, cfl, kw = case
-        steps = burgers_time_steps(cells, final_time, cfl=cfl, max_speed=burgers_max_speed(**kw))
-        assert_matches_march(solve_burgers_batch(w, cells, final_time, cfl=cfl, **kw),
-                             godunov_march(w, cells, final_time, cfl=cfl, steps=steps, **kw))
+        w, cells, model = case
+        steps = burgers_time_steps(model, cells)
+        assert_matches_march(solve_burgers_batch(model, w, cells),
+                             godunov_march(model, w, cells, steps=steps))
 
     @settings(max_examples=60, deadline=None)
     @given(case=burgers_cases())
     def test_fields_within_speed_bound(self, case):
         # the monotone scheme keeps every state in [0, max_speed] for cfl <= 1
-        w, cells, final_time, cfl, kw = case
-        u = solve_burgers_batch(w, cells, final_time, cfl=cfl, **kw)
-        assert u.min() >= 0.0 and u.max() <= burgers_max_speed(**kw)
+        w, cells, model = case
+        u = solve_burgers_batch(model, w, cells)
+        assert u.min() >= 0.0 and u.max() <= model.max_speed
 
 
 class TestFrontWindows:
@@ -537,9 +537,9 @@ class TestFrontWindows:
         cells = 128
         w = preset("burgers").distribution().inverse_cdf(
             np.random.default_rng(5).random(_TILE_ELEMS // (cells + 1)))
-        u = solve_burgers_batch(w, cells)
-        assert np.array_equal(u, godunov_march(w, cells))
-        steps = burgers_steps(cells)
+        u = solve_burgers_batch(BURGERS, w, cells)
+        assert np.array_equal(u, godunov_march(BURGERS, w, cells))
+        steps = BURGERS.steps(cells)
         reached = sum(min(cells, cells // 2 + k + 1) for k in range(steps))
         assert reached > 0.75 * cells * steps
         assert sum(rows) < 0.45 * cells * steps
@@ -559,32 +559,32 @@ class TestFrontWindows:
 class TestBurgersTimeSteps:
     def test_preset_meshes_keep_the_loop_steps(self):
         # on the preset meshes 32 * 2^l the accumulating loop already took
-        # burgers_steps steps, so fields and cost units do not move
+        # ModelSpec.steps steps, so fields and cost units do not move
         for cells in (32 * 2**l for l in range(10)):
-            steps = burgers_time_steps(cells)
+            steps = burgers_time_steps(BURGERS, cells)
             assert steps == loop_time_steps(0.9 * (2.0 / cells) / 2.0, 0.5)
             assert len(steps) == BURGERS.steps(cells)
 
     def test_no_sliver_step_beyond_the_work_model(self):
         # t accumulated over 400 steps of 0.0025 falls 1.1e-14 short of 1.0:
         # the loop took a 401st step of dt/dx = 1.9e-12 that the model did not charge
-        spec = ModelSpec(name="burgers", final_time=1.0, domain_length=2.0, qoi_scale=10.0,
-                         cfl=0.9)
-        steps = burgers_time_steps(360, final_time=1.0)
+        spec = replace(BURGERS, final_time=1.0)
+        steps = burgers_time_steps(spec, 360)
         assert len(loop_time_steps(0.9 * (2.0 / 360) / 2.0, 1.0)) == 401
-        assert len(steps) == burgers_steps(360, final_time=1.0) == 400
+        assert len(steps) == spec.steps(360) == 400
         assert spec.work_units(360) == 360 * len(steps)
         # and the solver takes exactly these 400 steps
         w = np.array([0.3, 1.1, 2.0])
-        u = solve_burgers_batch(w, 360, final_time=1.0)
-        assert np.array_equal(u, godunov_march(w, 360, final_time=1.0, steps=steps))
-        assert not np.array_equal(u, godunov_march(w, 360, final_time=1.0))
+        u = solve_burgers_batch(spec, w, 360)
+        assert np.array_equal(u, godunov_march(spec, w, 360, steps=steps))
+        assert not np.array_equal(u, godunov_march(spec, w, 360))
 
     def test_no_rounding_sized_last_step(self):
         # final_time / dt is 20120 up to rounding; an absolute 1e-12 tolerance
         # counted 20121 steps, the last of them 0.0
-        steps = burgers_time_steps(1006, final_time=2.0, cfl=0.1)
-        assert len(steps) == burgers_steps(1006, final_time=2.0, cfl=0.1) == 20120
+        spec = replace(BURGERS, final_time=2.0, cfl=0.1)
+        steps = burgers_time_steps(spec, 1006)
+        assert len(steps) == spec.steps(1006) == 20120
         assert min(steps) > 0.0
 
     # round values put final_time / dt on an integer up to rounding
@@ -593,9 +593,10 @@ class TestBurgersTimeSteps:
            final_time=st.floats(0.01, 2.0) | st.sampled_from([0.1, 0.5, 1.0, 2.0]),
            cfl=st.floats(0.05, 1.0) | st.sampled_from([0.1, 0.5, 0.9, 1.0]))
     def test_steps_match_work_model_and_sum_to_final_time(self, cells, final_time, cfl):
-        steps = burgers_time_steps(cells, final_time, cfl=cfl)
+        spec = replace(BURGERS, final_time=final_time, cfl=cfl)
+        steps = burgers_time_steps(spec, cells)
         dt_cfl = cfl * (2.0 / cells) / 2.0
-        assert len(steps) == burgers_steps(cells, final_time, cfl=cfl)
+        assert len(steps) == spec.steps(cells)
         t = 0.0
         for dt in steps:
             # the clipped last step also absorbs the rounding of the accumulated t
@@ -605,7 +606,7 @@ class TestBurgersTimeSteps:
 
     def test_rejects_nonpositive_final_time(self):
         with pytest.raises(ValueError):
-            burgers_time_steps(64, final_time=0.0)
+            burgers_time_steps(replace(BURGERS, final_time=0.0), 64)
 
 
 class TestQoiBatchMemory:
@@ -615,8 +616,7 @@ class TestQoiBatchMemory:
 
     @pytest.mark.parametrize("model, cells", [
         (DIFFUSION, 2048),
-        (ModelSpec(name="burgers", final_time=0.01, domain_length=2.0, qoi_scale=10.0, cfl=0.9),
-         4096),
+        (replace(BURGERS, final_time=0.01), 4096),
     ], ids=["diffusion", "burgers"])
     def test_memory_does_not_grow_with_batch(self, model, cells):
         # numpy reports its buffers to tracemalloc; a tile's arrays take
@@ -656,7 +656,7 @@ class TestQoiBatchMemory:
 class TestBurgers:
     def test_mass_growth_matches_boundary_flux(self):
         T = 0.5
-        u = solve_burgers(0.0, 256, final_time=T)
+        _, u = replace(BURGERS, final_time=T).solve_field(0.0, 256)
         dx = 2.0 / 256
         mass = dx * u.sum()
         # inflow flux f(2) = 2, outflow f(0) = 0: mass grows at rate 2
@@ -664,7 +664,7 @@ class TestBurgers:
 
     def test_solution_bounds(self):
         for u1 in (0.0, 0.7, 1.4, 2.0):
-            u = solve_burgers(u1, 128)
+            _, u = BURGERS.solve_field(u1, 128)
             assert u.min() >= 0.0 and u.max() <= 2.0 + 1e-12
 
     def test_conservative_update_identity(self):
@@ -680,9 +680,9 @@ class TestBurgers:
 
     def test_first_order_self_convergence(self):
         u1 = 0.9
-        u128 = solve_burgers(u1, 128)
-        u256 = solve_burgers(u1, 256)
-        u512 = solve_burgers(u1, 512)
+        _, u128 = BURGERS.solve_field(u1, 128)
+        _, u256 = BURGERS.solve_field(u1, 256)
+        _, u512 = BURGERS.solve_field(u1, 512)
         dx = 2.0 / 128
         e_coarse = dx * np.abs(u256.reshape(-1, 2).mean(axis=1) - u128).sum()
         e_fine = (dx / 2) * np.abs(u512.reshape(-1, 2).mean(axis=1) - u256).sum()
@@ -704,16 +704,16 @@ class TestBurgers:
         # the time step is fixed by the boundary states; a faster plateau
         # would break the CFL condition
         with pytest.raises(ValueError, match="speed bound"):
-            solve_burgers_batch([1.0, 2.5], 64)
+            solve_burgers_batch(BURGERS, [1.0, 2.5], 64)
         with pytest.raises(ValueError, match="speed bound"):
-            solve_burgers(-0.5, 64, inflow=0.25)
+            replace(BURGERS, inflow=0.25).solve_field(-0.5, 64)
 
     def test_zero_speed_bound_rejected(self):
         # both boundary states 0 leave no CFL time step; the kernel and the
-        # work model share the one check in burgers_max_speed
+        # work model share the one check in ModelSpec.max_speed
+        spec = replace(BURGERS, inflow=0.0)
         with pytest.raises(ValueError, match="wave speed bound"):
-            solve_burgers_batch([0.0], 16, inflow=0.0)
-        spec = ModelSpec("burgers", 0.5, 2.0, qoi_scale=10.0, cfl=0.9, inflow=0.0)
+            solve_burgers_batch(spec, [0.0], 16)
         with pytest.raises(ValueError, match="wave speed bound"):
             spec.work_units(16)
 
@@ -775,7 +775,7 @@ class TestWorkModel:
     def test_steps_track_mesh(self):
         assert diffusion_steps(16, 0.2, 4.0) == 1
         assert diffusion_steps(256, 0.2, 4.0) == 13
-        assert burgers_steps(32, 0.5, 2.0, 2.0, 0.9) == 18
+        assert BURGERS.steps(32) == 18
 
     def test_work_units_increase_with_level(self):
         h = MeshHierarchy(m0=16, factor=2, l_star=7)
@@ -787,14 +787,13 @@ class TestModelSpecValidation:
     @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.0000001, 1.5])
     def test_cfl_outside_unit_interval_rejected(self, cfl):
         with pytest.raises(ValueError, match="cfl"):
-            ModelSpec(name="burgers", final_time=0.5, domain_length=2.0, qoi_scale=10.0, cfl=cfl)
+            replace(BURGERS, cfl=cfl)
 
     def test_cfl_one_accepted(self):
-        spec = ModelSpec(name="burgers", final_time=0.5, domain_length=2.0, qoi_scale=10.0, cfl=1.0)
-        assert spec.steps(32) == burgers_steps(32, cfl=1.0)
+        spec = replace(BURGERS, cfl=1.0)
+        assert spec.steps(32) == 16
 
     @pytest.mark.parametrize("kw", [dict(inflow=-2.0), dict(outflow=-0.5)])
     def test_negative_boundary_states_rejected(self, kw):
         with pytest.raises(ValueError, match="nonnegative"):
-            ModelSpec(name="burgers", final_time=0.5, domain_length=2.0, qoi_scale=10.0, cfl=0.9,
-                      **kw)
+            replace(BURGERS, **kw)

@@ -1,6 +1,7 @@
 """Dead-code guard: every top-level function and class of src/smlmc, and every
 public method, is used by the package itself, not only by the tests; every
-module-level constant and every dataclass field is read.
+module-level constant and every dataclass field is read; and no parameter or
+field restates a config setting as its default.
 
 A definition counts as used when some module other than __init__.py refers
 to its name as a Name or an Attribute node; a mention in a docstring or a
@@ -218,3 +219,50 @@ def test_smoothing_asks_kernels_not_their_class():
 def test_kernel_class_guard_sees_tuples():
     tree = ast.parse("isinstance(k, (int, GaussianKernelCdf))\nisinstance(k, float)\n")
     assert _kernel_class_checks(tree) == ["isinstance(k, (int, GaussianKernelCdf))"]
+
+
+# names of config settings beyond the INI keys and ExperimentConfig fields:
+# RunConfig's per-method warmup and MeshHierarchy's refinement factor
+SETTING_NAMES = {"warmup", "factor"}
+
+
+def _setting_defaults(modules, settings):
+    """Owner.name of every function parameter, and every dataclass field
+    outside ExperimentConfig, that is named like a config setting and has a
+    default."""
+    out = []
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):] + [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                out += [f"{node.name}.{a.arg}" for a in with_default if a.arg in settings]
+            if (isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                    and node.name != "ExperimentConfig"):
+                out += [f"{node.name}.{item.target.id}" for item in node.body
+                        if isinstance(item, ast.AnnAssign) and item.value is not None
+                        and isinstance(item.target, ast.Name) and item.target.id in settings]
+    return out
+
+
+def test_no_default_restates_a_config_setting():
+    # a preset value lives in ExperimentConfig alone: the objects a config
+    # builds, and the functions they call, take it from there
+    from smlmc.config import KEYS
+
+    settings = {key for _, key, _, _ in KEYS} | {field for _, _, field, _ in KEYS} | SETTING_NAMES
+    found = _setting_defaults(_modules(), settings)
+    assert not found, f"defaults that restate a config setting: {found}"
+
+
+def test_setting_guard_sees_parameters_and_fields():
+    tree = ast.parse(
+        "def f(a, cfl=0.9, *, seed=0, w=1):\n    pass\n\n\n"
+        "def g(cfl, *, seed):\n    pass\n\n\n"
+        "@dataclass\nclass C:\n    eps: float\n    warmup: int = 200\n\n\n"
+        "@dataclass\nclass ExperimentConfig:\n    cfl: float = 0.9\n\n\n"
+        "class Plain:\n    seed = 0\n")
+    found = _setting_defaults({"m.py": tree}, {"cfl", "seed", "warmup", "eps"})
+    assert found == ["f.cfl", "f.seed", "C.warmup"]
