@@ -1,7 +1,7 @@
 """CDF estimation for PDEs with one random input: standard, multilevel, and
 stratified multilevel Monte Carlo with optional indicator smoothing."""
 
-from .cdf import CdfEstimate, NodeGrid, indicator, reference_cdf, sup_distance
+from .cdf import CdfEstimate, NodeGrid, reference_cdf, sup_distance
 from .config import ExperimentConfig, load_config, preset
 from .cost import aggregate, comparison_table
 from .estimators import (
@@ -10,7 +10,6 @@ from .estimators import (
     RunConfig,
     SampleBank,
     mc_sample_count,
-    required_samples_mlmc,
     required_samples_smlmc,
     run_mc,
     run_mlmc,
@@ -23,7 +22,7 @@ from .inputs import (
     build_equal_width_strata,
     proportional_allocation,
 )
-from .models import MeshHierarchy, ModelSpec, godunov_flux, thomas_solve
+from .models import MeshHierarchy, ModelSpec
 from .smoothing import (
     GaussianKernelCdf,
     GilesPolynomial,

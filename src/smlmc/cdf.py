@@ -1,5 +1,6 @@
-"""CDF assembly: indicator evaluation, node grids, cubic-spline interpolation,
-monotone post-processing, error norms, and a quadrature-based reference CDF.
+"""CDF assembly: indicator counts, node grids, cubic-spline interpolation,
+monotone post-processing, the sup-norm error, and a quadrature-based
+reference CDF.
 """
 
 import json
@@ -40,22 +41,10 @@ class NodeGrid:
         return np.linspace(self.a, self.b, factor * self.s_count + 1)
 
 
-def indicator(q_node, qoi):
-    """1 when the sample falls at or below the node (closed on the right).
-
-    The dense test oracle of indicator_counts, which the estimators call.
-    """
-    q_node = np.asarray(q_node, dtype=float)
-    qoi = np.asarray(qoi, dtype=float)
-    out = (qoi <= q_node).astype(float)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def indicator_counts(qoi, nodes) -> np.ndarray:
-    """Number of samples at or below each node, as integers: the column sums
-    of indicator(nodes[None, :], qoi[:, None]), exactly, from one sort of the
+    """Number of samples at or below each node (closed on the right), as
+    integers: the column sums of the dense indicator matrix
+    1{qoi[:, None] <= nodes[None, :]}, exactly, from one sort of the
     samples."""
     return np.searchsorted(np.sort(qoi), nodes, side="right")
 
@@ -119,20 +108,19 @@ class CdfEstimate:
     """Estimated CDF at the interpolation nodes plus spline evaluators.
 
     raw holds the estimator output untouched (it can dip below 0 or exceed 1
-    and is what error accounting uses); processed is the isotonic-projected,
-    clipped version that downstream consumers should treat as the CDF.  The
-    two splines are built on first use.
+    and is what error accounting uses); processed, computed from it, is the
+    isotonic-projected, clipped version that downstream consumers should
+    treat as the CDF.  The two splines are built on first use.
     """
 
     grid: NodeGrid
     raw: np.ndarray
     metadata: dict = field(default_factory=dict)
-    processed: np.ndarray = None
+    processed: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.raw = np.asarray(self.raw, dtype=float)
-        if self.processed is None:
-            self.processed = postprocess_cdf(self.raw)
+        self.processed = postprocess_cdf(self.raw)
 
     @cached_property
     def spline(self):
@@ -153,16 +141,20 @@ class CdfEstimate:
         return self.spline(q)
 
 
-def sup_distance(a: CdfEstimate, b: CdfEstimate, use_raw: bool = False,
-                 dense_factor: int = 10) -> float:
-    """L-infinity distance on a dense evaluation grid (10x node density).
+# sup_distance evaluates on a grid this many times as dense as the nodes
+_SUP_DENSITY = 10
+
+
+def sup_distance(a: CdfEstimate, b: CdfEstimate, use_raw: bool = False) -> float:
+    """L-infinity distance on a dense evaluation grid (_SUP_DENSITY times the
+    node density).
 
     The estimators do not call it: it is the error oracle by which the
     acceptance tests and the benchmark judge an estimate against a reference.
     """
     if abs(a.grid.a - b.grid.a) > 1e-12 or abs(a.grid.b - b.grid.b) > 1e-12:
         raise ValueError("sup_distance needs estimates on the same interval")
-    q = a.grid.dense(dense_factor)
+    q = a.grid.dense(_SUP_DENSITY)
     fa = a.raw_spline(q) if use_raw else a.spline(q)
     fb = b.raw_spline(q) if use_raw else b.spline(q)
     return float(np.abs(fa - fb).max())
@@ -241,6 +233,5 @@ def load_cdf_json(path) -> CdfEstimate:
     return CdfEstimate(
         grid=grid,
         raw=np.asarray(payload["raw"], dtype=float),
-        processed=np.asarray(payload["processed"], dtype=float),
         metadata=payload.get("metadata", {}),
     )

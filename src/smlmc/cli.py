@@ -55,7 +55,7 @@ def run_realization(exp: ExperimentConfig, eps: float, k: int):
 
 
 def cmd_run(args) -> int:
-    exp = _load_experiment(args)
+    exp = _load_experiment(args, args.seed)
     out = Path(args.out or exp.out)
     if args.dry_run:
         print(f"model={exp.model} seed={exp.seed}")
@@ -137,51 +137,52 @@ def compute_reference(exp: ExperimentConfig, out: Path):
 
 
 def cmd_reference(args) -> int:
-    exp = _load_experiment(args)
+    exp = _load_experiment(args, None)
     out = Path(args.out or exp.out)
     compute_reference(exp, out)
     return 0
 
 
-def cmd_inspect(args) -> int:
+def _inspect_lines(exp: ExperimentConfig, args) -> list:
+    """The lines smlmc inspect prints about its subject."""
     if args.subject == "giles-poly":
-        poly = build_giles_polynomial(args.degree)
+        poly = build_giles_polynomial(exp.giles_degree)
         payload = {"degree_d": poly.degree_d, "coeffs": poly.coeffs.tolist()}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    exp = _load_experiment(args)
+        return [json.dumps(payload, indent=2, sort_keys=True)]
     if args.subject == "strata":
         strat = exp.stratification(args.r)
-        print("stratum,lower,upper,prob")
-        for i in range(strat.r):
-            print(f"{i + 1},{strat.boundaries[i]:.12g},"
-                  f"{strat.boundaries[i + 1]:.12g},{strat.probs[i]:.12g}")
-        return 0
-    if args.subject == "solver-field":
-        xs, field = exp.model_spec().solve_field(args.w, args.cells)
-        print("x,u")
-        for x, u in zip(xs, field):
-            print(f"{x:.12g},{u:.12g}")
-        return 0
-    print(f"unknown inspect subject {args.subject!r}", file=sys.stderr)
-    return 2
+        return ["stratum,lower,upper,prob"] + [
+            f"{i + 1},{strat.boundaries[i]:.12g},{strat.boundaries[i + 1]:.12g},"
+            f"{strat.probs[i]:.12g}" for i in range(strat.r)]
+    xs, field = exp.model_spec().solve_field(args.w, args.cells)
+    return ["x,u"] + [f"{x:.12g},{u:.12g}" for x, u in zip(xs, field)]
 
 
-def _load_experiment(args) -> ExperimentConfig:
+def cmd_inspect(args) -> int:
+    exp = _load_experiment(args, None)
+    try:
+        lines = _inspect_lines(exp, args)
+    except ValueError as exc:  # an argument the subject cannot use
+        raise SystemExit(f"smlmc: invalid inspect {args.subject}: {exc}") from exc
+    print("\n".join(lines))
+    return 0
+
+
+def _load_experiment(args, seed) -> ExperimentConfig:
+    """The config of --config or --preset, with seed in place of its own
+    unless seed is None."""
     if not (args.config or args.preset):
         raise SystemExit("need --preset or --config")
     try:
         exp = load_config(args.config) if args.config else preset(args.preset)
-        return exp if args.seed is None else replace(exp, seed=args.seed)
+        return exp if seed is None else replace(exp, seed=seed)
     except ValueError as exc:  # a setting that cannot run stops every run
         raise SystemExit(f"smlmc: invalid config: {exc}") from exc
 
 
-def _add_common(sub):
+def _add_config(sub):
     sub.add_argument("--preset", choices=("diffusion", "burgers"))
     sub.add_argument("--config")
-    sub.add_argument("--out")
-    sub.add_argument("--seed", type=int)
 
 
 def main(argv=None) -> int:
@@ -192,14 +193,16 @@ def main(argv=None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     p_run = subs.add_parser("run", help="execute the benchmark protocol")
-    _add_common(p_run)
+    _add_config(p_run)
+    p_run.add_argument("--out")
+    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--dry-run", action="store_true")
     p_ref = subs.add_parser("reference", help="compute and cache the reference CDF")
-    _add_common(p_ref)
+    _add_config(p_ref)
+    p_ref.add_argument("--out")
     p_ins = subs.add_parser("inspect", help="dump internals for debugging")
     p_ins.add_argument("subject", choices=("giles-poly", "solver-field", "strata"))
-    _add_common(p_ins)
-    p_ins.add_argument("--degree", type=int, default=3)
+    _add_config(p_ins)
     p_ins.add_argument("--r", type=int, default=8)
     p_ins.add_argument("--w", type=float, default=2.0)
     p_ins.add_argument("--cells", type=int, default=128)

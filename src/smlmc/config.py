@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 from .cdf import NodeGrid
 from .estimators import RunConfig
 from .inputs import TruncatedLognormal, build_equal_width_strata
-from .models import MeshHierarchy, ModelSpec
+from .models import BURGERS_INFLOW, MeshHierarchy, ModelSpec
 
 
 def _list_of(conv):
@@ -132,7 +132,7 @@ class ExperimentConfig:
             raise ValueError("n_real must be at least 1")
         # each object a run uses rejects the settings it cannot use
         with _located("[model]"):
-            spec = self.model_spec()
+            self.model_spec()
             self.hierarchy()
         with _located("[distribution]"):
             self.distribution()
@@ -151,10 +151,10 @@ class ExperimentConfig:
                     f"{method} warmup {self.warmup_for(method)} cannot give "
                     f"{self.min_stratum_samples} sample(s) to each of {r} strata"
                 )
-        if self.model == "burgers" and max(abs(self.w_lo), abs(self.w_hi)) > spec.max_speed:
+        if self.model == "burgers" and max(abs(self.w_lo), abs(self.w_hi)) > BURGERS_INFLOW:
             raise ValueError(
                 f"Burgers plateau support [{self.w_lo}, {self.w_hi}] exceeds the "
-                f"wave-speed bound {spec.max_speed} of the boundary states"
+                f"wave-speed bound {BURGERS_INFLOW}, the inflow state"
             )
 
     # -- derived objects ---------------------------------------------------
@@ -182,7 +182,6 @@ class ExperimentConfig:
         """The settings of one run of a method: realization run_idx at eps."""
         return RunConfig(
             eps=eps,
-            l_star=self.l_star,
             warmup=self.warmup_for(method),
             smoother=METHODS[method].smoother,
             giles_degree=self.giles_degree,

@@ -31,9 +31,8 @@ the kernel is not saturated, in a band of nodes around each sample (_band);
 at level 0 the saturated terms enter as counts times the two saturation
 values.  Indicator sums and smoothed sums at levels >= 1 have the bits of
 the dense column sums; level-0 smoothed sums are held to the dense sums'
-rounding bound, N 2^-52 sum_j |g_jn| per node over a batch of N.
-cdf.indicator and the kernels' values stay as the dense test oracles of
-these sums.
+rounding bound, N 2^-52 sum_j |g_jn| per node over a batch of N.  The tests
+hold these sums to the dense indicator matrix and to the kernels' values.
 """
 
 from dataclasses import dataclass
@@ -60,7 +59,6 @@ class RunConfig:
     """Knobs of one estimator run (one seed, one tolerance)."""
 
     eps: float
-    l_star: int
     warmup: int                        # N_l^0 at every level for this run
     giles_degree: int
     seed: int
@@ -186,32 +184,6 @@ class LevelState:
         }
 
 
-def required_samples_mlmc(variances, works, eps: float, budget_factor: float):
-    """Per-level sample counts N_l = ceil(max_n bf eps^-2 sqrt(V_{n,l}/w_l)
-    sum_k sqrt(V_{n,k} w_k)).
-
-    variances: one per-node array (or scalar) per level; works: one positive
-    scalar per level.
-
-    The engine sizes every run with required_samples_smlmc; this plainer
-    single-stratum form is the test oracle of its r = 1 case.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    works = [float(w) for w in works]
-    if any(w <= 0 for w in works):
-        raise ValueError("per-sample work must be positive")
-    vs = [np.atleast_1d(np.asarray(v, dtype=float)) for v in variances]
-    if any(np.any(v < 0) for v in vs):
-        raise ValueError("variances must be nonnegative")
-    total = sum(np.sqrt(v * w) for v, w in zip(vs, works))
-    out = []
-    for v, w in zip(vs, works):
-        per_node = np.sqrt(v / w) * total
-        out.append(int(np.ceil(budget_factor / eps**2 * per_node.max())))
-    return out
-
-
 def required_samples_smlmc(variances, probs, works, eps: float, budget_factor: float):
     """Per-stratum, per-level counts from the stratified analogue of the MLMC
     formula: n_{i,l} = ceil(max_n bf eps^-2 sqrt(V_{n,l,i} p_i^2 / w_l)
@@ -219,7 +191,8 @@ def required_samples_smlmc(variances, probs, works, eps: float, budget_factor: f
 
     variances: one (r, nodes) array per level; works: one positive scalar
     per level, the work of a pair sample in any stratum; probs: stratum
-    probabilities.
+    probabilities.  At r = 1 it is the plain MLMC formula, which the tests
+    hold it to.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -242,8 +215,7 @@ def required_samples_smlmc(variances, probs, works, eps: float, budget_factor: f
     ]
 
 
-def mc_sample_count(max_indicator_variance: float, eps: float,
-                    budget_factor: float = 2.0) -> int:
+def mc_sample_count(max_indicator_variance: float, eps: float, budget_factor: float) -> int:
     """N_MC = ceil(bf eps^-2 max_n V[I_n]) for the single-level comparison run."""
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -454,8 +426,8 @@ class _Engine:
 
     def _accumulate(self, lv: LevelState, stratum: int, fine, coarse):
         """Record one batch of solved pairs in the level's statistics,
-        without the dense (batch, nodes) matrices of cdf.indicator and the
-        kernel's values:
+        without the dense (batch, nodes) matrices of the indicators and of
+        the kernel's values:
 
         - indicator sums are integer counts, bit for bit the dense column
           sums.  A difference I_f - I_c squares to 1 exactly where one of
@@ -516,7 +488,7 @@ class _Engine:
     # -- main loop --------------------------------------------------------
 
     def run(self) -> MultilevelResult:
-        cap = min(self.cfg.l_star, self.hierarchy.l_star)
+        cap = self.hierarchy.l_star
         for level in range(cap + 1):
             # open the level with a proportional warmup pass
             pair_work = sum(self.model.work_units(self.hierarchy.cells(l))
@@ -654,7 +626,7 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
     l_max = top.level
     var_max = float(top.var_ifine_pooled().max())
     # at least one sample, so that the estimate is an average
-    n_mc = max(mc_sample_count(var_max, config.eps, 2.0 * config.sampling_safety), 1)
+    n_mc = max(mc_sample_count(var_max, config.eps, config.budget_factor), 1)
     n_reused = min(n_mc, top.n_total)
     interval = tuple(dist.cdf(mlmc_result.strat.boundaries))
     qoi = mlmc_result.bank.take(mlmc_result.config.seed, l_max, [interval], [0],

@@ -130,15 +130,6 @@ class TruncatedLognormal:
                 break
         return 0.5 * (lo + hi)
 
-    def sample(self, rng: np.random.Generator, size: int):
-        """i.i.d. draws via the inverse-CDF transform of rng's uniform stream.
-
-        The engine draws through its per-stratum substreams instead; this is
-        the test oracle of the sampling law (acceptance criterion 7) and of
-        the engine's single-stratum draws.
-        """
-        return self.inverse_cdf(rng.random(size))
-
 
 @dataclass(frozen=True)
 class Stratification:

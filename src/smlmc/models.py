@@ -9,18 +9,19 @@ Two models ship:
   the step count by repeated squaring), QoI = 10 * integral of u^2 at
   t = 0.2, summed from the interior values without assembling the field;
 * inviscid Burgers on (0, 2) with a random nonnegative initial plateau,
-  solved by the first-order Godunov finite-volume scheme, which for the
-  nonnegative states of this testbed is the upwind scheme (every step four
-  in-place passes over buffers allocated once per batch, and only over the
-  rows near the two fronts, from the inflow boundary and from the plateau
-  edge, where the update can be nonzero; a batch is marched in tiles of
-  ascending input, which keeps each tile's fronts close together), QoI =
-  10 * integral of u^2 at t = 0.5.
+  inflow state 2 and outflow state 0, solved by the first-order Godunov
+  finite-volume scheme, which for the nonnegative states of this testbed is
+  the upwind scheme (every step four in-place passes over buffers allocated
+  once per batch, and only over the rows near the two fronts, from the
+  inflow boundary and from the plateau edge, where the update can be
+  nonzero; a batch is marched in tiles of ascending input, which keeps each
+  tile's fronts close together), QoI = 10 * integral of u^2 at t = 0.5.
 
 A ModelSpec holds a testbed's parameters (final time, domain length, QoI
-scale, CFL number and boundary states), its step count and work model, and
-the Burgers wave-speed bound; the solvers take the spec, not copies of its
-values.  Both work on numpy arrays of shape (space, batch).
+scale and CFL number), its step count and work model; the solvers take the
+spec, not copies of its values.  The diffusion walls and initial layer and
+the Burgers boundary states are fixed by the testbeds, as constants.  Both
+solvers work on numpy arrays of shape (space, batch).
 ModelSpec.qoi_batch is the one place that sizes a solve: it hands them column
 tiles that fit in cache and keeps only the QoIs, so any batch costs one
 tile's memory beyond its B output values.  ModelSpec.solve_field is the
@@ -35,6 +36,10 @@ import numpy as np
 from scipy.fft import dst, idst
 
 DIFFUSION_IC_WIDTH = 0.05
+# the Burgers inflow state.  The outflow state is 0 and the plateau heights
+# are held to the inflow state, so it bounds every wave speed and fixes the
+# CFL time step, the same for every sample
+BURGERS_INFLOW = 2.0
 
 
 @dataclass(frozen=True)
@@ -57,54 +62,6 @@ class MeshHierarchy:
         if not 0 <= level <= self.l_star:
             raise ValueError(f"level {level} outside 0..{self.l_star}")
         return self.m0 * self.factor**level
-
-
-def thomas_solve(lower, diag, upper, rhs):
-    """Solve a tridiagonal system by the Thomas algorithm.
-
-    The engine does not call it; the tests march Crank-Nicolson step by step
-    with it as the oracle of solve_diffusion_batch.
-
-    Parameters
-    ----------
-    lower, upper : arrays of shape (n-1,) or (n-1, B)
-        Sub- and super-diagonal entries.
-    diag : array of shape (n,) or (n, B)
-        Main diagonal.
-    rhs : array of shape (n,) or (n, B)
-        Right-hand side(s); a trailing batch axis solves B independent systems
-        in one sweep.
-
-    The sweep assumes the usual diagonal-dominance; a vanishing pivot raises.
-    """
-    diag = np.asarray(diag, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    n = diag.shape[0]
-    if n == 1:
-        if np.any(diag == 0.0):
-            raise FloatingPointError("zero pivot in tridiagonal solve")
-        return rhs / diag
-    cp = np.empty_like(upper if upper.ndim == rhs.ndim else rhs[: n - 1])
-    dp = np.empty_like(rhs)
-    piv = diag[0]
-    if np.any(piv == 0.0):
-        raise FloatingPointError("zero pivot in tridiagonal solve")
-    cp[0] = upper[0] / piv
-    dp[0] = rhs[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - lower[i - 1] * cp[i - 1]
-        if np.any(piv == 0.0):
-            raise FloatingPointError("zero pivot in tridiagonal solve")
-        if i < n - 1:
-            cp[i] = upper[i] / piv
-        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / piv
-    x = np.empty_like(rhs)
-    x[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
 
 
 def diffusion_steps(cells: int, final_time: float, length: float, dt_over_dx: float = 1.0) -> int:
@@ -235,29 +192,6 @@ def solve_diffusion_batch(model, d_coeffs, cells: int, dt_over_dx: float = 1.0):
     return u
 
 
-def godunov_flux(u_left, u_right):
-    """Exact Godunov flux for f(u) = u^2 / 2.
-
-    Shock when u_left >= u_right (flux of the side the shock moves towards,
-    by the sign of the shock speed (u_left + u_right) / 2); rarefaction
-    otherwise, with zero flux across a transonic fan.  Vectorizes; equivalent
-    to max(f(max(u_left, 0)), f(min(u_right, 0))).
-
-    The engine does not call it: solve_burgers_batch only admits nonnegative
-    states, where this is the upwind flux f(u_left) bit for bit, and does that
-    arithmetic in place in its tile buffers.  The tests march with this
-    function as the oracle of that kernel.
-    """
-    ul = np.asarray(u_left, dtype=float)
-    ur = np.asarray(u_right, dtype=float)
-    fl = np.maximum(ul, 0.0) ** 2
-    fr = np.minimum(ur, 0.0) ** 2
-    out = 0.5 * np.maximum(fl, fr)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def burgers_time_steps(model, cells: int) -> list:
     """The time steps of the Burgers march of a ModelSpec, model.steps(cells)
     of them.
@@ -267,7 +201,7 @@ def burgers_time_steps(model, cells: int) -> list:
     final_time and their count is the one the work model charges.
     """
     n_steps = model.steps(cells)
-    dt_cfl = model.cfl * (model.domain_length / cells) / model.max_speed
+    dt_cfl = model.cfl * (model.domain_length / cells) / BURGERS_INFLOW
     steps = []
     t = 0.0
     for _ in range(n_steps - 1):
@@ -297,11 +231,11 @@ def _upwind_rows(x, f, d, start, stop, ratio):
     x[start + 1 : stop + 1] -= dk
 
 
-def _inflow_prefix(u, lo, stop, inflow):
-    """lo advanced past the rows of u[lo:stop] that equal inflow in every
-    column."""
+def _inflow_prefix(u, lo, stop):
+    """lo advanced past the rows of u[lo:stop] that equal the inflow state
+    in every column."""
     while lo < stop:
-        same = (u[lo : min(stop, lo + _EDGE_ROWS)] == inflow).all(axis=1)
+        same = (u[lo : min(stop, lo + _EDGE_ROWS)] == BURGERS_INFLOW).all(axis=1)
         if not same.all():
             return lo + int(np.argmin(same))
         lo += same.size
@@ -334,9 +268,8 @@ def _burgers_setup(model, u1_values, cells: int):
     u1 = np.atleast_1d(np.asarray(u1_values, dtype=float))
     if cells < 2:
         raise ValueError("need at least two cells")
-    if np.any(np.abs(u1) > model.max_speed):
-        raise ValueError("plateau heights must lie within the boundary speed bound "
-                         f"{model.max_speed}")
+    if np.any(np.abs(u1) > BURGERS_INFLOW):
+        raise ValueError(f"plateau heights must lie within the speed bound {BURGERS_INFLOW}")
     if np.any(u1 < 0):
         raise ValueError("plateau heights must be nonnegative")
     dx = model.domain_length / cells
@@ -345,7 +278,7 @@ def _burgers_setup(model, u1_values, cells: int):
     return u1, ratios, plateau
 
 
-def _burgers_march(u1, ratios, plateau: int, inflow: float, x, f, d):
+def _burgers_march(u1, ratios, plateau: int, x, f, d):
     """Cell averages u at the final time, shape (cells, B), for plateau
     heights u1 of shape (B,): the upwind core that solve_burgers_batch and
     ModelSpec.qoi_batch share, over the ratios and plateau of _burgers_setup.
@@ -357,7 +290,7 @@ def _burgers_march(u1, ratios, plateau: int, inflow: float, x, f, d):
     tile cost about 110 minor page faults a tile at 32 and 128 cells.
     """
     cells = d.shape[0]
-    x[0] = inflow
+    x[0] = BURGERS_INFLOW
     u = x[1:]
     u[:plateau] = u1
     u[plateau:] = 0.0
@@ -368,7 +301,7 @@ def _burgers_march(u1, ratios, plateau: int, inflow: float, x, f, d):
     for k, ratio in enumerate(ratios):
         if k % _EDGE_CHECK_STEPS == 0:
             hi = _zero_suffix(u, plateau, hi)
-            lo = _inflow_prefix(u, lo, hi, inflow)
+            lo = _inflow_prefix(u, lo, hi)
         right = min(cells, hi + 1)
         left = min(k + 1, plateau)
         if left < plateau:
@@ -391,18 +324,20 @@ def solve_burgers_batch(model, u1_values, cells: int):
 
     Returns cell averages of shape (cells, B) at the model's final time.
     Initial data is u1 on (0, 1] and 0 on (1, domain_length); the left ghost
-    cell carries the inflow state.  The time step is CFL-limited by
-    model.max_speed, which every u1 must not exceed; the steps are those of
+    cell carries the inflow state BURGERS_INFLOW and the right one the
+    outflow state 0.  The time step is CFL-limited by the wave-speed bound
+    BURGERS_INFLOW, which every u1 must not exceed; the steps are those of
     burgers_time_steps.
 
-    Every state is nonnegative: the plateau heights and (by ModelSpec) the
-    boundary states are required to be, and with cfl <= 1 the monotone
-    scheme keeps u in [0, max_speed] (the top only up to rounding).  For the convex flux
+    Every state is nonnegative: the plateau heights are required to be, the
+    boundary states are, and with cfl <= 1 the monotone scheme keeps u in
+    [0, BURGERS_INFLOW] (the top only up to rounding).  For the convex flux
     u^2 / 2 the Godunov flux of two nonnegative states is then the upwind
     flux f(u_left) (LeVeque, Finite Volume Methods for Hyperbolic Problems,
-    2002, sec. 12.2), and in IEEE arithmetic godunov_flux's max(u, 0) = u,
-    min(u_right, 0)^2 = 0 and max(f, 0) = f, so the full sweep's flux is
-    0.5 * u_left^2.  The outflow state only enters through the speed bound.
+    2002, sec. 12.2): in IEEE arithmetic the exact Godunov flux
+    0.5 * max(max(u_left, 0)^2, min(u_right, 0)^2) is 0.5 * u_left^2, and
+    the march never reads the outflow ghost.  The tests march the Godunov
+    flux as the oracle of this kernel.
     Negative plateau heights, and heights above the speed bound, are rejected.
 
     A step is four in-place passes over a window of rows (_upwind_rows):
@@ -439,7 +374,7 @@ def solve_burgers_batch(model, u1_values, cells: int):
     """
     u1, ratios, plateau = _burgers_setup(model, u1_values, cells)
     B = u1.shape[0]
-    return _burgers_march(u1, ratios, plateau, model.inflow, np.empty((cells + 1, B)),
+    return _burgers_march(u1, ratios, plateau, np.empty((cells + 1, B)),
                           np.empty((cells + 1, B)), np.empty((cells, B)))
 
 
@@ -453,18 +388,6 @@ def _squares_by_sample(field, buffer=None):
     pairwise for B = 1, which moved a lone sample's QoI by up to 7e-14.
     """
     return np.square(np.asarray(field, dtype=float).T, out=buffer, order="C")
-
-
-def qoi_trapezoid(field, dx: float, scale: float):
-    """scale * trapezoid quadrature of field^2 on a node grid (boundary nodes included).
-
-    The engine does not call it: ModelSpec.qoi_batch sums the squares of the
-    diffusion kernel's interior values and adds the walls' constant terms,
-    with no field assembled.  The tests hold this function on
-    solve_diffusion_batch's field as the oracle of that interior QoI.
-    """
-    f2 = _squares_by_sample(field)
-    return scale * dx * (0.5 * f2[..., 0] + f2[..., 1:-1].sum(axis=-1) + 0.5 * f2[..., -1])
 
 
 def qoi_midpoint(field, dx: float, scale: float):
@@ -483,15 +406,13 @@ _TILE_ELEMS = 1 << 16
 @dataclass(frozen=True)
 class ModelSpec:
     """One PDE testbed: identity, geometry, final time, QoI scaling and the
-    Burgers march's settings, checked once here for every solve."""
+    Burgers march's CFL number, checked once here for every solve."""
 
     name: str                 # "diffusion" | "burgers"
     final_time: float
     domain_length: float
     qoi_scale: float
     cfl: float                # Burgers only
-    inflow: float = 2.0       # Burgers only
-    outflow: float = 0.0      # Burgers only
 
     def __post_init__(self):
         if self.name not in ("diffusion", "burgers"):
@@ -501,8 +422,6 @@ class ModelSpec:
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl {self.cfl} must lie in (0, 1]: above 1 the Burgers "
                              "scheme is not monotone")
-        if self.inflow < 0 or self.outflow < 0:
-            raise ValueError("Burgers boundary states must be nonnegative")
 
     def qoi_batch(self, w, cells: int, dt_over_dx: float = 1.0):
         """QoI values for a batch of inputs at the given resolution.
@@ -514,8 +433,9 @@ class ModelSpec:
 
         The diffusion QoI comes without the field: the squares of the
         kernel's interior values, in the (batch, space) rows of
-        _squares_by_sample, plus the two walls' 0.5 each in qoi_trapezoid's
-        order, so it has the bits of qoi_trapezoid on solve_diffusion_batch.
+        _squares_by_sample, plus the two walls' 0.5 each in the order of the
+        trapezoid rule on the field, so it has the bits of that quadrature of
+        solve_diffusion_batch's field, the tests' qoi_trapezoid oracle.
         Its set-up is built once per mesh and shared by every tile and call,
         the tiles share one scratch, g^n is taken by squaring, and a
         non-finite QoI raises.
@@ -554,7 +474,7 @@ class ModelSpec:
             else:
                 x, f, d = (row[: m * part.size].reshape(m, part.size)
                            for row, m in zip(work, (cells + 1, cells + 1, cells)))
-                u = _burgers_march(part, ratios, plateau, self.inflow, x, f, d)
+                u = _burgers_march(part, ratios, plateau, x, f, d)
                 out[order[start : start + tile]] = qoi_midpoint(u, dx, self.qoi_scale)
         return out
 
@@ -567,30 +487,16 @@ class ModelSpec:
         x = (np.arange(cells) + 0.5) * self.domain_length / cells
         return x, solve_burgers_batch(self, [w], cells)[:, 0]
 
-    @property
-    def max_speed(self) -> float:
-        """Wave-speed bound of the Burgers march: the larger boundary state.
-
-        Inputs are held to it (the plateau height may not exceed it), so by
-        the max principle it bounds every speed of the solution, and the time
-        step it fixes is the same for every sample and for the work model.  A
-        zero bound would give no time step, and is rejected.
-        """
-        bound = max(self.inflow, self.outflow)
-        if bound == 0:
-            raise ValueError("Burgers boundary states are both 0: the wave speed "
-                             "bound that fixes the time step must be positive")
-        return bound
-
     def steps(self, cells: int) -> int:
         """Time steps of one solve.  The Burgers march is CFL-limited, its
         final step clipped onto final_time: a ratio final_time / dt within a
         relative 1e-12 above an integer counts as that integer, because past
         a few thousand steps the ratio's rounding exceeds any absolute
-        tolerance, and the count would gain a step of rounding size."""
+        tolerance, and the count would gain a step of rounding size.  The
+        CFL time step is fixed by BURGERS_INFLOW, the wave-speed bound."""
         if self.name == "diffusion":
             return diffusion_steps(cells, self.final_time, self.domain_length)
-        dt = self.cfl * (self.domain_length / cells) / self.max_speed
+        dt = self.cfl * (self.domain_length / cells) / BURGERS_INFLOW
         return int(np.ceil(self.final_time / dt * (1.0 - 1e-12)))
 
     def work_units(self, cells: int) -> float:

@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import godunov_flux, required_samples_mlmc, sample, thomas_solve
 from smlmc.cdf import CdfEstimate, NodeGrid, sup_distance
 from smlmc.cli import run_realization
 from smlmc.config import preset
 from smlmc.estimators import (
     LevelState,
     mc_sample_count,
-    required_samples_mlmc,
     required_samples_smlmc,
     run_mlmc,
     run_smlmc,
@@ -37,7 +37,6 @@ from smlmc.inputs import (
     proportional_allocation,
     substream,
 )
-from smlmc.models import godunov_flux, thomas_solve
 from smlmc.smoothing import GAUSSIAN_CDF, build_giles_polynomial
 
 DATA = Path(__file__).parent / "data"
@@ -251,12 +250,12 @@ def test_criterion_5_exactness_suite(diffusion):
 
     # degenerate stratification reproduces the plain run bit for bit
     exp = diffusion["exp"]
-    cfg = replace(exp.run_config("mlmc", 0.02, 5), l_star=2, warmup=32)
-    plain = run_mlmc(diffusion["model"], diffusion["dist"], diffusion["grid"],
-                     diffusion["hier"], cfg)
+    cfg = replace(exp.run_config("mlmc", 0.02, 5), warmup=32)
+    hier = replace(diffusion["hier"], l_star=2)
+    plain = run_mlmc(diffusion["model"], diffusion["dist"], diffusion["grid"], hier, cfg)
     strat1 = build_equal_width_strata(diffusion["dist"], 1)
     degen = run_smlmc(diffusion["model"], diffusion["dist"], strat1,
-                      diffusion["grid"], diffusion["hier"], cfg)
+                      diffusion["grid"], hier, cfg)
     checks.append(("r=1 sMLMC == MLMC bitwise",
                    np.array_equal(plain.estimate.raw, degen.estimate.raw)
                    and [l.n_total for l in plain.levels]
@@ -309,7 +308,7 @@ def test_criterion_7_statistical_soundness(diffusion):
     from scipy.stats import kstest
 
     dist = diffusion["dist"]
-    draws = dist.sample(substream(2024, 0, 0), 100_000)
+    draws = sample(dist, substream(2024, 0, 0), 100_000)
     ks = float(kstest(draws, dist.cdf).statistic)
     # law of total variance on the engine's level statistics: three strata
     # with probabilities (1/4, 1/2, 1/4) hold proportional counts of 60

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import indicator, sample
 from smlmc.cdf import (
     CdfEstimate,
     NodeGrid,
     build_spline,
     cdf_to_csv,
     cdf_to_json,
-    indicator,
     isotonic_projection,
     load_cdf_json,
     postprocess_cdf,
@@ -160,6 +160,8 @@ class TestCdfEstimate:
         cdf_to_json(est, jpath)
         back = load_cdf_json(jpath)
         assert np.array_equal(back.raw, est.raw)
+        # processed is recomputed from raw, and matches the one written
+        assert np.array_equal(back.processed, est.processed)
         assert back.metadata["kind"] == "x"
         cpath = tmp_path / "e.csv"
         cdf_to_csv(est, cpath)
@@ -244,7 +246,7 @@ class TestReference:
         runs, per_run = 200, 100
         counts = np.zeros(grid.nodes.size)
         for k in range(runs):
-            w = DIFF_DIST.sample(substream(1000 + k, 0, 0), per_run)
+            w = sample(DIFF_DIST, substream(1000 + k, 0, 0), per_run)
             q = DIFFUSION.qoi_batch(w, 64)
             counts += (q[:, None] <= grid.nodes[None, :]).mean(axis=0)
         mean = counts / runs

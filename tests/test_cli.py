@@ -177,11 +177,49 @@ time_coarsen = 4.0
         assert files[0].stat().st_mtime_ns == stamp
 
 
+@pytest.mark.parametrize("argv", [
+    ["reference", "--preset", "diffusion", "--seed", "1"],
+    ["inspect", "strata", "--preset", "diffusion", "--out", "x"],
+    ["inspect", "strata", "--preset", "diffusion", "--seed", "1"],
+])
+def test_options_a_command_does_not_read_are_rejected(argv):
+    # the reference does not depend on the seed, and inspect writes no file
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def _smoothing_config(tmp_path, degree, methods="mlmc, mlmc_giles"):
+    path = tmp_path / "smoothing.ini"
+    path.write_text(f"[experiment]\nmodel = diffusion\nmethods = {methods}\n"
+                    f"[smoothing]\ndegree = {degree}\n")
+    return str(path)
+
+
 class TestInspect:
-    def test_giles_poly_linear_ramp(self, capsys):
-        assert main(["inspect", "giles-poly", "--degree", "1"]) == 0
+    def test_giles_poly_linear_ramp(self, tmp_path, capsys):
+        assert main(["inspect", "giles-poly", "--config", _smoothing_config(tmp_path, 1)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["coeffs"] == pytest.approx([0.5, -0.5, 0.0])
+
+    def test_giles_poly_degree_from_config(self, tmp_path, capsys):
+        assert main(["inspect", "giles-poly", "--config", _smoothing_config(tmp_path, 5)]) == 0
+        assert json.loads(capsys.readouterr().out)["degree_d"] == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["strata", "--preset", "diffusion", "--r", "0"],
+        ["solver-field", "--preset", "burgers", "--w", "3.0"],
+        ["solver-field", "--preset", "diffusion", "--cells", "1"],
+    ])
+    def test_bad_arguments_end_in_a_message(self, argv):
+        with pytest.raises(SystemExit, match=f"smlmc: invalid inspect {argv[0]}: "):
+            main(["inspect", *argv])
+
+    def test_bad_degree_ends_in_a_message(self, tmp_path):
+        # the degree is only checked at load time when a polynomial method runs
+        cfg = _smoothing_config(tmp_path, -1, methods="mlmc")
+        with pytest.raises(SystemExit, match="smlmc: invalid inspect giles-poly: "):
+            main(["inspect", "giles-poly", "--config", cfg])
 
     def test_strata_table(self, capsys):
         assert main(["inspect", "strata", "--preset", "diffusion", "--r", "8"]) == 0

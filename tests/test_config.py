@@ -163,7 +163,7 @@ methods = mc
         assert load_config(path).node_grid().nodes.size == 4
 
     def test_burgers_support_beyond_speed_bound(self, tmp_path):
-        # the Burgers time step is fixed by the boundary states (inflow 2);
+        # the Burgers time step is fixed by the inflow state 2;
         # a wider plateau support would break the CFL condition
         path = self._write(tmp_path, """
 [experiment]

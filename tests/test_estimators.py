@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import required_samples_mlmc
 from smlmc.cdf import NodeGrid
 from smlmc.cli import run_realization
 from smlmc.config import METHODS, preset, run_tag
@@ -17,7 +18,6 @@ from smlmc.estimators import (
     LevelState,
     SampleBank,
     mc_sample_count,
-    required_samples_mlmc,
     required_samples_smlmc,
     run_mc,
     run_mlmc,
@@ -41,8 +41,10 @@ HIER = EXP.hierarchy()
 # the preset's settings of a plain run; tests replace the ones they set
 RUN = EXP.run_config("mlmc", 0.01, 0)
 
-# small, fast engine configuration reused across tests
-FAST = dict(l_star=3, warmup=64)
+# small, fast engine configuration reused across tests: levels 0..3 and 64
+# warmup samples
+HIER3 = replace(HIER, l_star=3)
+FAST = dict(warmup=64)
 
 
 class TestRequiredSamplesMlmc:
@@ -107,9 +109,9 @@ class TestMcSampleCount:
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            mc_sample_count(0.1, 0.0)
+            mc_sample_count(0.1, 0.0, 2.0)
         with pytest.raises(ValueError):
-            mc_sample_count(-0.1, 0.01)
+            mc_sample_count(-0.1, 0.01, 2.0)
 
 
 class TestStoppingCheck:
@@ -133,32 +135,32 @@ class TestStoppingCheck:
 class TestRunMlmc:
     def test_deterministic_replay(self):
         cfg = replace(RUN, eps=0.02, seed=11, **FAST)
-        a = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-        b = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        a = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
+        b = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
         assert np.array_equal(a.estimate.raw, b.estimate.raw)
         assert [lv.n_total for lv in a.levels] == [lv.n_total for lv in b.levels]
 
     def test_raw_node_means_bounded(self):
         cfg = replace(RUN, eps=0.02, seed=3, **FAST)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
         for lv in res.levels:
             mean = lv.mean_g_stratified(res.strat.probs)
             assert np.all(np.abs(mean) <= 1.0 + 1e-12)
 
     def test_sample_floor_at_warmup(self):
         cfg = replace(RUN, eps=0.05, seed=1, **FAST)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
         assert all(lv.n_total >= cfg.warmup for lv in res.levels)
 
     def test_ledger_consistency(self):
         cfg = replace(RUN, eps=0.02, seed=5, **FAST)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
         total = sum(lv.n_total * lv.pair_work for lv in res.levels)
         assert res.total_cost == pytest.approx(total)
 
     def test_smoothed_run_tracks_indicator_stats(self):
         cfg = replace(RUN, eps=0.02, seed=2, smoother="kde", **FAST)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
         assert res.levels[0].delta is not None and res.levels[0].delta > 0
         assert res.levels[0].sumsq_idiff.sum() > 0  # raw stats alongside smoothed
 
@@ -168,19 +170,19 @@ class TestRunMlmc:
         # factor keeps it comfortably inside even though the per-level argmax
         # nodes need not coincide)
         cfg = replace(RUN, eps=0.02, seed=4, smoother=smoother, **FAST)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
         realized = sum(lv.var_g()[0].max() / lv.n_total for lv in res.levels)
         assert realized <= cfg.eps**2 / budget_split * 1.05
 
     def test_cap_produces_warning_when_bias_unmet(self):
-        cfg = replace(RUN, eps=0.001, seed=1, l_star=1, warmup=32)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        cfg = replace(RUN, eps=0.001, seed=1, warmup=32)
+        res = run_mlmc(MODEL, DIST, GRID, replace(HIER, l_star=1), cfg)
         assert res.l_max == 1
         assert any("cap" in w for w in res.warnings)
 
     def test_work_monotone_in_level_deterministic(self):
         cfg = replace(RUN, eps=0.02, seed=1, **FAST)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
         works = [lv.pair_work for lv in res.levels]
         assert all(b > a for a, b in zip(works, works[1:]))
 
@@ -239,12 +241,12 @@ class TestTelescopingIdentity:
         # MC needs exactly the 64 warmup samples (N_MC = ceil(5 V / eps^2)
         # with 5 V / eps^2 = 63.5), so it reuses the identical sample set and
         # the two estimates agree exactly
-        base = dict(seed=21, l_star=0, warmup=64)
-        probe = run_mlmc(MODEL, DIST, GRID, HIER, replace(RUN, eps=0.3, **base))
+        base, hier = dict(seed=21, warmup=64), replace(HIER, l_star=0)
+        probe = run_mlmc(MODEL, DIST, GRID, hier, replace(RUN, eps=0.3, **base))
         v = float(probe.levels[0].var_ifine_pooled().max())
         cfg = replace(RUN, eps=float(np.sqrt(5.0 * v / 63.5)), **base)
-        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-        mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
+        mlmc_res = run_mlmc(MODEL, DIST, GRID, hier, cfg)
+        mc_res = run_mc(MODEL, DIST, GRID, hier, cfg, mlmc_res)
         kept = _plain_fine_rows(cfg.seed, 0, 64)
         assert mlmc_res.l_max == 0
         assert mlmc_res.levels[0].n_total == 64
@@ -256,9 +258,9 @@ class TestTelescopingIdentity:
 class TestRunSmlmc:
     def test_r1_matches_mlmc_bit_for_bit(self):
         cfg = replace(RUN, eps=0.02, seed=13, **FAST)
-        plain = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        plain = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
         strat = build_equal_width_strata(DIST, 1)
-        stratified = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
+        stratified = run_smlmc(MODEL, DIST, strat, GRID, HIER3, cfg)
         assert np.array_equal(plain.estimate.raw, stratified.estimate.raw)
         assert [lv.n_total for lv in plain.levels] == [
             lv.n_total for lv in stratified.levels
@@ -276,10 +278,11 @@ class TestRunSmlmc:
         # one stratum is plain MLMC: same draws, same statistics, same
         # sizing, so the same estimate, sample counts, bandwidths and cost;
         # also when the sMLMC run takes every row from the MLMC run's bank
-        cfg = replace(RUN, eps=eps, seed=seed, smoother=smoother, l_star=2, warmup=16)
+        cfg = replace(RUN, eps=eps, seed=seed, smoother=smoother, warmup=16)
+        hier = replace(exp.hierarchy(), l_star=2)
         args = (exp.model_spec(), exp.distribution())
-        rest = (exp.node_grid(), exp.hierarchy(), cfg)
-        bank = SampleBank(*args, exp.hierarchy()) if shared else None
+        rest = (exp.node_grid(), hier, cfg)
+        bank = SampleBank(*args, hier) if shared else None
         plain = run_mlmc(*args, *rest, bank=bank)
         strat = run_smlmc(*args, build_equal_width_strata(exp.distribution(), 1), *rest,
                           bank=bank)
@@ -318,7 +321,7 @@ class TestRunSmlmc:
     def test_stratified_run_basics(self):
         strat = build_equal_width_strata(DIST, 4)
         cfg = replace(RUN, eps=0.02, seed=7, **FAST)
-        res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
+        res = run_smlmc(MODEL, DIST, strat, GRID, HIER3, cfg)
         for lv in res.levels:
             assert np.all(lv.n >= cfg.min_stratum_samples)
         raw = res.estimate.raw
@@ -331,8 +334,8 @@ class TestRunSmlmc:
         wins = total = 0
         for seed in range(3):
             cfg = replace(RUN, eps=0.02, seed=seed, **FAST)
-            res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
-            plain = run_mlmc(MODEL, DIST, GRID, HIER,
+            res = run_smlmc(MODEL, DIST, strat, GRID, HIER3, cfg)
+            plain = run_mlmc(MODEL, DIST, GRID, HIER3,
                              replace(RUN, eps=0.02, seed=seed, **FAST))
             for lv, plv in zip(res.levels, plain.levels):
                 strat_var = lv.n_total * lv.stratified_estimator_variance(strat.probs).max()
@@ -344,7 +347,7 @@ class TestRunSmlmc:
     def test_report_shape(self):
         strat = build_equal_width_strata(DIST, 4)
         cfg = replace(RUN, eps=0.05, seed=1, **FAST)
-        res = run_smlmc(MODEL, DIST, strat, GRID, HIER, cfg)
+        res = run_smlmc(MODEL, DIST, strat, GRID, HIER3, cfg)
         rep = res.report()
         assert rep["strata"] == 4
         assert len(rep["levels"]) == res.l_max + 1
@@ -357,12 +360,12 @@ class TestRunSmlmc:
         # per-level bandwidths reach the report: positive for a smoothed
         # run, absent for a plain one
         cfg = replace(RUN, eps=0.05, seed=2, smoother="kde", **FAST)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
         deltas = [lv["delta"] for lv in res.report()["levels"]]
         assert len(deltas) == res.l_max + 1
         assert all(d > 0 for d in deltas)
         assert deltas == [lv.delta for lv in res.levels]
-        plain = run_mlmc(MODEL, DIST, GRID, HIER, replace(RUN, eps=0.05, seed=2, **FAST))
+        plain = run_mlmc(MODEL, DIST, GRID, HIER3, replace(RUN, eps=0.05, seed=2, **FAST))
         assert all(lv["delta"] is None for lv in plain.report()["levels"])
 
 
@@ -405,7 +408,7 @@ class TestOneSolvePerPass:
     def test_one_call_per_mesh_per_pass(self, monkeypatch, r):
         calls = self._count_calls(monkeypatch)
         cfg = replace(RUN, eps=0.03, seed=5, **FAST)
-        res = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, r), GRID, HIER, cfg)
+        res = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, r), GRID, HIER3, cfg)
         assert res.l_max >= 2
         warmup = int(proportional_allocation(cfg.warmup, res.strat,
                                              cfg.min_stratum_samples).sum())
@@ -415,17 +418,17 @@ class TestOneSolvePerPass:
         # a smoothed run after a plain one on the same bank solves only the
         # rows the plain run did not; an sMLMC run at r = 1 after both
         # solves none
-        bank = SampleBank(MODEL, DIST, HIER)
-        plain = run_mlmc(MODEL, DIST, GRID, HIER, replace(RUN, eps=0.1, seed=5, **FAST),
+        bank = SampleBank(MODEL, DIST, HIER3)
+        plain = run_mlmc(MODEL, DIST, GRID, HIER3, replace(RUN, eps=0.1, seed=5, **FAST),
                          bank=bank)
         calls = self._count_calls(monkeypatch)
-        cfg = replace(RUN, eps=0.03, seed=5, smoother="kde", l_star=3, warmup=16)
-        res = run_mlmc(MODEL, DIST, GRID, HIER, cfg, bank=bank)
+        cfg = replace(RUN, eps=0.03, seed=5, smoother="kde", warmup=16)
+        res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg, bank=bank)
         assert calls == self._expected_calls(res, cfg.warmup,
                                              [lv.n_total for lv in plain.levels])
         assert calls and calls != self._expected_calls(res, cfg.warmup)  # some held, some not
         calls.clear()
-        run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, 1), GRID, HIER, cfg, bank=bank)
+        run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, 1), GRID, HIER3, cfg, bank=bank)
         assert calls == []
 
     def test_other_boundaries_get_no_rows(self, monkeypatch):
@@ -437,26 +440,28 @@ class TestOneSolvePerPass:
         other = Stratification(boundaries=b, probs=p / p.sum())
         cfg = replace(RUN, eps=0.03, seed=5, **FAST)
         calls = self._count_calls(monkeypatch)
-        alone = run_smlmc(MODEL, DIST, other, GRID, HIER, cfg)
+        alone = run_smlmc(MODEL, DIST, other, GRID, HIER3, cfg)
         alone_calls = list(calls)
-        bank = SampleBank(MODEL, DIST, HIER)
-        run_smlmc(MODEL, DIST, first, GRID, HIER, cfg, bank=bank)
+        bank = SampleBank(MODEL, DIST, HIER3)
+        run_smlmc(MODEL, DIST, first, GRID, HIER3, cfg, bank=bank)
         calls.clear()
-        after = run_smlmc(MODEL, DIST, other, GRID, HIER, cfg, bank=bank)
+        after = run_smlmc(MODEL, DIST, other, GRID, HIER3, cfg, bank=bank)
         assert calls == alone_calls
         assert after.report() == alone.report()
         assert np.array_equal(after.estimate.raw, alone.estimate.raw)
 
     # at eps 0.1 the finest level keeps more samples than MC needs
     @pytest.mark.parametrize("settings, fresh", [
-        (dict(eps=0.02, seed=17, **FAST), True),
-        (dict(eps=0.1, seed=3, l_star=1, warmup=200), False),
+        ((3, dict(eps=0.02, seed=17, **FAST)), True),
+        ((1, dict(eps=0.1, seed=3, warmup=200)), False),
     ])
     def test_mc_solves_fresh_draws_in_one_call(self, monkeypatch, settings, fresh):
-        cfg = replace(RUN, **settings)
-        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
+        # settings: the level cap and the run's settings
+        cap, kw = settings
+        cfg, hier = replace(RUN, **kw), replace(HIER, l_star=cap)
+        mlmc_res = run_mlmc(MODEL, DIST, GRID, hier, cfg)
         calls = self._count_calls(monkeypatch)
-        mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
+        mc_res = run_mc(MODEL, DIST, GRID, hier, cfg, mlmc_res)
         extra = mc_res.n_samples - mc_res.n_reused
         assert (extra > 0) == fresh
         assert calls == ([(HIER.cells(mc_res.level), extra)] if fresh else [])
@@ -473,14 +478,14 @@ def _realization(exp, order, seed, shared):
     (mc straight after mlmc, which it reuses), on one shared bank or each
     on its own."""
     model, dist, grid, hier = (exp.model_spec(), exp.distribution(), exp.node_grid(),
-                               exp.hierarchy())
+                               replace(exp.hierarchy(), l_star=2))
     strat = build_equal_width_strata(dist, 4)
     bank = SampleBank(model, dist, hier) if shared else None
     out = {}
     for method in order:
         spec = METHODS[method]
-        cfg = replace(RUN, eps=0.05, seed=seed, smoother=spec.smoother, l_star=2,
-                        warmup=BANK_WARMUPS[method])
+        cfg = replace(RUN, eps=0.05, seed=seed, smoother=spec.smoother,
+                      warmup=BANK_WARMUPS[method])
         if spec.stratified:
             out[method] = run_smlmc(model, dist, strat, grid, hier, cfg, bank=bank)
         else:
@@ -507,9 +512,9 @@ class TestSampleBank:
             assert np.array_equal(shared[method].estimate.raw, alone[method].estimate.raw)
 
     def test_bank_of_another_model_rejected(self):
-        bank = SampleBank(BURGERS_EXP.model_spec(), DIST, HIER)
+        bank = SampleBank(BURGERS_EXP.model_spec(), DIST, HIER3)
         with pytest.raises(ValueError, match="sample bank"):
-            run_mlmc(MODEL, DIST, GRID, HIER, replace(RUN, eps=0.05, **FAST), bank=bank)
+            run_mlmc(MODEL, DIST, GRID, HIER3, replace(RUN, eps=0.05, **FAST), bank=bank)
 
     def test_holds_sixteen_bytes_per_pair(self):
         # the bank's memory is O(rows held): 16 bytes per (fine, coarse) pair
@@ -581,8 +586,8 @@ REALIZATION_RSS_KB = 32 * 1024
 class TestRunMc:
     def test_sample_count_and_cost(self):
         cfg = replace(RUN, eps=0.02, seed=17, **FAST)
-        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-        mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
+        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
+        mc_res = run_mc(MODEL, DIST, GRID, HIER3, cfg, mlmc_res)
         top = mlmc_res.levels[-1]
         expected_n = mc_sample_count(
             float(top.var_ifine_pooled().max()), cfg.eps, 2.0 * cfg.sampling_safety
@@ -593,16 +598,16 @@ class TestRunMc:
 
     def test_reuses_finest_level_samples(self):
         cfg = replace(RUN, eps=0.02, seed=17, **FAST)
-        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-        mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
+        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
+        mc_res = run_mc(MODEL, DIST, GRID, HIER3, cfg, mlmc_res)
         assert mc_res.n_reused == min(mlmc_res.levels[-1].n_total, mc_res.n_samples)
 
     def test_reuse_capped_at_n_mc(self):
         # a loose tolerance keeps more fine samples than MC needs: the
         # estimate averages exactly the N_MC samples its cost charges for
-        cfg = replace(RUN, eps=0.1, seed=3, l_star=1, warmup=200)
-        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-        mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
+        cfg, hier = replace(RUN, eps=0.1, seed=3, warmup=200), replace(HIER, l_star=1)
+        mlmc_res = run_mlmc(MODEL, DIST, GRID, hier, cfg)
+        mc_res = run_mc(MODEL, DIST, GRID, hier, cfg, mlmc_res)
         assert mlmc_res.levels[-1].n_total > mc_res.n_samples
         assert mc_res.n_reused == mc_res.n_samples
         kept = _plain_fine_rows(cfg.seed, mc_res.level, mc_res.n_samples)
@@ -611,25 +616,26 @@ class TestRunMc:
     @pytest.mark.parametrize("smoother, r", [("giles", 1), ("none", 4)])
     def test_needs_a_plain_unstratified_run(self, smoother, r):
         # only a plain single-stratum run draws its rows as MC would
-        cfg = replace(RUN, eps=0.1, seed=3, l_star=1, warmup=16, smoother=smoother)
-        res = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, r), GRID, HIER, cfg)
+        cfg = replace(RUN, eps=0.1, seed=3, warmup=16, smoother=smoother)
+        hier = replace(HIER, l_star=1)
+        res = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, r), GRID, hier, cfg)
         with pytest.raises(ValueError, match="plain, unstratified"):
-            run_mc(MODEL, DIST, GRID, HIER, cfg, res)
+            run_mc(MODEL, DIST, GRID, hier, cfg, res)
 
     def test_zero_variance_still_averages(self):
         # a grid above every QoI leaves no indicator variance, so the formula
         # asks for no MC samples; the run still averages one
         grid = NodeGrid(100.0, 120.0, 4)
-        cfg = replace(RUN, eps=0.05, seed=3, l_star=1, warmup=16)
-        mlmc_res = run_mlmc(MODEL, DIST, grid, HIER, cfg)
-        mc_res = run_mc(MODEL, DIST, grid, HIER, cfg, mlmc_res)
+        cfg, hier = replace(RUN, eps=0.05, seed=3, warmup=16), replace(HIER, l_star=1)
+        mlmc_res = run_mlmc(MODEL, DIST, grid, hier, cfg)
+        mc_res = run_mc(MODEL, DIST, grid, hier, cfg, mlmc_res)
         assert mc_res.n_samples == mc_res.n_reused == 1
         assert np.array_equal(mc_res.estimate.raw, np.ones(5))
 
     def test_estimate_is_a_cdf(self):
         cfg = replace(RUN, eps=0.02, seed=23, **FAST)
-        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER, cfg)
-        mc_res = run_mc(MODEL, DIST, GRID, HIER, cfg, mlmc_res)
+        mlmc_res = run_mlmc(MODEL, DIST, GRID, HIER3, cfg)
+        mc_res = run_mc(MODEL, DIST, GRID, HIER3, cfg, mlmc_res)
         raw = mc_res.estimate.raw
         assert np.all(np.diff(raw) >= 0)  # plain empirical CDF is monotone
         assert raw.min() >= 0 and raw.max() <= 1

@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import godunov_flux, qoi_trapezoid, thomas_solve
 from smlmc import models
 from smlmc.config import preset
 from smlmc.estimators import SampleBank
 from smlmc.models import (
     _TILE_ELEMS,
+    BURGERS_INFLOW,
     MeshHierarchy,
     burgers_time_steps,
     diffusion_steps,
-    godunov_flux,
     qoi_midpoint,
-    qoi_trapezoid,
     solve_burgers_batch,
     solve_diffusion_batch,
-    thomas_solve,
 )
 
 DIFFUSION = preset("diffusion").model_spec()
@@ -383,10 +382,10 @@ def godunov_march(model, u1, cells, steps=None):
     dx = model.domain_length / cells
     centers = (np.arange(cells) + 0.5) * dx
     u = np.where(centers[:, None] <= 1.0, u1[None, :], 0.0)
-    ghost_l = np.full((1, u1.size), float(model.inflow))
-    ghost_r = np.full((1, u1.size), float(model.outflow))
+    ghost_l = np.full((1, u1.size), BURGERS_INFLOW)
+    ghost_r = np.zeros((1, u1.size))
     if steps is None:
-        steps = loop_time_steps(model.cfl * dx / model.max_speed, model.final_time)
+        steps = loop_time_steps(model.cfl * dx / BURGERS_INFLOW, model.final_time)
     for dt in steps:
         ext = np.concatenate([ghost_l, u, ghost_r], axis=0)
         flux = godunov_flux(ext[:-1, :], ext[1:, :])
@@ -413,40 +412,33 @@ def assert_matches_march(u, march, length=2.0):
 MAX_PROPERTY_STEPS = 400
 
 
-# boundary states the property tests draw: the presets', and a pair with a
-# positive outflow state that only enters through the speed bound
-BOUNDARY_STATES = [(2.0, 0.0), (1.5, 0.5)]
-
-
 @st.composite
 def burgers_cases(draw):
-    """(heights, cells, model), the model the preset's with drawn final_time,
-    cfl and boundary states, with batches of 1, of the tile qoi_batch would
-    hand the kernel and one either side of it, and of two tiles and 3;
-    heights include 0.0, the inflow state and the speed bound exactly.  Final
-    times include those of one step fewer, the same and one more than the
-    step where the kernel's two windows meet."""
+    """(heights, cells, model), the model the preset's with drawn final_time
+    and cfl, with batches of 1, of the tile qoi_batch would hand the kernel
+    and one either side of it, and of two tiles and 3; heights include 0.0
+    and the inflow state, which is the speed bound, exactly.  Final times
+    include those of one step fewer, the same and one more than the step
+    where the kernel's two windows meet."""
     cells = draw(st.integers(2, 600) | st.sampled_from([2, 3]))
-    inflow, outflow = draw(st.sampled_from(BOUNDARY_STATES))
-    model = replace(BURGERS, inflow=inflow, outflow=outflow)
-    max_speed = model.max_speed
     tile = _TILE_ELEMS // (cells + 1)
     batch = draw(st.sampled_from([1, tile - 1, tile, tile + 1, 2 * tile + 3]))
     # from 1e-3, not 0: final_time is capped in proportion to cfl, and near 0
     # the time step would underflow
     cfl = draw(st.floats(1e-3, 1.0) | st.just(1.0))
-    dt = cfl * (2.0 / cells) / max_speed
+    dt = cfl * (2.0 / cells) / BURGERS_INFLOW
     # the kernel's two windows meet at step k = plateau - 1, the first whose
     # inflow window [.., k + 1) reaches the plateau edge
     plateau = int(np.count_nonzero((np.arange(cells) + 0.5) * (2.0 / cells) <= 1.0))
     meet = st.integers(-1, 1).map(lambda j: max(plateau + j, 1) * dt)
     final_time = draw(st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0) | meet)
     final_time = min(final_time, MAX_PROPERTY_STEPS * dt)
-    w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, max_speed, batch)
-    w[0] = draw(st.sampled_from([0.0, inflow, max_speed]) | st.floats(0.0, max_speed))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.0, BURGERS_INFLOW, batch)
+    w[0] = draw(st.sampled_from([0.0, BURGERS_INFLOW]) | st.floats(0.0, BURGERS_INFLOW))
     if batch > 1:
-        w[-2:] = 0.0, inflow
-    return w, cells, replace(model, final_time=final_time, cfl=cfl)
+        w[-2:] = 0.0, BURGERS_INFLOW
+    return w, cells, replace(BURGERS, final_time=final_time, cfl=cfl)
 
 
 class TestTiledKernelAgainstMarch:
@@ -469,32 +461,17 @@ class TestTiledKernelAgainstMarch:
             assert u.shape == (cells, B)
             assert_matches_march(u, godunov_march(model, w, cells))
 
-    @pytest.mark.parametrize("w, kw", [
-        ([0.5, -0.1], {}),
-        ([-0.0, -1e-300], {}),
-        ([0.5], dict(inflow=-1.0)),
-        ([0.5], dict(inflow=1.5, outflow=-1.0)),
-    ])
-    def test_negative_states_rejected(self, w, kw):
+    @pytest.mark.parametrize("w", [[0.5, -0.1], [-0.0, -1e-300]])
+    def test_negative_states_rejected(self, w):
         # the upwind flux is the Godunov flux only for nonnegative states
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_burgers_batch(replace(BURGERS, **kw), w, 64)
+            solve_burgers_batch(BURGERS, w, 64)
 
     @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.0000001, 1.5])
     def test_cfl_outside_unit_interval_rejected(self, cfl):
         # above 1 the scheme is not monotone and states can turn negative
         with pytest.raises(ValueError, match="cfl"):
             solve_burgers_batch(replace(BURGERS, cfl=cfl), [0.5], 64)
-
-    def test_bit_identical_with_other_boundary_states(self):
-        # the outflow state only sets the speed bound: for nonnegative states
-        # godunov_flux never reads the right ghost cell
-        model = replace(BURGERS, final_time=0.31, inflow=1.5, outflow=0.5, cfl=0.5)
-        steps = burgers_time_steps(model, 100)
-        w = np.random.default_rng(7).uniform(0.0, 1.5, 3 * (_TILE_ELEMS // 101) + 5)
-        w[:2] = 0.0, 1.5
-        assert_matches_march(solve_burgers_batch(model, w, 100),
-                             godunov_march(model, w, 100, steps=steps))
 
     @settings(max_examples=40, deadline=None)
     @given(case=burgers_cases())
@@ -507,10 +484,11 @@ class TestTiledKernelAgainstMarch:
     @settings(max_examples=60, deadline=None)
     @given(case=burgers_cases())
     def test_fields_within_speed_bound(self, case):
-        # the monotone scheme keeps every state in [0, max_speed] for cfl <= 1
+        # the monotone scheme keeps every state in [0, BURGERS_INFLOW] for
+        # cfl <= 1
         w, cells, model = case
         u = solve_burgers_batch(model, w, cells)
-        assert u.min() >= 0.0 and u.max() <= model.max_speed
+        assert u.min() >= 0.0 and u.max() <= BURGERS_INFLOW
 
 
 class TestFrontWindows:
@@ -642,9 +620,9 @@ class TestQoiBatchMemory:
         states = []
         inner = models._burgers_march
 
-        def recording(u1, ratios, plateau, inflow, x, f, d):
+        def recording(u1, ratios, plateau, x, f, d):
             states.append(x)
-            return inner(u1, ratios, plateau, inflow, x, f, d)
+            return inner(u1, ratios, plateau, x, f, d)
 
         monkeypatch.setattr(models, "_burgers_march", recording)
         cells = 128
@@ -701,21 +679,12 @@ class TestBurgers:
             assert np.all(q >= 15.0) and np.all(q <= 65.0)
 
     def test_plateau_beyond_speed_bound_rejected(self):
-        # the time step is fixed by the boundary states; a faster plateau
-        # would break the CFL condition
+        # the time step is fixed by the inflow state; a faster plateau would
+        # break the CFL condition
         with pytest.raises(ValueError, match="speed bound"):
             solve_burgers_batch(BURGERS, [1.0, 2.5], 64)
         with pytest.raises(ValueError, match="speed bound"):
-            replace(BURGERS, inflow=0.25).solve_field(-0.5, 64)
-
-    def test_zero_speed_bound_rejected(self):
-        # both boundary states 0 leave no CFL time step; the kernel and the
-        # work model share the one check in ModelSpec.max_speed
-        spec = replace(BURGERS, inflow=0.0)
-        with pytest.raises(ValueError, match="wave speed bound"):
-            solve_burgers_batch(spec, [0.0], 16)
-        with pytest.raises(ValueError, match="wave speed bound"):
-            spec.work_units(16)
+            BURGERS.solve_field(-2.5, 64)
 
 
 class TestQoi:
@@ -786,14 +755,11 @@ class TestWorkModel:
 class TestModelSpecValidation:
     @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.0000001, 1.5])
     def test_cfl_outside_unit_interval_rejected(self, cfl):
+        # above 1 the scheme is not monotone and states can turn negative;
+        # the spec rejects it before any solve
         with pytest.raises(ValueError, match="cfl"):
             replace(BURGERS, cfl=cfl)
 
     def test_cfl_one_accepted(self):
         spec = replace(BURGERS, cfl=1.0)
         assert spec.steps(32) == 16
-
-    @pytest.mark.parametrize("kw", [dict(inflow=-2.0), dict(outflow=-0.5)])
-    def test_negative_boundary_states_rejected(self, kw):
-        with pytest.raises(ValueError, match="nonnegative"):
-            replace(BURGERS, **kw)

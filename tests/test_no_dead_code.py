@@ -1,13 +1,16 @@
 """Dead-code guard: every top-level function and class of src/smlmc, and every
 public method, is used by the package itself, not only by the tests; every
-module-level constant and every dataclass field is read; and no parameter or
-field restates a config setting as its default.
+module-level constant and every dataclass field is read; no parameter, field
+or command-line option restates a config setting as its default; and the
+config passes every field of each object it builds.
 
 A definition counts as used when some module other than __init__.py refers
 to its name as a Name or an Attribute node; a mention in a docstring or a
-comment does not count.  Test oracles are the exception: code the engine does
-not run, kept so that the tests can check the code it does run.  Each one
-says so in its docstring.
+comment does not count.  Test oracles, code the package does not run that
+the tests check the code it does run against, live in tests/oracles.py.  The
+exceptions are the oracles the benchmark calls (SRC_ORACLES), which stay in
+the package as long as bench/workloads.py calls them.  Every oracle says so
+in its docstring.
 
 A module-level constant (a name a module-level assignment binds) counts as
 read when some module other than __init__.py loads it as a Name or an
@@ -23,35 +26,32 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "smlmc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "smlmc"
+ORACLES = ROOT / "tests" / "oracles.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
-TEST_ORACLES = {
-    # the step-by-step Crank-Nicolson march the spectral diffusion kernel is
-    # checked against
-    "thomas_solve",
-    # the quadrature of the whole diffusion field, which the QoI summed from
-    # the kernel's interior values is checked against
-    "qoi_trapezoid",
-    # the flux of the stepwise Godunov march the tiled Burgers kernel is
-    # checked against
-    "godunov_flux",
-    # the r = 1 case of required_samples_smlmc, with a plainer formula
-    "required_samples_mlmc",
-    # i.i.d. draws of the input law for the sampling-law criterion
-    "TruncatedLognormal.sample",
-    # the sup-norm error to a reference CDF, by which the acceptance tests
-    # and the benchmark judge every estimate
+SRC_ORACLES = {
+    # the sup-norm error to a reference CDF, by which the benchmark (and the
+    # acceptance tests) judge every estimate
     "sup_distance",
-    # the dense indicator matrix the engine's integer counts are checked
-    # against (the kernels' dense values play the same part, but the bare
-    # name "values" is always in use, by dict.values())
-    "indicator",
 }
+# The kernels' dense values are oracles too, and stay in the package because
+# the benchmark's trace wraps them.  This guard cannot see them: the bare name
+# "values" is always in use, by dict.values().
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def _modules():
-    return {p.name: ast.parse(p.read_text(), filename=str(p))
-            for p in sorted(SRC.glob("*.py"))}
+    return {p.name: _parse(p) for p in sorted(SRC.glob("*.py"))}
+
+
+def _oracle_names():
+    """The top-level functions of tests/oracles.py."""
+    return [node.name for node in _parse(ORACLES).body if isinstance(node, ast.FunctionDef)]
 
 
 def _definitions(modules):
@@ -88,18 +88,31 @@ def test_no_definition_is_used_only_by_tests():
     modules = _modules()
     used = _references(modules)
     unused = [qual for qual, bare, _ in _definitions(modules)
-              if bare not in used and qual not in TEST_ORACLES]
+              if bare not in used and qual not in SRC_ORACLES]
     assert not unused, f"defined in src/smlmc but never used there: {unused}"
 
 
-@pytest.mark.parametrize("name", sorted(TEST_ORACLES))
+@pytest.mark.parametrize("name", sorted(SRC_ORACLES))
+def test_src_oracles_are_called_by_the_benchmark(name):
+    # an oracle only the tests call belongs in tests/oracles.py
+    assert name in _references({"workloads.py": _parse(WORKLOADS)}), (
+        f"bench/workloads.py no longer calls {name}: move it to tests/oracles.py")
+
+
+@pytest.mark.parametrize("name", sorted(SRC_ORACLES | set(_oracle_names())))
 def test_oracles_are_documented_and_unused(name):
     modules = _modules()
-    docs = {qual: doc for qual, _, doc in _definitions(modules)}
-    assert name in docs, f"{name} is no longer defined; drop it from the list"
-    assert "oracle" in (docs[name] or ""), f"{name}'s docstring must call it an oracle"
-    # an oracle the package starts to use is no longer an exception
-    assert name.split(".")[-1] not in _references(modules)
+    src_docs = {qual: doc for qual, _, doc in _definitions(modules)}
+    test_docs = {qual: doc for qual, _, doc in _definitions({"oracles.py": _parse(ORACLES)})}
+    if name in SRC_ORACLES:
+        assert name in src_docs, f"{name} is no longer defined; drop it from SRC_ORACLES"
+    else:
+        # one copy, in the tests
+        assert name not in src_docs, f"{name} is defined in src/smlmc and in tests/oracles.py"
+    doc = src_docs.get(name) or test_docs.get(name) or ""
+    assert "oracle" in doc, f"{name}'s docstring must call it an oracle"
+    # an oracle the package starts to use is no longer an oracle
+    assert name not in _references(modules)
 
 
 def test_guard_sees_names_not_docstrings():
@@ -229,10 +242,16 @@ SETTING_NAMES = {"warmup", "factor"}
 def _setting_defaults(modules, settings):
     """Owner.name of every function parameter, and every dataclass field
     outside ExperimentConfig, that is named like a config setting and has a
-    default."""
+    default, and add_argument.--name of every command-line option so named
+    that has one."""
     out = []
     for tree in modules.values():
         for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+                    and any(k.arg == "default" for k in node.keywords)):
+                out += [f"add_argument.{a.value}" for a in node.args
+                        if isinstance(a, ast.Constant) and str(a.value).startswith("--")
+                        and a.value[2:].replace("-", "_") in settings]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
                 positional = args.posonlyargs + args.args
@@ -249,7 +268,7 @@ def _setting_defaults(modules, settings):
 
 def test_no_default_restates_a_config_setting():
     # a preset value lives in ExperimentConfig alone: the objects a config
-    # builds, and the functions they call, take it from there
+    # builds, the functions they call and the command line take it from there
     from smlmc.config import KEYS
 
     settings = {key for _, key, _, _ in KEYS} | {field for _, _, field, _ in KEYS} | SETTING_NAMES
@@ -263,6 +282,50 @@ def test_setting_guard_sees_parameters_and_fields():
         "def g(cfl, *, seed):\n    pass\n\n\n"
         "@dataclass\nclass C:\n    eps: float\n    warmup: int = 200\n\n\n"
         "@dataclass\nclass ExperimentConfig:\n    cfl: float = 0.9\n\n\n"
-        "class Plain:\n    seed = 0\n")
-    found = _setting_defaults({"m.py": tree}, {"cfl", "seed", "warmup", "eps"})
-    assert found == ["f.cfl", "f.seed", "C.warmup"]
+        "class Plain:\n    seed = 0\n\n\n"
+        "p.add_argument('--seed', type=int)\np.add_argument('--w', default=2.0)\n"
+        "p.add_argument('-d', '--min-stratum-samples', default=2)\n")
+    found = _setting_defaults({"m.py": tree},
+                              {"cfl", "seed", "warmup", "eps", "min_stratum_samples"})
+    assert found == ["f.cfl", "f.seed", "C.warmup", "add_argument.--min-stratum-samples"]
+
+
+# the objects ExperimentConfig builds for a run
+BUILT_BY_CONFIG = ("ModelSpec", "MeshHierarchy", "RunConfig", "NodeGrid", "TruncatedLognormal")
+
+
+def _init_fields(node):
+    """The fields of a dataclass that its __init__ takes, in order."""
+    return [item.target.id for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and not (isinstance(item.value, ast.Call) and any(
+                k.arg == "init" and getattr(k.value, "value", True) is False
+                for k in item.value.keywords))]
+
+
+def _unpassed_fields(modules, classes):
+    """Class.field of every __init__ field of the given dataclasses that no
+    call in config.py passes, by position or by keyword."""
+    init = {node.name: _init_fields(node) for tree in modules.values() for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in classes and _is_dataclass(node)}
+    assert set(init) == set(classes), f"not found: {sorted(set(classes) - set(init))}"
+    passed = {cls: set() for cls in init}
+    for node in ast.walk(modules["config.py"]):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in init:
+            cls = node.func.id
+            passed[cls] |= set(init[cls][:len(node.args)]) | {k.arg for k in node.keywords}
+    return [f"{cls}.{name}" for cls, names in init.items() for name in names
+            if name not in passed[cls]]
+
+
+def test_config_passes_every_field_it_builds():
+    # a field that config.py never passes is a setting no config can reach
+    unpassed = _unpassed_fields(_modules(), BUILT_BY_CONFIG)
+    assert not unpassed, f"fields that no config sets: {unpassed}"
+
+
+def test_passed_field_guard_counts_positions_and_keywords():
+    model = ast.parse("@dataclass\nclass C:\n    a: int\n    b: int\n    c: int = 1\n"
+                      "    d: int = field(init=False)\n    e: int = field(default=2)\n")
+    config = ast.parse("def f():\n    return C(1, c=2)\n\n\nC.b\n")
+    assert _unpassed_fields({"m.py": model, "config.py": config}, ("C",)) == ["C.b", "C.e"]
