@@ -155,14 +155,15 @@ def _inspect_lines(exp: ExperimentConfig, args) -> list:
             f"{i + 1},{strat.boundaries[i]:.12g},{strat.boundaries[i + 1]:.12g},"
             f"{strat.probs[i]:.12g}" for i in range(strat.r)]
     xs, field = exp.model_spec().solve_field(args.w, args.cells)
-    return ["x,u"] + [f"{x:.12g},{u:.12g}" for x, u in zip(xs, field)]
+    return ["x,u"] + [f"{x:.12g},{u:.12g}" for x, u in zip(xs, field[:, 0])]
 
 
 def cmd_inspect(args) -> int:
     exp = _load_experiment(args, None)
     try:
-        lines = _inspect_lines(exp, args)
-    except ValueError as exc:  # an argument the subject cannot use
+        with np.errstate(all="ignore"):  # the kernels' own checks report a non-finite field
+            lines = _inspect_lines(exp, args)
+    except (ValueError, FloatingPointError) as exc:  # an argument the subject cannot use
         raise SystemExit(f"smlmc: invalid inspect {args.subject}: {exc}") from exc
     print("\n".join(lines))
     return 0

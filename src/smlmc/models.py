@@ -3,30 +3,28 @@
 Two models ship:
 
 * linear diffusion on (0, 4) with a random diffusion coefficient, solved by
-  central differences in space and Crank-Nicolson in time (the whole march
-  evaluated exactly in the sine basis that diagonalises it, by DST-I, with
-  the set-up shared by every batch at a mesh and the step factors raised to
-  the step count by repeated squaring), QoI = 10 * integral of u^2 at
-  t = 0.2, summed from the interior values without assembling the field;
+  central differences in space and Crank-Nicolson in time, the whole march
+  evaluated exactly in the sine basis that diagonalises it (DST-I); QoI =
+  10 * integral of u^2 at t = 0.2;
 * inviscid Burgers on (0, 2) with a random nonnegative initial plateau,
   inflow state 2 and outflow state 0, solved by the first-order Godunov
   finite-volume scheme, which for the nonnegative states of this testbed is
-  the upwind scheme (every step four in-place passes over buffers allocated
-  once per batch, and only over the rows near the two fronts, from the
-  inflow boundary and from the plateau edge, where the update can be
-  nonzero; a batch is marched in tiles of ascending input, which keeps each
-  tile's fronts close together), QoI = 10 * integral of u^2 at t = 0.5.
+  the upwind scheme, run only over the rows near the solution's two fronts;
+  QoI = 10 * integral of u^2 at t = 0.5.
 
 A ModelSpec holds a testbed's parameters (final time, domain length, QoI
-scale and CFL number), its step count and work model; the solvers take the
+scale and CFL number), its step count and work model; the kernels take the
 spec, not copies of its values.  The diffusion walls and initial layer and
-the Burgers boundary states are fixed by the testbeds, as constants.  Both
-solvers work on numpy arrays of shape (space, batch).
-ModelSpec.qoi_batch is the one place that sizes a solve: it hands them column
-tiles that fit in cache and keeps only the QoIs, so any batch costs one
-tile's memory beyond its B output values.  ModelSpec.solve_field is the
-single-sample field.  A sample's QoI does not depend on the rest of its
-batch.
+the Burgers boundary states are fixed by the testbeds, as constants.
+
+Each testbed has one code path: a set-up that validates a call's inputs once
+(_diffusion_setup, _burgers_setup) and a kernel on numpy arrays of shape
+(space, batch) (_diffusion_interior, _burgers_march).  ModelSpec.qoi_batch
+dispatches to the model's QoI path (_diffusion_qois, _burgers_qois), the one
+place that sizes a solve: it hands the kernel column tiles that fit in cache
+and keeps only the QoIs, so any batch costs one tile's memory beyond its B
+output values.  ModelSpec.solve_field builds a batch's fields from the same
+set-up and kernel.  A sample's QoI does not depend on the rest of its batch.
 """
 
 from dataclasses import dataclass
@@ -71,7 +69,7 @@ def diffusion_steps(cells: int, final_time: float, length: float, dt_over_dx: fl
 
 
 @lru_cache(maxsize=32)
-def _diffusion_setup(cells: int, final_time: float, length: float, dt_over_dx: float):
+def _diffusion_mesh(cells: int, final_time: float, length: float, dt_over_dx: float):
     """The batch-independent half of the spectral diffusion kernel at one mesh.
 
     Returns (n_steps, dt, ramp, coeffs, mu): the step count and time step,
@@ -89,6 +87,18 @@ def _diffusion_setup(cells: int, final_time: float, length: float, dt_over_dx: f
     for a in (ramp, coeffs, mu):
         a.flags.writeable = False
     return n_steps, final_time / n_steps, ramp, coeffs, mu
+
+
+def _diffusion_setup(model, d, cells: int, dt_over_dx: float):
+    """The set-up of one diffusion call of a ModelSpec, after validating its
+    inputs, before any array is sized from cells: (dx, *_diffusion_mesh).
+    The model's own settings were checked when it was built."""
+    if cells < 2:
+        raise ValueError("need at least two cells")
+    if np.any(d <= 0):
+        raise ValueError("diffusion coefficient must be positive")
+    return (model.domain_length / cells,
+            *_diffusion_mesh(cells, model.final_time, model.domain_length, dt_over_dx))
 
 
 def _power(g, n: int, e, t):
@@ -125,26 +135,34 @@ def _power(g, n: int, e, t):
         e *= t
 
 
-def _diffusion_interior(d, cells: int, final_time: float, length: float,
-                        dt_over_dx: float, work):
-    """Interior node values u(x_1 .. x_{cells-1}, final_time) for a batch of
-    coefficients, shape (cells - 1, B): the spectral core that
-    solve_diffusion_batch and ModelSpec.qoi_batch share.
+def _diffusion_interior(d, setup, work):
+    """Interior node values u(x_1 .. x_{cells-1}, final_time), shape
+    (cells - 1, B), for a batch of coefficients d, over the set-up of
+    _diffusion_setup.  Nodes are x_j = j * dx; the walls hold u = -1 at 0
+    and +1 at domain_length, and the initial transition layer is
+    tanh((x - 2) / DIFFUSION_IC_WIDTH).
+
+    The Crank-Nicolson march is evaluated in closed form.  With the wall ramp
+    r(x) = -1 + 2x / domain_length subtracted, each step multiplies the
+    interior data by (I + lam A)^-1 (I - lam A), with lam = d dt / (2 dx^2)
+    per sample and A the Dirichlet second-difference matrix.  The
+    orthonormal DST-I diagonalises this step for any lam (Strang, SIAM
+    Review 41, 1999): mode k is scaled by g_k = (1 - lam mu_k) / (1 + lam mu_k),
+    with mu_k = 4 sin^2(k pi / (2 cells)).  So n steps are one DST-I of the
+    initial data, a multiply by g_k^n and one inverse DST-I over the batch.
+    The forward transform, the ramp and mu_k do not depend on the batch:
+    every batch at a mesh shares them (_diffusion_mesh).  g_k^n is taken by
+    squaring over the integer n (_power), with no pass at n = 1.  The step
+    count and the work model are those of the stepwise march.
 
     work is scratch of shape (3, n) with n >= (cells - 1) * B, which a caller
     that solves many tiles reuses for each of them; the values returned lie
     in work[0].  Fresh arrays for each tile cost more in page faults than the
     passes over them.
     """
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if np.any(d <= 0):
-        raise ValueError("diffusion coefficient must be positive")
-    if cells < 2:
-        raise ValueError("need at least two cells")
-    dx = length / cells
-    n_steps, dt, ramp, coeffs, mu = _diffusion_setup(cells, final_time, length, dt_over_dx)
+    dx, n_steps, dt, ramp, coeffs, mu = setup
     lam = d * dt / (2.0 * dx * dx)
-    g, e, t = (row[: (cells - 1) * d.shape[0]].reshape(cells - 1, d.shape[0]) for row in work)
+    g, e, t = (row[: mu.size * d.size].reshape(mu.size, d.size) for row in work)
     np.multiply(mu[:, None], lam, out=g)
     np.add(g, 1.0, out=t)
     np.subtract(1.0, g, out=g)
@@ -156,40 +174,10 @@ def _diffusion_interior(d, cells: int, final_time: float, length: float,
     return v
 
 
-def solve_diffusion_batch(model, d_coeffs, cells: int, dt_over_dx: float = 1.0):
-    """Diffusion fields of a diffusion ModelSpec for a batch of coefficients.
-
-    Returns an array of node values of shape (cells + 1, B) at the model's
-    final time.  Nodes are x_j = j * dx including the boundary nodes; the
-    interior unknowns advance by Crank-Nicolson.  Walls are held at
-    u(0) = -1 and u(domain_length) = +1; the initial transition layer is
-    tanh((x - 2) / 0.05).
-
-    The march is evaluated in closed form.  With the wall ramp
-    r(x) = -1 + 2x / domain_length subtracted, each step multiplies the
-    interior data by (I + lam A)^-1 (I - lam A), with lam = d dt / (2 dx^2)
-    per sample and A the Dirichlet second-difference matrix.  The orthonormal DST-I
-    diagonalises this step for any lam (Strang, SIAM Review 41, 1999): mode k
-    is scaled by g_k = (1 - lam mu_k) / (1 + lam mu_k), with
-    mu_k = 4 sin^2(k pi / (2 cells)).  So n steps are one DST-I of the initial
-    data, a multiply by g_k^n and one inverse DST-I over the batch.  The
-    forward transform, the ramp and mu_k do not depend on the batch: every
-    batch at a mesh shares them, built once (_diffusion_setup).  g_k^n is
-    taken by squaring over the integer n (_power), with no pass at n = 1.
-    The step count and the work model are those of the stepwise march.
-    ModelSpec.qoi_batch shares this kernel's interior values
-    (_diffusion_interior) and never assembles the field.
-    """
-    batch = np.atleast_1d(d_coeffs).shape[0]
-    v = _diffusion_interior(d_coeffs, cells, model.final_time, model.domain_length,
-                            dt_over_dx, np.empty((3, (cells - 1) * batch)))
-    u = np.empty((cells + 1, batch))
-    u[0] = -1.0
-    u[-1] = 1.0
-    u[1:-1] = v
-    if not np.all(np.isfinite(u)):
-        raise FloatingPointError("diffusion solve produced non-finite values")
-    return u
+def _burgers_dt(model, cells: int) -> float:
+    """The CFL time step of the Burgers march of a ModelSpec, fixed by
+    BURGERS_INFLOW, the wave-speed bound."""
+    return model.cfl * (model.domain_length / cells) / BURGERS_INFLOW
 
 
 def burgers_time_steps(model, cells: int) -> list:
@@ -201,7 +189,7 @@ def burgers_time_steps(model, cells: int) -> list:
     final_time and their count is the one the work model charges.
     """
     n_steps = model.steps(cells)
-    dt_cfl = model.cfl * (model.domain_length / cells) / BURGERS_INFLOW
+    dt_cfl = _burgers_dt(model, cells)
     steps = []
     t = 0.0
     for _ in range(n_steps - 1):
@@ -254,18 +242,17 @@ def _zero_suffix(u, floor, hi):
     return hi
 
 
-def _burgers_setup(model, u1_values, cells: int):
-    """The batch-independent half of the Burgers march of a ModelSpec, after
-    validating its inputs: (u1, ratios, plateau), the plateau heights as a
-    float array, the step ratios 0.5 * (dt / dx) of burgers_time_steps and
-    the number of cells of the initial plateau.  The model's own settings
-    were checked when it was built.
+def _burgers_setup(model, u1, cells: int):
+    """The set-up of one Burgers call of a ModelSpec, after validating its
+    inputs, before any array is sized from cells: (ratios, plateau), the
+    step ratios 0.5 * (dt / dx) of burgers_time_steps and the number of
+    cells of the initial plateau.  The model's own settings were checked
+    when it was built.
 
     Each ratio halves the rounded dt / dx exactly, and _upwind_rows scales
     the difference of the squares by it in place of halving every square:
     the two round alike wherever the halved squares are normal numbers.
     """
-    u1 = np.atleast_1d(np.asarray(u1_values, dtype=float))
     if cells < 2:
         raise ValueError("need at least two cells")
     if np.any(np.abs(u1) > BURGERS_INFLOW):
@@ -275,13 +262,50 @@ def _burgers_setup(model, u1_values, cells: int):
     dx = model.domain_length / cells
     ratios = [0.5 * (dt / dx) for dt in burgers_time_steps(model, cells)]
     plateau = int(np.count_nonzero((np.arange(cells) + 0.5) * dx <= 1.0))
-    return u1, ratios, plateau
+    return ratios, plateau
 
 
 def _burgers_march(u1, ratios, plateau: int, x, f, d):
     """Cell averages u at the final time, shape (cells, B), for plateau
-    heights u1 of shape (B,): the upwind core that solve_burgers_batch and
-    ModelSpec.qoi_batch share, over the ratios and plateau of _burgers_setup.
+    heights u1 of shape (B,), over the ratios and plateau of _burgers_setup.
+    Initial data is u1 on (0, 1] and 0 on (1, domain_length); the left ghost
+    cell carries the inflow state BURGERS_INFLOW and the right one the
+    outflow state 0.
+
+    Every state is nonnegative: the plateau heights are required to be, the
+    boundary states are, and with cfl <= 1 the monotone scheme keeps u in
+    [0, BURGERS_INFLOW] (the top only up to rounding).  For the convex flux
+    u^2 / 2 the Godunov flux of two nonnegative states is then the upwind
+    flux f(u_left) (LeVeque, Finite Volume Methods for Hyperbolic Problems,
+    2002, sec. 12.2): in IEEE arithmetic the exact Godunov flux
+    0.5 * max(max(u_left, 0)^2, min(u_right, 0)^2) is 0.5 * u_left^2, and
+    the march never reads the outflow ghost.  The tests march the Godunov
+    flux as the oracle of this kernel.
+
+    A step is four in-place passes over a window of rows (_upwind_rows).
+    Moving the flux's halving into the ratio is exact wherever the halved
+    squares are normal numbers, so fields keep the bits of the full sweep
+    down to the subnormal range, and below 2^-1000 differ from them by a few
+    units of 2^-1074; QoIs keep every bit.  A row whose state equals its left
+    neighbour's in every column gets the update u - 0 * ratio = u, bits and
+    all, so the march skips the rows where that is known to hold.
+    Upwinding moves information one cell per step, and the solution has two
+    fronts:
+
+    * the inflow front.  Before step k the rows [k + 1, plateau) still hold
+      u1 exactly, so step k updates rows [lo, min(k + 1, plateau)), where lo
+      is the measured prefix of rows equal to the inflow state in every
+      column (behind the boundary shock they reach it exactly); those rows
+      and their left neighbours stay equal for good;
+    * the plateau front.  Rows from hi on hold exactly 0 in every column,
+      with hi trimmed past the measured trailing zero rows and then grown by
+      one row a step, so step k updates rows [plateau, min(cells, hi + 1)).
+
+    Once k + 1 reaches plateau the two windows meet and the step updates
+    [lo, min(cells, hi + 1)).  While apart, neither window reads a row the
+    other writes, so skipping rows changes no bit.  lo and hi are measured
+    every _EDGE_CHECK_STEPS steps, _EDGE_ROWS rows at a time.  Columns never
+    mix, so a sample's field does not depend on its batch.
 
     x and f are scratch of shape (cells + 1, B) and d of shape (cells, B),
     which a caller that marches many tiles reuses for each of them: the
@@ -318,66 +342,6 @@ def _burgers_march(u1, ratios, plateau: int, x, f, d):
     return u
 
 
-def solve_burgers_batch(model, u1_values, cells: int):
-    """Burgers fields of a Burgers ModelSpec for a batch of nonnegative
-    initial plateau heights.
-
-    Returns cell averages of shape (cells, B) at the model's final time.
-    Initial data is u1 on (0, 1] and 0 on (1, domain_length); the left ghost
-    cell carries the inflow state BURGERS_INFLOW and the right one the
-    outflow state 0.  The time step is CFL-limited by the wave-speed bound
-    BURGERS_INFLOW, which every u1 must not exceed; the steps are those of
-    burgers_time_steps.
-
-    Every state is nonnegative: the plateau heights are required to be, the
-    boundary states are, and with cfl <= 1 the monotone scheme keeps u in
-    [0, BURGERS_INFLOW] (the top only up to rounding).  For the convex flux
-    u^2 / 2 the Godunov flux of two nonnegative states is then the upwind
-    flux f(u_left) (LeVeque, Finite Volume Methods for Hyperbolic Problems,
-    2002, sec. 12.2): in IEEE arithmetic the exact Godunov flux
-    0.5 * max(max(u_left, 0)^2, min(u_right, 0)^2) is 0.5 * u_left^2, and
-    the march never reads the outflow ghost.  The tests march the Godunov
-    flux as the oracle of this kernel.
-    Negative plateau heights, and heights above the speed bound, are rejected.
-
-    A step is four in-place passes over a window of rows (_upwind_rows):
-    square the left states into the flux buffer, difference it into the
-    third buffer, scale that by 0.5 * (dt / dx) and subtract it from u.
-    Moving the flux's halving into the ratio is exact wherever the halved
-    squares are normal numbers, so fields keep the bits of the full sweep
-    down to the subnormal range, and below 2^-1000 differ from them by a few
-    units of 2^-1074; QoIs keep every bit.  A row whose state equals its left
-    neighbour's in every column gets the update u - 0 * ratio = u, bits and
-    all, so the march skips the rows where that is known to hold.
-    Upwinding moves information one cell per step, and the solution has two
-    fronts:
-
-    * the inflow front.  Before step k the rows [k + 1, plateau) still hold
-      u1 exactly, so step k updates rows [lo, min(k + 1, plateau)), where lo
-      is the measured prefix of rows equal to the inflow state in every
-      column (behind the boundary shock they reach it exactly); those rows
-      and their left neighbours stay equal for good;
-    * the plateau front.  Rows from hi on hold exactly 0 in every column,
-      with hi trimmed past the measured trailing zero rows and then grown by
-      one row a step, so step k updates rows [plateau, min(cells, hi + 1)).
-
-    Once k + 1 reaches plateau the two windows meet and the step updates
-    [lo, min(cells, hi + 1)).  While apart, neither window reads a row the
-    other writes, so skipping rows changes no bit.  lo and hi are measured
-    every _EDGE_CHECK_STEPS steps, _EDGE_ROWS rows at a time.
-
-    One (cells + 1, B) state with the inflow ghost row written once, one
-    (cells + 1, B) flux buffer and one (cells, B) difference buffer serve
-    every step (_burgers_march).  Columns never mix, so a sample's field does
-    not depend on its batch.  ModelSpec.qoi_batch marches its batch in tiles
-    of ascending u1 in one set of buffers and keeps only the QoIs.
-    """
-    u1, ratios, plateau = _burgers_setup(model, u1_values, cells)
-    B = u1.shape[0]
-    return _burgers_march(u1, ratios, plateau, np.empty((cells + 1, B)),
-                          np.empty((cells + 1, B)), np.empty((cells, B)))
-
-
 def _squares_by_sample(field, buffer=None):
     """field^2 as (batch, space) with each sample's values contiguous, in
     buffer when given (a C-contiguous array of that shape).
@@ -395,12 +359,61 @@ def qoi_midpoint(field, dx: float, scale: float):
     return scale * dx * _squares_by_sample(field).sum(axis=-1)
 
 
-# Elements of one column tile: ModelSpec.qoi_batch solves a batch
+# Elements of one column tile: each model's QoI path solves a batch
 # _TILE_ELEMS // (cells + 1) samples at a time.  The Burgers march's three
 # buffers (about 1.5 MB at 2^16) stay in a 4 MiB L2 cache while the tile takes
 # all its steps; the best tile measured 2^15 to 2^16 elements at 32 to 512
 # cells.  The diffusion kernel's (cells, T) arrays are as large.
 _TILE_ELEMS = 1 << 16
+
+
+def _diffusion_qois(spec, w, cells: int, dt_over_dx: float):
+    """Diffusion QoIs of a ModelSpec for a batch of coefficients, without the
+    field.  The QoI is the squares of the kernel's interior values, in the
+    (batch, space) rows of _squares_by_sample, plus the walls' squares at
+    weight 0.5 each, in the order of the trapezoid rule on the field, so it
+    has the bits of that quadrature of ModelSpec.solve_field's field, the
+    tests' qoi_trapezoid oracle.  The set-up is validated once per call and
+    built once per mesh, the tiles share one scratch, and a non-finite QoI
+    raises.
+    """
+    setup = _diffusion_setup(spec, w, cells, dt_over_dx)
+    dx = setup[0]
+    tile = max(1, _TILE_ELEMS // (cells + 1))
+    out = np.empty(w.shape[0])
+    work = np.empty((3, (cells - 1) * min(tile, w.shape[0])))
+    for start in range(0, w.shape[0], tile):
+        v = _diffusion_interior(w[start : start + tile], setup, work)
+        squares = work[1, : v.size].reshape(v.shape[::-1])
+        q = spec.qoi_scale * dx * (0.5 + _squares_by_sample(v, squares).sum(axis=-1) + 0.5)
+        if not np.all(np.isfinite(q)):
+            raise FloatingPointError("diffusion solve produced non-finite values")
+        out[start : start + tile] = q
+    return out
+
+
+def _burgers_qois(spec, w, cells: int):
+    """Burgers QoIs of a ModelSpec for a batch of plateau heights.  The
+    inputs are validated and the march's step ratios built once per call
+    (_burgers_setup).  The tiles are taken in ascending u1, which narrows the
+    rows between a tile's slowest and fastest fronts that its steps update,
+    and every tile marches in one set of buffers (_burgers_march); each
+    tile's QoIs go back to their inputs' places in the output.
+    """
+    ratios, plateau = _burgers_setup(spec, w, cells)
+    order = np.argsort(w)
+    w = w[order]
+    dx = spec.domain_length / cells
+    tile = max(1, _TILE_ELEMS // (cells + 1))
+    out = np.empty(w.shape[0])
+    work = np.empty((3, (cells + 1) * min(tile, w.shape[0])))
+    for start in range(0, w.shape[0], tile):
+        part = w[start : start + tile]
+        x, f, d = (row[: m * part.size].reshape(m, part.size)
+                   for row, m in zip(work, (cells + 1, cells + 1, cells)))
+        u = _burgers_march(part, ratios, plateau, x, f, d)
+        out[order[start : start + tile]] = qoi_midpoint(u, dx, spec.qoi_scale)
+    return out
 
 
 @dataclass(frozen=True)
@@ -419,87 +432,49 @@ class ModelSpec:
             raise ValueError(f"unknown model {self.name!r}")
         if self.final_time <= 0:
             raise ValueError("final_time must be positive")
+        # checked for both models: the [model] cfl key is shared, so an
+        # out-of-range value is a config error whichever model reads it
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl {self.cfl} must lie in (0, 1]: above 1 the Burgers "
                              "scheme is not monotone")
 
     def qoi_batch(self, w, cells: int, dt_over_dx: float = 1.0):
-        """QoI values for a batch of inputs at the given resolution.
-
-        The only code that sizes a solve: the batch is solved in column tiles
-        of _TILE_ELEMS // (cells + 1) samples, keeping only the B QoIs, so
-        memory beyond the output does not grow with B.  dt_over_dx sets the
-        diffusion time step; the CFL-limited Burgers march ignores it.
-
-        The diffusion QoI comes without the field: the squares of the
-        kernel's interior values, in the (batch, space) rows of
-        _squares_by_sample, plus the two walls' 0.5 each in the order of the
-        trapezoid rule on the field, so it has the bits of that quadrature of
-        solve_diffusion_batch's field, the tests' qoi_trapezoid oracle.
-        Its set-up is built once per mesh and shared by every tile and call,
-        the tiles share one scratch, g^n is taken by squaring, and a
-        non-finite QoI raises.
-
-        The Burgers inputs are validated and the march's step ratios built
-        once per call (_burgers_setup).  The tiles are taken in ascending u1,
-        which narrows the rows between a tile's slowest and fastest fronts
-        that its steps update, and every tile marches in one set of buffers
-        (_burgers_march); each tile's QoIs go back to their inputs' places
-        in the output.
-        """
+        """QoI values for a batch of inputs at the given resolution, from the
+        model's QoI path (_diffusion_qois, _burgers_qois), which tiles the
+        batch.  dt_over_dx sets the diffusion time step; the CFL-limited
+        Burgers march ignores it."""
         w = np.atleast_1d(np.asarray(w, dtype=float))
-        dx = self.domain_length / cells
-        tile = max(1, _TILE_ELEMS // (cells + 1))
-        out = np.empty(w.shape[0])
         if self.name == "diffusion":
-            work = np.empty((3, (cells - 1) * min(tile, w.shape[0])))
-        else:
-            w, ratios, plateau = _burgers_setup(self, w, cells)
-            order = np.argsort(w)
-            w = w[order]
-            work = np.empty((3, (cells + 1) * min(tile, w.shape[0])))
-        for start in range(0, w.shape[0], tile):
-            part = w[start : start + tile]
-            if self.name == "diffusion":
-                v = _diffusion_interior(part, cells, self.final_time,
-                                        self.domain_length, dt_over_dx, work)
-                squares = work[1, : v.size].reshape(v.shape[::-1])
-                # the walls' squares, (-1)^2 and 1^2, enter with weight 0.5
-                # each, summed in qoi_trapezoid's order
-                q = self.qoi_scale * dx * (0.5 + _squares_by_sample(v, squares).sum(axis=-1)
-                                           + 0.5)
-                if not np.all(np.isfinite(q)):
-                    raise FloatingPointError("diffusion solve produced non-finite values")
-                out[start : start + tile] = q
-            else:
-                x, f, d = (row[: m * part.size].reshape(m, part.size)
-                           for row, m in zip(work, (cells + 1, cells + 1, cells)))
-                u = _burgers_march(part, ratios, plateau, x, f, d)
-                out[order[start : start + tile]] = qoi_midpoint(u, dx, self.qoi_scale)
-        return out
+            return _diffusion_qois(self, w, cells, dt_over_dx)
+        return _burgers_qois(self, w, cells)
 
-    def solve_field(self, w: float, cells: int):
-        """(x, u): the solution field for one input on the model's own grid,
-        the cells + 1 nodes for diffusion, the cell centres for Burgers."""
+    def solve_field(self, w, cells: int, dt_over_dx: float = 1.0):
+        """(x, u): the solution fields for a batch of inputs on the model's own
+        grid, u of shape (space, B): the cells + 1 nodes for diffusion, walls
+        included, the cell centres for Burgers.  dt_over_dx is qoi_batch's."""
+        w = np.atleast_1d(np.asarray(w, dtype=float))
         if self.name == "diffusion":
-            x = np.linspace(0.0, self.domain_length, cells + 1)
-            return x, solve_diffusion_batch(self, [w], cells)[:, 0]
-        x = (np.arange(cells) + 0.5) * self.domain_length / cells
-        return x, solve_burgers_batch(self, [w], cells)[:, 0]
+            setup = _diffusion_setup(self, w, cells, dt_over_dx)
+            v = _diffusion_interior(w, setup, np.empty((3, (cells - 1) * w.size)))
+            u = np.pad(v, ((1, 1), (0, 0)), constant_values=((-1.0, 1.0), (0.0, 0.0)))
+            if not np.all(np.isfinite(u)):
+                raise FloatingPointError("diffusion solve produced non-finite values")
+            return np.linspace(0.0, self.domain_length, cells + 1), u
+        ratios, plateau = _burgers_setup(self, w, cells)
+        u = _burgers_march(w, ratios, plateau, np.empty((cells + 1, w.size)),
+                           np.empty((cells + 1, w.size)), np.empty((cells, w.size)))
+        return (np.arange(cells) + 0.5) * self.domain_length / cells, u
 
     def steps(self, cells: int) -> int:
         """Time steps of one solve.  The Burgers march is CFL-limited, its
         final step clipped onto final_time: a ratio final_time / dt within a
         relative 1e-12 above an integer counts as that integer, because past
         a few thousand steps the ratio's rounding exceeds any absolute
-        tolerance, and the count would gain a step of rounding size.  The
-        CFL time step is fixed by BURGERS_INFLOW, the wave-speed bound."""
+        tolerance, and the count would gain a step of rounding size."""
         if self.name == "diffusion":
             return diffusion_steps(cells, self.final_time, self.domain_length)
-        dt = self.cfl * (self.domain_length / cells) / BURGERS_INFLOW
-        return int(np.ceil(self.final_time / dt * (1.0 - 1e-12)))
+        return int(np.ceil(self.final_time / _burgers_dt(self, cells) * (1.0 - 1e-12)))
 
     def work_units(self, cells: int) -> float:
         """Deterministic work model: cells times time steps for one solve."""
         return float(cells) * self.steps(cells)
-

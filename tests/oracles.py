@@ -15,7 +15,7 @@ def thomas_solve(lower, diag, upper, rhs):
     """Solve a tridiagonal system by the Thomas algorithm.
 
     The tests march Crank-Nicolson step by step with it as the oracle of
-    solve_diffusion_batch.
+    the spectral diffusion kernel's fields (ModelSpec.solve_field).
 
     Parameters
     ----------
@@ -67,10 +67,10 @@ def godunov_flux(u_left, u_right):
     otherwise, with zero flux across a transonic fan.  Vectorizes; equivalent
     to max(f(max(u_left, 0)), f(min(u_right, 0))).
 
-    solve_burgers_batch only admits nonnegative states, where this is the
+    The Burgers march only admits nonnegative states, where this is the
     upwind flux f(u_left) bit for bit, and does that arithmetic in place in
     its tile buffers.  The tests march with this function as the oracle of
-    that kernel.
+    that kernel's fields (ModelSpec.solve_field).
     """
     ul = np.asarray(u_left, dtype=float)
     ur = np.asarray(u_right, dtype=float)
@@ -89,11 +89,30 @@ def qoi_trapezoid(field, dx: float, scale: float):
 
     ModelSpec.qoi_batch sums the squares of the diffusion kernel's interior
     values and adds the walls' constant terms, with no field assembled.  The
-    tests hold this function on solve_diffusion_batch's field as the oracle
+    tests hold this function on ModelSpec.solve_field's field as the oracle
     of that interior QoI.
     """
     f2 = _squares_by_sample(field)
     return scale * dx * (0.5 * f2[..., 0] + f2[..., 1:-1].sum(axis=-1) + 0.5 * f2[..., -1])
+
+
+def exact_burgers_qoi(u1):
+    """The Burgers QoI at t = 0.5 in closed form, the oracle of the solver's
+    convergence and of the reference CDF.  The boundary shock (2 -> u1,
+    speed (2 + u1) / 2) and the plateau shock (u1 -> 0, speed u1 / 2) do not
+    interact before t = 1, so at t = 0.5 the profile is three constant
+    states: Q = 10 (4 x_1 + u1^2 (x_2 - x_1)) with x_1 = (2 + u1) / 4 and
+    x_2 = 1 + u1 / 4."""
+    return 20.0 + 10.0 * u1 + 5.0 * u1**2
+
+
+def exact_burgers_cdf(dist, q):
+    """The exact CDF of the Burgers QoI at the values q, for plateau heights
+    drawn from dist, the oracle of the Burgers reference CDFs:
+    F(q) = F_W(Q^-1(q)), with the increasing Q of exact_burgers_qoi inverted
+    on [0, 2] by linear interpolation on 20001 heights (within 2e-9)."""
+    u1 = np.linspace(0.0, 2.0, 20001)
+    return dist.cdf(np.interp(q, exact_burgers_qoi(u1), u1))
 
 
 def required_samples_mlmc(variances, works, eps: float, budget_factor: float):

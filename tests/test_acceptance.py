@@ -272,16 +272,12 @@ def test_criterion_5_exactness_suite(diffusion):
 def test_criterion_6_solver_orders():
     # diffusion: second order once the initial layer is resolved
     diffusion, burgers = preset("diffusion").model_spec(), preset("burgers").model_spec()
-    _, u1 = diffusion.solve_field(1.0, 1024)
-    _, u2 = diffusion.solve_field(1.0, 2048)
-    _, u3 = diffusion.solve_field(1.0, 4096)
+    u1, u2, u3 = (diffusion.solve_field(1.0, c)[1][:, 0] for c in (1024, 2048, 4096))
     e_c = np.abs(u2[::2] - u1).max()
     e_f = np.abs(u3[::2] - u2).max()
     diff_order = float(np.log2(e_c / e_f))
     # Burgers: first order in L1 with shocks present
-    _, b1 = burgers.solve_field(0.9, 128)
-    _, b2 = burgers.solve_field(0.9, 256)
-    _, b3 = burgers.solve_field(0.9, 512)
+    b1, b2, b3 = (burgers.solve_field(0.9, c)[1][:, 0] for c in (128, 256, 512))
     dx = 2.0 / 128
     eb_c = dx * np.abs(b2.reshape(-1, 2).mean(axis=1) - b1).sum()
     eb_f = (dx / 2) * np.abs(b3.reshape(-1, 2).mean(axis=1) - b2).sum()

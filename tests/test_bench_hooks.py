@@ -3,7 +3,8 @@
 bench/workloads.py (imported here, not changed) traces a protocol run by
 wrapping attributes of smlmc's modules and classes, tags each estimator run
 from the positional arguments of cli.run_mlmc and cli.run_smlmc, and reads
-the reports and CDF files smlmc run writes.  A refactor that breaks any of
+the reports and CDF files smlmc run writes; it judges Burgers estimates by
+its own copy of the testbed's closed form.  A refactor that breaks any of
 these would otherwise show only as a failed benchmark run.
 """
 
@@ -12,12 +13,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))  # workloads imports hostspeed and tracing from there
 
 import workloads  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
+from oracles import exact_burgers_cdf  # noqa: E402
 from smlmc import cli  # noqa: E402
 
 
@@ -57,3 +61,12 @@ def test_reference_pass():
     assert unit.ok
     assert unit.cost == 4096 * 52 * 512 == 109051904
     assert {"models.qoi_batch", "cdf.reference_cdf"} <= {s.name for s in result.spans}
+
+
+def test_burgers_reference_is_the_exact_cdf():
+    # the benchmark judges Burgers estimates against its own copy of the
+    # closed form (load_reference): it agrees with the tests' oracle at
+    # every node of the preset grid
+    ctx = workloads.prepare("burgers-protocol")
+    exact = exact_burgers_cdf(ctx.dist, ctx.grid.nodes)
+    assert np.allclose(ctx.reference.raw, exact, rtol=0.0, atol=1e-8)

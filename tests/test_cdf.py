@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import indicator, sample
+from oracles import exact_burgers_cdf, indicator, sample
 from smlmc.cdf import (
     CdfEstimate,
     NodeGrid,
@@ -227,13 +227,12 @@ class TestReference:
 
     def test_burgers_reference_against_exact_cdf(self):
         # the testbed has a closed-form solution at t = 0.5 (shocks do not
-        # interact): Q(u1) = 20 + 10 u1 + 5 u1^2, so F(q) = F_W(u1*(q))
+        # interact)
         grid = NodeGrid(15.0, 65.0, 100)
         hier = MeshHierarchy(m0=32, factor=2, l_star=3)
         ref = reference_cdf(BURGERS, BURG_DIST, grid, hier, mesh_refine=4,
                             quad_cells=256, quad_points=4, time_coarsen=1.0)
-        u1_star = -1.0 + np.sqrt(np.maximum(grid.nodes / 5.0 - 3.0, 0.0))
-        exact = BURG_DIST.cdf(u1_star)
+        exact = exact_burgers_cdf(BURG_DIST, grid.nodes)
         assert np.abs(ref.raw - exact).max() < 5e-3
 
     def test_unbiasedness_of_plain_mc_at_matched_level(self):

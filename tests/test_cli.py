@@ -210,10 +210,22 @@ class TestInspect:
         ["strata", "--preset", "diffusion", "--r", "0"],
         ["solver-field", "--preset", "burgers", "--w", "3.0"],
         ["solver-field", "--preset", "diffusion", "--cells", "1"],
+        # inputs the kernels take but cannot solve: the field is not finite
+        ["solver-field", "--preset", "diffusion", "--w", "nan"],
+        ["solver-field", "--preset", "diffusion", "--w", "inf"],
+        ["solver-field", "--preset", "burgers", "--w", "nan"],
     ])
+    @pytest.mark.filterwarnings("error")  # no numpy warning comes before the message
     def test_bad_arguments_end_in_a_message(self, argv):
         with pytest.raises(SystemExit, match=f"smlmc: invalid inspect {argv[0]}: "):
             main(["inspect", *argv])
+
+    @pytest.mark.parametrize("cells", ["0", "1", "-3"])
+    @pytest.mark.parametrize("model", ["diffusion", "burgers"])
+    def test_fewer_than_two_cells_end_in_a_message(self, model, cells):
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect", "solver-field", "--preset", model, "--cells", cells])
+        assert str(exc.value) == "smlmc: invalid inspect solver-field: need at least two cells"
 
     def test_bad_degree_ends_in_a_message(self, tmp_path):
         # the degree is only checked at load time when a polynomial method runs

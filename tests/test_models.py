@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import godunov_flux, qoi_trapezoid, thomas_solve
+from oracles import exact_burgers_qoi, godunov_flux, qoi_trapezoid, thomas_solve
 from smlmc import models
 from smlmc.config import preset
 from smlmc.estimators import SampleBank
@@ -17,8 +17,6 @@ from smlmc.models import (
     burgers_time_steps,
     diffusion_steps,
     qoi_midpoint,
-    solve_burgers_batch,
-    solve_diffusion_batch,
 )
 
 DIFFUSION = preset("diffusion").model_spec()
@@ -85,12 +83,12 @@ class TestMeshHierarchy:
 class TestDiffusion:
     def test_boundary_values_exact(self):
         _, u = DIFFUSION.solve_field(2.3, 64)
-        assert u[0] == -1.0 and u[-1] == 1.0
+        assert u[0, 0] == -1.0 and u[-1, 0] == 1.0
 
     def test_long_time_steady_state(self):
         x = np.linspace(0.0, 4.0, 513)
         _, u = replace(DIFFUSION, final_time=5.0).solve_field(4.0, 512)
-        assert np.abs(u - (x - 2.0) / 2.0).max() < 1e-3
+        assert np.abs(u[:, 0] - (x - 2.0) / 2.0).max() < 1e-3
 
     def test_grid_self_convergence_second_order(self):
         # second order shows once the initial layer (width 0.05) is resolved;
@@ -106,7 +104,7 @@ class TestDiffusion:
 
     def test_self_convergence_monotone_at_coarse_levels(self):
         d = 1.7
-        us = {c: DIFFUSION.solve_field(d, c)[1] for c in (128, 256, 512, 1024)}
+        us = {c: DIFFUSION.solve_field(d, c)[1][:, 0] for c in (128, 256, 512, 1024)}
         errs = [np.abs(us[2 * c][::2] - us[c]).max() for c in (128, 256, 512)]
         assert errs[0] > errs[1] > errs[2]
 
@@ -128,9 +126,9 @@ class TestDiffusion:
 
     def test_batch_matches_single(self):
         w = np.array([1.3, 2.2, 3.9])
-        batch = solve_diffusion_batch(DIFFUSION, w, 64)
+        _, batch = DIFFUSION.solve_field(w, 64)
         for i, wi in enumerate(w):
-            assert np.array_equal(batch[:, i], DIFFUSION.solve_field(wi, 64)[1])
+            assert np.array_equal(batch[:, i], DIFFUSION.solve_field(wi, 64)[1][:, 0])
 
 
 def cn_march(model, d, cells, dt_over_dx=1.0):
@@ -161,7 +159,7 @@ class TestSpectralKernelAgainstMarch:
     @pytest.mark.parametrize("cells", [16, 37, 128, 1024])
     def test_matches_dense_march(self, cells, dt_over_dx):
         oracle = cn_march(DIFFUSION, self.D, cells, dt_over_dx=dt_over_dx)
-        u = solve_diffusion_batch(DIFFUSION, self.D, cells, dt_over_dx=dt_over_dx)
+        _, u = DIFFUSION.solve_field(self.D, cells, dt_over_dx)
         assert u.shape == (cells + 1, self.D.size)
         assert np.abs(u - oracle).max() <= 1e-10
         dx = 4.0 / cells
@@ -173,20 +171,20 @@ class TestSpectralKernelAgainstMarch:
         for final_time in (0.2, 0.2 + 4.0 / 64):
             model = replace(DIFFUSION, final_time=final_time)
             oracle = cn_march(model, self.D, 64, dt_over_dx=4.0)
-            u = solve_diffusion_batch(model, self.D, 64, dt_over_dx=4.0)
+            _, u = model.solve_field(self.D, 64, dt_over_dx=4.0)
             assert np.abs(u - oracle).max() <= 1e-10
 
 
 class TestQoiFromInterior:
     """qoi_batch sums the diffusion kernel's interior squares with no field:
-    bit for bit qoi_trapezoid of solve_diffusion_batch's field, its oracle."""
+    bit for bit qoi_trapezoid of solve_field's field, its oracle."""
 
     @pytest.mark.parametrize("dt_over_dx", [1.0, 4.0])
     @pytest.mark.parametrize("cells", [2, 16, 17, 256, 4096])
     def test_matches_trapezoid_of_field(self, cells, dt_over_dx):
         # three samples past one tile, so that the batch spans two
         w = np.linspace(1.0, 4.0, _TILE_ELEMS // (cells + 1) + 3)
-        field = solve_diffusion_batch(DIFFUSION, w, cells, dt_over_dx=dt_over_dx)
+        _, field = DIFFUSION.solve_field(w, cells, dt_over_dx)
         oracle = qoi_trapezoid(field, 4.0 / cells, DIFFUSION.qoi_scale)
         assert np.array_equal(DIFFUSION.qoi_batch(w, cells, dt_over_dx), oracle)
 
@@ -203,18 +201,18 @@ class TestDiffusionSetup:
             return dst(*args, **kwargs)
 
         monkeypatch.setattr(models, "dst", counted)
-        models._diffusion_setup.cache_clear()
+        models._diffusion_mesh.cache_clear()
         w = np.linspace(1.0, 4.0, 3 * (_TILE_ELEMS // 129) + 1)  # four tiles at 128 cells
         for _ in range(3):
             DIFFUSION.qoi_batch(w, 128)
-        solve_diffusion_batch(DIFFUSION, w[:5], 128)
+        DIFFUSION.solve_field(w[:5], 128)
         assert len(calls) == 1
         # another time step is another mesh
         DIFFUSION.qoi_batch(w, 128, dt_over_dx=4.0)
         assert len(calls) == 2
 
     def test_cached_arrays_are_read_only(self):
-        _, _, *arrays = models._diffusion_setup(64, 0.2, 4.0, 1.0)
+        _, _, *arrays = models._diffusion_mesh(64, 0.2, 4.0, 1.0)
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -225,7 +223,7 @@ class TestDiffusionSetup:
             with pytest.raises(FloatingPointError):
                 DIFFUSION.qoi_batch([np.inf], 64)
             with pytest.raises(FloatingPointError):
-                solve_diffusion_batch(DIFFUSION, [np.inf], 64)
+                DIFFUSION.solve_field([np.inf], 64)
 
 
 def _exp_log_power(g, n, *scratch):
@@ -351,17 +349,6 @@ class TestGodunovFlux:
         assert godunov_flux(-1.5, -0.5) == pytest.approx(0.125)
 
 
-# Exact solution of the Burgers testbed at its final time: the boundary shock
-# (2 -> u1, speed (2 + u1)/2) and the plateau shock (u1 -> 0, speed u1/2) do
-# not interact before t = 1, so for t = 0.5 the profile is three constant
-# states and Q = 10 * (4 x_1 + u1^2 (x_2 - x_1)) with x_1 = (2 + u1) t / 2,
-# x_2 = 1 + u1 t / 2.
-def exact_burgers_qoi(u1, t=0.5, scale=10.0):
-    x1 = (2.0 + u1) * t / 2.0
-    x2 = 1.0 + u1 * t / 2.0
-    return scale * (4.0 * x1 + u1**2 * (x2 - x1))
-
-
 def loop_time_steps(dt_cfl, final_time):
     """Step sizes of a march that accumulates t and stops within 1e-14 of
     final_time, as the Burgers kernel once did."""
@@ -442,11 +429,12 @@ def burgers_cases(draw):
 
 
 class TestTiledKernelAgainstMarch:
-    """solve_burgers_batch is the stepwise Godunov march on every input it
-    accepts, to the stated tolerance of assert_matches_march: bit for bit
-    down to the subnormal range, and in every QoI.  The kernel marches
-    whatever batch it is given as one; the batch sizes are drawn around the
-    column tile ModelSpec.qoi_batch hands it."""
+    """The Burgers march (ModelSpec.solve_field) is the stepwise Godunov
+    march on every input it accepts, to the stated tolerance of
+    assert_matches_march: bit for bit down to the subnormal range, and in
+    every QoI.  The kernel marches whatever batch it is given as one; the
+    batch sizes are drawn around the column tile ModelSpec.qoi_batch hands
+    it."""
 
     # qoi_batch's tile holds _TILE_ELEMS // (cells + 1) samples: 21845 at 2
     # cells, 31 at 2048
@@ -457,7 +445,7 @@ class TestTiledKernelAgainstMarch:
         rng = np.random.default_rng(cells)
         for B in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
             w = rng.uniform(0.0, 2.0, B)
-            u = solve_burgers_batch(model, w, cells)
+            _, u = model.solve_field(w, cells)
             assert u.shape == (cells, B)
             assert_matches_march(u, godunov_march(model, w, cells))
 
@@ -465,20 +453,14 @@ class TestTiledKernelAgainstMarch:
     def test_negative_states_rejected(self, w):
         # the upwind flux is the Godunov flux only for nonnegative states
         with pytest.raises(ValueError, match="nonnegative"):
-            solve_burgers_batch(BURGERS, w, 64)
-
-    @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.0000001, 1.5])
-    def test_cfl_outside_unit_interval_rejected(self, cfl):
-        # above 1 the scheme is not monotone and states can turn negative
-        with pytest.raises(ValueError, match="cfl"):
-            solve_burgers_batch(replace(BURGERS, cfl=cfl), [0.5], 64)
+            BURGERS.solve_field(w, 64)
 
     @settings(max_examples=40, deadline=None)
     @given(case=burgers_cases())
     def test_bit_identical_to_march(self, case):
         w, cells, model = case
         steps = burgers_time_steps(model, cells)
-        assert_matches_march(solve_burgers_batch(model, w, cells),
+        assert_matches_march(model.solve_field(w, cells)[1],
                              godunov_march(model, w, cells, steps=steps))
 
     @settings(max_examples=60, deadline=None)
@@ -487,12 +469,12 @@ class TestTiledKernelAgainstMarch:
         # the monotone scheme keeps every state in [0, BURGERS_INFLOW] for
         # cfl <= 1
         w, cells, model = case
-        u = solve_burgers_batch(model, w, cells)
+        _, u = model.solve_field(w, cells)
         assert u.min() >= 0.0 and u.max() <= BURGERS_INFLOW
 
 
 class TestFrontWindows:
-    """solve_burgers_batch steps only the rows near the two fronts, where the
+    """The Burgers march steps only the rows near the two fronts, where the
     upwind update can be nonzero."""
 
     @pytest.fixture
@@ -515,7 +497,7 @@ class TestFrontWindows:
         cells = 128
         w = preset("burgers").distribution().inverse_cdf(
             np.random.default_rng(5).random(_TILE_ELEMS // (cells + 1)))
-        u = solve_burgers_batch(BURGERS, w, cells)
+        _, u = BURGERS.solve_field(w, cells)
         assert np.array_equal(u, godunov_march(BURGERS, w, cells))
         steps = BURGERS.steps(cells)
         reached = sum(min(cells, cells // 2 + k + 1) for k in range(steps))
@@ -553,7 +535,7 @@ class TestBurgersTimeSteps:
         assert spec.work_units(360) == 360 * len(steps)
         # and the solver takes exactly these 400 steps
         w = np.array([0.3, 1.1, 2.0])
-        u = solve_burgers_batch(spec, w, 360)
+        _, u = spec.solve_field(w, 360)
         assert np.array_equal(u, godunov_march(spec, w, 360, steps=steps))
         assert not np.array_equal(u, godunov_march(spec, w, 360))
 
@@ -658,9 +640,7 @@ class TestBurgers:
 
     def test_first_order_self_convergence(self):
         u1 = 0.9
-        _, u128 = BURGERS.solve_field(u1, 128)
-        _, u256 = BURGERS.solve_field(u1, 256)
-        _, u512 = BURGERS.solve_field(u1, 512)
+        u128, u256, u512 = (BURGERS.solve_field(u1, c)[1][:, 0] for c in (128, 256, 512))
         dx = 2.0 / 128
         e_coarse = dx * np.abs(u256.reshape(-1, 2).mean(axis=1) - u128).sum()
         e_fine = (dx / 2) * np.abs(u512.reshape(-1, 2).mean(axis=1) - u256).sum()
@@ -682,7 +662,7 @@ class TestBurgers:
         # the time step is fixed by the inflow state; a faster plateau would
         # break the CFL condition
         with pytest.raises(ValueError, match="speed bound"):
-            solve_burgers_batch(BURGERS, [1.0, 2.5], 64)
+            BURGERS.solve_field([1.0, 2.5], 64)
         with pytest.raises(ValueError, match="speed bound"):
             BURGERS.solve_field(-2.5, 64)
 
@@ -759,6 +739,13 @@ class TestModelSpecValidation:
         # the spec rejects it before any solve
         with pytest.raises(ValueError, match="cfl"):
             replace(BURGERS, cfl=cfl)
+
+    @pytest.mark.parametrize("cells", [0, 1, -3])
+    @pytest.mark.parametrize("model", [DIFFUSION, BURGERS], ids=["diffusion", "burgers"])
+    def test_fewer_than_two_cells_rejected(self, model, cells):
+        # checked once per call, before any array is sized from cells
+        with pytest.raises(ValueError, match="need at least two cells"):
+            model.qoi_batch([1.0], cells)
 
     def test_cfl_one_accepted(self):
         spec = replace(BURGERS, cfl=1.0)
