@@ -6,8 +6,9 @@ and its diffusion-preset value.  KEYS, the table of INI keys, is read off
 those fields: each row maps a (section, key) to a field and the converter of
 its text; loading, the rejection of unknown sections and keys, and the
 reference cache key all read it.
-METHODS is the one table of methods: each name maps to its smoother, whether
-it is stratified, and the field that holds its per-level warmup.
+METHODS is the one table of methods: each name maps to its smoother and
+whether it is stratified.  A method's per-level warmup follows its smoother
+alone: [warmup] plain without one, smoothed with one.
 
 A config checks itself by building every object a run will use: the model,
 the input law, the node grid, the mesh hierarchy and, for every planned run,
@@ -25,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 from .cdf import NodeGrid
-from .estimators import RunConfig
+from .estimators import MIN_STRATUM_SAMPLES, RunConfig
 from .inputs import TruncatedLognormal, build_equal_width_strata
 from .models import BURGERS_INFLOW, MeshHierarchy, ModelSpec
 
@@ -45,17 +46,16 @@ def _ini(section: str, key: str, default, conv=None):
 class MethodSpec:
     smoother: str     # none | giles | kde
     stratified: bool  # runs once per configured stratum count
-    warmup: str       # the ExperimentConfig field of its per-level warmup
 
 
 # in protocol order; mc sizes itself from the mlmc run, so its warmup is unused
 METHODS = {
-    "mlmc": MethodSpec("none", False, "warmup_plain"),
-    "mc": MethodSpec("none", False, "warmup_plain"),
-    "mlmc_giles": MethodSpec("giles", False, "warmup_smoothed"),
-    "mlmc_kde": MethodSpec("kde", False, "warmup_smoothed"),
-    "smlmc": MethodSpec("none", True, "warmup_strat_plain"),
-    "smlmc_kde": MethodSpec("kde", True, "warmup_strat_smoothed"),
+    "mlmc": MethodSpec("none", False),
+    "mc": MethodSpec("none", False),
+    "mlmc_giles": MethodSpec("giles", False),
+    "mlmc_kde": MethodSpec("kde", False),
+    "smlmc": MethodSpec("none", True),
+    "smlmc_kde": MethodSpec("kde", True),
 }
 
 
@@ -102,12 +102,9 @@ class ExperimentConfig:
     grid_s: int = _ini("grid", "s_count", 28)
     warmup_plain: int = _ini("warmup", "plain", 200)
     warmup_smoothed: int = _ini("warmup", "smoothed", 50)
-    warmup_strat_plain: int = _ini("warmup", "stratified_plain", 200)
-    warmup_strat_smoothed: int = _ini("warmup", "stratified_smoothed", 50)
     giles_degree: int = _ini("smoothing", "degree", 3)
     calibration_fraction: float = _ini("smoothing", "calibration_fraction", 0.15)
     sampling_safety: float = _ini("sampling", "safety", 2.5)
-    min_stratum_samples: int = _ini("sampling", "min_stratum_samples", 2)
     ref_mesh_refine: int = _ini("reference", "mesh_refine", 4)
     ref_quad_cells: int = _ini("reference", "quad_cells", 4096)
     ref_quad_points: int = _ini("reference", "quad_points", 8)
@@ -146,11 +143,9 @@ class ExperimentConfig:
                     cfg = self.run_config(method, eps, 0)
                 with _located(f"{method}, [smoothing] degree"):
                     cfg.make_smoother()
-            if self.warmup_for(method) < r * self.min_stratum_samples:
-                raise ValueError(
-                    f"{method} warmup {self.warmup_for(method)} cannot give "
-                    f"{self.min_stratum_samples} sample(s) to each of {r} strata"
-                )
+            if cfg.warmup < r * MIN_STRATUM_SAMPLES:
+                raise ValueError(f"{method} warmup {cfg.warmup} cannot give "
+                                 f"{MIN_STRATUM_SAMPLES} samples to each of {r} strata")
         if self.model == "burgers" and max(abs(self.w_lo), abs(self.w_hi)) > BURGERS_INFLOW:
             raise ValueError(
                 f"Burgers plateau support [{self.w_lo}, {self.w_hi}] exceeds the "
@@ -175,27 +170,30 @@ class ExperimentConfig:
     def stratification(self, r: int):
         return build_equal_width_strata(self.distribution(), r)
 
-    def warmup_for(self, method: str) -> int:
-        return getattr(self, METHODS[method].warmup)
+    def _warmup(self, method: str) -> tuple:
+        """A method's per-level warmup and its INI (section, key): [warmup]
+        plain without a smoother, smoothed with one, stratified or not."""
+        if METHODS[method].smoother == "none":
+            return self.warmup_plain, ("warmup", "plain")
+        return self.warmup_smoothed, ("warmup", "smoothed")
 
     def run_config(self, method: str, eps: float, run_idx: int) -> RunConfig:
         """The settings of one run of a method: realization run_idx at eps."""
         return RunConfig(
             eps=eps,
-            warmup=self.warmup_for(method),
+            warmup=self._warmup(method)[0],
             smoother=METHODS[method].smoother,
             giles_degree=self.giles_degree,
             seed=self.seed + run_idx,
             sampling_safety=self.sampling_safety,
             calibration_fraction=self.calibration_fraction,
-            min_stratum_samples=self.min_stratum_samples,
         )
 
     def _run_keys(self, method: str) -> dict:
         """(section, key) of the INI setting behind each field of a method's
         RunConfig."""
         at = {name: (section, key) for section, key, name, _ in KEYS}
-        at.update(eps=at["eps_values"], warmup=at[METHODS[method].warmup])
+        at.update(eps=at["eps_values"], warmup=self._warmup(method)[1])
         return {f.name: at[f.name] for f in fields(RunConfig) if f.name in at}
 
     def run_plan(self) -> list:

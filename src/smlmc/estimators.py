@@ -53,6 +53,10 @@ from .smoothing import GAUSSIAN_CDF, build_giles_polynomial, calibrate_bandwidth
 
 SQRT2 = np.sqrt(2.0)
 
+# the fewest samples a stratum (a level, unstratified) takes in any pass: its
+# variance estimate needs two
+MIN_STRATUM_SAMPLES = 2
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -64,7 +68,6 @@ class RunConfig:
     seed: int
     sampling_safety: float
     calibration_fraction: float
-    min_stratum_samples: int
     smoother: str = "none"             # none | giles | kde
 
     def __post_init__(self):
@@ -72,11 +75,8 @@ class RunConfig:
             raise ValueError("eps must be positive")
         if self.smoother not in ("none", "giles", "kde"):
             raise ValueError(f"unknown smoother {self.smoother!r}")
-        if self.min_stratum_samples < 1:
-            raise ValueError("min_stratum_samples must be at least 1")
-        if self.warmup < max(2, self.min_stratum_samples):
-            raise ValueError("need at least two warmup samples per level, "
-                             "and min_stratum_samples of them")
+        if self.warmup < MIN_STRATUM_SAMPLES:
+            raise ValueError("need at least two warmup samples per level")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be nonnegative")
         if self.sampling_safety <= 0:
@@ -460,7 +460,7 @@ class _Engine:
         lv.n[stratum] += fine.shape[0]
 
     def _allocate(self, total: int) -> np.ndarray:
-        return proportional_allocation(total, self.strat, self.cfg.min_stratum_samples)
+        return proportional_allocation(total, self.strat, MIN_STRATUM_SAMPLES)
 
     # -- level sizing -----------------------------------------------------
 

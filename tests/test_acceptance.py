@@ -351,7 +351,7 @@ l_star = 3
 
 [warmup]
 plain = 64
-stratified_smoothed = 32
+smoothed = 32
 """)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(cfg), "--out", str(out_a)]) == 0

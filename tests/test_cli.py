@@ -23,8 +23,6 @@ l_star = 2
 [warmup]
 plain = 32
 smoothed = 16
-stratified_plain = 32
-stratified_smoothed = 16
 """
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from smlmc.cli import _reference_cache_key, main
 from smlmc.config import KEYS, ExperimentConfig, load_config, preset
+from smlmc.estimators import MIN_STRATUM_SAMPLES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -202,48 +203,48 @@ class TestSamplingValidation:
         return str(path)
 
     @pytest.mark.parametrize("body,match", [
-        # batch_size is no longer a setting: the key fails as unknown, by name
+        # batch_size, min_stratum_samples and the stratified warmups are no
+        # longer settings: each key fails as unknown, by name
         ("[sampling]\nbatch_size = 0\n", "batch_size"),
-        ("[sampling]\nmin_stratum_samples = 0\n", "min_stratum_samples"),
+        ("[sampling]\nmin_stratum_samples = 0\n",
+         r"^unknown keys in \[sampling\]: \['min_stratum_samples'\]$"),
         ("[warmup]\nplain = 1\n", "two warmup"),
         ("[warmup]\nsmoothed = 1\n", "two warmup"),
-        ("[warmup]\nstratified_plain = 0\n", "two warmup"),
-        ("[warmup]\nstratified_smoothed = 1\n", "two warmup"),
+        ("[warmup]\nstratified_plain = 0\n",
+         r"^unknown keys in \[warmup\]: \['stratified_plain'\]$"),
+        ("[warmup]\nstratified_smoothed = 1\n",
+         r"^unknown keys in \[warmup\]: \['stratified_smoothed'\]$"),
     ])
     def test_rejected_at_load(self, tmp_path, body, match):
         with pytest.raises(ValueError, match=match):
             load_config(self._write(tmp_path, body))
 
     def test_stratified_warmup_below_strata_floor(self, tmp_path):
-        # 16 strata x 2 samples need a warmup of 32; the preset runs 16 strata
-        path = self._write(tmp_path, "[warmup]\nstratified_smoothed = 31\n")
-        with pytest.raises(ValueError, match="smlmc_kde warmup 31"):
-            load_config(path)
-
-    def test_strata_floor_follows_min_stratum_samples(self, tmp_path):
-        # 8 strata x 7 samples need 56; the smoothed stratified warmup is 50
-        path = self._write(tmp_path, "strata = 8\n"
-                           "[sampling]\nmin_stratum_samples = 7\n")
-        with pytest.raises(ValueError, match="smlmc_kde warmup 50 cannot give 7"):
+        # 16 strata x 2 samples need a warmup of 32; the preset runs 16 strata,
+        # and smlmc_kde reads the smoothed warmup
+        path = self._write(tmp_path, "[warmup]\nsmoothed = 31\n")
+        with pytest.raises(ValueError, match="smlmc_kde warmup 31 cannot give 2 samples"):
             load_config(path)
 
     def test_floor_only_for_methods_that_run(self):
         exp = preset("diffusion")
-        with pytest.raises(ValueError, match="smlmc warmup"):
-            replace(exp, warmup_strat_plain=10)
-        ok = replace(exp, methods=("mlmc", "smlmc_kde"), warmup_strat_plain=10)
-        assert ok.warmup_strat_plain == 10
+        with pytest.raises(ValueError, match="smlmc_kde warmup"):
+            replace(exp, warmup_smoothed=10)
+        ok = replace(exp, methods=("mlmc", "mlmc_kde"), warmup_smoothed=10)
+        assert ok.warmup_smoothed == 10
 
     def test_plain_warmup_needs_min_stratum_samples(self):
-        # a plain run's RunConfig holds its warmup to min_stratum_samples
-        with pytest.raises(ValueError, match="min_stratum_samples of them"):
-            replace(preset("burgers"), warmup_plain=4, min_stratum_samples=5,
-                    warmup_strat_plain=80, warmup_strat_smoothed=80)
+        # every level of a plain run takes MIN_STRATUM_SAMPLES warmup samples
+        # at least, as each stratum of a stratified one does
+        exp = replace(preset("burgers"), methods=("mlmc", "mc"), strata_counts=(1,))
+        with pytest.raises(ValueError, match="two warmup samples"):
+            replace(exp, warmup_plain=MIN_STRATUM_SAMPLES - 1)
+        assert replace(exp, warmup_plain=MIN_STRATUM_SAMPLES).warmup_plain == 2
 
     def test_floor_met_exactly(self):
-        exp = replace(preset("diffusion"), warmup_strat_plain=32,
-                      warmup_strat_smoothed=32)
-        assert exp.warmup_strat_smoothed == 32
+        # 16 strata x 2 samples: both stratified methods at their floor
+        exp = replace(preset("diffusion"), warmup_plain=32, warmup_smoothed=32)
+        assert exp.warmup_plain == exp.warmup_smoothed == 32
 
 
 def _ini_of(exp) -> str:
@@ -323,8 +324,7 @@ class TestRejectedAtLoad:
         ("[sampling]\nsafety = 0\n",
          r"^mlmc at eps 0\.01, \[sampling\] safety: sampling_safety must be positive"),
         ("[warmup]\nsmoothed = 1\n",
-         r"^mlmc_giles at eps 0\.01, \[warmup\] smoothed, \[sampling\] min_stratum_samples: "
-         "need at least two warmup samples"),
+         r"^mlmc_giles at eps 0\.01, \[warmup\] smoothed: need at least two warmup samples"),
         ("[model]\nm0 = 1\n", r"^\[model\]: coarsest mesh"),
     ])
     def test_rejected(self, tmp_path, body, match):

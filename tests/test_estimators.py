@@ -15,6 +15,7 @@ from smlmc.cdf import NodeGrid
 from smlmc.cli import run_realization
 from smlmc.config import METHODS, preset, run_tag
 from smlmc.estimators import (
+    MIN_STRATUM_SAMPLES,
     LevelState,
     SampleBank,
     mc_sample_count,
@@ -300,8 +301,7 @@ class TestRunSmlmc:
         # (method, strata) pairs in order, their tags are distinct, and each
         # result is the run its tag names (smoother and stratum count)
         exp = replace(EXP, methods=tuple(METHODS), strata_counts=(r,), l_star=1,
-                      warmup_plain=16, warmup_smoothed=16, warmup_strat_plain=16,
-                      warmup_strat_smoothed=16, seed=3)
+                      warmup_plain=16, warmup_smoothed=16, seed=3)
         runs = list(run_realization(exp, 0.2, 0))
         assert [(m, s) for m, s, _ in runs] == exp.run_plan()
         tags = [run_tag(m, s) for m, s, _ in runs]
@@ -323,7 +323,7 @@ class TestRunSmlmc:
         cfg = replace(RUN, eps=0.02, seed=7, **FAST)
         res = run_smlmc(MODEL, DIST, strat, GRID, HIER3, cfg)
         for lv in res.levels:
-            assert np.all(lv.n >= cfg.min_stratum_samples)
+            assert np.all(lv.n >= MIN_STRATUM_SAMPLES)
         raw = res.estimate.raw
         assert raw[0] < 0.2 and raw[-1] > 0.8
 
@@ -410,8 +410,7 @@ class TestOneSolvePerPass:
         cfg = replace(RUN, eps=0.03, seed=5, **FAST)
         res = run_smlmc(MODEL, DIST, build_equal_width_strata(DIST, r), GRID, HIER3, cfg)
         assert res.l_max >= 2
-        warmup = int(proportional_allocation(cfg.warmup, res.strat,
-                                             cfg.min_stratum_samples).sum())
+        warmup = int(proportional_allocation(cfg.warmup, res.strat, MIN_STRATUM_SAMPLES).sum())
         assert calls == self._expected_calls(res, warmup)
 
     def test_held_rows_never_reach_qoi_batch(self, monkeypatch):
@@ -654,14 +653,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             replace(RUN, eps=0.01, smoother="boxcar")
 
-    @pytest.mark.parametrize("bad", [
-        dict(min_stratum_samples=0),
-        dict(warmup=1),
-        dict(warmup=0),
-        dict(warmup=3, min_stratum_samples=4),
-    ])
+    # a level's variance estimate needs two warmup samples
+    @pytest.mark.parametrize("bad", [dict(warmup=1), dict(warmup=0), dict(warmup=-1)])
     def test_invalid_sampling_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="two warmup samples"):
             replace(RUN, eps=0.01, **bad)
 
     @pytest.mark.parametrize("bad,match", [
@@ -677,5 +672,5 @@ class TestRunConfig:
             replace(RUN, eps=0.01, **bad)
 
     def test_smallest_valid_sampling(self):
-        cfg = replace(RUN, eps=0.01, warmup=2, min_stratum_samples=2)
-        assert cfg.warmup == cfg.min_stratum_samples == 2
+        cfg = replace(RUN, eps=0.01, warmup=MIN_STRATUM_SAMPLES)
+        assert cfg.warmup == MIN_STRATUM_SAMPLES == 2
