@@ -432,6 +432,8 @@ class ModelSpec:
             raise ValueError(f"unknown model {self.name!r}")
         if self.final_time <= 0:
             raise ValueError("final_time must be positive")
+        if self.domain_length <= 0:
+            raise ValueError("domain_length must be positive")
         # checked for both models: the [model] cfl key is shared, so an
         # out-of-range value is a config error whichever model reads it
         if not 0.0 < self.cfl <= 1.0:

@@ -326,6 +326,9 @@ class TestRejectedAtLoad:
         ("[warmup]\nsmoothed = 1\n",
          r"^mlmc_giles at eps 0\.01, \[warmup\] smoothed: need at least two warmup samples"),
         ("[model]\nm0 = 1\n", r"^\[model\]: coarsest mesh"),
+        # a zero-length domain loaded, and every run then failed
+        ("[model]\ndomain_length = 0\n", r"^\[model\]: domain_length must be positive$"),
+        ("[model]\ndomain_length = -4\n", r"^\[model\]: domain_length must be positive$"),
     ])
     def test_rejected(self, tmp_path, body, match):
         path = tmp_path / "bad.ini"

@@ -740,6 +740,13 @@ class TestModelSpecValidation:
         with pytest.raises(ValueError, match="cfl"):
             replace(BURGERS, cfl=cfl)
 
+    @pytest.mark.parametrize("length", [0.0, -4.0])
+    @pytest.mark.parametrize("model", [DIFFUSION, BURGERS], ids=["diffusion", "burgers"])
+    def test_nonpositive_domain_length_rejected(self, model, length):
+        # a zero-length domain once loaded and failed every run
+        with pytest.raises(ValueError, match="domain_length must be positive"):
+            replace(model, domain_length=length)
+
     @pytest.mark.parametrize("cells", [0, 1, -3])
     @pytest.mark.parametrize("model", [DIFFUSION, BURGERS], ids=["diffusion", "burgers"])
     def test_fewer_than_two_cells_rejected(self, model, cells):
