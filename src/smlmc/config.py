@@ -21,6 +21,7 @@ owns are made here.
 """
 
 import configparser
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -114,6 +115,10 @@ class ExperimentConfig:
         for f in fields(self):
             section, key = f.metadata["ini"]
             value = getattr(self, f.name)
+            # nan and inf get past checks such as value <= 0 and fail mid-run
+            items = value if f.metadata["conv"] else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ValueError(f"[{section}] {key} must be finite, not {value}")
             if f.metadata["conv"] and (not value or len(set(value)) < len(value)):
                 raise ValueError(f"[{section}] {key} must list each value once, "
                                  f"and at least one: {value}")

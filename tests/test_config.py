@@ -287,6 +287,36 @@ class TestKeyTable:
         assert listed == [(section, key) for section, key, _, _ in KEYS]
 
 
+def _is_float(value) -> bool:
+    return all(isinstance(v, float) for v in (value if isinstance(value, tuple) else (value,)))
+
+
+# every float key, the eps list included, read off the table
+FLOAT_KEYS = [(section, key) for section, key, field, _ in KEYS
+              if _is_float(getattr(preset("diffusion"), field))]
+
+
+class TestFiniteValues:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
+    def test_non_finite_rejected(self, tmp_path, section, key, value):
+        # a nan eps once ran mlmc and then failed mc converting its sample
+        # count; most ranges were checked as value <= 0, which nan passes
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\nmodel = diffusion\n"
+                        + ("" if section == "experiment" else f"[{section}]\n")
+                        + f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=rf"^\[{section}\] {key} must be finite, not "):
+            load_config(str(path))
+
+    def test_list_elements_checked(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[experiment]\nmodel = diffusion\neps = 0.01, nan\n")
+        with pytest.raises(ValueError,
+                           match=r"^\[experiment\] eps must be finite, not \(0\.01, nan\)$"):
+            load_config(str(path))
+
+
 class TestRejectedAtLoad:
     """Settings that no run can use fail in load_config, each in the object
     that uses it."""
