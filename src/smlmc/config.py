@@ -245,8 +245,11 @@ def preset(name: str) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     """Read an INI config; the [experiment] model key selects the preset whose
     values any other key overrides.  Unknown sections or keys are errors."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)  # no key interpolates: % is text
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # a repeated key or section, no section header
+        raise ValueError(" ".join(str(exc).split())) from exc
     if not read:
         raise ValueError(f"cannot read config file {path!r}")
     # the retired work-model key: the benchmark's generated INI still writes
@@ -265,7 +268,9 @@ def load_config(path: str) -> ExperimentConfig:
             raise ValueError(f"unknown keys in [{section}]: {sorted(unknown)}")
     if not parser.has_option("experiment", "model"):
         raise ValueError("config needs [experiment] with a model key")
-    return replace(preset(parser["experiment"]["model"]), **{
-        name: conv(parser[section][key])
-        for section, key, name, conv in KEYS if parser.has_option(section, key)
-    })
+    values = {}
+    for section, key, name, conv in KEYS:
+        if parser.has_option(section, key):
+            with _located(f"[{section}] {key}"):
+                values[name] = conv(parser[section][key])
+    return replace(preset(parser["experiment"]["model"]), **values)

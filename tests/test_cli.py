@@ -143,6 +143,29 @@ class TestRun:
             main(["run"])
 
 
+class TestMalformedConfig:
+    @pytest.mark.parametrize("body,match", [
+        ("[experiment]\nmodel = diffusion\nseed = 1\nseed = 2\n",
+         "option 'seed' in section 'experiment' already exists"),
+        ("seed = 1\n", "File contains no section headers"),
+    ])
+    def test_ends_in_one_line(self, tmp_path, body, match):
+        path = tmp_path / "bad.ini"
+        path.write_text(body)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(path), "--dry-run"])
+        message = str(exc.value)
+        assert message.startswith("smlmc: invalid config: ") and "\n" not in message
+        assert match in message
+
+    def test_percent_is_literal(self, tmp_path, capsys):
+        # no key interpolates, so a % is part of the value
+        path = tmp_path / "exp.ini"
+        path.write_text("[experiment]\nmodel = diffusion\nout = res%ults\n")
+        assert load_config(str(path)).out == "res%ults"
+        assert main(["run", "--config", str(path), "--dry-run"]) == 0
+
+
 class TestReference:
     def test_compute_and_cache(self, tmp_path, capsys):
         cfg_path = tmp_path / "ref.ini"

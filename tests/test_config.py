@@ -359,6 +359,10 @@ class TestRejectedAtLoad:
         # a zero-length domain loaded, and every run then failed
         ("[model]\ndomain_length = 0\n", r"^\[model\]: domain_length must be positive$"),
         ("[model]\ndomain_length = -4\n", r"^\[model\]: domain_length must be positive$"),
+        # a value that does not convert names its key
+        ("[model]\nm0 = abc\n", r"^\[model\] m0: invalid literal for int\(\)"),
+        ("[model]\nfinal_time = abc\n", r"^\[model\] final_time: could not convert"),
+        ("strata = 8, x\n", r"^\[experiment\] strata: invalid literal for int\(\)"),
     ])
     def test_rejected(self, tmp_path, body, match):
         path = tmp_path / "bad.ini"
