@@ -743,7 +743,7 @@ class TestModelSpecValidation:
     @pytest.mark.parametrize("length", [0.0, -4.0])
     @pytest.mark.parametrize("model", [DIFFUSION, BURGERS], ids=["diffusion", "burgers"])
     def test_nonpositive_domain_length_rejected(self, model, length):
-        # a zero-length domain once loaded and failed every run
+        # the mesh width is domain_length / cells
         with pytest.raises(ValueError, match="domain_length must be positive"):
             replace(model, domain_length=length)
 
