@@ -53,8 +53,8 @@ from .smoothing import GAUSSIAN_CDF, build_giles_polynomial, calibrate_bandwidth
 
 SQRT2 = np.sqrt(2.0)
 
-# the fewest samples a stratum (a level, unstratified) takes in any pass: its
-# variance estimate needs two
+# the fewest samples each stratum of a level (an unstratified level is one
+# stratum) takes in a pass: its variance estimate needs two
 MIN_STRATUM_SAMPLES = 2
 
 

@@ -158,7 +158,7 @@ class TestMalformedConfig:
         assert message.startswith("smlmc: invalid config: ") and "\n" not in message
         assert match in message
 
-    def test_percent_is_literal(self, tmp_path, capsys):
+    def test_percent_is_literal(self, tmp_path):
         # no key interpolates, so a % is part of the value
         path = tmp_path / "exp.ini"
         path.write_text("[experiment]\nmodel = diffusion\nout = res%ults\n")

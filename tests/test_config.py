@@ -236,7 +236,7 @@ class TestSamplingValidation:
     def test_plain_warmup_needs_min_stratum_samples(self):
         # every level of a plain run takes MIN_STRATUM_SAMPLES warmup samples
         # at least, as each stratum of a stratified one does
-        exp = replace(preset("burgers"), methods=("mlmc", "mc"), strata_counts=(1,))
+        exp = replace(preset("burgers"), methods=("mlmc", "mc"))
         with pytest.raises(ValueError, match="two warmup samples"):
             replace(exp, warmup_plain=MIN_STRATUM_SAMPLES - 1)
         assert replace(exp, warmup_plain=MIN_STRATUM_SAMPLES).warmup_plain == 2
