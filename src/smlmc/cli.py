@@ -22,7 +22,7 @@ from . import cdf as cdf_mod
 from .config import KEYS, METHODS, ExperimentConfig, load_config, preset, run_tag
 from .cost import aggregate, comparison_table, table_to_csv
 from .estimators import SampleBank, run_mc, run_mlmc, run_smlmc
-from .smoothing import build_giles_polynomial
+from .smoothing import SMOOTHERS
 
 
 def run_realization(exp: ExperimentConfig, eps: float, k: int):
@@ -146,7 +146,7 @@ def cmd_reference(args) -> int:
 def _inspect_lines(exp: ExperimentConfig, args) -> list:
     """The lines smlmc inspect prints about its subject."""
     if args.subject == "giles-poly":
-        poly = build_giles_polynomial(exp.giles_degree)
+        poly = SMOOTHERS["giles"]
         payload = {"degree_d": poly.degree_d, "coeffs": poly.coeffs.tolist()}
         return [json.dumps(payload, indent=2, sort_keys=True)]
     if args.subject == "strata":

@@ -12,7 +12,7 @@ alone: [warmup] plain without one, smoothed with one.
 
 A config checks itself by building every object a run will use: the model,
 the input law, the node grid, the mesh hierarchy and, for every planned run,
-its stratification, its RunConfig at every tolerance and that run's smoother.
+its stratification and its RunConfig at every tolerance.
 Each of them rejects the settings it cannot use, so a config that cannot run
 fails when it is loaded, not hours into a run.  Its error names the INI
 section the object reads and, for a run's settings, the method, the tolerance
@@ -103,9 +103,6 @@ class ExperimentConfig:
     grid_s: int = _ini("grid", "s_count", 28)
     warmup_plain: int = _ini("warmup", "plain", 200)
     warmup_smoothed: int = _ini("warmup", "smoothed", 50)
-    giles_degree: int = _ini("smoothing", "degree", 3)
-    calibration_fraction: float = _ini("smoothing", "calibration_fraction", 0.15)
-    sampling_safety: float = _ini("sampling", "safety", 2.5)
     ref_mesh_refine: int = _ini("reference", "mesh_refine", 4)
     ref_quad_cells: int = _ini("reference", "quad_cells", 4096)
     ref_quad_points: int = _ini("reference", "quad_points", 8)
@@ -146,8 +143,6 @@ class ExperimentConfig:
             for eps in self.eps_values:
                 with _located(f"{method} at eps {eps}", self._run_keys(method)):
                     cfg = self.run_config(method, eps, 0)
-                with _located(f"{method}, [smoothing] degree"):
-                    cfg.make_smoother()
             if cfg.warmup < r * MIN_STRATUM_SAMPLES:
                 raise ValueError(f"{method} warmup {cfg.warmup} cannot give "
                                  f"{MIN_STRATUM_SAMPLES} samples to each of {r} strata")
@@ -188,10 +183,7 @@ class ExperimentConfig:
             eps=eps,
             warmup=self._warmup(method)[0],
             smoother=METHODS[method].smoother,
-            giles_degree=self.giles_degree,
             seed=self.seed + run_idx,
-            sampling_safety=self.sampling_safety,
-            calibration_fraction=self.calibration_fraction,
         )
 
     def _run_keys(self, method: str) -> dict:

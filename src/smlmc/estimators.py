@@ -17,12 +17,11 @@ so a bank shared by the runs of one realization (as the CLI shares one per
 realization) solves each input once.  Every run still records, and is
 charged for, every row it uses, so its results are those of the run alone.
 
-Sampling budgets carry a configurable safety factor on top of the textbook
-budget split: the split bounds the worst single node's mean squared error,
-while the acceptance metric is the supremum over all nodes, which for an
-empirical-CDF-type process runs about 1.3x the worst node (Kolmogorov
-statistic).  The default safety of 2.5 absorbs that inflation; setting it to
-1.0 recovers the textbook counts.
+Sampling budgets carry a fixed safety factor, SAMPLING_SAFETY, on top of
+the textbook budget split: the split bounds the worst single node's mean
+squared error, while the acceptance metric is the supremum over all nodes,
+which for an empirical-CDF-type process runs about 1.3x the worst node
+(Kolmogorov statistic).  A safety of 2.5 absorbs that inflation.
 
 Each solved batch enters the per-node running sums without a dense
 (batch, nodes) matrix.  Indicator sums are integer counts from one sort of
@@ -49,13 +48,18 @@ from .inputs import (
     substream,
 )
 from .models import MeshHierarchy, ModelSpec
-from .smoothing import GAUSSIAN_CDF, build_giles_polynomial, calibrate_bandwidth
+from .smoothing import SMOOTHERS, calibrate_bandwidth
 
 SQRT2 = np.sqrt(2.0)
 
 # the fewest samples each stratum of a level (an unstratified level is one
 # stratum) takes in a pass: its variance estimate needs two
 MIN_STRATUM_SAMPLES = 2
+# the factor on the textbook sampling budgets: the split bounds the worst
+# node's error, and the sup-norm error over all nodes runs about 1.3x that
+SAMPLING_SAFETY = 2.5
+# the smoothing-bias target of each level's bandwidth, as a fraction of eps
+CALIBRATION_FRACTION = 0.15
 
 
 @dataclass(frozen=True)
@@ -64,39 +68,25 @@ class RunConfig:
 
     eps: float
     warmup: int                        # N_l^0 at every level for this run
-    giles_degree: int
     seed: int
-    sampling_safety: float
-    calibration_fraction: float
-    smoother: str = "none"             # none | giles | kde
+    smoother: str = "none"             # a key of SMOOTHERS
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.smoother not in ("none", "giles", "kde"):
+        if self.smoother not in SMOOTHERS:
             raise ValueError(f"unknown smoother {self.smoother!r}")
         if self.warmup < MIN_STRATUM_SAMPLES:
             raise ValueError("need at least two warmup samples per level")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must be nonnegative")
-        if self.sampling_safety <= 0:
-            raise ValueError("sampling_safety must be positive")
-        if self.calibration_fraction <= 0:
-            raise ValueError("calibration_fraction must be positive")
 
     @property
     def budget_factor(self) -> float:
         """2 for plain runs (e1 <= eps^2/2), 4 for smoothed (e1 <= eps^2/4),
         scaled by the sup-norm safety factor."""
         base = 2.0 if self.smoother == "none" else 4.0
-        return base * self.sampling_safety
-
-    def make_smoother(self):
-        if self.smoother == "none":
-            return None
-        if self.smoother == "giles":
-            return build_giles_polynomial(self.giles_degree)
-        return GAUSSIAN_CDF
+        return base * SAMPLING_SAFETY
 
 
 def _variance(sums, sumsq, n):
@@ -258,7 +248,7 @@ class MultilevelResult:
             "smoother": self.config.smoother,
             "strata": self.strat.r,
             "l_max": self.l_max,
-            "sampling_safety": self.config.sampling_safety,
+            "sampling_safety": SAMPLING_SAFETY,
             "total_cost": self.total_cost,
             "warnings": list(self.warnings),
             "levels": [lv.report(self.strat.probs) for lv in self.levels],
@@ -391,7 +381,7 @@ class _Engine:
         self.hierarchy = hierarchy
         self.cfg = config
         self.nodes = grid.nodes
-        self.smoother = config.make_smoother()
+        self.smoother = SMOOTHERS[config.smoother]
         self.levels: list[LevelState] = []
         self.warnings: list[str] = []
         cdf = dist.cdf(strat.boundaries)
@@ -416,7 +406,7 @@ class _Engine:
         if self.smoother is not None and lv.delta is None:
             lv.delta = calibrate_bandwidth(self.smoother, fine, self.nodes, self.cfg.eps,
                                            bracket_top=self.grid.h,
-                                           target_fraction=self.cfg.calibration_fraction)
+                                           target_fraction=CALIBRATION_FRACTION)
         stop = 0
         for i, m in enumerate(counts):
             start, stop = stop, stop + m

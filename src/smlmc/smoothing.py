@@ -248,6 +248,13 @@ def _check_conditions(poly: GilesPolynomial):
             raise ValueError(f"moment condition k={k} violated")
 
 
+# the kernel of each smoother name a run can give.  d = 3 makes the
+# polynomial's bias of order delta^4 with a cubic ramp (g - 1/2 is odd, so
+# the k = 2 moment condition costs no degree); a larger d needs a higher
+# degree, whose ramp overshoots [0, 1] further
+SMOOTHERS = {"none": None, "giles": build_giles_polynomial(3), "kde": GAUSSIAN_CDF}
+
+
 def _silverman(samples: np.ndarray) -> float:
     s = float(np.std(samples))
     q75, q25 = np.percentile(samples, [75, 25])

@@ -210,22 +210,13 @@ def test_options_a_command_does_not_read_are_rejected(argv):
     assert exc.value.code == 2
 
 
-def _smoothing_config(tmp_path, degree, methods="mlmc, mlmc_giles"):
-    path = tmp_path / "smoothing.ini"
-    path.write_text(f"[experiment]\nmodel = diffusion\nmethods = {methods}\n"
-                    f"[smoothing]\ndegree = {degree}\n")
-    return str(path)
-
-
 class TestInspect:
-    def test_giles_poly_linear_ramp(self, tmp_path, capsys):
-        assert main(["inspect", "giles-poly", "--config", _smoothing_config(tmp_path, 1)]) == 0
+    def test_giles_poly_prints_the_run_kernel(self, capsys):
+        # the polynomial every mlmc_giles run smooths with: 1/2 - (9/8) s + (5/8) s^3
+        assert main(["inspect", "giles-poly", "--preset", "burgers"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["coeffs"] == pytest.approx([0.5, -0.5, 0.0])
-
-    def test_giles_poly_degree_from_config(self, tmp_path, capsys):
-        assert main(["inspect", "giles-poly", "--config", _smoothing_config(tmp_path, 5)]) == 0
-        assert json.loads(capsys.readouterr().out)["degree_d"] == 5
+        assert payload["degree_d"] == 3
+        assert payload["coeffs"] == pytest.approx([0.5, -1.125, 0.0, 0.625, 0.0], abs=1e-12)
 
     @pytest.mark.parametrize("argv", [
         ["strata", "--preset", "diffusion", "--r", "0"],
@@ -247,12 +238,6 @@ class TestInspect:
         with pytest.raises(SystemExit) as exc:
             main(["inspect", "solver-field", "--preset", model, "--cells", cells])
         assert str(exc.value) == "smlmc: invalid inspect solver-field: need at least two cells"
-
-    def test_bad_degree_ends_in_a_message(self, tmp_path):
-        # the degree is only checked at load time when a polynomial method runs
-        cfg = _smoothing_config(tmp_path, -1, methods="mlmc")
-        with pytest.raises(SystemExit, match="smlmc: invalid inspect giles-poly: "):
-            main(["inspect", "giles-poly", "--config", cfg])
 
     def test_strata_table(self, capsys):
         assert main(["inspect", "strata", "--preset", "diffusion", "--r", "8"]) == 0

@@ -204,10 +204,10 @@ class TestSamplingValidation:
 
     @pytest.mark.parametrize("body,match", [
         # batch_size, min_stratum_samples and the stratified warmups are no
-        # longer settings: each key fails as unknown, by name
-        ("[sampling]\nbatch_size = 0\n", "batch_size"),
-        ("[sampling]\nmin_stratum_samples = 0\n",
-         r"^unknown keys in \[sampling\]: \['min_stratum_samples'\]$"),
+        # longer settings: the stratified warmups fail as unknown keys, and
+        # [sampling], which no key is left in, as an unknown section
+        ("[sampling]\nbatch_size = 0\n", r"^unknown config section \[sampling\]$"),
+        ("[sampling]\nmin_stratum_samples = 0\n", r"^unknown config section \[sampling\]$"),
         ("[warmup]\nplain = 1\n", "two warmup"),
         ("[warmup]\nsmoothed = 1\n", "two warmup"),
         ("[warmup]\nstratified_plain = 0\n",
@@ -311,11 +311,13 @@ class TestRejectedAtLoad:
     that uses it."""
 
     @pytest.mark.parametrize("body,match", [
-        ("[smoothing]\ndegree = -1\n", "smoothness parameter d"),
         ("seed = -1\n", "seed -1"),
-        ("[sampling]\nsafety = 0\n", "sampling_safety"),
-        ("[sampling]\nsafety = -1\n", "sampling_safety"),
-        ("[smoothing]\ncalibration_fraction = 0\n", "calibration_fraction"),
+        # the polynomial degree, the calibration fraction and the sampling
+        # safety are constants: their sections are unknown, at any value
+        ("[smoothing]\ndegree = 3\n", r"^unknown config section \[smoothing\]$"),
+        ("[smoothing]\ncalibration_fraction = 0.15\n",
+         r"^unknown config section \[smoothing\]$"),
+        ("[sampling]\nsafety = 2.5\n", r"^unknown config section \[sampling\]$"),
         ("[distribution]\nsigma = -1\n", "sigma"),
         ("[model]\nm0 = 1\n", "coarsest mesh"),
         ("[model]\nrefinement = 1\n", "refinement"),
@@ -341,8 +343,7 @@ class TestRejectedAtLoad:
         ("[reference]\ntime_coarsen = -4\n", r"^\[reference\] time_coarsen must be positive"),
         # the object's own message follows the INI section it reads and, for
         # a run's settings, the method, the tolerance and the keys it names
-        ("[sampling]\nsafety = 0\n",
-         r"^mlmc at eps 0\.01, \[sampling\] safety: sampling_safety must be positive"),
+        ("seed = -1\n", r"^mlmc at eps 0\.01, \[experiment\] seed: seed -1 must be"),
         ("[warmup]\nsmoothed = 1\n",
          r"^mlmc_giles at eps 0\.01, \[warmup\] smoothed: need at least two warmup samples"),
         ("[model]\nm0 = 1\n", r"^\[model\]: coarsest mesh"),
@@ -359,12 +360,6 @@ class TestRejectedAtLoad:
         path.write_text("[experiment]\nmodel = diffusion\n" + body)
         with pytest.raises(ValueError, match=match):
             load_config(str(path))
-
-    def test_degree_only_checked_when_the_polynomial_kernel_runs(self, tmp_path):
-        path = tmp_path / "exp.ini"
-        path.write_text("[experiment]\nmodel = diffusion\nmethods = mlmc, mlmc_kde\n"
-                        "[smoothing]\ndegree = -1\n")
-        assert load_config(str(path)).giles_degree == -1
 
     def test_cli_dry_run_stops_before_the_plan(self, tmp_path):
         path = tmp_path / "bad.ini"

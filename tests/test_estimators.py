@@ -16,6 +16,7 @@ from smlmc.cli import run_realization
 from smlmc.config import METHODS, preset, run_tag
 from smlmc.estimators import (
     MIN_STRATUM_SAMPLES,
+    SAMPLING_SAFETY,
     LevelState,
     SampleBank,
     mc_sample_count,
@@ -589,7 +590,7 @@ class TestRunMc:
         mc_res = run_mc(MODEL, DIST, GRID, HIER3, cfg, mlmc_res)
         top = mlmc_res.levels[-1]
         expected_n = mc_sample_count(
-            float(top.var_ifine_pooled().max()), cfg.eps, 2.0 * cfg.sampling_safety
+            float(top.var_ifine_pooled().max()), cfg.eps, 2.0 * SAMPLING_SAFETY
         )
         assert mc_res.n_samples == expected_n
         fine_work = MODEL.work_units(HIER.cells(mc_res.level))
@@ -642,10 +643,11 @@ class TestRunMc:
 
 class TestRunConfig:
     def test_budget_factor(self):
-        assert replace(RUN, eps=0.01, sampling_safety=1.0).budget_factor == 2.0
-        assert replace(RUN, eps=0.01, smoother="kde",
-                         sampling_safety=1.0).budget_factor == 4.0
+        # the textbook split, 2 plain and 4 smoothed, times the safety of 2.5
+        assert SAMPLING_SAFETY == 2.5
         assert replace(RUN, eps=0.01).budget_factor == 5.0
+        assert replace(RUN, eps=0.01, smoother="kde").budget_factor == 10.0
+        assert replace(RUN, eps=0.01, smoother="giles").budget_factor == 10.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -661,13 +663,9 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("bad,match", [
         (dict(seed=-1), "seed"),
-        (dict(sampling_safety=0.0), "sampling_safety"),
-        (dict(sampling_safety=-2.5), "sampling_safety"),
-        (dict(calibration_fraction=0.0), "calibration_fraction"),
     ])
     def test_invalid_run_settings_rejected(self, bad, match):
-        # a negative seed fails in the RNG, and a safety of 0 or less leaves
-        # every level at its warmup
+        # a negative seed fails in the RNG
         with pytest.raises(ValueError, match=match):
             replace(RUN, eps=0.01, **bad)
 

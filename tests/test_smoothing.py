@@ -10,9 +10,11 @@ from scipy.special import ndtr
 
 from smlmc import smoothing
 from smlmc.config import preset
+from smlmc.estimators import CALIBRATION_FRACTION
 from smlmc.inputs import substream
 from smlmc.smoothing import (
     GAUSSIAN_CDF,
+    SMOOTHERS,
     GaussianKernelCdf,
     _build_pilot,
     _discrepancy_bound,
@@ -560,12 +562,12 @@ class TestDiscrepancyBound:
         exp = preset("burgers")
         model, dist, hier, grid = (exp.model_spec(), exp.distribution(), exp.hierarchy(),
                                    exp.node_grid())
-        smoother = GAUSSIAN_CDF if kde else build_giles_polynomial(exp.giles_degree)
+        smoother = SMOOTHERS["kde" if kde else "giles"]
         for level in range(3):
             fine = model.qoi_batch(dist.inverse_cdf(substream(0, level, 0).random(50)),
                                    hier.cells(level))
             for eps in exp.eps_values:
                 delta = calibrate_bandwidth(smoother, fine, grid.nodes, eps, grid.h,
-                                            exp.calibration_fraction)
+                                            CALIBRATION_FRACTION)
                 assert delta == grid.h
         assert not calls
