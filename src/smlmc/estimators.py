@@ -199,10 +199,13 @@ def required_samples_smlmc(variances, probs, works, eps: float, budget_factor: f
     # p_i^2 by scalar pow, which numpy's array power does not round alike
     p2 = np.array([p ** 2 for p in probs])[:, None]
     total = sum(np.sqrt(v * p2 * w).sum(axis=0) for v, w in zip(vs, works))
-    return [
-        np.ceil(budget_factor / eps**2 * (np.sqrt(v * p2 / w) * total).max(axis=1)).astype(int)
-        for v, w in zip(vs, works)
-    ]
+    counts = np.ceil(budget_factor / eps**2 * np.array(
+        [(np.sqrt(v * p2 / w) * total).max(axis=1) for v, w in zip(vs, works)]))
+    # past 2^63 the cast to int wraps to a negative count, read as no samples
+    if not np.all(counts < 2.0**63):
+        raise ValueError(f"a stratum needs {np.max(counts):.3g} samples at eps {eps:g}, "
+                         f"not below 2^63")
+    return list(counts.astype(int))
 
 
 def mc_sample_count(max_indicator_variance: float, eps: float, budget_factor: float) -> int:

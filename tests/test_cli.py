@@ -142,6 +142,18 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run"])
 
+    def test_sample_count_past_int64_fails_the_run(self, tmp_path, capsys):
+        # level 0 asks 1.25e20 samples, which once wrapped to a negative count:
+        # the run stopped at its warmups and exited 0
+        path = tmp_path / "tight.ini"
+        path.write_text("[experiment]\nmodel = diffusion\neps = 1e-10\nmethods = mlmc\n"
+                        "n_real = 1\n[model]\nl_star = 2\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        failed = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("FAILED")]
+        assert failed == ["FAILED eps=1e-10 run=0 mlmc: a stratum needs 1.25e+20 samples "
+                          "at eps 1e-10, not below 2^63"]
+
 
 class TestMalformedConfig:
     @pytest.mark.parametrize("body,match", [

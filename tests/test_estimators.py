@@ -99,6 +99,16 @@ class TestRequiredSamplesSmlmc:
         )
         assert out[0].tolist() == [15000, 7500]
 
+    def test_count_past_int64_rejected(self):
+        # a count of 2^63 or more wrapped to a negative int in the cast, which
+        # the engine read as no more samples; here a count is 0.25 bf / eps^2
+        v = [np.array([[0.25]])]
+        assert required_samples_smlmc(v, [1.0], [1.0], 1.0, 2.0**64)[0].tolist() == [2**62]
+        with pytest.raises(ValueError, match=r"9\.22e\+18 samples at eps 1, not below 2\^63"):
+            required_samples_smlmc(v, [1.0], [1.0], 1.0, 2.0**65)
+        with pytest.raises(ValueError, match=r"1\.25e\+20 samples at eps 1e-10"):
+            required_samples_smlmc(v, [1.0], [1.0], 1e-10, 5.0)
+
 
 class TestMcSampleCount:
     def test_arithmetic(self):
