@@ -110,6 +110,16 @@ style = fancy
         with pytest.raises(ValueError, match="unknown config section"):
             load_config(path)
 
+    @pytest.mark.parametrize("body", [
+        # was "unknown keys in [model]: ['seed']"
+        "[DEFAULT]\nseed = 1\n[experiment]\nmodel = diffusion\n[model]\nm0 = 16\n",
+        # set the seed of [experiment] without a word
+        "[DEFAULT]\nseed = 1\n[experiment]\nmodel = diffusion\n",
+    ])
+    def test_default_section_rejected(self, tmp_path, body):
+        with pytest.raises(ValueError, match=r"^unknown config section \[DEFAULT\]$"):
+            load_config(self._write(tmp_path, body))
+
     def test_mc_requires_mlmc(self, tmp_path):
         path = self._write(tmp_path, """
 [experiment]
