@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion and a Burgers accuracy check,
+each printing a PASS/FAIL line.
 
 The expensive simulation batteries run once in module-scoped fixtures and are
 shared across criteria.  Each realization of a battery is run by
@@ -19,7 +20,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import godunov_flux, required_samples_mlmc, sample, thomas_solve
+from oracles import (
+    exact_burgers_cdf,
+    godunov_flux,
+    required_samples_mlmc,
+    sample,
+    thomas_solve,
+)
 from smlmc.cdf import CdfEstimate, NodeGrid, sup_distance
 from smlmc.cli import run_realization
 from smlmc.config import preset
@@ -157,6 +164,23 @@ def test_criterion_3_kde_beats_giles(diffusion_eps005, burgers_eps005):
         f"diffusion {cd_gil / cd_kde:.2f}x, burgers {cb_gil / cb_kde:.2f}x "
         f"[burgers battery {burgers_eps005['_seconds']:.0f}s]",
     )
+
+
+def test_burgers_accuracy_vs_exact_cdf(burgers_eps005):
+    # not a numbered criterion: the Burgers runs of criterion 3, judged
+    # against the closed-form CDF as criterion 1 judges diffusion
+    exp = preset("burgers")
+    grid = exp.node_grid()
+    exact = CdfEstimate(grid=grid, raw=exact_burgers_cdf(exp.distribution(), grid.nodes))
+    details = []
+    ok = True
+    for method in ("mlmc_giles", "mlmc_kde"):
+        sups = [sup_distance(r.estimate, exact, use_raw=True) for r in burgers_eps005[method]]
+        rmse = float(np.sqrt(np.mean(np.square(sups))))
+        ok &= rmse <= EPS_COST
+        details.append(f"{method}={rmse:.4f}")
+    details.append(f"[target {EPS_COST}, {N_REAL} runs]")
+    _passline("burgers raw RMSE vs exact CDF at eps=0.005", ok, " ".join(details))
 
 
 def test_criterion_4_variance_decay(diffusion, diffusion_eps005):
