@@ -246,7 +246,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ValueError(f"cannot read config file {path!r}")
     # configparser copies [DEFAULT] keys into every section
     if parser.defaults():
-        raise ValueError(f"unknown config section [{parser.default_section}]")
+        raise ValueError("unknown config section [DEFAULT]")
     # the retired work-model key: the benchmark's generated INI still writes
     # "deterministic", the one model left, so that value is ignored; this
     # check goes once bench/workloads.py write_ini drops the line
