@@ -113,7 +113,7 @@ style = fancy
     @pytest.mark.parametrize("body", [
         # was "unknown keys in [model]: ['seed']"
         "[DEFAULT]\nseed = 1\n[experiment]\nmodel = diffusion\n[model]\nm0 = 16\n",
-        # set the seed of [experiment] without a word
+        # silently set the seed of [experiment]
         "[DEFAULT]\nseed = 1\n[experiment]\nmodel = diffusion\n",
     ])
     def test_default_section_rejected(self, tmp_path, body):
