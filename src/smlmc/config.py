@@ -88,11 +88,9 @@ class ExperimentConfig:
     seed: int = _ini("experiment", "seed", 0)
     out: str = _ini("experiment", "out", "results")
     m0: int = _ini("model", "m0", 16)
-    refinement: int = _ini("model", "refinement", 2)
     l_star: int = _ini("model", "l_star", 7)
     final_time: float = _ini("model", "final_time", 0.2)
     domain_length: float = _ini("model", "domain_length", 4.0)
-    qoi_scale: float = _ini("model", "qoi_scale", 10.0)
     cfl: float = _ini("model", "cfl", 0.9)
     mu: float = _ini("distribution", "mu", 3.0)
     sigma: float = _ini("distribution", "sigma", 3.0)
@@ -155,8 +153,7 @@ class ExperimentConfig:
     # -- derived objects ---------------------------------------------------
 
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(self.model, self.final_time, self.domain_length,
-                         self.qoi_scale, self.cfl)
+        return ModelSpec(self.model, self.final_time, self.domain_length, self.cfl)
 
     def distribution(self) -> TruncatedLognormal:
         return TruncatedLognormal(self.mu, self.sigma, self.w_lo, self.w_hi)
@@ -165,7 +162,7 @@ class ExperimentConfig:
         return NodeGrid(self.grid_a, self.grid_b, self.grid_s)
 
     def hierarchy(self) -> MeshHierarchy:
-        return MeshHierarchy(m0=self.m0, factor=self.refinement, l_star=self.l_star)
+        return MeshHierarchy(m0=self.m0, l_star=self.l_star)
 
     def stratification(self, r: int):
         return build_equal_width_strata(self.distribution(), r)

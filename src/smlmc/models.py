@@ -12,10 +12,10 @@ Two models ship:
   the upwind scheme, run only over the rows near the solution's two fronts;
   QoI = 10 * integral of u^2 at t = 0.5.
 
-A ModelSpec holds a testbed's parameters (final time, domain length, QoI
-scale and CFL number), its step count and work model; the kernels take the
-spec, not copies of its values.  The diffusion walls and initial layer and
-the Burgers boundary states are fixed by the testbeds, as constants.
+A ModelSpec holds a testbed's parameters (final time, domain length and CFL
+number), its step count and work model; the kernels take the spec, not
+copies of its values.  The diffusion walls and initial layer, the Burgers
+boundary states and the QoI scale are fixed by the testbeds, as constants.
 
 Each testbed has one code path: a set-up that validates a call's inputs once
 (_diffusion_setup, _burgers_setup) and a kernel on numpy arrays of shape
@@ -34,6 +34,8 @@ import numpy as np
 from scipy.fft import dst, idst
 
 DIFFUSION_IC_WIDTH = 0.05
+# both testbeds' QoI is QOI_SCALE * integral of u^2 at the final time
+QOI_SCALE = 10.0
 # the Burgers inflow state.  The outflow state is 0 and the plateau heights
 # are held to the inflow state, so it bounds every wave speed and fixes the
 # CFL time step, the same for every sample
@@ -42,17 +44,16 @@ BURGERS_INFLOW = 2.0
 
 @dataclass(frozen=True)
 class MeshHierarchy:
-    """Geometric mesh family M_l = m0 * factor^l, levels 0..l_star."""
+    """Geometric mesh family M_l = m0 * factor^l, levels 0..l_star; the
+    factor is a class constant, not a field."""
 
     m0: int
-    factor: int
     l_star: int
+    factor = 2
 
     def __post_init__(self):
         if self.m0 <= 1:
             raise ValueError("coarsest mesh needs more than one cell")
-        if self.factor < 2:
-            raise ValueError("refinement factor must be at least 2")
         if self.l_star < 0:
             raise ValueError("l_star must be nonnegative")
 
@@ -354,9 +355,9 @@ def _squares_by_sample(field, buffer=None):
     return np.square(np.asarray(field, dtype=float).T, out=buffer, order="C")
 
 
-def qoi_midpoint(field, dx: float, scale: float):
-    """scale * midpoint quadrature of field^2 on a cell-average grid."""
-    return scale * dx * _squares_by_sample(field).sum(axis=-1)
+def qoi_midpoint(field, dx: float):
+    """QOI_SCALE * midpoint quadrature of field^2 on a cell-average grid."""
+    return QOI_SCALE * dx * _squares_by_sample(field).sum(axis=-1)
 
 
 # Elements of one column tile: each model's QoI path solves a batch
@@ -385,7 +386,7 @@ def _diffusion_qois(spec, w, cells: int, dt_over_dx: float):
     for start in range(0, w.shape[0], tile):
         v = _diffusion_interior(w[start : start + tile], setup, work)
         squares = work[1, : v.size].reshape(v.shape[::-1])
-        q = spec.qoi_scale * dx * (0.5 + _squares_by_sample(v, squares).sum(axis=-1) + 0.5)
+        q = QOI_SCALE * dx * (0.5 + _squares_by_sample(v, squares).sum(axis=-1) + 0.5)
         if not np.all(np.isfinite(q)):
             raise FloatingPointError("diffusion solve produced non-finite values")
         out[start : start + tile] = q
@@ -412,19 +413,18 @@ def _burgers_qois(spec, w, cells: int):
         x, f, d = (row[: m * part.size].reshape(m, part.size)
                    for row, m in zip(work, (cells + 1, cells + 1, cells)))
         u = _burgers_march(part, ratios, plateau, x, f, d)
-        out[order[start : start + tile]] = qoi_midpoint(u, dx, spec.qoi_scale)
+        out[order[start : start + tile]] = qoi_midpoint(u, dx)
     return out
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One PDE testbed: identity, geometry, final time, QoI scaling and the
-    Burgers march's CFL number, checked once here for every solve."""
+    """One PDE testbed: identity, geometry, final time and the Burgers
+    march's CFL number, checked once here for every solve."""
 
     name: str                 # "diffusion" | "burgers"
     final_time: float
     domain_length: float
-    qoi_scale: float
     cfl: float                # Burgers only
 
     def __post_init__(self):

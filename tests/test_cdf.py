@@ -204,7 +204,7 @@ class TestSupDistance:
 class TestReference:
     # coarse hierarchy keeps these exercises fast; resolution controls are
     # parameters of the oracle
-    HIER = MeshHierarchy(m0=16, factor=2, l_star=3)
+    HIER = MeshHierarchy(m0=16, l_star=3)
 
     def test_monotone_with_saturated_endpoints(self):
         grid = NodeGrid(14.0, 28.0, 28)
@@ -229,7 +229,7 @@ class TestReference:
         # the testbed has a closed-form solution at t = 0.5 (shocks do not
         # interact)
         grid = NodeGrid(15.0, 65.0, 100)
-        hier = MeshHierarchy(m0=32, factor=2, l_star=3)
+        hier = MeshHierarchy(m0=32, l_star=3)
         ref = reference_cdf(BURGERS, BURG_DIST, grid, hier, mesh_refine=4,
                             quad_cells=256, quad_points=4, time_coarsen=1.0)
         exact = exact_burgers_cdf(BURG_DIST, grid.nodes)
@@ -239,7 +239,7 @@ class TestReference:
         # the MC estimator targets the CDF of the discretized QoI: against a
         # reference at the same mesh the node means match within 3 SE
         grid = NodeGrid(14.0, 28.0, 28)
-        hier = MeshHierarchy(m0=64, factor=2, l_star=0)
+        hier = MeshHierarchy(m0=64, l_star=0)
         ref = reference_cdf(DIFFUSION, DIFF_DIST, grid, hier, mesh_refine=1,
                             quad_cells=512, quad_points=8, time_coarsen=1.0)
         runs, per_run = 200, 100

@@ -280,8 +280,8 @@ class TestKeyTable:
         assert len({f for _, _, f, _ in KEYS}) == len(KEYS)
 
     @pytest.mark.parametrize("name,digest", [
-        ("diffusion", "51c1e30be4b9df18"),
-        ("burgers", "fe60a3ea8509dc58"),
+        ("diffusion", "6970e378c1d2991c"),
+        ("burgers", "1b0f41fa1c927921"),
     ])
     def test_reference_digests_pinned(self, name, digest):
         # cached references on disk stay valid as long as these hold
@@ -331,6 +331,10 @@ class TestRejectedAtLoad:
         ("[distribution]\nsigma = -1\n", "sigma"),
         ("[model]\nm0 = 1\n", "coarsest mesh"),
         ("[model]\nrefinement = 1\n", "refinement"),
+        # the refinement factor and the QoI scale are testbed constants: their
+        # keys are unknown, at any value
+        ("[model]\nrefinement = 2\n", r"^unknown keys in \[model\]: \['refinement'\]$"),
+        ("[model]\nqoi_scale = 10.0\n", r"^unknown keys in \[model\]: \['qoi_scale'\]$"),
         ("[model]\nl_star = -1\n", "l_star"),
         ("eps = 0.01, 0\n", "eps"),
         ("eps = 0.01, nan\n", r"^\[experiment\] eps must be finite, not \(0\.01, nan\)$"),

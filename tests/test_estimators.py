@@ -529,7 +529,7 @@ class TestSampleBank:
     def test_holds_sixteen_bytes_per_pair(self):
         # the bank's memory is O(rows held): 16 bytes per (fine, coarse) pair
         # plus a fixed overhead per key (its generator)
-        hier = MeshHierarchy(m0=4, factor=2, l_star=1)   # 8-cell solves: fast
+        hier = MeshHierarchy(m0=4, l_star=1)   # 8-cell solves: fast
         cdf = DIST.cdf(build_equal_width_strata(DIST, 4).boundaries)
         intervals = list(zip(cdf[:-1], cdf[1:]))
 

@@ -68,14 +68,12 @@ class TestThomas:
 
 class TestMeshHierarchy:
     def test_cells_progression(self):
-        h = MeshHierarchy(m0=16, factor=2, l_star=7)
+        h = MeshHierarchy(m0=16, l_star=7)
         assert [h.cells(l) for l in range(8)] == [16, 32, 64, 128, 256, 512, 1024, 2048]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             replace(HIER, m0=1)
-        with pytest.raises(ValueError):
-            replace(HIER, m0=4, factor=1)
         with pytest.raises(ValueError):
             replace(HIER, m0=4).cells(8)
 
@@ -163,7 +161,7 @@ class TestSpectralKernelAgainstMarch:
         assert u.shape == (cells + 1, self.D.size)
         assert np.abs(u - oracle).max() <= 1e-10
         dx = 4.0 / cells
-        assert np.abs(qoi_trapezoid(u, dx, 10.0) - qoi_trapezoid(oracle, dx, 10.0)).max() <= 1e-9
+        assert np.abs(qoi_trapezoid(u, dx) - qoi_trapezoid(oracle, dx)).max() <= 1e-9
 
     def test_odd_and_even_step_counts(self):
         # g_k < 0 for the stiff modes once lam mu_k > 1: an odd step count
@@ -185,7 +183,7 @@ class TestQoiFromInterior:
         # three samples past one tile, so that the batch spans two
         w = np.linspace(1.0, 4.0, _TILE_ELEMS // (cells + 1) + 3)
         _, field = DIFFUSION.solve_field(w, cells, dt_over_dx)
-        oracle = qoi_trapezoid(field, 4.0 / cells, DIFFUSION.qoi_scale)
+        oracle = qoi_trapezoid(field, 4.0 / cells)
         assert np.array_equal(DIFFUSION.qoi_batch(w, cells, dt_over_dx), oracle)
 
 
@@ -391,7 +389,7 @@ def assert_matches_march(u, march, length=2.0):
     assert np.array_equal(u[big], march[big])
     assert np.abs(u - march).max() <= 2.0**-1060
     dx = length / u.shape[0]
-    assert np.array_equal(qoi_midpoint(u, dx, 10.0), qoi_midpoint(march, dx, 10.0))
+    assert np.array_equal(qoi_midpoint(u, dx), qoi_midpoint(march, dx))
 
 
 # the property tests' marches are capped at this many steps, enough for the
@@ -669,24 +667,24 @@ class TestBurgers:
 
 class TestQoi:
     def test_zero_field(self):
-        assert qoi_trapezoid(np.zeros(65), 4.0 / 64, 10.0) == 0.0
-        assert qoi_midpoint(np.zeros(64), 2.0 / 64, 10.0) == 0.0
+        assert qoi_trapezoid(np.zeros(65), 4.0 / 64) == 0.0
+        assert qoi_midpoint(np.zeros(64), 2.0 / 64) == 0.0
 
     def test_constant_field(self):
-        assert qoi_trapezoid(np.ones(65), 4.0 / 64, 10.0) == pytest.approx(40.0)
-        assert qoi_midpoint(np.ones(64), 2.0 / 64, 10.0) == pytest.approx(20.0)
+        assert qoi_trapezoid(np.ones(65), 4.0 / 64) == pytest.approx(40.0)
+        assert qoi_midpoint(np.ones(64), 2.0 / 64) == pytest.approx(20.0)
 
     def test_steady_state_integral(self):
         # integral of ((x - 2) / 2)^2 over (0, 4) is 4/3
         x = np.linspace(0.0, 4.0, 513)
-        q = qoi_trapezoid((x - 2.0) / 2.0, 4.0 / 512, 10.0)
+        q = qoi_trapezoid((x - 2.0) / 2.0, 4.0 / 512)
         assert q == pytest.approx(40.0 / 3.0, abs=2e-4)
 
 
 class TestSamplePair:
     """Coupled (fine, coarse) QoI pairs as the sample bank solves them."""
 
-    HIER = MeshHierarchy(m0=16, factor=2, l_star=7)
+    HIER = MeshHierarchy(m0=16, l_star=7)
 
     @classmethod
     def bank(cls):
@@ -727,7 +725,7 @@ class TestWorkModel:
         assert BURGERS.steps(32) == 18
 
     def test_work_units_increase_with_level(self):
-        h = MeshHierarchy(m0=16, factor=2, l_star=7)
+        h = MeshHierarchy(m0=16, l_star=7)
         works = [DIFFUSION.work_units(h.cells(l)) for l in range(8)]
         assert all(b > a for a, b in zip(works, works[1:]))
 

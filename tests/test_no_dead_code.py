@@ -235,8 +235,8 @@ def test_kernel_class_guard_sees_tuples():
 
 
 # names of config settings beyond the INI keys and ExperimentConfig fields:
-# RunConfig's per-method warmup and MeshHierarchy's refinement factor
-SETTING_NAMES = {"warmup", "factor"}
+# RunConfig's per-method warmup
+SETTING_NAMES = {"warmup"}
 
 
 def _setting_defaults(modules, settings):
