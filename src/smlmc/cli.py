@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cdf as cdf_mod
-from .config import KEYS, METHODS, ExperimentConfig, load_config, preset, run_tag
+from .config import KEYS, METHODS, ExperimentConfig, eps_tag, load_config, preset, run_tag
 from .cost import aggregate, comparison_table, table_to_csv
 from .estimators import SampleBank, run_mc, run_mlmc, run_smlmc
 from .smoothing import SMOOTHERS
@@ -81,12 +81,12 @@ def cmd_run(args) -> int:
                 report = res.report()
                 report["method"] = tag
                 report["run"] = k
-                rpath = out / "reports" / f"eps{eps:g}_run{k}_{tag}.json"
+                stem = f"{eps_tag(eps)}_run{k}_{tag}"
+                rpath = out / "reports" / f"{stem}.json"
                 with open(rpath, "w", newline="\n") as fh:
                     json.dump(report, fh, indent=2, sort_keys=True)
                     fh.write("\n")
-                cdf_mod.cdf_to_csv(res.estimate, out / "reports" /
-                                   f"eps{eps:g}_run{k}_{tag}_cdf.csv")
+                cdf_mod.cdf_to_csv(res.estimate, out / "reports" / f"{stem}_cdf.csv")
         costs[eps] = {tag: aggregate(ts) for tag, ts in totals.items()}
         print(f"eps={eps}: " + "  ".join(
             f"{m}={c:.4g}" for m, c in sorted(costs[eps].items())

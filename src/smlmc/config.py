@@ -72,6 +72,11 @@ def _located(where: str, keys=None):
         raise ValueError(", ".join([where, *named]) + f": {exc}") from exc
 
 
+def eps_tag(eps: float) -> str:
+    """The name of a tolerance in output files, to six significant digits."""
+    return f"eps{eps:g}"
+
+
 def run_tag(method: str, r: int) -> str:
     """The name of a planned run in output files: stratified methods carry
     their stratum count."""
@@ -120,6 +125,13 @@ class ExperimentConfig:
             # the reference oracle's settings, which no object of a run reads
             if section == "reference" and not value > 0:
                 raise ValueError(f"[{section}] {key} must be positive, not {value}")
+        # two tolerances with one name would write over each other's reports
+        named = {}
+        for eps in self.eps_values:
+            other = named.setdefault(eps_tag(eps), eps)
+            if other != eps:
+                raise ValueError(f"[experiment] eps {other} and {eps} both name their "
+                                 f"report files {eps_tag(eps)}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")

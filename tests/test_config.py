@@ -343,6 +343,9 @@ class TestRejectedAtLoad:
         # value ran its runs again over the same report files
         ("eps =\n", r"^\[experiment\] eps must list each value once"),
         ("eps = 0.01, 0.005, 0.01\n", r"^\[experiment\] eps must list each value once"),
+        # report files name a tolerance by six significant digits
+        ("eps = 0.05, 0.05000001\n",
+         r"^\[experiment\] eps 0\.05 and 0\.05000001 both name their report files eps0\.05$"),
         ("strata = 8, 8\n", r"^\[experiment\] strata must list each value once"),
         ("strata =\n", r"^\[experiment\] strata must list each value once"),
         ("methods = mlmc, mlmc\n", r"^\[experiment\] methods must list each value once"),
