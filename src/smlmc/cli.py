@@ -12,6 +12,7 @@ config.run_tag, writes its files and aggregates the costs.
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -116,13 +117,21 @@ def _reference_cache_key(exp: ExperimentConfig) -> str:
 
 def compute_reference(exp: ExperimentConfig, out: Path):
     """Reference CDF for a configuration, cached on disk by parameter digest,
-    with the self-convergence check against a half-density input grid."""
+    with the self-convergence check against a half-density input grid.
+
+    The cache file is written whole or not at all: a build that stops
+    mid-write leaves no file under the cache name, which a later call would
+    read as a hit.  A cache file that does not load stops the command."""
     out.mkdir(parents=True, exist_ok=True)
     key = _reference_cache_key(exp)
     path = out / f"reference_{exp.model}_{key}.json"
     if path.exists():
+        try:
+            ref = cdf_mod.load_cdf_json(path)
+        except (ValueError, KeyError, TypeError) as exc:  # cut short, or not a CDF
+            raise SystemExit(f"smlmc: invalid reference cache {path}: {exc}") from exc
         print(f"reference cache hit: {path}")
-        return cdf_mod.load_cdf_json(path), path
+        return ref, path
     ref, half = (cdf_mod.reference_cdf(
         exp.model_spec(), exp.distribution(), exp.node_grid(), exp.hierarchy(),
         mesh_refine=exp.ref_mesh_refine, quad_cells=quad_cells,
@@ -131,7 +140,12 @@ def compute_reference(exp: ExperimentConfig, out: Path):
     delta = float(np.abs(ref.raw - half.raw).max())
     ref.metadata["halving_delta"] = delta
     print(f"input-grid halving delta: {delta:.3e}")
-    cdf_mod.cdf_to_json(ref, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        cdf_mod.cdf_to_json(ref, tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     print(f"reference written: {path}")
     return ref, path
 

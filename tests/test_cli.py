@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smlmc import cdf as cdf_mod
 from smlmc.cli import main
 from smlmc.config import METHODS, load_config, preset, run_tag
 
@@ -178,10 +179,7 @@ class TestMalformedConfig:
         assert main(["run", "--config", str(path), "--dry-run"]) == 0
 
 
-class TestReference:
-    def test_compute_and_cache(self, tmp_path, capsys):
-        cfg_path = tmp_path / "ref.ini"
-        cfg_path.write_text("""
+REF_CONFIG = """
 [experiment]
 model = diffusion
 
@@ -193,7 +191,13 @@ quad_cells = 64
 quad_points = 4
 mesh_refine = 2
 time_coarsen = 4.0
-""")
+"""
+
+
+class TestReference:
+    def test_compute_and_cache(self, tmp_path, capsys):
+        cfg_path = tmp_path / "ref.ini"
+        cfg_path.write_text(REF_CONFIG)
         out = tmp_path / "refs"
         assert main(["reference", "--config", str(cfg_path), "--out", str(out)]) == 0
         files = list(out.glob("reference_diffusion_*.json"))
@@ -208,6 +212,33 @@ time_coarsen = 4.0
         assert main(["reference", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert "cache hit" in capsys.readouterr().out
         assert files[0].stat().st_mtime_ns == stamp
+
+    def test_write_that_fails_leaves_no_cache(self, tmp_path, monkeypatch):
+        # a later call would read a partial file under the cache name as a hit
+        def write_part(estimate, path):
+            Path(path).write_text('{"grid": {"a": ')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cdf_mod, "cdf_to_json", write_part)
+        cfg_path = tmp_path / "ref.ini"
+        cfg_path.write_text(REF_CONFIG)
+        out = tmp_path / "refs"
+        with pytest.raises(OSError, match="no space left"):
+            main(["reference", "--config", str(cfg_path), "--out", str(out)])
+        assert list(out.iterdir()) == []
+
+    def test_cut_short_cache_ends_in_one_line(self, tmp_path):
+        cfg_path = tmp_path / "ref.ini"
+        cfg_path.write_text(REF_CONFIG)
+        out = tmp_path / "refs"
+        assert main(["reference", "--config", str(cfg_path), "--out", str(out)]) == 0
+        [path] = out.glob("reference_diffusion_*.json")
+        path.write_bytes(path.read_bytes()[:200])
+        with pytest.raises(SystemExit) as exc:
+            main(["reference", "--config", str(cfg_path), "--out", str(out)])
+        message = str(exc.value)
+        assert message.startswith(f"smlmc: invalid reference cache {path}: ")
+        assert "\n" not in message
 
 
 @pytest.mark.parametrize("argv", [
