@@ -137,9 +137,6 @@ class CdfEstimate:
         """Total node-value movement introduced by post-processing."""
         return float(np.abs(self.processed - self.raw).sum())
 
-    def __call__(self, q):
-        return self.spline(q)
-
 
 # sup_distance evaluates on a grid this many times as dense as the nodes
 _SUP_DENSITY = 10

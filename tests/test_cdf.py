@@ -145,7 +145,7 @@ class TestCdfEstimate:
             "loaded = lambda: any(m.startswith('scipy.interpolate') for m in sys.modules)\n"
             "est = CdfEstimate(grid=NodeGrid(0.0, 1.0, 5), raw=np.linspace(0, 1, 6))\n"
             "before = loaded()\n"
-            "value = est(0.5)\n"
+            "value = est.spline(0.5)\n"
             "print(before, loaded(), value)\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
