@@ -23,6 +23,7 @@ from tracing import Tracer  # noqa: E402
 
 from oracles import exact_burgers_cdf  # noqa: E402
 from smlmc import cli  # noqa: E402
+from smlmc.config import PRESETS  # noqa: E402
 
 
 def test_traced_protocol_run(tmp_path):
@@ -70,3 +71,12 @@ def test_burgers_reference_is_the_exact_cdf():
     ctx = workloads.prepare("burgers-protocol")
     exact = exact_burgers_cdf(ctx.dist, ctx.grid.nodes)
     assert np.allclose(ctx.reference.raw, exact, rtol=0.0, atol=1e-8)
+
+
+def test_per_layer_level_rule_matches_the_hierarchy():
+    # per_layer assigns each solve to a level by m0 * factor**level, so the
+    # hierarchy's factor stays readable and gives its cells at every level
+    for name in PRESETS:
+        h = PRESETS[name].hierarchy()
+        assert [h.m0 * h.factor**lvl for lvl in range(h.l_star + 1)] == [
+            h.cells(lvl) for lvl in range(h.l_star + 1)]
