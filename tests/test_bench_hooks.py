@@ -76,7 +76,7 @@ def test_burgers_reference_is_the_exact_cdf():
 def test_per_layer_level_rule_matches_the_hierarchy():
     # per_layer assigns each solve to a level by m0 * factor**level, so the
     # hierarchy's factor stays readable and gives its cells at every level
-    for name in PRESETS:
-        h = PRESETS[name].hierarchy()
+    for exp in PRESETS.values():
+        h = exp.hierarchy()
         assert [h.m0 * h.factor**lvl for lvl in range(h.l_star + 1)] == [
             h.cells(lvl) for lvl in range(h.l_star + 1)]
