@@ -8,7 +8,7 @@ its text; loading, the rejection of unknown sections and keys, and the
 reference cache key all read it.
 METHODS is the one table of methods: each name maps to its smoother and
 whether it is stratified.  A method's per-level warmup follows its smoother
-alone: [warmup] plain without one, smoothed with one.
+alone: WARMUP_PLAIN without one, WARMUP_SMOOTHED with one.
 
 A config checks itself by building every object a run will use: the model,
 the input law, the node grid, the mesh hierarchy and, for every planned run,
@@ -59,6 +59,14 @@ METHODS = {
     "smlmc_kde": MethodSpec("kde", True),
 }
 
+# per-level warmup samples: a method's warmup follows its smoother, plain
+# without one, smoothed with one (giles, kde), stratified or not
+WARMUP_PLAIN = 200
+WARMUP_SMOOTHED = 50
+
+# the INI (section, key) of each RunConfig field a config sets
+_RUN_KEYS = {"eps": ("experiment", "eps"), "seed": ("experiment", "seed")}
+
 
 @contextmanager
 def _located(where: str, keys=None):
@@ -104,12 +112,13 @@ class ExperimentConfig:
     grid_a: float = _ini("grid", "a", 14.0)
     grid_b: float = _ini("grid", "b", 28.0)
     grid_s: int = _ini("grid", "s_count", 28)
-    warmup_plain: int = _ini("warmup", "plain", 200)
-    warmup_smoothed: int = _ini("warmup", "smoothed", 50)
     ref_mesh_refine: int = _ini("reference", "mesh_refine", 4)
     ref_quad_cells: int = _ini("reference", "quad_cells", 4096)
-    ref_quad_points: int = _ini("reference", "quad_points", 8)
-    ref_time_coarsen: float = _ini("reference", "time_coarsen", 4.0)
+    # the reference oracle's Gauss-Legendre points per input cell and its
+    # diffusion time-step relaxation: constants, not fields (the Burgers
+    # march ignores the relaxation); bench/workloads.py reads both
+    ref_quad_points = 8
+    ref_time_coarsen = 4.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -151,11 +160,12 @@ class ExperimentConfig:
             with _located("[experiment] strata"):
                 self.stratification(r)
             for eps in self.eps_values:
-                with _located(f"{method} at eps {eps}", self._run_keys(method)):
+                with _located(f"{method} at eps {eps}", _RUN_KEYS):
                     cfg = self.run_config(method, eps, 0)
             if cfg.warmup < r * MIN_STRATUM_SAMPLES:
-                raise ValueError(f"{method} warmup {cfg.warmup} cannot give "
-                                 f"{MIN_STRATUM_SAMPLES} samples to each of {r} strata")
+                raise ValueError(f"[experiment] strata: {method} takes {cfg.warmup} "
+                                 f"warmup samples a level, too few to give "
+                                 f"{MIN_STRATUM_SAMPLES} to each of {r} strata")
         if self.model == "burgers" and max(abs(self.w_lo), abs(self.w_hi)) > BURGERS_INFLOW:
             raise ValueError(
                 f"Burgers plateau support [{self.w_lo}, {self.w_hi}] exceeds the "
@@ -179,28 +189,15 @@ class ExperimentConfig:
     def stratification(self, r: int):
         return build_equal_width_strata(self.distribution(), r)
 
-    def _warmup(self, method: str) -> tuple:
-        """A method's per-level warmup and its INI (section, key): [warmup]
-        plain without a smoother, smoothed with one, stratified or not."""
-        if METHODS[method].smoother == "none":
-            return self.warmup_plain, ("warmup", "plain")
-        return self.warmup_smoothed, ("warmup", "smoothed")
-
     def run_config(self, method: str, eps: float, run_idx: int) -> RunConfig:
         """The settings of one run of a method: realization run_idx at eps."""
+        smoother = METHODS[method].smoother
         return RunConfig(
             eps=eps,
-            warmup=self._warmup(method)[0],
-            smoother=METHODS[method].smoother,
+            warmup=WARMUP_PLAIN if smoother == "none" else WARMUP_SMOOTHED,
+            smoother=smoother,
             seed=self.seed + run_idx,
         )
-
-    def _run_keys(self, method: str) -> dict:
-        """(section, key) of the INI setting behind each field of a method's
-        RunConfig."""
-        at = {name: (section, key) for section, key, name, _ in KEYS}
-        at.update(eps=at["eps_values"], warmup=self._warmup(method)[1])
-        return {f.name: at[f.name] for f in fields(RunConfig) if f.name in at}
 
     def run_plan(self) -> list:
         """Expanded (method, strata) run matrix in protocol order."""
@@ -231,7 +228,6 @@ _BURGERS = replace(
     grid_b=65.0,
     grid_s=100,
     ref_quad_cells=1024,
-    ref_time_coarsen=1.0,
 )
 
 PRESETS = {"diffusion": _DIFFUSION, "burgers": _BURGERS}

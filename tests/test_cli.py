@@ -20,10 +20,6 @@ seed = 3
 
 [model]
 l_star = 2
-
-[warmup]
-plain = 32
-smoothed = 16
 """
 
 
@@ -47,40 +43,40 @@ def full_run(tmp_path_factory):
 # the first 16 hex digits of the sha256 of each file full_run writes, taken
 # with numpy 2.4.6 and scipy 1.17.1
 OUTPUT_DIGESTS = {
-    "costs.csv": "364d10db771fb822",
-    "reports/eps0.05_run0_mc.json": "3dcc5f89dcc5a995",
-    "reports/eps0.05_run0_mc_cdf.csv": "cd338124bb99fd83",
-    "reports/eps0.05_run0_mlmc.json": "1eeec64ea215883d",
-    "reports/eps0.05_run0_mlmc_cdf.csv": "313790b60ff99fc1",
-    "reports/eps0.05_run0_mlmc_giles.json": "7a26799216235e69",
-    "reports/eps0.05_run0_mlmc_giles_cdf.csv": "13500df08a448a94",
-    "reports/eps0.05_run0_mlmc_kde.json": "89472b73b393d77e",
-    "reports/eps0.05_run0_mlmc_kde_cdf.csv": "890f2a1d0d7e87f3",
-    "reports/eps0.05_run0_smlmc_kde_r1.json": "49fa5139e900b92e",
-    "reports/eps0.05_run0_smlmc_kde_r1_cdf.csv": "890f2a1d0d7e87f3",
-    "reports/eps0.05_run0_smlmc_kde_r2.json": "b15dc21db78f6ab6",
-    "reports/eps0.05_run0_smlmc_kde_r2_cdf.csv": "72dffcb19714f131",
-    "reports/eps0.05_run0_smlmc_r1.json": "c803aac31a3bea7a",
-    "reports/eps0.05_run0_smlmc_r1_cdf.csv": "313790b60ff99fc1",
-    "reports/eps0.05_run0_smlmc_r2.json": "34f52718f620f822",
-    "reports/eps0.05_run0_smlmc_r2_cdf.csv": "42b375ffa47a2319",
-    "reports/eps0.05_run1_mc.json": "b0dfd824e54e9ff5",
-    "reports/eps0.05_run1_mc_cdf.csv": "63d13e9f41df30a3",
-    "reports/eps0.05_run1_mlmc.json": "be0fa2b064eea977",
-    "reports/eps0.05_run1_mlmc_cdf.csv": "cf14fc8e0188619d",
-    "reports/eps0.05_run1_mlmc_giles.json": "9e440dddc570ccfb",
-    "reports/eps0.05_run1_mlmc_giles_cdf.csv": "86ecf4e29b5bd2e1",
-    "reports/eps0.05_run1_mlmc_kde.json": "ce72d75126d60159",
-    "reports/eps0.05_run1_mlmc_kde_cdf.csv": "c90890a6ac2061a0",
-    "reports/eps0.05_run1_smlmc_kde_r1.json": "6e68decaf7159ef6",
-    "reports/eps0.05_run1_smlmc_kde_r1_cdf.csv": "c90890a6ac2061a0",
-    "reports/eps0.05_run1_smlmc_kde_r2.json": "90c39454482b34f5",
-    "reports/eps0.05_run1_smlmc_kde_r2_cdf.csv": "9717bc3f66313d59",
-    "reports/eps0.05_run1_smlmc_r1.json": "3035386c0a163b9d",
-    "reports/eps0.05_run1_smlmc_r1_cdf.csv": "cf14fc8e0188619d",
-    "reports/eps0.05_run1_smlmc_r2.json": "5f834831e3490244",
-    "reports/eps0.05_run1_smlmc_r2_cdf.csv": "8267fb4fc84f4c7c",
-    "summary.json": "9de5d4df73fc640a",
+    "costs.csv": "c8675e304dac120c",
+    "reports/eps0.05_run0_mc.json": "08f294e8d5090c8a",
+    "reports/eps0.05_run0_mc_cdf.csv": "dd163887fe0c4d15",
+    "reports/eps0.05_run0_mlmc.json": "7abaf0a86a5a4fff",
+    "reports/eps0.05_run0_mlmc_cdf.csv": "43e208e19f2c1104",
+    "reports/eps0.05_run0_mlmc_giles.json": "daac20b70f62b764",
+    "reports/eps0.05_run0_mlmc_giles_cdf.csv": "fd2e2f45f1371314",
+    "reports/eps0.05_run0_mlmc_kde.json": "f34236335ef74d1b",
+    "reports/eps0.05_run0_mlmc_kde_cdf.csv": "0ea56e9e546812b3",
+    "reports/eps0.05_run0_smlmc_kde_r1.json": "26a321409971d4ea",
+    "reports/eps0.05_run0_smlmc_kde_r1_cdf.csv": "0ea56e9e546812b3",
+    "reports/eps0.05_run0_smlmc_kde_r2.json": "8e22fb0e774e1277",
+    "reports/eps0.05_run0_smlmc_kde_r2_cdf.csv": "b46697ff725e0ddd",
+    "reports/eps0.05_run0_smlmc_r1.json": "56dd0db69149f166",
+    "reports/eps0.05_run0_smlmc_r1_cdf.csv": "43e208e19f2c1104",
+    "reports/eps0.05_run0_smlmc_r2.json": "b403a30052f87e96",
+    "reports/eps0.05_run0_smlmc_r2_cdf.csv": "adfbbfe65fee8aaf",
+    "reports/eps0.05_run1_mc.json": "678309f3630af2ad",
+    "reports/eps0.05_run1_mc_cdf.csv": "0abe6a807a6c560e",
+    "reports/eps0.05_run1_mlmc.json": "7f928c8dc1cb3f1a",
+    "reports/eps0.05_run1_mlmc_cdf.csv": "3dd8f475e99f4f8f",
+    "reports/eps0.05_run1_mlmc_giles.json": "84451b7875eca4f5",
+    "reports/eps0.05_run1_mlmc_giles_cdf.csv": "b9cac3562d458d7a",
+    "reports/eps0.05_run1_mlmc_kde.json": "1f8ff89695572720",
+    "reports/eps0.05_run1_mlmc_kde_cdf.csv": "5c3690ae7cae97e6",
+    "reports/eps0.05_run1_smlmc_kde_r1.json": "a1ad289db728fc18",
+    "reports/eps0.05_run1_smlmc_kde_r1_cdf.csv": "5c3690ae7cae97e6",
+    "reports/eps0.05_run1_smlmc_kde_r2.json": "f740096a2fe9aa91",
+    "reports/eps0.05_run1_smlmc_kde_r2_cdf.csv": "21315b6308a0be5e",
+    "reports/eps0.05_run1_smlmc_r1.json": "47f311d53ae1fbf4",
+    "reports/eps0.05_run1_smlmc_r1_cdf.csv": "3dd8f475e99f4f8f",
+    "reports/eps0.05_run1_smlmc_r2.json": "475e0c561cc8e052",
+    "reports/eps0.05_run1_smlmc_r2_cdf.csv": "a07aabebd3c1c9f8",
+    "summary.json": "9e8cbabb9c90f368",
 }
 
 
@@ -188,9 +184,7 @@ l_star = 2
 
 [reference]
 quad_cells = 64
-quad_points = 4
 mesh_refine = 2
-time_coarsen = 4.0
 """
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from smlmc.cli import _reference_cache_key, main
 from smlmc.config import KEYS, ExperimentConfig, load_config, preset
-from smlmc.estimators import MIN_STRATUM_SAMPLES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -78,16 +77,12 @@ eps = 0.02
 n_real = 3
 methods = mlmc, mc
 seed = 42
-
-[warmup]
-plain = 100
 """)
         exp = load_config(path)
         assert exp.eps_values == (0.02,)
         assert exp.n_real == 3
         assert exp.seed == 42
         assert exp.methods == ("mlmc", "mc")
-        assert exp.warmup_plain == 100
         assert exp.m0 == 16  # untouched preset value
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -213,48 +208,46 @@ class TestSamplingValidation:
         return str(path)
 
     @pytest.mark.parametrize("body,match", [
-        # batch_size, min_stratum_samples and the stratified warmups are no
-        # longer settings: the stratified warmups fail as unknown keys, and
-        # [sampling], which no key is left in, as an unknown section
+        # batch_size, min_stratum_samples and the warmups are no longer
+        # settings: [sampling] and [warmup], which no key is left in, fail as
+        # unknown sections, at any value
         ("[sampling]\nbatch_size = 0\n", r"^unknown config section \[sampling\]$"),
         ("[sampling]\nmin_stratum_samples = 0\n", r"^unknown config section \[sampling\]$"),
-        ("[warmup]\nplain = 1\n", "two warmup"),
-        ("[warmup]\nsmoothed = 1\n", "two warmup"),
-        ("[warmup]\nstratified_plain = 0\n",
-         r"^unknown keys in \[warmup\]: \['stratified_plain'\]$"),
-        ("[warmup]\nstratified_smoothed = 1\n",
-         r"^unknown keys in \[warmup\]: \['stratified_smoothed'\]$"),
+        ("[warmup]\nplain = 1\n", r"^unknown config section \[warmup\]$"),
+        ("[warmup]\nplain = 200\n", r"^unknown config section \[warmup\]$"),
+        ("[warmup]\nsmoothed = 50\n", r"^unknown config section \[warmup\]$"),
+        ("[warmup]\nstratified_plain = 0\n", r"^unknown config section \[warmup\]$"),
+        ("[warmup]\nstratified_smoothed = 1\n", r"^unknown config section \[warmup\]$"),
     ])
     def test_rejected_at_load(self, tmp_path, body, match):
         with pytest.raises(ValueError, match=match):
             load_config(self._write(tmp_path, body))
 
     def test_stratified_warmup_below_strata_floor(self, tmp_path):
-        # 16 strata x 2 samples need a warmup of 32; the preset runs 16 strata,
-        # and smlmc_kde reads the smoothed warmup
-        path = self._write(tmp_path, "[warmup]\nsmoothed = 31\n")
-        with pytest.raises(ValueError, match="smlmc_kde warmup 31 cannot give 2 samples"):
+        # 26 strata x 2 samples need a warmup of 52; smlmc_kde takes the
+        # smoothed warmup of 50
+        path = self._write(tmp_path, "strata = 8, 26\n")
+        with pytest.raises(ValueError, match=(
+                r"^\[experiment\] strata: smlmc_kde takes 50 warmup samples a level, "
+                r"too few to give 2 to each of 26 strata$")):
             load_config(path)
 
     def test_floor_only_for_methods_that_run(self):
         exp = preset("diffusion")
-        with pytest.raises(ValueError, match="smlmc_kde warmup"):
-            replace(exp, warmup_smoothed=10)
-        ok = replace(exp, methods=("mlmc", "mlmc_kde"), warmup_smoothed=10)
-        assert ok.warmup_smoothed == 10
-
-    def test_plain_warmup_needs_min_stratum_samples(self):
-        # every level of a plain run takes MIN_STRATUM_SAMPLES warmup samples
-        # at least, as each stratum of a stratified one does
-        exp = replace(preset("burgers"), methods=("mlmc", "mc"))
-        with pytest.raises(ValueError, match="two warmup samples"):
-            replace(exp, warmup_plain=MIN_STRATUM_SAMPLES - 1)
-        assert replace(exp, warmup_plain=MIN_STRATUM_SAMPLES).warmup_plain == 2
+        with pytest.raises(ValueError, match="smlmc_kde takes 50"):
+            replace(exp, strata_counts=(26,))
+        ok = replace(exp, methods=("mlmc", "smlmc"), strata_counts=(26,))
+        assert ok.strata_counts == (26,)
+        with pytest.raises(ValueError, match="smlmc takes 200 warmup samples a level, "
+                           "too few to give 2 to each of 101 strata"):
+            replace(ok, strata_counts=(101,))
 
     def test_floor_met_exactly(self):
-        # 16 strata x 2 samples: both stratified methods at their floor
-        exp = replace(preset("diffusion"), warmup_plain=32, warmup_smoothed=32)
-        assert exp.warmup_plain == exp.warmup_smoothed == 32
+        # WARMUP_SMOOTHED / 2 and WARMUP_PLAIN / 2 strata: each stratified
+        # method at its floor
+        assert replace(preset("diffusion"), strata_counts=(25,)).strata_counts == (25,)
+        exp = replace(preset("diffusion"), methods=("mlmc", "smlmc"), strata_counts=(100,))
+        assert exp.strata_counts == (100,)
 
 
 def _ini_of(exp) -> str:
@@ -280,8 +273,8 @@ class TestKeyTable:
         assert len({f for _, _, f, _ in KEYS}) == len(KEYS)
 
     @pytest.mark.parametrize("name,digest", [
-        ("diffusion", "6970e378c1d2991c"),
-        ("burgers", "1b0f41fa1c927921"),
+        ("diffusion", "7d50b001744c6597"),
+        ("burgers", "8b89a23ae4ddb063"),
     ])
     def test_reference_digests_pinned(self, name, digest):
         # cached references on disk stay valid as long as these hold
@@ -351,18 +344,21 @@ class TestRejectedAtLoad:
         ("methods = mlmc, mlmc\n", r"^\[experiment\] methods must list each value once"),
         ("methods =\n", r"^\[experiment\] methods must list each value once"),
         # the reference oracle's resolution: 0 cells gave an all-NaN
-        # reference, a negative time_coarsen one Crank-Nicolson step, and a
-        # zero mesh_refine or time_coarsen a ZeroDivisionError
+        # reference, and a zero mesh_refine a ZeroDivisionError
         ("[reference]\nquad_cells = 0\n", r"^\[reference\] quad_cells must be positive"),
-        ("[reference]\nquad_points = 0\n", r"^\[reference\] quad_points must be positive"),
         ("[reference]\nmesh_refine = 0\n", r"^\[reference\] mesh_refine must be positive"),
-        ("[reference]\ntime_coarsen = 0\n", r"^\[reference\] time_coarsen must be positive"),
-        ("[reference]\ntime_coarsen = -4\n", r"^\[reference\] time_coarsen must be positive"),
+        # the quadrature points and the time-step relaxation are constants:
+        # their keys are unknown, at any value
+        ("[reference]\nquad_points = 0\n", r"^unknown keys in \[reference\]: \['quad_points'\]$"),
+        ("[reference]\nquad_points = 8\n", r"^unknown keys in \[reference\]: \['quad_points'\]$"),
+        ("[reference]\ntime_coarsen = -4\n",
+         r"^unknown keys in \[reference\]: \['time_coarsen'\]$"),
+        ("[reference]\ntime_coarsen = 4.0\n",
+         r"^unknown keys in \[reference\]: \['time_coarsen'\]$"),
         # the object's own message follows the INI section it reads and, for
         # a run's settings, the method, the tolerance and the keys it names
         ("seed = -1\n", r"^mlmc at eps 0\.01, \[experiment\] seed: seed -1 must be"),
-        ("[warmup]\nsmoothed = 1\n",
-         r"^mlmc_giles at eps 0\.01, \[warmup\] smoothed: need at least two warmup samples"),
+        ("[warmup]\nsmoothed = 1\n", r"^unknown config section \[warmup\]$"),
         ("[model]\nm0 = 1\n", r"^\[model\]: coarsest mesh"),
         # every run on such a domain fails
         ("[model]\ndomain_length = 0\n", r"^\[model\]: domain_length must be positive$"),

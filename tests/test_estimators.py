@@ -311,8 +311,7 @@ class TestRunSmlmc:
         # one-stratum sMLMC run included: the runner yields the planned
         # (method, strata) pairs in order, their tags are distinct, and each
         # result is the run its tag names (smoother and stratum count)
-        exp = replace(EXP, methods=tuple(METHODS), strata_counts=(r,), l_star=1,
-                      warmup_plain=16, warmup_smoothed=16, seed=3)
+        exp = replace(EXP, methods=tuple(METHODS), strata_counts=(r,), l_star=1, seed=3)
         runs = list(run_realization(exp, 0.2, 0))
         assert [(m, s) for m, s, _ in runs] == exp.run_plan()
         tags = [run_tag(m, s) for m, s, _ in runs]
