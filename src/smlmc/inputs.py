@@ -56,6 +56,11 @@ class TruncatedLognormal:
         else:
             elo = float(erf((np.log(self.w_lo) - self.mu) / (_SQRT2 * self.sigma)))
         ehi = float(erf((np.log(self.w_hi) - self.mu) / (_SQRT2 * self.sigma)))
+        # far in a tail both erf terms round to the same value: every
+        # probability would be 0/0
+        if not ehi - elo > 0.0:
+            raise ValueError(f"the law at mu {self.mu}, sigma {self.sigma} has no mass "
+                             f"on the support [{self.w_lo}, {self.w_hi}] in double precision")
         object.__setattr__(self, "_erf_lo", elo)
         object.__setattr__(self, "_erf_hi", ehi)
 
@@ -145,9 +150,10 @@ class Stratification:
             raise ValueError("boundaries must be strictly increasing with >= 2 entries")
         if p.size != b.size - 1:
             raise ValueError("probs must have one entry per stratum")
-        if np.any(p <= 0.0):
+        # written so that a nan fails them
+        if not np.all(p > 0.0):
             raise ValueError("degenerate stratum: every stratum probability must be positive")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"stratum probabilities sum to {p.sum()}, not 1")
         object.__setattr__(self, "boundaries", b)
         object.__setattr__(self, "probs", p)

@@ -322,6 +322,11 @@ class TestRejectedAtLoad:
          r"^unknown config section \[smoothing\]$"),
         ("[sampling]\nsafety = 2.5\n", r"^unknown config section \[sampling\]$"),
         ("[distribution]\nsigma = -1\n", "sigma"),
+        # the law's mass lies near e^3 = 20, outside [1, 4]: a stratified run
+        # never ended
+        ("[distribution]\nsigma = 0.01\n",
+         r"^\[distribution\]: the law at mu 3\.0, sigma 0\.01 has no mass on the "
+         r"support \[1\.0, 4\.0\] in double precision$"),
         ("[model]\nm0 = 1\n", "coarsest mesh"),
         ("[model]\nrefinement = 1\n", "refinement"),
         # the refinement factor and the QoI scale are testbed constants: their

@@ -45,6 +45,13 @@ class TestPdf:
         with pytest.raises(ValueError):
             TruncatedLognormal(mu=0.0, sigma=1.0, w_lo=2.0, w_hi=1.0)
 
+    def test_support_without_mass_rejected(self):
+        # the mass lies near e^3 = 20; both erf terms round to -1, so every
+        # probability was 0/0 and a stratified run never ended
+        with pytest.raises(ValueError, match=r"^the law at mu 3\.0, sigma 0\.01 has no "
+                           r"mass on the support \[1\.0, 4\.0\]"):
+            TruncatedLognormal(mu=3.0, sigma=0.01, w_lo=1.0, w_hi=4.0)
+
 
 class TestCdf:
     def test_boundaries(self):
@@ -173,6 +180,11 @@ class TestStratification:
     def test_zero_strata_rejected(self):
         with pytest.raises(ValueError):
             build_equal_width_strata(DIFF, 0)
+
+    def test_nan_probabilities_rejected(self):
+        # nan gets past p <= 0 and a sum test written as > 1e-12
+        with pytest.raises(ValueError, match="degenerate stratum"):
+            Stratification(np.array([1.0, 2.0, 4.0]), np.array([np.nan, np.nan]))
 
     def test_mixture_of_conditionals_recovers_pdf(self):
         s = build_equal_width_strata(DIFF, 8)
