@@ -121,6 +121,10 @@ class ExperimentConfig:
     ref_time_coarsen = 4.0
 
     def __post_init__(self):
+        # the halving check builds the reference again at quad_cells // 2
+        if self.ref_quad_cells < 2:
+            raise ValueError("[reference] quad_cells must be at least 2: the halving "
+                             "check compares it with quad_cells // 2")
         for f in fields(self):
             section, key = f.metadata["ini"]
             value = getattr(self, f.name)

@@ -349,8 +349,12 @@ class TestRejectedAtLoad:
         ("methods = mlmc, mlmc\n", r"^\[experiment\] methods must list each value once"),
         ("methods =\n", r"^\[experiment\] methods must list each value once"),
         # the reference oracle's resolution: 0 cells gave an all-NaN
-        # reference, and a zero mesh_refine a ZeroDivisionError
-        ("[reference]\nquad_cells = 0\n", r"^\[reference\] quad_cells must be positive"),
+        # reference, 1 cell a halving check against itself, and a zero
+        # mesh_refine a ZeroDivisionError
+        ("[reference]\nquad_cells = 0\n", r"^\[reference\] quad_cells must be at least 2: "
+         r"the halving check compares it with quad_cells // 2$"),
+        ("[reference]\nquad_cells = 1\n", r"^\[reference\] quad_cells must be at least 2: "
+         r"the halving check compares it with quad_cells // 2$"),
         ("[reference]\nmesh_refine = 0\n", r"^\[reference\] mesh_refine must be positive"),
         # the quadrature points and the time-step relaxation are constants:
         # their keys are unknown, at any value
