@@ -8,6 +8,7 @@ its own copy of the testbed's closed form.  A refactor that breaks any of
 these would otherwise show only as a failed benchmark run.
 """
 
+import json
 import math
 import sys
 from dataclasses import replace
@@ -23,7 +24,7 @@ from tracing import Tracer  # noqa: E402
 
 from oracles import exact_burgers_cdf  # noqa: E402
 from smlmc import cli  # noqa: E402
-from smlmc.config import PRESETS  # noqa: E402
+from smlmc.config import PRESETS, load_config  # noqa: E402
 
 
 def test_traced_protocol_run(tmp_path):
@@ -54,7 +55,7 @@ def test_traced_protocol_run(tmp_path):
 
 def test_reference_pass():
     # one oracle build of the diffusion reference workload: the benchmark's
-    # reference hooks (the config's [reference] fields, reference_cdf's
+    # reference hooks (the config's reference settings, reference_cdf's
     # keywords, diffusion_steps) still resolve and give its cost
     result = workloads.reference_pass(workloads.prepare("diffusion-reference"), 0, 1,
                                       workloads.trace_targets(full=True))
@@ -62,6 +63,18 @@ def test_reference_pass():
     assert unit.ok
     assert unit.cost == 4096 * 52 * 512 == 109051904
     assert {"models.qoi_batch", "cdf.reference_cdf"} <= {s.name for s in result.spans}
+
+
+def test_reference_constants_are_the_frozen_references(tmp_path):
+    # reference_pass builds the oracle at the config's quadrature points and
+    # time-step relaxation, constants of ExperimentConfig: they are the ones
+    # the frozen diffusion reference it is judged against was built with
+    ini = tmp_path / "run.ini"
+    workloads.write_ini(ini, workloads.WORKLOADS["diffusion-reference"], 0, tmp_path)
+    exp = load_config(str(ini))
+    params = json.loads(workloads.FROZEN_REFERENCE.read_text())["params"]
+    assert (exp.ref_quad_points, exp.ref_time_coarsen) == (
+        params["quad_points"], params["time_coarsen"]) == (8, 4.0)
 
 
 def test_burgers_reference_is_the_exact_cdf():
