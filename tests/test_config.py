@@ -214,8 +214,8 @@ class TestSamplingValidation:
         ("[sampling]\nbatch_size = 0\n", r"^unknown config section \[sampling\]$"),
         ("[sampling]\nmin_stratum_samples = 0\n", r"^unknown config section \[sampling\]$"),
         ("[warmup]\nplain = 1\n", r"^unknown config section \[warmup\]$"),
+        ("[warmup]\nsmoothed = 1\n", r"^unknown config section \[warmup\]$"),
         ("[warmup]\nplain = 200\n", r"^unknown config section \[warmup\]$"),
-        ("[warmup]\nsmoothed = 50\n", r"^unknown config section \[warmup\]$"),
         ("[warmup]\nstratified_plain = 0\n", r"^unknown config section \[warmup\]$"),
         ("[warmup]\nstratified_smoothed = 1\n", r"^unknown config section \[warmup\]$"),
     ])
@@ -367,7 +367,6 @@ class TestRejectedAtLoad:
         # the object's own message follows the INI section it reads and, for
         # a run's settings, the method, the tolerance and the keys it names
         ("seed = -1\n", r"^mlmc at eps 0\.01, \[experiment\] seed: seed -1 must be"),
-        ("[warmup]\nsmoothed = 1\n", r"^unknown config section \[warmup\]$"),
         ("[model]\nm0 = 1\n", r"^\[model\]: coarsest mesh"),
         # every run on such a domain fails
         ("[model]\ndomain_length = 0\n", r"^\[model\]: domain_length must be positive$"),
