@@ -367,6 +367,9 @@ class TestRejectedAtLoad:
         # the object's own message follows the INI section it reads and, for
         # a run's settings, the method, the tolerance and the keys it names
         ("seed = -1\n", r"^mlmc at eps 0\.01, \[experiment\] seed: seed -1 must be"),
+        # the warmups are constants: a [warmup] section is unknown, so a
+        # warmup below two is no longer a run's own error
+        ("[warmup]\nsmoothed = 1\n", r"^unknown config section \[warmup\]$"),
         ("[model]\nm0 = 1\n", r"^\[model\]: coarsest mesh"),
         # every run on such a domain fails
         ("[model]\ndomain_length = 0\n", r"^\[model\]: domain_length must be positive$"),
