@@ -195,8 +195,10 @@ def reference_cdf(
         "kind": "reference",
         "model": model.name,
         "m_ref": int(m_ref),
+        "mesh_refine": int(mesh_refine),
         "quad_cells": int(quad_cells),
         "quad_points": int(quad_points),
+        "time_coarsen": float(time_coarsen),
     }
     return CdfEstimate(grid=grid, raw=values, metadata=meta)
 

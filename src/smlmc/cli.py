@@ -1,6 +1,6 @@
 """Command-line experiment runner.
 
-Reproduces the benchmark protocol: for every tolerance and every realization,
+Reproduces the benchmark protocol: for every realization and every tolerance,
 run plain MLMC (fixing the finest level), MC at that level reusing the MLMC
 samples, smoothed MLMC with both kernels, and stratified MLMC with and
 without KDE smoothing for each configured stratum count; then aggregate the
@@ -20,39 +20,42 @@ from pathlib import Path
 import numpy as np
 
 from . import cdf as cdf_mod
+from . import models
 from .config import KEYS, METHODS, ExperimentConfig, eps_tag, load_config, preset, run_tag
 from .cost import aggregate, comparison_table, table_to_csv
 from .estimators import SampleBank, run_mc, run_mlmc, run_smlmc
 from .smoothing import SMOOTHERS
 
 
-def run_realization(exp: ExperimentConfig, eps: float, k: int):
-    """The runs of realization k at tolerance eps in exp.run_plan() order (mlmc
-    before the mc run that reuses its samples), with exp.run_config's
-    settings, on one SampleBank: they share a seed, so the bank solves each
-    of their common inputs once.  Yields (method, strata, outcome) per run,
+def run_realization(exp: ExperimentConfig, k: int):
+    """The runs of realization k: for every tolerance of exp.eps_values in
+    order, the runs of exp.run_plan() in order (mlmc before the mc run that
+    reuses its samples), with exp.run_config's settings.  They share a seed
+    at every tolerance, so one SampleBank for them all solves each of their
+    common inputs once.  Yields (eps, method, strata, outcome) per run,
     outcome being its result or the exception it raised."""
     model, dist, grid, hierarchy = (exp.model_spec(), exp.distribution(),
                                     exp.node_grid(), exp.hierarchy())
     bank = SampleBank(model, dist, hierarchy)
-    mlmc_result = None
-    for method, r in exp.run_plan():
-        cfg = exp.run_config(method, eps, k)
-        try:
-            if method == "mc":
-                if mlmc_result is None:
-                    raise RuntimeError("mc requires the plain mlmc run")
-                res = run_mc(model, dist, grid, hierarchy, cfg, mlmc_result)
-            elif METHODS[method].stratified:
-                res = run_smlmc(model, dist, exp.stratification(r), grid, hierarchy, cfg,
-                                bank=bank)
-            else:
-                res = run_mlmc(model, dist, grid, hierarchy, cfg, bank=bank)
-                if method == "mlmc":
-                    mlmc_result = res
-        except Exception as exc:  # the caller reports it
-            res = exc
-        yield method, r, res
+    for eps in exp.eps_values:
+        mlmc_result = None
+        for method, r in exp.run_plan():
+            cfg = exp.run_config(method, eps, k)
+            try:
+                if method == "mc":
+                    if mlmc_result is None:
+                        raise RuntimeError("mc requires the plain mlmc run")
+                    res = run_mc(model, dist, grid, hierarchy, cfg, mlmc_result)
+                elif METHODS[method].stratified:
+                    res = run_smlmc(model, dist, exp.stratification(r), grid, hierarchy,
+                                    cfg, bank=bank)
+                else:
+                    res = run_mlmc(model, dist, grid, hierarchy, cfg, bank=bank)
+                    if method == "mlmc":
+                        mlmc_result = res
+            except Exception as exc:  # the caller reports it
+                res = exc
+            yield eps, method, r, res
 
 
 def cmd_run(args) -> int:
@@ -67,51 +70,58 @@ def cmd_run(args) -> int:
         return 0
     out.mkdir(parents=True, exist_ok=True)
     (out / "reports").mkdir(exist_ok=True)
-    failures = []
+    # per tolerance: its failed runs, and each run tag's costs in run order
+    failures: dict = {eps: [] for eps in exp.eps_values}
+    totals: dict = {eps: {} for eps in exp.eps_values}
+    for k in range(exp.n_real):
+        for eps, method, r, res in run_realization(exp, k):
+            tag = run_tag(method, r)
+            if isinstance(res, Exception):  # the remaining runs went on
+                failures[eps].append(f"eps={eps} run={k} {tag}: {res}")
+                print(f"FAILED eps={eps} run={k} {tag}: {res}", file=sys.stderr)
+                continue
+            totals[eps].setdefault(tag, []).append(res.total_cost)
+            report = res.report()
+            report["method"] = tag
+            report["run"] = k
+            stem = f"{eps_tag(eps)}_run{k}_{tag}"
+            rpath = out / "reports" / f"{stem}.json"
+            with open(rpath, "w", newline="\n") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            cdf_mod.cdf_to_csv(res.estimate, out / "reports" / f"{stem}_cdf.csv")
     costs: dict = {}
     for eps in exp.eps_values:
-        totals: dict = {}
-        for k in range(exp.n_real):
-            for method, r, res in run_realization(exp, eps, k):
-                tag = run_tag(method, r)
-                if isinstance(res, Exception):  # the remaining runs went on
-                    failures.append(f"eps={eps} run={k} {tag}: {res}")
-                    print(f"FAILED eps={eps} run={k} {tag}: {res}", file=sys.stderr)
-                    continue
-                totals.setdefault(tag, []).append(res.total_cost)
-                report = res.report()
-                report["method"] = tag
-                report["run"] = k
-                stem = f"{eps_tag(eps)}_run{k}_{tag}"
-                rpath = out / "reports" / f"{stem}.json"
-                with open(rpath, "w", newline="\n") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                cdf_mod.cdf_to_csv(res.estimate, out / "reports" / f"{stem}_cdf.csv")
-        costs[eps] = {tag: aggregate(ts) for tag, ts in totals.items()}
+        costs[eps] = {tag: aggregate(ts) for tag, ts in totals[eps].items()}
         print(f"eps={eps}: " + "  ".join(
             f"{m}={c:.4g}" for m, c in sorted(costs[eps].items())
         ))
+    failed = [line for eps in exp.eps_values for line in failures[eps]]
     table = comparison_table(costs)
     table_to_csv(table, out / "costs.csv")
     with open(out / "summary.json", "w", newline="\n") as fh:
         json.dump({"model": exp.model, "n_real": exp.n_real, "seed": exp.seed,
-                   "table": table, "failures": failures},
+                   "table": table, "failures": failed},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if failures:
-        print(f"{len(failures)} run(s) failed", file=sys.stderr)
+    if failed:
+        print(f"{len(failed)} run(s) failed", file=sys.stderr)
         return 1
     return 0
 
 
 def _reference_cache_key(exp: ExperimentConfig) -> str:
-    """Digest of the settings a reference CDF depends on: the model and every
-    [model], [distribution], [grid] and [reference] key, in table order."""
+    """Digest of the settings a reference CDF depends on: the model, every
+    [model], [distribution], [grid] and [reference] key in table order, and
+    the constants the build reads, looked up when called: the oracle's
+    quadrature points and time coarsening, the QoI scale, the mesh factor,
+    the Burgers inflow state and the width of the diffusion initial layer."""
     payload = json.dumps([exp.model] + [
         getattr(exp, field) for section, _, field, _ in KEYS
         if section in ("model", "distribution", "grid", "reference")
-    ], sort_keys=True)
+    ] + [exp.ref_quad_points, exp.ref_time_coarsen, models.QOI_SCALE,
+         models.MeshHierarchy.factor, models.BURGERS_INFLOW, models.DIFFUSION_IC_WIDTH],
+        sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -14,8 +14,9 @@ one ModelSpec.qoi_batch call per mesh.
 
 Runs with the same seed draw the same inputs from the same substream keys,
 so a bank shared by the runs of one realization (as the CLI shares one per
-realization) solves each input once.  Every run still records, and is
-charged for, every row it uses, so its results are those of the run alone.
+realization, across its tolerances) solves each input once; MC's fresh
+draws are rows of the bank too.  Every run still records, and is charged
+for, every row it uses, so its results are those of the run alone.
 
 Sampling budgets carry a fixed safety factor, SAMPLING_SAFETY, on top of
 the textbook budget split: the split bounds the worst single node's mean
@@ -238,7 +239,7 @@ class MultilevelResult:
     config: RunConfig
     strat: Stratification
     warnings: list
-    bank: "SampleBank"  # the rows the run used, and run_mc reuses
+    bank: "SampleBank"  # the rows the run used; run_mc takes its samples from it
 
     @property
     def l_max(self) -> int:
@@ -276,20 +277,24 @@ class McResult:
 
 
 class SampleBank:
-    """The solved sample pairs of one realization, shared by its runs.
+    """The solved samples of one realization, shared by its runs at every
+    tolerance.
 
-    Every run draws level l of stratum i from the substream (seed, l, i) of
-    its seed, as the inverse CDF of uniforms on the stratum's CDF interval
-    (lo, hi), so runs with one seed draw the same inputs wherever these
-    agree.  The bank keeps, per key (seed, level, stratum, lo, hi), the
-    substream and the (fine, coarse) QoIs solved from its draws, in draw
-    order.  Keying on the interval rather than on the stratum count keeps a
-    stratification from ever reading rows another one drew.
+    A row is drawn from a substream (seed, *key) of its run's seed, as the
+    inverse CDF of a uniform on a CDF interval (lo, hi): the engine draws
+    level l of stratum i from key (l, i) on the stratum's interval, and
+    run_mc its fresh draws from key (l, 0, 1) on (0, 1).  Runs with one seed
+    draw the same inputs wherever these agree, at any tolerance.  The bank
+    keeps, per (seed, key, lo, hi, meshes), the substream and the QoIs solved
+    from its draws at each of the meshes, in draw order.  Keying on the
+    interval rather than on the stratum count keeps a stratification from
+    ever reading rows another one drew.
 
     Philox substreams give the same sequence however the draws are split,
     and inverse_cdf and qoi_batch work sample by sample (TestBatchInvariance),
     so a held row has the bits the run would have solved alone.  The bank
-    holds 16 bytes per pair (8 at level 0) plus a fixed overhead per key.
+    holds 8 bytes per row and mesh (16 per fine and coarse pair) plus a
+    fixed overhead per key.
     """
 
     def __init__(self, model: ModelSpec, dist: TruncatedLognormal,
@@ -299,68 +304,65 @@ class SampleBank:
         self.hierarchy = hierarchy
         self._held: dict = {}
 
-    def take(self, seed: int, level: int, intervals, starts, counts):
-        """Rows [starts[i], starts[i] + counts[i]) of the stratum with CDF
-        interval intervals[i], for every i: their fine QoIs and their coarse
-        QoIs (None at level 0), pooled in stratum order.
+    def take(self, seed: int, keys, intervals, meshes, starts, counts) -> list:
+        """Rows [starts[i], starts[i] + counts[i]) of substream (seed, *keys[i])
+        on CDF interval intervals[i], for every i, solved at every mesh (cell
+        count) of meshes: one QoI array per mesh, pooled in key order.
 
-        Rows the bank does not hold yet are drawn and solved, all strata
+        Rows the bank does not hold yet are drawn and solved, all keys
         together, with one qoi_batch call per mesh.  A run asks for rows in
         order, so each key holds at least starts[i] rows.
         """
-        held = [(self._rows(seed, level, i, lo, hi), int(n), int(n) + int(m))
-                for i, ((lo, hi), n, m) in enumerate(zip(intervals, starts, counts)) if m]
-        missing = [(rows, stop - rows.fine.size) for rows, _, stop in held
-                   if stop > rows.fine.size]
+        meshes = tuple(meshes)
+        held = [(self._rows(seed, key, lo, hi, meshes), int(n), int(n) + int(m))
+                for key, (lo, hi), n, m in zip(keys, intervals, starts, counts) if m]
+        missing = [(rows, stop - rows.size) for rows, _, stop in held if stop > rows.size]
         if missing:
             w = np.concatenate([rows.draw(self.dist, m) for rows, m in missing])
-            fine, coarse = self._solve_pairs(level, w)
+            solved = [self.model.qoi_batch(w, cells) for cells in meshes]
             stop = 0
             for rows, m in missing:
                 start, stop = stop, stop + m
-                rows.add(fine[start:stop], None if coarse is None else coarse[start:stop])
-        fine = np.concatenate([rows.fine[start:stop] for rows, start, stop in held])
-        coarse = None
-        if level > 0:
-            coarse = np.concatenate([rows.coarse[start:stop] for rows, start, stop in held])
-        return fine, coarse
+                rows.add([qoi[start:stop] for qoi in solved])
+        return [np.concatenate([rows.qoi[j][start:stop] for rows, start, stop in held])
+                for j in range(len(meshes))]
 
-    def _rows(self, seed: int, level: int, stratum: int, lo: float, hi: float) -> "_HeldRows":
-        key = (seed, level, stratum, float(lo), float(hi))
-        if key not in self._held:
-            self._held[key] = _HeldRows(substream(seed, level, stratum), lo, hi)
-        return self._held[key]
-
-    def _solve_pairs(self, level: int, w: np.ndarray):
-        fine = self.model.qoi_batch(w, self.hierarchy.cells(level))
-        coarse = None
-        if level > 0:
-            coarse = self.model.qoi_batch(w, self.hierarchy.cells(level - 1))
-        return fine, coarse
+    def _rows(self, seed: int, key: tuple, lo: float, hi: float, meshes: tuple) -> "_HeldRows":
+        full = (seed, tuple(key), float(lo), float(hi), meshes)
+        if full not in self._held:
+            self._held[full] = _HeldRows(substream(seed, *key), lo, hi, len(meshes))
+        return self._held[full]
 
 
 class _HeldRows:
-    """One key of a SampleBank: its substream, the CDF interval (lo, hi) of
-    its stratum, and the QoI pairs solved from its draws so far."""
+    """One key of a SampleBank: its substream, its CDF interval (lo, hi), and
+    per mesh the QoIs solved from its draws so far."""
 
-    def __init__(self, stream: np.random.Generator, lo: float, hi: float):
+    def __init__(self, stream: np.random.Generator, lo: float, hi: float, n_meshes: int):
         self.stream = stream
         self.lo = lo
         self.hi = hi
-        self.fine = np.empty(0)
-        self.coarse = np.empty(0)
+        self.qoi = [np.empty(0)] * n_meshes
+
+    @property
+    def size(self) -> int:
+        return self.qoi[0].size
 
     def draw(self, dist: TruncatedLognormal, m: int) -> np.ndarray:
-        """m more draws from the input law conditioned on the stratum: the
-        inverse CDF of uniforms on (lo, hi).  The interval of a single
-        stratum is exactly [0, 1], so its draws are the unconditional ones."""
+        """m more draws from the input law conditioned on the interval: the
+        inverse CDF of uniforms on (lo, hi).  On (0, 1), the interval of a
+        single stratum, they are the unconditional draws."""
         u = self.stream.random(m)
         return dist.inverse_cdf(self.lo + u * (self.hi - self.lo))
 
-    def add(self, fine, coarse):
-        self.fine = np.concatenate([self.fine, fine])
-        if coarse is not None:
-            self.coarse = np.concatenate([self.coarse, coarse])
+    def add(self, solved):
+        self.qoi = [np.concatenate([held, new]) for held, new in zip(self.qoi, solved)]
+
+
+def _pair_meshes(hierarchy: MeshHierarchy, level: int) -> tuple:
+    """The meshes of a level's samples: fine and coarse, the fine alone at
+    level 0."""
+    return tuple(hierarchy.cells(l) for l in range(level, max(level - 2, -1), -1))
 
 
 class _Engine:
@@ -405,7 +407,9 @@ class _Engine:
         lv = self.levels[level]
         if not counts.sum():
             return
-        fine, coarse = self.bank.take(self.cfg.seed, level, self._intervals, lv.n, counts)
+        keys = [(level, i) for i in range(self.strat.r)]
+        fine, *coarse = self.bank.take(self.cfg.seed, keys, self._intervals,
+                                       _pair_meshes(self.hierarchy, level), lv.n, counts)
         if self.smoother is not None and lv.delta is None:
             lv.delta = calibrate_bandwidth(self.smoother, fine, self.nodes, self.cfg.eps,
                                            bracket_top=self.grid.h,
@@ -415,7 +419,7 @@ class _Engine:
             start, stop = stop, stop + m
             for lo in range(start, stop, _RECORD_ROWS):
                 part = slice(lo, min(lo + _RECORD_ROWS, stop))
-                self._accumulate(lv, i, fine[part], None if coarse is None else coarse[part])
+                self._accumulate(lv, i, fine[part], coarse[0][part] if coarse else None)
 
     def _accumulate(self, lv: LevelState, stratum: int, fine, coarse):
         """Record one batch of solved pairs in the level's statistics,
@@ -484,8 +488,8 @@ class _Engine:
         cap = self.hierarchy.l_star
         for level in range(cap + 1):
             # open the level with a proportional warmup pass
-            pair_work = sum(self.model.work_units(self.hierarchy.cells(l))
-                            for l in range(max(level - 1, 0), level + 1))
+            pair_work = sum(self.model.work_units(cells)
+                            for cells in _pair_meshes(self.hierarchy, level))
             self.levels.append(LevelState(level, self.strat.r, self.nodes.size, pair_work))
             self._add_pass(level, self._allocate(self.cfg.warmup))
             self._topup(level)
@@ -608,13 +612,16 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
     The sample count N_MC comes from the finest level's estimated indicator
     variance.  The estimate averages exactly N_MC samples: the first N_MC
     reused ones, topped up with fresh draws when the MLMC run used fewer.
-    The reused ones are read back from the run's sample bank, which holds
-    the level's rows in the order the run used them.  Cost is charged for all
-    N_MC samples at fine-solve work, since the comparison treats the reused
-    samples as MC samples too.
+    Both come from the run's sample bank: the reused ones are the first rows
+    of the level, which the bank holds in the order the run used them, and
+    the fresh ones are drawn from the substream (seed, level, 0, 1), solved
+    at the fine mesh alone.  Cost is charged for all N_MC samples at
+    fine-solve work, since the comparison treats the reused samples as MC
+    samples too.
     """
     if mlmc_result.strat.r != 1 or mlmc_result.config.smoother != "none":
         raise ValueError("mc reuses the samples of a plain, unstratified mlmc run")
+    bank = mlmc_result.bank
     top = mlmc_result.levels[-1]
     l_max = top.level
     var_max = float(top.var_ifine_pooled().max())
@@ -622,13 +629,13 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
     n_mc = max(mc_sample_count(var_max, config.eps, config.budget_factor), 1)
     n_reused = min(n_mc, top.n_total)
     interval = tuple(dist.cdf(mlmc_result.strat.boundaries))
-    qoi = mlmc_result.bank.take(mlmc_result.config.seed, l_max, [interval], [0],
-                                [n_reused])[0]
+    qoi = bank.take(mlmc_result.config.seed, [(l_max, 0)], [interval],
+                    _pair_meshes(hierarchy, l_max), [0], [n_reused])[0]
     extra = n_mc - n_reused
     cells = hierarchy.cells(l_max)
     if extra > 0:
-        w = dist.inverse_cdf(substream(config.seed, l_max, 0, 1).random(extra))
-        qoi = np.concatenate([qoi, model.qoi_batch(w, cells)])
+        fresh = bank.take(config.seed, [(l_max, 0, 1)], [(0.0, 1.0)], [cells], [0], [extra])[0]
+        qoi = np.concatenate([qoi, fresh])
     raw = indicator_counts(qoi, grid.nodes) / qoi.size
     return McResult(estimate=CdfEstimate(grid=grid, raw=raw),
                     total_cost=float(n_mc * model.work_units(cells)),

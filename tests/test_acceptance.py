@@ -77,66 +77,63 @@ def diffusion():
     }
 
 
-def _battery(exp, eps, methods, n_real=N_REAL):
-    """The first n_real realizations of the given methods at eps, sMLMC at
-    r = 8, run by the runner smlmc run uses; returns per-method lists."""
-    exp = replace(exp, methods=tuple(methods), strata_counts=(8,))
-    out = {m: [] for m in methods}
+def _battery(exp, eps_values, methods, n_real=N_REAL):
+    """The first n_real realizations of the given methods at each of
+    eps_values, sMLMC at r = 8, run by the runner smlmc run uses (one sample
+    bank per realization, across its tolerances); returns per-tolerance,
+    per-method lists and the seconds the battery took."""
+    t0 = time.perf_counter()
+    exp = replace(exp, eps_values=tuple(eps_values), methods=tuple(methods),
+                  strata_counts=(8,))
+    out = {eps: {m: [] for m in methods} for eps in eps_values}
     for k in range(n_real):
-        for method, _, res in run_realization(exp, eps, k):
+        for eps, method, _, res in run_realization(exp, k):
             if isinstance(res, Exception):
                 raise res
-            out[method].append(res)
+            out[eps][method].append(res)
+    out["_seconds"] = time.perf_counter() - t0
     return out
 
 
 @pytest.fixture(scope="module")
-def diffusion_eps01(diffusion):
-    t0 = time.perf_counter()
-    runs = _battery(diffusion["exp"], EPS_ACC,
+def diffusion_runs(diffusion):
+    # criteria 1 and 2 run the same seeds, so one battery serves both
+    return _battery(diffusion["exp"], (EPS_ACC, EPS_COST),
                     ["mlmc", "mc", "mlmc_giles", "mlmc_kde", "smlmc", "smlmc_kde"])
-    runs["_seconds"] = time.perf_counter() - t0
-    return runs
 
 
 @pytest.fixture(scope="module")
-def diffusion_eps005(diffusion):
-    t0 = time.perf_counter()
-    runs = _battery(diffusion["exp"], EPS_COST,
-                    ["mlmc", "mc", "mlmc_giles", "mlmc_kde", "smlmc", "smlmc_kde"])
-    runs["_seconds"] = time.perf_counter() - t0
-    return runs
+def diffusion_eps005(diffusion_runs):
+    return diffusion_runs[EPS_COST]
 
 
 @pytest.fixture(scope="module")
 def burgers_eps005():
-    t0 = time.perf_counter()
-    runs = _battery(preset("burgers"), EPS_COST, ["mlmc_giles", "mlmc_kde"])
-    runs["_seconds"] = time.perf_counter() - t0
-    return runs
+    runs = _battery(preset("burgers"), (EPS_COST,), ["mlmc_giles", "mlmc_kde"])
+    return {**runs[EPS_COST], "_seconds": runs["_seconds"]}
 
 
 def _mean_cost(results):
     return float(np.mean([r.total_cost for r in results]))
 
 
-def test_criterion_1_accuracy_vs_oracle(diffusion, diffusion_eps01):
+def test_criterion_1_accuracy_vs_oracle(diffusion, diffusion_runs):
     ref = diffusion["ref"]
     details = []
     ok = True
     for method in ("mc", "mlmc", "mlmc_giles", "mlmc_kde", "smlmc", "smlmc_kde"):
         sups = [sup_distance(r.estimate, ref, use_raw=True)
-                for r in diffusion_eps01[method]]
+                for r in diffusion_runs[EPS_ACC][method]]
         rmse = float(np.sqrt(np.mean(np.square(sups))))
         ok &= rmse <= EPS_ACC
         details.append(f"{method}={rmse:.4f}")
-    details.append(f"[target {EPS_ACC}, {N_REAL} runs, "
-                   f"{diffusion_eps01['_seconds']:.0f}s]")
+    details.append(f"[target {EPS_ACC}, {N_REAL} runs, battery at eps {EPS_ACC} and "
+                   f"{EPS_COST} {diffusion_runs['_seconds']:.0f}s]")
     _passline("criterion 1 (raw RMSE vs reference at eps=0.01)", ok,
               " ".join(details))
 
 
-def test_criterion_2_cost_orderings(diffusion_eps005):
+def test_criterion_2_cost_orderings(diffusion_runs, diffusion_eps005):
     c = {m: _mean_cost(diffusion_eps005[m])
          for m in ("mc", "mlmc", "mlmc_kde", "smlmc_kde")}
     checks = [
@@ -149,7 +146,7 @@ def test_criterion_2_cost_orderings(diffusion_eps005):
     ]
     ok = all(x[1] for x in checks)
     detail = "; ".join(f"{name}: {ratio}" for name, _, ratio in checks)
-    detail += f" [{diffusion_eps005['_seconds']:.0f}s]"
+    detail += f" [battery {diffusion_runs['_seconds']:.0f}s]"
     _passline("criterion 2 (cost orderings, diffusion, eps=0.005)", ok, detail)
 
 

@@ -214,6 +214,13 @@ class TestReference:
         assert ref.raw[-1] >= 1.0 - 1e-6
         assert np.all(np.diff(ref.raw) >= 0)
 
+    def test_metadata_records_every_setting(self):
+        ref = reference_cdf(DIFFUSION, DIFF_DIST, NodeGrid(14.0, 28.0, 28), self.HIER,
+                            mesh_refine=2, quad_cells=8, quad_points=2, time_coarsen=4.0)
+        assert ref.metadata == {"kind": "reference", "model": "diffusion", "m_ref": 256,
+                                "mesh_refine": 2, "quad_cells": 8, "quad_points": 2,
+                                "time_coarsen": 4.0}
+
     def test_input_grid_self_convergence(self):
         grid = NodeGrid(14.0, 28.0, 28)
         deltas = []

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from smlmc import models
 from smlmc.cli import _reference_cache_key, main
 from smlmc.config import KEYS, ExperimentConfig, load_config, preset
 
@@ -273,12 +274,28 @@ class TestKeyTable:
         assert len({f for _, _, f, _ in KEYS}) == len(KEYS)
 
     @pytest.mark.parametrize("name,digest", [
-        ("diffusion", "7d50b001744c6597"),
-        ("burgers", "8b89a23ae4ddb063"),
+        ("diffusion", "5e3cea12a46a67bb"),
+        ("burgers", "dfd8396b57bf178f"),
     ])
     def test_reference_digests_pinned(self, name, digest):
         # cached references on disk stay valid as long as these hold
         assert _reference_cache_key(preset(name)) == digest
+
+    @pytest.mark.parametrize("owner,name", [
+        (ExperimentConfig, "ref_quad_points"),
+        (ExperimentConfig, "ref_time_coarsen"),
+        (models, "QOI_SCALE"),
+        (models.MeshHierarchy, "factor"),
+        (models, "BURGERS_INFLOW"),
+        (models, "DIFFUSION_IC_WIDTH"),
+    ])
+    def test_reference_key_moves_with_each_constant(self, monkeypatch, owner, name):
+        # a reference built with another value of a constant the build reads
+        # is cached under another name, so it is never read as a hit
+        exp = preset("diffusion")
+        before = _reference_cache_key(exp)
+        monkeypatch.setattr(owner, name, 2 * getattr(owner, name))
+        assert _reference_cache_key(exp) != before
 
     def test_readme_example_names_exactly_the_table_keys(self):
         block = re.search(r"## Configuration.*?```ini\n(.*?)```", README.read_text(),

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -311,8 +312,9 @@ class TestRunSmlmc:
         # one-stratum sMLMC run included: the runner yields the planned
         # (method, strata) pairs in order, their tags are distinct, and each
         # result is the run its tag names (smoother and stratum count)
-        exp = replace(EXP, methods=tuple(METHODS), strata_counts=(r,), l_star=1, seed=3)
-        runs = list(run_realization(exp, 0.2, 0))
+        exp = replace(EXP, eps_values=(0.2,), methods=tuple(METHODS), strata_counts=(r,),
+                      l_star=1, seed=3)
+        runs = [run[1:] for run in run_realization(exp, 0)]
         assert [(m, s) for m, s, _ in runs] == exp.run_plan()
         tags = [run_tag(m, s) for m, s, _ in runs]
         assert len(set(tags)) == len(tags)
@@ -475,6 +477,47 @@ class TestOneSolvePerPass:
         assert (extra > 0) == fresh
         assert calls == ([(HIER.cells(mc_res.level), extra)] if fresh else [])
 
+    def test_second_mc_solves_nothing(self, monkeypatch):
+        # MC's fresh draws are rows of the bank: a second MC run on the same
+        # MLMC run finds every row it needs held
+        cfg, hier = replace(RUN, eps=0.02, seed=17, **FAST), replace(HIER, l_star=3)
+        mlmc_res = run_mlmc(MODEL, DIST, GRID, hier, cfg)
+        first = run_mc(MODEL, DIST, GRID, hier, cfg, mlmc_res)
+        assert first.n_samples > first.n_reused
+        calls = self._count_calls(monkeypatch)
+        again = run_mc(MODEL, DIST, GRID, hier, cfg, mlmc_res)
+        assert calls == []
+        assert again.report() == first.report()
+        assert np.array_equal(again.estimate.raw, first.estimate.raw)
+
+    def test_realization_solves_each_row_once_across_tolerances(self, monkeypatch):
+        # a realization runs its tolerances on one bank: per substream key it
+        # solves the rows of the tolerance that needs the most, not the sum
+        # of what each tolerance needs alone
+        exp = replace(EXP, eps_values=(0.05, 0.03), methods=tuple(METHODS),
+                      strata_counts=(4,), l_star=2, seed=3)
+
+        def held(eps_values):
+            """Rows each key of the realization's bank holds, and its meshes."""
+            runs = list(run_realization(replace(exp, eps_values=eps_values), 0))
+            assert not [res for *_, res in runs if isinstance(res, Exception)]
+            bank = runs[0][-1].bank
+            return {key: (rows.size, key[-1]) for key, rows in bank._held.items()}
+
+        alone = [held((eps,)) for eps in exp.eps_values]
+        calls = self._count_calls(monkeypatch)
+        both = held(exp.eps_values)
+        assert both == {key: max(h.get(key, (0,)) for h in alone)
+                        for key in alone[0].keys() | alone[1].keys()}
+        solved, expected = Counter(), Counter()
+        for cells, n in calls:
+            solved[cells] += n
+        for n, meshes in both.values():
+            expected.update(dict.fromkeys(meshes, n))
+        assert solved == expected
+        # the looser tolerance's rows are not solved again
+        assert sum(solved.values()) < sum(n * len(m) for h in alone for n, m in h.values())
+
 
 # warmups that differ by method, so that runs sharing a bank find some of
 # the rows they ask for held and some not
@@ -531,6 +574,7 @@ class TestSampleBank:
         hier = MeshHierarchy(m0=4, l_star=1)   # 8-cell solves: fast
         cdf = DIST.cdf(build_equal_width_strata(DIST, 4).boundaries)
         intervals = list(zip(cdf[:-1], cdf[1:]))
+        keys, meshes = [(1, i) for i in range(4)], (hier.cells(1), hier.cells(0))
 
         # scipy's DST path keeps a varying number of small blocks alive from
         # one call to the next (from 1 to 44 of 54 bytes in a pass, in
@@ -544,7 +588,7 @@ class TestSampleBank:
             tracemalloc.start()
             try:
                 for n in range(0, 3 * per_pass, per_pass):
-                    bank.take(7, 1, intervals, np.full(4, n), counts)
+                    bank.take(7, keys, intervals, meshes, np.full(4, n), counts)
                 snapshot = tracemalloc.take_snapshot()
             finally:
                 tracemalloc.stop()
@@ -571,9 +615,9 @@ from dataclasses import replace
 from smlmc.cli import run_realization
 from smlmc.config import preset
 seed = int(sys.argv[1])
-exp = replace(preset("burgers"), strata_counts=(8,))
+exp = replace(preset("burgers"), strata_counts=(8,), eps_values=(0.02,))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-for method, r, res in run_realization(exp, 0.02, seed - exp.seed):
+for eps, method, r, res in run_realization(exp, seed - exp.seed):
     if isinstance(res, Exception):
         raise res
 print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)

@@ -204,7 +204,8 @@ def _draws(r, seed, m):
     bank = SampleBank(exp.model_spec(), DIFF, exp.hierarchy())
     strat = build_equal_width_strata(DIFF, r)
     cdf = DIFF.cdf(strat.boundaries)
-    return strat, [bank._rows(seed, 0, i, cdf[i], cdf[i + 1]).draw(DIFF, m)
+    meshes = (exp.hierarchy().cells(0),)
+    return strat, [bank._rows(seed, (0, i), cdf[i], cdf[i + 1], meshes).draw(DIFF, m)
                    for i in range(r)]
 
 

@@ -682,38 +682,45 @@ class TestQoi:
 
 
 class TestSamplePair:
-    """Coupled (fine, coarse) QoI pairs as the sample bank solves them."""
+    """Coupled (fine, coarse) QoI pairs as the sample bank solves them.  Each
+    input w is one row of its own key, drawn on the point CDF interval
+    (F(w), F(w)), so at inverse_cdf(F(w)), w up to rounding."""
 
     HIER = MeshHierarchy(m0=16, l_star=7)
+    DIST = preset("diffusion").distribution()
 
     @classmethod
-    def bank(cls):
-        return SampleBank(DIFFUSION, preset("diffusion").distribution(), cls.HIER)
+    def take(cls, level, w):
+        """A new bank's QoIs of inputs w at the level's fine and (above level
+        0) coarse mesh, one array per mesh."""
+        bank = SampleBank(DIFFUSION, cls.DIST, cls.HIER)
+        c = cls.DIST.cdf(np.asarray(w, dtype=float))
+        meshes = [cls.HIER.cells(l) for l in range(level, max(level - 2, -1), -1)]
+        return bank.take(0, [(i,) for i in range(c.size)], [(x, x) for x in c], meshes,
+                         np.zeros(c.size, dtype=int), np.ones(c.size, dtype=int))
 
     def test_level_zero_has_no_coarse(self):
-        fine, coarse = self.bank()._solve_pairs(0, np.array([2.0]))
-        assert coarse is None and fine.shape == (1,)
+        solved = self.take(0, [2.0])
+        assert len(solved) == 1 and solved[0].shape == (1,)
 
     def test_coupling_reproducible_from_input(self):
-        bank = self.bank()
-        fine, coarse = bank._solve_pairs(3, np.array([2.7]))
-        again = self.bank()._solve_pairs(3, np.array([2.7]))
+        fine, coarse = self.take(3, [2.7])
+        again = self.take(3, [2.7])
         assert np.array_equal(fine, again[0]) and np.array_equal(coarse, again[1])
-        assert np.array_equal(fine, DIFFUSION.qoi_batch([2.7], self.HIER.cells(3)))
-        assert np.array_equal(coarse, DIFFUSION.qoi_batch([2.7], self.HIER.cells(2)))
+        w = self.DIST.inverse_cdf(self.DIST.cdf(np.array([2.7])))
+        assert np.array_equal(fine, DIFFUSION.qoi_batch(w, self.HIER.cells(3)))
+        assert np.array_equal(coarse, DIFFUSION.qoi_batch(w, self.HIER.cells(2)))
 
     def test_fine_coarse_gap_shrinks(self):
-        bank = self.bank()
         gaps = []
         for level in (1, 3, 5):
-            fine, coarse = bank._solve_pairs(level, np.array([2.0]))
+            fine, coarse = self.take(level, [2.0])
             gaps.append(abs(fine[0] - coarse[0]))
         assert gaps[2] < gaps[0]
 
     def test_batch_matches_scalar(self):
-        bank = self.bank()
-        fine, coarse = bank._solve_pairs(2, np.array([1.5, 3.0]))
-        fine1, coarse1 = bank._solve_pairs(2, np.array([1.5]))
+        fine, coarse = self.take(2, [1.5, 3.0])
+        fine1, coarse1 = self.take(2, [1.5])
         assert fine[0] == fine1[0]
         assert coarse[0] == coarse1[0]
 
