@@ -79,6 +79,64 @@ OUTPUT_DIGESTS = {
     "summary.json": "9e8cbabb9c90f368",
 }
 
+# one realization of each preset in the shapes the benchmark runs and
+# TINY_CONFIG does not: eight strata, both kernels at eps 0.01, and Burgers'
+# 101 nodes
+BENCH_SHAPED_CONFIG = """
+[experiment]
+model = {model}
+eps = 0.01
+methods = mlmc, mc, mlmc_giles, mlmc_kde, smlmc, smlmc_kde
+strata = 8
+n_real = 1
+seed = 0
+
+[model]
+l_star = {l_star}
+"""
+
+# the first 16 hex digits of the sha256 of each file a BENCH_SHAPED_CONFIG
+# run writes, taken with numpy 2.4.6 and scipy 1.17.1
+BENCH_SHAPED_DIGESTS = {
+    "diffusion": {
+        "costs.csv": "00ef146ba18cd882",
+        "reports/eps0.01_run0_mc.json": "ad75270417cc7f38",
+        "reports/eps0.01_run0_mc_cdf.csv": "3f34736877381d4a",
+        "reports/eps0.01_run0_mlmc.json": "450389990a008c7d",
+        "reports/eps0.01_run0_mlmc_cdf.csv": "54c12313bbf98e29",
+        "reports/eps0.01_run0_mlmc_giles.json": "40eceaa90466e065",
+        "reports/eps0.01_run0_mlmc_giles_cdf.csv": "78d8a578ad70387d",
+        "reports/eps0.01_run0_mlmc_kde.json": "6b27c054ee863185",
+        "reports/eps0.01_run0_mlmc_kde_cdf.csv": "e1ae290f91436fa9",
+        "reports/eps0.01_run0_smlmc_kde_r8.json": "3bbc65e13a7edfed",
+        "reports/eps0.01_run0_smlmc_kde_r8_cdf.csv": "46ed7d7108846ea1",
+        "reports/eps0.01_run0_smlmc_r8.json": "bd76677e30c97c72",
+        "reports/eps0.01_run0_smlmc_r8_cdf.csv": "4b79a4f7bfd70286",
+        "summary.json": "458ea9cb5991aa0f",
+    },
+    "burgers": {
+        "costs.csv": "84414e56960cfcb9",
+        "reports/eps0.01_run0_mc.json": "cc8587b85f08d6aa",
+        "reports/eps0.01_run0_mc_cdf.csv": "ed91b42f1793e8f0",
+        "reports/eps0.01_run0_mlmc.json": "1ed118122269d14a",
+        "reports/eps0.01_run0_mlmc_cdf.csv": "8cb32d93e704d54b",
+        "reports/eps0.01_run0_mlmc_giles.json": "62037eecdbbaa84a",
+        "reports/eps0.01_run0_mlmc_giles_cdf.csv": "d1343408cfbec698",
+        "reports/eps0.01_run0_mlmc_kde.json": "c13c4d74609ae057",
+        "reports/eps0.01_run0_mlmc_kde_cdf.csv": "85c0b17fef6af0f9",
+        "reports/eps0.01_run0_smlmc_kde_r8.json": "4568233b7a0f24fe",
+        "reports/eps0.01_run0_smlmc_kde_r8_cdf.csv": "ea5a4c1127cdb14f",
+        "reports/eps0.01_run0_smlmc_r8.json": "3476429f8b51b71d",
+        "reports/eps0.01_run0_smlmc_r8_cdf.csv": "7b46dc15c08f2677",
+        "summary.json": "e3c0d0e41cb5efd9",
+    },
+}
+
+
+def _digests(out):
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
 
 class TestRun:
     def test_dry_run_prints_matrix(self, tmp_path, capsys):
@@ -113,9 +171,16 @@ class TestRun:
         # the fixed reference for byte-identical outputs: a change that moves
         # these bytes on purpose records the new digests and says why
         _, out = full_run
-        digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
-                   for p in sorted(out.rglob("*")) if p.is_file()}
-        assert digests == OUTPUT_DIGESTS
+        assert _digests(out) == OUTPUT_DIGESTS
+
+    @pytest.mark.parametrize("model,l_star", [("diffusion", 3), ("burgers", 2)])
+    def test_bench_shaped_digests(self, tmp_path, model, l_star):
+        # the same fixed reference for the benchmark's shapes
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(BENCH_SHAPED_CONFIG.format(model=model, l_star=l_star))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert _digests(out) == BENCH_SHAPED_DIGESTS[model]
 
     def test_byte_identical_outputs_under_deterministic_work(self, tmp_path):
         cfg = _write_config(tmp_path)
