@@ -1,6 +1,5 @@
-"""CDF assembly: indicator counts, node grids, cubic-spline interpolation,
-monotone post-processing, the sup-norm error, and a quadrature-based
-reference CDF.
+"""CDF assembly: node grids, cubic-spline interpolation, monotone
+post-processing, the sup-norm error, and a quadrature-based reference CDF.
 """
 
 import json
@@ -39,14 +38,6 @@ class NodeGrid:
 
     def dense(self, factor: int) -> np.ndarray:
         return np.linspace(self.a, self.b, factor * self.s_count + 1)
-
-
-def indicator_counts(qoi, nodes) -> np.ndarray:
-    """Number of samples at or below each node (closed on the right), as
-    integers: the column sums of the dense indicator matrix
-    1{qoi[:, None] <= nodes[None, :]}, exactly, from one sort of the
-    samples."""
-    return np.searchsorted(np.sort(qoi), nodes, side="right")
 
 
 def build_spline(grid: NodeGrid, values):

@@ -24,15 +24,17 @@ squared error, while the acceptance metric is the supremum over all nodes,
 which for an empirical-CDF-type process runs about 1.3x the worst node
 (Kolmogorov statistic).  A safety of 2.5 absorbs that inflation.
 
-Each solved batch enters the per-node running sums without a dense
-(batch, nodes) matrix.  Indicator sums are integer counts from one sort of
-the batch (cdf.indicator_counts).  Smoothed terms are evaluated only where
-the kernel is not saturated, in a band of nodes around each sample (_band);
-at level 0 the saturated terms enter as counts times the two saturation
-values.  Indicator sums and smoothed sums at levels >= 1 have the bits of
-the dense column sums; level-0 smoothed sums are held to the dense sums'
-rounding bound, N 2^-52 sum_j |g_jn| per node over a batch of N.  The tests
-hold these sums to the dense indicator matrix and to the kernels' values.
+Each sizing pass enters the per-node running sums without a dense
+(batch, nodes) matrix, all strata of the pass together (_Engine._record).
+Every QoI is located among the nodes by its index (_node_index), and the
+indicator sums are integer counts, cumulative sums of a bincount of those
+indices.  Smoothed terms are evaluated only where the kernel is not
+saturated, in a band of nodes around each sample; at level 0 the saturated
+terms enter as counts times the two saturation values.  Indicator sums and
+smoothed sums at levels >= 1 have the bits of the dense column sums; level-0
+smoothed sums are held to the dense sums' rounding bound, N 2^-52 sum_j
+|g_jn| per node over a block of N.  The tests hold these sums to the dense
+indicator matrix and to the kernels' values.
 """
 
 from dataclasses import dataclass
@@ -40,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cdf import CdfEstimate, NodeGrid, indicator_counts
+from .cdf import CdfEstimate, NodeGrid
 from .inputs import (
     Stratification,
     TruncatedLognormal,
@@ -292,9 +294,10 @@ class SampleBank:
 
     Philox substreams give the same sequence however the draws are split,
     and inverse_cdf and qoi_batch work sample by sample (TestBatchInvariance),
-    so a held row has the bits the run would have solved alone.  The bank
-    holds 8 bytes per row and mesh (16 per fine and coarse pair) plus a
-    fixed overhead per key.
+    so a held row has the bits the run would have solved alone, though the
+    rows of all keys a pass asks for are mapped through one inverse_cdf call
+    and solved by one qoi_batch call per mesh.  The bank holds 8 bytes per
+    row and mesh (16 per fine and coarse pair) plus a fixed overhead per key.
     """
 
     def __init__(self, model: ModelSpec, dist: TruncatedLognormal,
@@ -309,16 +312,16 @@ class SampleBank:
         on CDF interval intervals[i], for every i, solved at every mesh (cell
         count) of meshes: one QoI array per mesh, pooled in key order.
 
-        Rows the bank does not hold yet are drawn and solved, all keys
-        together, with one qoi_batch call per mesh.  A run asks for rows in
-        order, so each key holds at least starts[i] rows.
+        Rows the bank does not hold yet are drawn (_draw) and solved, all
+        keys together, with one qoi_batch call per mesh.  A run asks for rows
+        in order, so each key holds at least starts[i] rows.
         """
         meshes = tuple(meshes)
         held = [(self._rows(seed, key, lo, hi, meshes), int(n), int(n) + int(m))
                 for key, (lo, hi), n, m in zip(keys, intervals, starts, counts) if m]
         missing = [(rows, stop - rows.size) for rows, _, stop in held if stop > rows.size]
         if missing:
-            w = np.concatenate([rows.draw(self.dist, m) for rows, m in missing])
+            w = self._draw(missing)
             solved = [self.model.qoi_batch(w, cells) for cells in meshes]
             stop = 0
             for rows, m in missing:
@@ -326,6 +329,16 @@ class SampleBank:
                 rows.add([qoi[start:stop] for qoi in solved])
         return [np.concatenate([rows.qoi[j][start:stop] for rows, start, stop in held])
                 for j in range(len(meshes))]
+
+    def _draw(self, missing) -> np.ndarray:
+        """The next m draws of each (rows, m) of missing, pooled in order:
+        the input law conditioned on the key's CDF interval (lo, hi), as the
+        inverse CDF of uniforms from the key's own substream, mapped onto
+        (lo, hi).  On (0, 1), the interval of a single stratum, they are the
+        unconditional draws."""
+        u = np.concatenate([rows.lo + rows.stream.random(m) * (rows.hi - rows.lo)
+                            for rows, m in missing])
+        return self.dist.inverse_cdf(u)
 
     def _rows(self, seed: int, key: tuple, lo: float, hi: float, meshes: tuple) -> "_HeldRows":
         full = (seed, tuple(key), float(lo), float(hi), meshes)
@@ -347,13 +360,6 @@ class _HeldRows:
     @property
     def size(self) -> int:
         return self.qoi[0].size
-
-    def draw(self, dist: TruncatedLognormal, m: int) -> np.ndarray:
-        """m more draws from the input law conditioned on the interval: the
-        inverse CDF of uniforms on (lo, hi).  On (0, 1), the interval of a
-        single stratum, they are the unconditional draws."""
-        u = self.stream.random(m)
-        return dist.inverse_cdf(self.lo + u * (self.hi - self.lo))
 
     def add(self, solved):
         self.qoi = [np.concatenate([held, new]) for held, new in zip(self.qoi, solved)]
@@ -400,9 +406,11 @@ class _Engine:
         and record them.
 
         The warmup pass that opens a level first calibrates a smoother's
-        bandwidth on its pooled fine values.  Each stratum's slice is recorded
-        _RECORD_ROWS rows at a time: the level's sums are added up in these
-        blocks, so their size fixes the sums' bits.
+        bandwidth on its pooled fine values.  Each stratum's slice is cut
+        into blocks of _RECORD_ROWS rows, and the level's sums are added up
+        block by block, so the block size fixes the sums' bits.  The blocks
+        are packed in order into _record calls of at most _RECORD_ROWS rows
+        (_record_calls), each recording all the strata it holds at once.
         """
         lv = self.levels[level]
         if not counts.sum():
@@ -414,17 +422,18 @@ class _Engine:
             lv.delta = calibrate_bandwidth(self.smoother, fine, self.nodes, self.cfg.eps,
                                            bracket_top=self.grid.h,
                                            target_fraction=CALIBRATION_FRACTION)
-        stop = 0
-        for i, m in enumerate(counts):
-            start, stop = stop, stop + m
-            for lo in range(start, stop, _RECORD_ROWS):
-                part = slice(lo, min(lo + _RECORD_ROWS, stop))
-                self._accumulate(lv, i, fine[part], coarse[0][part] if coarse else None)
+        for start, stop, sizes in _record_calls(counts):
+            self._record(lv, sizes, fine[start:stop],
+                         coarse[0][start:stop] if coarse else None)
 
-    def _accumulate(self, lv: LevelState, stratum: int, fine, coarse):
-        """Record one batch of solved pairs in the level's statistics,
+    def _record(self, lv: LevelState, sizes, fine, coarse):
+        """Record solved pairs in the level's statistics: sizes[i] rows of
+        stratum i, one block of each stratum at most, in stratum order,
         without the dense (batch, nodes) matrices of the indicators and of
-        the kernel's values:
+        the kernel's values.  Every sum is split by stratum through
+        bincount keys stratum * n + node (n nodes), and each bin adds its
+        terms in sample order, so every stratum's sums have the bits of a
+        call on its block alone:
 
         - indicator sums are integer counts, bit for bit the dense column
           sums.  A difference I_f - I_c squares to 1 exactly where one of
@@ -435,26 +444,30 @@ class _Engine:
           sums' own rounding bound at level 0.
         """
         nodes = self.nodes
-        c_fine = indicator_counts(fine, nodes)
+        r, n = self.strat.r, nodes.size
+        stratum = np.repeat(np.arange(r), sizes)
+        i_fine = _node_index(nodes, fine)
+        c_fine = _cumulative_counts(stratum, i_fine, r, n)
         if coarse is None:
-            lo = hi = fine
             total = total_sq = c_fine
         else:
-            lo, hi = np.minimum(fine, coarse), np.maximum(fine, coarse)
-            c_coarse = indicator_counts(coarse, nodes)
+            i_coarse = _node_index(nodes, coarse)
+            c_coarse = _cumulative_counts(stratum, i_coarse, r, n)
             total = c_fine - c_coarse
             # {lo_j, hi_j} = {fine_j, coarse_j}, so #{hi <= q} is
-            # c_fine + c_coarse - #{lo <= q}
-            total_sq = 2 * indicator_counts(lo, nodes) - c_fine - c_coarse
-        lv.sum_idiff[stratum] += total
-        lv.sumsq_idiff[stratum] += total_sq
-        lv.sum_ifine[stratum] += c_fine
+            # c_fine + c_coarse - #{lo <= q}; the index of lo_j is the
+            # smaller of the two
+            c_lo = _cumulative_counts(stratum, np.minimum(i_fine, i_coarse), r, n)
+            total_sq = 2 * c_lo - c_fine - c_coarse
+        lv.sum_idiff += total
+        lv.sumsq_idiff += total_sq
+        lv.sum_ifine += c_fine
         if self.smoother is not None:  # else the level terms are I_f - I_c
-            total, total_sq = _smoothed_sums(self.smoother, fine, coarse,
-                                             lo, hi, nodes, lv.delta)
-        lv.sum_g[stratum] += total
-        lv.sumsq_g[stratum] += total_sq
-        lv.n[stratum] += fine.shape[0]
+            total, total_sq = _smoothed_sums(self.smoother, sizes, stratum, fine, coarse,
+                                             nodes, lv.delta)
+        lv.sum_g += total
+        lv.sumsq_g += total_sq
+        lv.n += sizes
 
     def _allocate(self, total: int) -> np.ndarray:
         return proportional_allocation(total, self.strat, MIN_STRATUM_SAMPLES)
@@ -519,8 +532,9 @@ class _Engine:
         )
 
 
-# rows _accumulate records at once: the level sums are added up block by
-# block, so this size fixes their bits, and it bounds the band arrays
+# rows _record records at once, and rows of one stratum in a block: the
+# level sums are added up block by block, so this size fixes their bits, and
+# it bounds the band arrays
 _RECORD_ROWS = 32768
 # the band is widened by this fraction of the magnitudes it is computed
 # from, far above the rounding of its edges and of (Q - q) / delta: a node
@@ -529,58 +543,136 @@ _RECORD_ROWS = 32768
 _BAND_SLACK = 2.0 ** -40
 
 
-def _band(smoother, lo, hi, nodes, delta: float):
-    """The (sample, node) pairs with the node in [lo_j - w, hi_j + w],
-    w = smoother.half_width * delta, as sample-major (rows, cols), and the
-    start and end of each sample's node range.
+def _record_calls(counts):
+    """The _record calls of a pass of counts[i] rows of stratum i, pooled in
+    stratum order: (start, stop, sizes) per call, for rows [start, stop)
+    with sizes[i] of them from stratum i.
 
-    Outside that range the kernel is saturated at both of a sample's QoIs,
-    on the same side.  The edges are widened by _BAND_SLACK of the
-    magnitudes, so that a node whose computed (Q - q) / delta rounds onto
-    the clip point is still inside; pairs inside but saturated cost time,
-    not exactness.  nodes must be ascending.
+    Each stratum's slice is cut into blocks of _RECORD_ROWS rows, and the
+    blocks are packed in order into calls of at most _RECORD_ROWS rows.  All
+    blocks of a stratum but its last are full and fill a call alone, so a
+    call holds one block of a stratum at most.
     """
-    w = smoother.half_width * delta
-    scale = max(float(np.abs(lo).max()), float(np.abs(hi).max()),
-                float(np.abs(nodes).max()))
-    pad = w + _BAND_SLACK * (w + scale)
-    start = np.searchsorted(nodes, lo - pad, side="left")
-    stop = np.searchsorted(nodes, hi + pad, side="right")
-    counts = stop - start
-    rows = np.repeat(np.arange(lo.size), counts)
-    cols = np.arange(rows.size) + np.repeat(start - (np.cumsum(counts) - counts), counts)
-    return rows, cols, start, stop
+    calls = []
+    start = stop = 0
+    sizes = np.zeros(len(counts), dtype=int)
+    for i, m in enumerate(counts):
+        for lo in range(0, m, _RECORD_ROWS):
+            size = min(_RECORD_ROWS, m - lo)
+            if stop - start + size > _RECORD_ROWS:
+                calls.append((start, stop, sizes))
+                start, sizes = stop, np.zeros(len(counts), dtype=int)
+            sizes[i] = size
+            stop += size
+    if stop > start:
+        calls.append((start, stop, sizes))
+    return calls
 
 
-def _smoothed_sums(smoother, fine, coarse, lo, hi, nodes, delta: float):
-    """Per-node sums of g_f - g_c (g_f alone at level 0, coarse None) and of
-    its square over the batch, with lo, hi the pairwise minimum and maximum
-    of fine and coarse.
+def _node_guess(nodes, x, right: bool) -> np.ndarray:
+    """The linear guess of _node_index: nodes[k] is about a + k h on
+    [a, b] = [nodes[0], nodes[-1]], so about ceil(t) nodes lie below x and
+    floor(t) + 1 at or below it, t = (x - a) / h, clipped to [0, n]."""
+    n = nodes.size
+    a, b = float(nodes[0]), float(nodes[-1])
+    with np.errstate(over="ignore"):   # far keys go to inf, then to 0 or n
+        t = (x - a) * ((n - 1) / (b - a))
+    if right:
+        np.floor(t, out=t)
+        t += 1.0
+    else:
+        np.ceil(t, out=t)
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, n, out=t)
+    return t.astype(np.intp)
+
+
+def _node_index(nodes, x, right: bool = False) -> np.ndarray:
+    """The number of nodes below each key of x, or at or below it when
+    right: np.searchsorted(nodes, x, "right" if right else "left"), for
+    ascending nodes (at least two, nodes[0] < nodes[-1]) and finite x.
+
+    It starts from a linear guess between the end nodes (_node_guess) and
+    corrects the guess one node at a time until no key moves, so it is
+    exact for any ascending grid.  On an equidistant grid the guess is at
+    most one node off, and an unsorted batch costs a few elementwise passes
+    where a binary search per key costs a few times as much.
+    """
+    k = _node_guess(nodes, x, right)
+    # below[k] = nodes[k - 1] and above[k] = nodes[k], infinite past the ends
+    padded = np.concatenate(([-np.inf], nodes, [np.inf]))
+    below, above = padded[:-1], padded[1:]
+    counted, uncounted = (np.less_equal, np.greater) if right else (np.less, np.greater_equal)
+    while True:
+        up = counted(above[k], x)
+        down = uncounted(below[k], x)
+        if not (up.any() or down.any()):
+            return k
+        k += up
+        k -= down
+
+
+def _cumulative_counts(stratum, index, r: int, n: int) -> np.ndarray:
+    """#{rows j of stratum i: index_j <= node} for every stratum i < r and
+    node < n, an (r, n) integer array: per stratum, the cumulative sum of a
+    bincount of the indices (each in [0, n])."""
+    bins = np.bincount(stratum * (n + 1) + index, minlength=r * (n + 1))
+    return np.cumsum(bins.reshape(r, n + 1), axis=1)[:, :n]
+
+
+def _smoothed_sums(smoother, sizes, stratum, fine, coarse, nodes, delta: float):
+    """Per-stratum, per-node sums of g_f - g_c (g_f alone at level 0,
+    coarse None) and of its square over the rows of _record: two (r, n)
+    arrays.
+
+    The band of a row holds the nodes in [lo_j - w, hi_j + w], with lo_j,
+    hi_j the smaller and the larger of its QoIs and
+    w = smoother.half_width * delta.  Outside it the kernel is saturated at
+    both of the row's QoIs, on the same side.  The edges are widened by
+    _BAND_SLACK of the magnitudes of the row's block, so that a node whose
+    computed (Q - q) / delta rounds onto the clip point is still inside;
+    pairs inside but saturated cost time, not exactness.
 
     The band pairs are evaluated with the kernel's own expression and summed
     by bincount in sample order, the order of the dense axis-0 reduction.
     Outside the band g_f - g_c is exactly 0, and adding 0 to a sum changes
     nothing but the sign of a zero (which the += into the level's running
     sums undoes), so at levels >= 1 the sums are the dense ones bit for bit.
-    At level 0, g_f takes its saturation value below a sample's band
-    (start_j > n) and above it (stop_j <= n); these enter as the value times
-    a count of samples, so a node's sum differs from the dense one by
-    rounding alone: by at most N 2^-52 sum_j |g_jn| over a batch of N, the
+    At level 0, g_f takes its saturation value below a row's band
+    (start_j > node) and above it (stop_j <= node); these enter as the value
+    times a count of rows, so a node's sum differs from the dense one by
+    rounding alone: by at most N 2^-52 sum_j |g_jn| over a block of N, the
     first-order rounding bounds of the two sums added.
     """
-    rows, cols, start, stop = _band(smoother, lo, hi, nodes, delta)
-    q = nodes[cols]
-    d = smoother.paired(fine[rows], q, delta)
+    r, n = sizes.size, nodes.size
+    if coarse is None:
+        lo = hi = fine
+        magnitude = np.abs(fine)
+    else:
+        lo, hi = np.minimum(fine, coarse), np.maximum(fine, coarse)
+        magnitude = np.maximum(np.abs(fine), np.abs(coarse))
+    w = smoother.half_width * delta
+    blocks = sizes[sizes > 0]
+    scale = np.maximum(np.maximum.reduceat(magnitude, np.cumsum(blocks) - blocks),
+                       np.abs(nodes).max())
+    pad = np.repeat(w + _BAND_SLACK * (w + scale), blocks)
+    start = _node_index(nodes, lo - pad)
+    stop = _node_index(nodes, hi + pad, right=True)
+    width = stop - start
+    ends = np.cumsum(width)
+    # the bincount key of each pair, stratum * n + node, row by row
+    keys = np.arange(ends[-1]) + np.repeat(stratum * n + start - (ends - width), width)
+    q = np.tile(nodes, r)[keys]
+    d = smoother.paired(np.repeat(fine, width), q, delta)
     if coarse is not None:
-        d -= smoother.paired(coarse[rows], q, delta)
+        d -= smoother.paired(np.repeat(coarse, width), q, delta)
     # not in place: over an empty band bincount returns integers
-    total = np.bincount(cols, weights=d, minlength=nodes.size)
-    total_sq = np.bincount(cols, weights=d * d, minlength=nodes.size)
+    total = np.bincount(keys, weights=d, minlength=r * n).reshape(r, n)
+    total_sq = np.bincount(keys, weights=d * d, minlength=r * n).reshape(r, n)
     if coarse is None:
         below, above = smoother.saturation
-        n = nodes.size
-        n_below = fine.size - np.cumsum(np.bincount(start, minlength=n + 1))[:n]
-        n_above = np.cumsum(np.bincount(stop, minlength=n + 1))[:n]
+        n_below = sizes[:, None] - _cumulative_counts(stratum, start, r, n)
+        n_above = _cumulative_counts(stratum, stop, r, n)
         total = total + below * n_below + above * n_above
         total_sq = total_sq + below * below * n_below + above * above * n_above
     return total, total_sq
@@ -636,7 +728,8 @@ def run_mc(model: ModelSpec, dist: TruncatedLognormal, grid: NodeGrid,
     if extra > 0:
         fresh = bank.take(config.seed, [(l_max, 0, 1)], [(0.0, 1.0)], [cells], [0], [extra])[0]
         qoi = np.concatenate([qoi, fresh])
-    raw = indicator_counts(qoi, grid.nodes) / qoi.size
+    counts = _cumulative_counts(0, _node_index(grid.nodes, qoi), 1, grid.nodes.size)[0]
+    raw = counts / qoi.size
     return McResult(estimate=CdfEstimate(grid=grid, raw=raw),
                     total_cost=float(n_mc * model.work_units(cells)),
                     n_samples=n_mc, n_reused=n_reused, level=l_max)

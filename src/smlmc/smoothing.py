@@ -165,12 +165,6 @@ class GaussianKernelCdf:
     # beyond it the closed form takes over
     series_max_ratio = 0.5
 
-    def __call__(self, s):
-        out = self._ramp(np.array(s, dtype=float))
-        if out.ndim == 0:
-            return float(out)
-        return out
-
     def paired(self, qoi, nodes, delta: float):
         """Phi((q - Q) / delta) elementwise over float arrays of QoIs and
         nodes, paired or broadcast against each other."""

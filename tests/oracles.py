@@ -144,7 +144,8 @@ def required_samples_mlmc(variances, works, eps: float, budget_factor: float):
 def indicator(q_node, qoi):
     """1 when the sample falls at or below the node (closed on the right).
 
-    The dense oracle of cdf.indicator_counts, which the estimators call.
+    The dense oracle of the estimators' indicator counts, cumulative sums
+    of a bincount of node indices (estimators._cumulative_counts).
     """
     q_node = np.asarray(q_node, dtype=float)
     qoi = np.asarray(qoi, dtype=float)

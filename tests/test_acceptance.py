@@ -224,7 +224,8 @@ def test_criterion_5_exactness_suite(diffusion):
     ramp = build_giles_polynomial(1)
     s = np.linspace(-1, 1, 41)
     checks.append(("g_{d=1} = (1-s)/2", np.abs(ramp(s) - (1 - s) / 2).max() < 1e-14))
-    checks.append(("Phi(0) = 1/2", GAUSSIAN_CDF(0.0) == 0.5))
+    checks.append(("Phi(0) = 1/2",
+                   GAUSSIAN_CDF.paired(np.zeros(1), np.zeros(1), 1.0).tolist() == [0.5]))
 
     # tridiagonal solver residual
     rng = np.random.default_rng(0)

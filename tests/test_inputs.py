@@ -199,18 +199,20 @@ class TestStratification:
 
 def _draws(r, seed, m):
     """r equal-width strata of DIFF, and m level-0 draws of each as a
-    diffusion-preset sample bank draws them."""
+    diffusion-preset sample bank draws a pass: all strata pooled into one
+    inverse_cdf call."""
     exp = preset("diffusion")
     bank = SampleBank(exp.model_spec(), DIFF, exp.hierarchy())
     strat = build_equal_width_strata(DIFF, r)
     cdf = DIFF.cdf(strat.boundaries)
     meshes = (exp.hierarchy().cells(0),)
-    return strat, [bank._rows(seed, (0, i), cdf[i], cdf[i + 1], meshes).draw(DIFF, m)
-                   for i in range(r)]
+    pooled = bank._draw([(bank._rows(seed, (0, i), cdf[i], cdf[i + 1], meshes), m)
+                         for i in range(r)])
+    return strat, np.split(pooled, r)
 
 
 class TestSampleStratum:
-    """Conditional input draws of the sample bank, _HeldRows.draw (0-based
+    """Conditional input draws of the sample bank, SampleBank._draw (0-based
     strata, one substream per (level, stratum))."""
 
     def test_degenerate_matches_plain_sampling(self):
